@@ -13,6 +13,13 @@ Basis ordering, fixed once here and used everywhere in this package:
 joint index = fock_index * 3 + atom_index, with atom levels ordered
 m = (+1, 0, -1) (eigenvalues of Jz).  In this ordering H is real symmetric
 and block tridiagonal in the photon number (total bandwidth 5).
+
+H commutes with the parity ``parity_operator``, so it splits into two
+sectors.  In the atom basis S = (|+1> + |-1>)/sqrt2, |0>, D = (|+1> - |-1>)/sqrt2
+(Jx couples only S and |0>, Jz swaps S and D), the odd sector (parity -1,
+which holds the ground state) keeps S_n, |0>_n at even n and D_n at odd n;
+the even sector keeps the rest.  Ordered by photon number, S before |0>,
+each sector Hamiltonian is pentadiagonal: ``sector_hamiltonian``.
 """
 
 from __future__ import annotations
@@ -111,6 +118,51 @@ def build_hamiltonian(params: ModelParams, trunc: FockTruncation) -> np.ndarray:
         + params.g * np.kron(quad, ops.jz)
     )
     return 0.5 * (h + h.T)
+
+
+@dataclass(frozen=True, eq=False)
+class SectorEmbedding:
+    """Where each Fock level's vectors sit in a sector basis.
+
+    Level n holds S_n then |0>_n where ``paired[n]``, and D_n otherwise;
+    its first vector has sector index ``start[n]``.
+    """
+
+    paired: np.ndarray  # (n_levels,) bool
+    start: np.ndarray   # (n_levels,) int
+
+    def embed(self, vec: np.ndarray) -> np.ndarray:
+        """Map a sector vector to the full product basis (an isometry)."""
+        half = vec[self.start] / SQRT2  # S_n or D_n amplitude on |+1> and on |-1>
+        full = np.zeros((self.paired.size, ATOM_DIM))
+        full[:, 0] = half
+        full[:, 2] = np.where(self.paired, half, -half)
+        full[self.paired, 1] = vec[self.start[self.paired] + 1]
+        return full.ravel()
+
+
+def sector_hamiltonian(
+    params: ModelParams, trunc: FockTruncation, odd: bool
+) -> tuple[np.ndarray, SectorEmbedding]:
+    """H restricted to one parity sector, in LAPACK lower band storage.
+
+    Returns ``(band, embedding)`` with ``band`` of shape (3, sector_dim):
+    ``band[k, j]`` is the matrix element between sector vectors j + k and j.
+    Nonzero entries are omega_c * n on the diagonal, omega_a between S_n
+    and |0>_n, and g * sqrt(n + 1) between the S or D vector of level n and
+    the D or S vector of level n + 1.  ``embedding`` maps sector vectors
+    back to the full basis of ``build_hamiltonian``.
+    """
+    n = np.arange(trunc.n_levels)
+    paired = (n % 2 == 0) == odd
+    counts = 1 + paired
+    start = np.cumsum(counts) - counts
+
+    band = np.zeros((3, start[-1] + counts[-1]))
+    band[0] = params.omega_c * np.repeat(n, counts)
+    band[1, start[paired]] = params.omega_a
+    band[counts[:-1], start[:-1]] = params.g * np.sqrt(n[1:])
+    return band, SectorEmbedding(paired, start)
 
 
 def coherent_state_vector(

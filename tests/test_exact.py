@@ -10,8 +10,13 @@ from rabi2q import (
     pad_state,
     parity_operator,
 )
+from rabi2q import exact, model, variational
 from rabi2q.exact import ground_state_at, make_state
-from rabi2q import variational
+
+
+def _odd_weight(state):
+    p = parity_operator(FockTruncation(state.n_max))
+    return 0.5 * (1.0 - state.coefficients @ p @ state.coefficients)
 
 
 def test_decoupled_energy_is_minus_omega_a():
@@ -44,14 +49,45 @@ def test_convergence_gap_below_tol(exact_ground):
 
 
 def test_parity_purity(exact_ground):
-    for g in (0.2, 0.7, 1.2):
-        state = exact_ground(g).state
+    # deep coupling included: the parity branches are degenerate to rounding
+    # there, and a full-space solve returns a mixture of them
+    for omega_c, g in ((1.0, 0.2), (1.0, 0.7), (1.0, 1.2), (1.0, 4.0), (0.5, 2.0), (0.2, 2.0)):
+        state = exact_ground(g, omega_c).state
         p = parity_operator(FockTruncation(state.n_max))
         expectation = state.coefficients @ p @ state.coefficients
         # the ground state sits in the odd sector; even-sector weight ~ 0
         weight_even = state.coefficients @ ((np.eye(p.shape[0]) + p) / 2) @ state.coefficients
         assert expectation < -1.0 + 1e-10
         assert weight_even < 1e-10
+
+
+@pytest.mark.parametrize("omega_c", [0.2, 1.0, 2.0])
+def test_decoupled_ground_state_is_gg_vacuum(omega_c):
+    # g = 0: Jx = -1 (both qubits in |g>) times the field vacuum, with the
+    # largest coefficient (on m = 0) positive
+    state = ground_state(ModelParams(1.0, omega_c, 0.0)).state
+    expected = np.zeros_like(state.coefficients)
+    expected[:3] = [-0.5, 0.5 * np.sqrt(2.0), -0.5]
+    np.testing.assert_allclose(state.coefficients, expected, atol=1e-12)
+
+
+def test_parity_splitting_field(exact_ground):
+    # well separated at g = 0.5; exponentially small but resolved at g = 3
+    weak, deep = exact_ground(0.5), exact_ground(3.0)
+    at_weak = ground_state_at(ModelParams(1.0, 1.0, 0.5), weak.n_max_used)
+    assert weak.parity_splitting == at_weak.parity_splitting
+    assert weak.parity_splitting > 0.5
+    assert 0.0 < deep.parity_splitting < 1e-6
+    # the splitting is then the excited gap: the first excitation is even
+    assert deep.parity_splitting == pytest.approx(deep.excited_gap, abs=1e-15)
+
+
+def test_even_sector_below_odd_raises(monkeypatch):
+    # swapping the sectors makes the "odd" solve land above the other one
+    swapped = lambda params, trunc, odd: model.sector_hamiltonian(params, trunc, not odd)
+    monkeypatch.setattr(exact, "sector_hamiltonian", swapped)
+    with pytest.raises(RuntimeError, match="even-sector ground energy"):
+        ground_state(ModelParams(1.0, 1.0, 0.5))
 
 
 def test_variational_energy_upper_bounds_exact(exact_ground):
@@ -73,8 +109,9 @@ def test_deep_coupling_returns_lowest_pair_with_gap_diagnostic(exact_ground):
 
 
 def test_hard_cap_raises():
+    # alpha = g / omega_c = 10 needs about 200 Fock levels; the cap allows 64
     with pytest.raises(RuntimeError, match="not converged"):
-        ground_state(ModelParams(1.0, 1.0, 0.5), tol=1e-30, n_max_start=8, n_max_cap=32)
+        ground_state(ModelParams(1.0, 0.2, 2.0), tol=1e-10, n_max_start=8, n_max_cap=64)
 
 
 def test_input_validation():
@@ -132,3 +169,30 @@ def test_ground_state_at_matches_dense_solve():
     assert energy == pytest.approx(vals[0], abs=1e-12)
     assert gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
     assert np.linalg.norm(state.coefficients) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "omega_c,g,n_max",
+    [(1.0, 0.0, 16), (1.0, 0.6, 24), (2.0, 0.7, 8), (1.0, 3.0, 64), (0.5, 2.0, 64), (0.2, 2.0, 128)],
+)
+def test_ground_state_at_matches_dense_spectrum(omega_c, g, n_max):
+    # dense reference: H on the eigenspaces of the parity operator
+    params = ModelParams(1.0, omega_c, g)
+    trunc = FockTruncation(n_max)
+    h = build_hamiltonian(params, trunc)
+    signs, q = np.linalg.eigh(parity_operator(trunc))
+    odd = np.linalg.eigvalsh(q[:, signs < 0].T @ h @ q[:, signs < 0])
+    even = np.linalg.eigvalsh(q[:, signs > 0].T @ h @ q[:, signs > 0])
+    full = np.linalg.eigvalsh(h)
+
+    rung = ground_state_at(params, n_max)
+    energy, state, gap, _ = rung
+    assert energy == pytest.approx(odd[0], abs=1e-12)
+    assert energy + rung.parity_splitting == pytest.approx(even[0], abs=1e-12)
+    assert gap == pytest.approx(max(0.0, min(odd[1], even[0]) - odd[0]), abs=1e-10)
+    assert _odd_weight(state) >= 1.0 - 1e-12
+    # the full spectrum is the union of the sectors
+    assert min(energy, even[0]) == pytest.approx(full[0], abs=1e-12)
+    if rung.parity_splitting >= 0.0:
+        assert energy == pytest.approx(full[0], abs=1e-12)
+        assert gap == pytest.approx(full[1] - full[0], abs=1e-10)

@@ -11,6 +11,7 @@ from rabi2q.model import (
     build_hamiltonian,
     coherent_state_vector,
     parity_operator,
+    sector_hamiltonian,
     spin1_matrices,
 )
 
@@ -122,6 +123,56 @@ class TestHamiltonian:
         p = parity_operator(FockTruncation(5))
         np.testing.assert_allclose(p @ p, np.eye(18), atol=1e-15)
         assert np.array_equal(p, p.T)
+
+
+class TestSectorHamiltonian:
+    @staticmethod
+    def dense(band):
+        dim = band.shape[1]
+        h = np.zeros((dim, dim))
+        for k in range(3):
+            i = np.arange(max(dim - k, 0))
+            h[i + k, i] = h[i, i + k] = band[k, i]
+        return h
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 24])
+    @pytest.mark.parametrize("odd", [True, False])
+    def test_band_is_projected_hamiltonian(self, n_max, odd):
+        params = ModelParams(0.9, 1.3, 0.7)
+        trunc = FockTruncation(n_max)
+        band, embedding = sector_hamiltonian(params, trunc, odd)
+        u = np.column_stack([embedding.embed(e) for e in np.eye(band.shape[1])])
+        projected = u.T @ build_hamiltonian(params, trunc) @ u
+        # 1e-14 absolute, plus the rounding of 1/sqrt(2) in u on entries ~ omega_c * n
+        np.testing.assert_allclose(projected, self.dense(band), rtol=1e-15, atol=1e-14)
+        np.testing.assert_allclose(u.T @ u, np.eye(band.shape[1]), atol=1e-15)
+        # the embedded vectors span the parity eigenspace of the right sign
+        p = parity_operator(trunc)
+        assert np.array_equal(p @ u, -u if odd else u)
+
+    def test_sectors_partition_the_space(self):
+        trunc = FockTruncation(9)
+        params = ModelParams(1.0, 1.0, 0.5)
+        columns = []
+        for odd in (True, False):
+            band, embedding = sector_hamiltonian(params, trunc, odd)
+            columns += [embedding.embed(e) for e in np.eye(band.shape[1])]
+        u = np.column_stack(columns)
+        assert u.shape == (trunc.dim, trunc.dim)
+        np.testing.assert_allclose(u.T @ u, np.eye(trunc.dim), atol=1e-15)
+
+    def test_hand_assembled_odd_band(self):
+        # n_max = 2, odd sector: S0, |0>0, D1, S2, |0>2
+        g = 0.5
+        band, _ = sector_hamiltonian(ModelParams(0.8, 1.0, g), FockTruncation(2), odd=True)
+        expected = np.array(
+            [
+                [0.0, 0.0, 1.0, 2.0, 2.0],
+                [0.8, 0.0, g * SQ2, 0.8, 0.0],
+                [g, 0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        np.testing.assert_allclose(band, expected, atol=1e-15)
 
 
 class TestCoherentState:
