@@ -156,11 +156,7 @@ def compute_sweep_row(
             row["n_max_used"] = gs.n_max_used
             row["eig_residual"] = gs.residual
         if var is not None:
-            if g == 0.0:
-                row["stat_residual"] = 0.0
-            else:
-                r_a, r_b = variational.stationarity_residuals(var.alpha, var.beta, params)
-                row["stat_residual"] = max(abs(r_a), abs(r_b))
+            row["stat_residual"] = variational.stationarity_residual(var.alpha, var.beta, params)
     except Exception as exc:  # recorded in-row, sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -364,10 +360,6 @@ def cmd_variational(opt: _Options) -> int:
     omega_c = opt.get("omega-c")
     params = ModelParams(1.0, omega_c, g)
     var = variational.solve(params)
-    if g == 0.0:
-        resid = (0.0, 0.0)
-    else:
-        resid = variational.stationarity_residuals(var.alpha, var.beta, params)
     row = {
         "g": g,
         "omega_c": omega_c,
@@ -375,8 +367,7 @@ def cmd_variational(opt: _Options) -> int:
         "beta": var.beta,
         "energy": var.energy,
         "norm_sq": var.norm_sq,
-        "resid_alpha": abs(resid[0]),
-        "resid_beta": abs(resid[1]),
+        "stat_residual": variational.stationarity_residual(var.alpha, var.beta, params),
     }
     _write(render_rows(list(row), [row], opt.get("format")), opt.get("output"))
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class TransformSolution:
 
     lambda_-/lambda_+ are the m=0 weights of the lowest/highest dressed
     eigenvectors (their product is -2); eps_minus < eps_zero < eps_plus are
-    the dressed energies; delta_e stays None until a perturbative
-    correction is attached.
+    the dressed energies.
     """
 
     chi: float
@@ -57,41 +56,59 @@ class TransformSolution:
     vec_minus: np.ndarray
     vec_zero: np.ndarray
     vec_plus: np.ndarray
-    delta_e: float | None = None
+
+
+def _level_vector(lam: float) -> np.ndarray:
+    """(|1> + lam |0> + |-1>) normalized; finite also for infinite lam."""
+    if abs(lam) <= 1.0:
+        return np.array([1.0, lam, 1.0]) / math.sqrt(2.0 + lam * lam)
+    t = 1.0 / abs(lam)
+    return np.array([t, math.copysign(1.0, lam), t]) / math.sqrt(1.0 + 2.0 * t * t)
 
 
 def dressed_levels(chi: float, params: ModelParams) -> TransformSolution:
     """Closed-form spectrum of eta w_a Jx - (2 g chi - w_c chi^2) Jz^2.
 
-    With mu = (2 g chi - w_c chi^2)/(eta w_a):
-        eps_0   = -mu eta w_a                 (antisymmetric level)
-        eps_+/- = eta w_a (-mu +/- sqrt(4 + mu^2)) / 2
+    With c = eta w_a, d = 2 g chi - w_c chi^2, s = sqrt(d^2 + 4 c^2) and
+    mu = d / c:
+        eps_0   = -d                  (antisymmetric level)
+        eps_+/- = (-d +/- s) / 2
         |+/->   = (|1> + lambda_{+/-} |0> + |-1>) / N_{+/-},
-                  lambda_{+/-} = (mu +/- sqrt(4 + mu^2)) / sqrt2
+                  lambda_{+/-} = (mu +/- sqrt(4 + mu^2)) / sqrt2 = (d +/- s) / (sqrt2 c)
         |0>     = (|1> - |-1>) / sqrt2
+    Of each pair (eps_+ eps_- = -c^2, lambda_+ lambda_- = -2) the member of
+    smaller magnitude is formed through the product, so nothing cancels.
+    Nothing divides by eta, which underflows for chi above ~38.6; mu and the
+    far lambda are infinite there.
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
     eta = math.exp(-chi * chi / 2.0)
-    mu = (2.0 * g * chi - wc * chi * chi) / (eta * wa)
-    root = math.sqrt(4.0 + mu * mu)
-    lam_minus = (mu - root) / SQRT2
-    lam_plus = (mu + root) / SQRT2
-    n_minus_sq = 2.0 + lam_minus * lam_minus
-    n_plus_sq = 2.0 + lam_plus * lam_plus
+    c = eta * wa
+    d = 2.0 * g * chi - wc * chi * chi
+    far = math.sqrt(d * d + 4.0 * c * c) + abs(d)  # 2 |far eps| = sqrt2 c |far lambda|
+    near_eps = 2.0 * c * c / far
+    near_lam = 2.0 * SQRT2 * c / far
+    far_lam = far / (SQRT2 * c) if c else math.inf
+    if d >= 0.0:
+        eps_minus, eps_plus = -far / 2.0, near_eps
+        lam_minus, lam_plus = -near_lam, far_lam
+    else:
+        eps_minus, eps_plus = -near_eps, far / 2.0
+        lam_minus, lam_plus = -far_lam, near_lam
     return TransformSolution(
         chi=chi,
         eta=eta,
-        mu=mu,
+        mu=d / c if c else math.copysign(math.inf, d),
         lambda_minus=lam_minus,
         lambda_plus=lam_plus,
-        n_minus_sq=n_minus_sq,
-        n_plus_sq=n_plus_sq,
-        eps_minus=eta * wa * (-mu - root) / 2.0,
-        eps_zero=-mu * eta * wa,
-        eps_plus=eta * wa * (-mu + root) / 2.0,
-        vec_minus=np.array([1.0, lam_minus, 1.0]) / math.sqrt(n_minus_sq),
+        n_minus_sq=2.0 + lam_minus * lam_minus,
+        n_plus_sq=2.0 + lam_plus * lam_plus,
+        eps_minus=eps_minus,
+        eps_zero=-d,
+        eps_plus=eps_plus,
+        vec_minus=_level_vector(lam_minus),
         vec_zero=np.array([1.0, 0.0, -1.0]) / SQRT2,
-        vec_plus=np.array([1.0, lam_plus, 1.0]) / math.sqrt(n_plus_sq),
+        vec_plus=_level_vector(lam_plus),
     )
 
 
@@ -100,9 +117,13 @@ def solve_chi(params: ModelParams) -> TransformSolution:
     dressed level.
 
     The defining condition coincides with the variational stationarity
-    system, with chi = alpha and lambda_- = beta, so the variational solver
-    is reused and the identities eps_- = E_v and lambda_- = beta are
-    asserted rather than re-derived.
+    system, with chi = alpha and lambda_- = beta, so chi is taken from
+    ``variational.solve`` (a fixed scan of the beta-eliminated stationarity
+    condition, a bracketed root-find per sign change, the lowest well kept
+    and its ``stationarity_residual`` checked), and the identities
+    eps_- = E_v and lambda_- = beta are asserted to EQUIVALENCE_TOL rather
+    than re-derived.  Neither side divides by eta or by beta, so the check
+    also holds where exp(-chi^2/2) underflows.
     """
     var = variational.solve(params)
     sol = dressed_levels(var.alpha, params)
@@ -140,11 +161,6 @@ def perturbation_correction(sol: TransformSolution, params: ModelParams) -> floa
         + sol.eps_zero**2
         / (sol.n_plus_sq * (2.0 * wc + sol.eps_plus - sol.eps_minus))
     )
-
-
-def with_correction(sol: TransformSolution, params: ModelParams) -> TransformSolution:
-    """Copy of ``sol`` with delta_e filled in."""
-    return replace(sol, delta_e=perturbation_correction(sol, params))
 
 
 def perturbation_sum_over_states(

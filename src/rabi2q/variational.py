@@ -6,9 +6,22 @@ The trial state is
 
 with |alpha> a real-amplitude coherent state and N^2 = 2 + beta^2.  Its
 energy expectation has the closed form implemented by
-``energy_expectation``; setting its beta derivative to zero gives a
-quadratic in beta that is solved exactly, so the minimization reduces to a
-one-dimensional search in alpha on [0, g/omega_c].
+``energy_expectation``.  With A = alpha^2 w_c - 2 alpha g and
+B = sqrt2 w_a exp(-alpha^2/2), setting its beta derivative to zero gives a
+quadratic in beta whose lower root (``beta_stationary``) eliminates beta
+exactly and leaves the one-dimensional profile
+
+    E(alpha) = (A - R) / 2,      R = sqrt(A^2 + 2 B^2).
+
+Every minimum of E lies in [0, g/w_c], where A <= 0.  There the stationarity
+condition dE/dalpha = 0, scaled by the positive factor 2R/(R - A), reads
+
+    f(alpha) = 2 (alpha w_c - g) + 2 alpha B^2 / (R - A) = 0,
+
+which does not cancel, with f(0) = -2g < 0 and f(g/w_c) >= 0.  For
+w_c below about 0.3 and a window of g, f has three zeros (two wells and the
+barrier between them), so ``solve`` samples f on a fixed grid, root-finds
+every - to + sign change and keeps the root of lowest energy.
 """
 
 from __future__ import annotations
@@ -17,12 +30,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .exact import JointState, make_state
 from .model import SQRT2, FockTruncation, ModelParams, coherent_state_vector
 
 RESIDUAL_TOL = 1e-8
+
+# Where f is sampled, as fractions of g/omega_c; solve adds the small-g estimate.
+_SCAN = np.linspace(0.0, 1.0, 33)
 
 
 @dataclass(frozen=True)
@@ -58,32 +74,35 @@ def beta_stationary(alpha: float, params: ModelParams) -> tuple[float, float]:
     With A = alpha^2 w_c - 2 alpha g and B = sqrt2 w_a exp(-alpha^2/2) the
     condition is B beta^2 + 2 A beta - 2 B = 0 (B > 0 always), so the roots
     are (-A -/+ sqrt(A^2 + 2 B^2)) / B and their product is -2.  The lower
-    root always minimizes <H> over beta, the upper one maximizes it.
+    root always minimizes <H> over beta, the upper one maximizes it.  The
+    root of smaller magnitude is formed through the product, so neither
+    cancels; the other overflows to infinity once B is tiny (alpha above
+    about 37.5 at w_c ~ 1).
     """
     a = alpha * alpha * params.omega_c - 2.0 * alpha * params.g
     b = SQRT2 * params.omega_a * math.exp(-alpha * alpha / 2.0)
-    root = math.sqrt(a * a + 2.0 * b * b)
-    return (-a - root) / b, (-a + root) / b
+    s = math.sqrt(a * a + 2.0 * b * b) + abs(a)  # |far root| * B
+    near = 2.0 * b / s
+    far = s / b if b else math.inf
+    if a < 0.0:
+        return -near, far
+    return -far, near
 
 
-def stationarity_residuals(
-    alpha: float, beta: float, params: ModelParams
-) -> tuple[float, float]:
-    """Residuals of the two first-order conditions at (alpha, beta).
+def stationarity_residual(alpha: float, beta: float, params: ModelParams) -> float:
+    """Distance of (alpha, beta) from stationarity: |grad <H>| / |<H>|.
 
-    The first is the alpha condition rearranged for beta, the second the
-    beta condition rearranged for g; both vanish at a true stationary
-    point.  Only defined for alpha != 0 and beta != 0.
+    The gradient is taken in the dimensionless (alpha, beta), so the ratio
+    is scale-free, and nothing in it divides by a quantity that vanishes in
+    deep coupling.
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
-    r_alpha = beta - SQRT2 * (alpha * wc - g) * math.exp(alpha * alpha / 2.0) / (
-        alpha * wa
-    )
-    r_beta = g - (
-        alpha * alpha * beta * wc
-        - (2.0 - beta * beta) * (wa / SQRT2) * math.exp(-alpha * alpha / 2.0)
-    ) / (2.0 * alpha * beta)
-    return r_alpha, r_beta
+    a = alpha * alpha * wc - 2.0 * alpha * g
+    b = SQRT2 * wa * math.exp(-alpha * alpha / 2.0)
+    n_sq = 2.0 + beta * beta
+    d_alpha = 2.0 * (2.0 * (alpha * wc - g) - alpha * b * beta) / n_sq
+    d_beta = 2.0 * (b * (2.0 - beta * beta) - 2.0 * a * beta) / (n_sq * n_sq)
+    return math.hypot(d_alpha, d_beta) / abs(energy_expectation(alpha, beta, params))
 
 
 def small_g_approx(params: ModelParams) -> tuple[float, float]:
@@ -98,60 +117,53 @@ def small_g_approx(params: ModelParams) -> tuple[float, float]:
     return alpha, beta
 
 
-def _lower_branch_energy(alpha: float, params: ModelParams) -> float:
-    lo, hi = beta_stationary(alpha, params)
-    return min(
-        energy_expectation(alpha, lo, params), energy_expectation(alpha, hi, params)
-    )
+def _stationarity(alpha, params: ModelParams):
+    """f(alpha) of the module docstring, for a float or an array."""
+    wa, wc, g = params.omega_a, params.omega_c, params.g
+    a = alpha * alpha * wc - 2.0 * alpha * g
+    b_sq = 2.0 * wa * wa * np.exp(-alpha * alpha)
+    return 2.0 * (alpha * wc - g) + 2.0 * alpha * b_sq / (np.sqrt(a * a + 2.0 * b_sq) - a)
 
 
 def solve(params: ModelParams) -> VariationalSolution:
-    """Minimize <H> over (alpha, beta); alpha lands strictly inside (0, g/w_c).
+    """Minimize <H> over (alpha, beta); alpha lands in (0, g/w_c].
 
-    beta is eliminated through its exact quadratic, the remaining
-    one-dimensional profile is bracketed on [0, g/omega_c], and the
-    bracketed minimum is polished by root-finding on the alpha stationarity
-    condition (a bare function-value minimizer cannot localize alpha better
-    than ~sqrt(eps)).  g = 0 is returned analytically because the alpha
-    condition degenerates there.
+    f is sampled at 33 evenly spaced points of [0, g/w_c] and at the small-g
+    estimate of alpha.  Each - to + sign change brackets a minimum of the
+    profile, which ``brentq`` resolves to rounding; the lowest one is
+    returned.  The sample at g/w_c is clamped to >= 0: once exp(-alpha^2)
+    underflows the root is g/w_c to rounding, and f there is rounding noise.
+    g = 0 is returned analytically because the alpha condition degenerates
+    there.  Raises RuntimeError if ``stationarity_residual`` of the result
+    exceeds RESIDUAL_TOL.
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
     if g == 0.0:
         return VariationalSolution(alpha=0.0, beta=-SQRT2, energy=-wa)
 
-    upper = g / wc
-    scan = minimize_scalar(
-        _lower_branch_energy,
-        bounds=(0.0, upper),
-        args=(params,),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    alpha = float(scan.x)
+    alphas = np.sort(np.append(g / wc * _SCAN, small_g_approx(params)[0]))
+    values = _stationarity(alphas, params)
+    values[-1] = max(values[-1], 0.0)
+    best = None
+    for i in np.flatnonzero((values[:-1] < 0.0) & (values[1:] >= 0.0)):
+        if values[i + 1] == 0.0:
+            alpha = float(alphas[i + 1])
+        else:
+            alpha = brentq(
+                _stationarity, alphas[i], alphas[i + 1], args=(params,), xtol=1e-15, rtol=1e-15
+            )
+        beta = beta_stationary(alpha, params)[0]
+        candidate = VariationalSolution(alpha, beta, energy_expectation(alpha, beta, params))
+        if best is None or candidate.energy < best.energy:
+            best = candidate
 
-    def alpha_residual(a: float) -> float:
-        return stationarity_residuals(a, beta_stationary(a, params)[0], params)[0]
-
-    # Expand a bracket around the scan minimum until the residual changes sign.
-    step = max(1e-6 * alpha, 1e-12)
-    lo = hi = alpha
-    while step < upper:
-        lo = max(alpha - step, upper * 1e-14)
-        hi = min(alpha + step, upper * (1.0 - 1e-14))
-        if alpha_residual(lo) * alpha_residual(hi) < 0.0:
-            alpha = float(brentq(alpha_residual, lo, hi, xtol=1e-15, rtol=1e-15))
-            break
-        step *= 8.0
-    beta = beta_stationary(alpha, params)[0]
-    energy = energy_expectation(alpha, beta, params)
-
-    r_alpha, r_beta = stationarity_residuals(alpha, beta, params)
-    if max(abs(r_alpha), abs(r_beta)) > RESIDUAL_TOL:
+    residual = stationarity_residual(best.alpha, best.beta, params)
+    if residual > RESIDUAL_TOL:
         raise RuntimeError(
-            f"stationarity residuals ({r_alpha:.2e}, {r_beta:.2e}) exceed "
-            f"{RESIDUAL_TOL:g} at alpha={alpha!r}; bracketing failed"
+            f"stationarity residual {residual:.2e} exceeds {RESIDUAL_TOL:g} "
+            f"at alpha={best.alpha!r}"
         )
-    return VariationalSolution(alpha=alpha, beta=beta, energy=energy)
+    return best
 
 
 def trial_state(sol: VariationalSolution, trunc: FockTruncation) -> JointState:

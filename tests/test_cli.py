@@ -178,6 +178,30 @@ class TestSweep:
         ]
 
 
+class TestVariationalCommand:
+    def test_one_scale_free_residual(self, capsys):
+        code, out, _ = run_cli(capsys, ["variational", "--g", "0.6", "--omega-c", "1.2"])
+        assert code == 0
+        (row,) = csv_rows(out)
+        assert list(row) == [
+            "g", "omega_c", "alpha", "beta", "energy", "norm_sq", "stat_residual",
+        ]  # fmt: skip
+        assert float(row["stat_residual"]) < 1e-14
+
+    def test_deep_coupling_rows_succeed(self, capsys):
+        # a residual that divides by alpha beta rejects these rows spuriously
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--omega-c", "0.5", "--g-min", "2", "--g-max", "2.4", "--steps", "3",
+             "--methods", "variational,transform", "--outputs", "energy"],
+        )  # fmt: skip
+        assert code == 0
+        for row in csv_rows(out):
+            assert row["error"] == ""
+            assert float(row["stat_residual"]) <= 1e-8
+            assert float(row["energy_transform"]) == float(row["energy_variational"])
+
+
 class TestNegativityCommand:
     def test_small_g_consistency(self, capsys):
         code, out, _ = run_cli(capsys, ["negativity", "--g", "0.1"])

@@ -91,9 +91,11 @@ def test_even_sector_below_odd_raises(monkeypatch):
 
 
 def test_variational_energy_upper_bounds_exact(exact_ground):
-    for g in (0.1, 0.4, 0.8, 1.2):
-        e_var = variational.solve(ModelParams(1.0, 1.0, g)).energy
-        assert e_var >= exact_ground(g).energy - 1e-12
+    # the last three: two wells at omega_c 0.2, and deep coupling
+    points = ((1.0, 0.1), (1.0, 0.4), (1.0, 0.8), (1.0, 1.2), (0.2, 0.48), (0.5, 2.0), (1.0, 4.0))
+    for omega_c, g in points:
+        e_var = variational.solve(ModelParams(1.0, omega_c, g)).energy
+        assert e_var >= exact_ground(g, omega_c).energy - 1e-12
 
 
 def test_sign_convention(exact_ground):

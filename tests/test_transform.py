@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from rabi2q.transform import (
     perturbation_correction,
     perturbation_sum_over_states,
     solve_chi,
-    with_correction,
 )
 from rabi2q import variational
 
 SQ2 = math.sqrt(2.0)
+
+WIDE_OMEGA_C = (0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0)
+WIDE_G = np.linspace(0.0, 5.0, 501)
 
 
 class TestDressedLevels:
@@ -61,6 +64,34 @@ class TestDressedLevels:
             sol = dressed_levels(chi, ModelParams(1.0, 1.2, 0.8))
             assert sol.lambda_minus * sol.lambda_plus == pytest.approx(-2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("omega_c,g", [(1.0, 4.0), (0.05, 5.0), (1.2, 0.8)])
+    def test_pairs_without_cancellation(self, omega_c, g):
+        # lambda_- agrees with the independently written lower beta root; the
+        # direct (mu - sqrt(4 + mu^2)) / sqrt2 cancels to 0.0 where beta ~ -1e-9
+        p = ModelParams(1.0, omega_c, g)
+        for chi in np.linspace(0.0, 37.0, 371):
+            sol = dressed_levels(float(chi), p)
+            assert sol.lambda_minus * sol.lambda_plus == pytest.approx(-2.0, rel=1e-14)
+            assert sol.lambda_minus == pytest.approx(
+                variational.beta_stationary(float(chi), p)[0], rel=1e-14
+            )
+            c = sol.eta * p.omega_a
+            assert sol.eps_minus * sol.eps_plus == pytest.approx(-c * c, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_division_by_vanishing_eta(self):
+        p = ModelParams(1.0, 0.05, 5.0)
+        for chi in (39.0, 40.0, 100.0):
+            sol = dressed_levels(chi, p)
+            d = 2.0 * p.g * chi - p.omega_c * chi * chi
+            assert sol.eta == 0.0 and sol.mu == math.inf
+            # no Jx coupling left: |-> meets the antisymmetric level, |+> is m=0
+            assert sol.eps_minus == sol.eps_zero == pytest.approx(-d, rel=1e-15)
+            assert sol.eps_plus == 0.0
+            assert sol.lambda_minus == 0.0 and sol.lambda_plus == math.inf
+            np.testing.assert_array_equal(sol.vec_plus, [0.0, 1.0, 0.0])
+            np.testing.assert_array_equal(sol.vec_minus, np.array([1.0, 0.0, 1.0]) / SQ2)
+
 
 class TestSolveChi:
     @pytest.mark.parametrize("g,reference", [(0.8, -1.19965), (1.2, -1.62699)])
@@ -71,6 +102,17 @@ class TestSolveChi:
         sol = solve_chi(ModelParams(1.0, 1.0, 0.0))
         assert sol.chi == 0.0
         assert sol.eps_minus == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega_c", WIDE_OMEGA_C)
+    def test_equivalence_check_holds_on_wide_grid(self, omega_c):
+        for g in WIDE_G:
+            p = ModelParams(1.0, omega_c, float(g))
+            sol = solve_chi(p)  # raises if eps_- or lambda_- departs from the variational side
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PerturbationValidityWarning)
+                correction = perturbation_correction(sol, p)
+            assert math.isfinite(correction) and correction <= 0.0
 
     def test_equivalence_with_variational(self):
         # chi = alpha, lambda_- = beta, eps_- = E_v
@@ -110,13 +152,6 @@ class TestPerturbationCorrection:
         assert sol.chi >= 1.0
         with pytest.warns(PerturbationValidityWarning):
             perturbation_correction(sol, p)
-
-    def test_with_correction_fills_delta_e(self):
-        p = ModelParams(1.0, 1.0, 0.4)
-        sol = solve_chi(p)
-        assert sol.delta_e is None
-        filled = with_correction(sol, p)
-        assert filled.delta_e == perturbation_correction(sol, p)
 
     def test_improves_on_uncorrected(self, exact_ground):
         # second-order shift tightens the dressed-level estimate

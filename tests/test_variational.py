@@ -10,12 +10,23 @@ from rabi2q.variational import (
     energy_expectation,
     small_g_approx,
     solve,
-    stationarity_residuals,
+    stationarity_residual,
     trial_state,
 )
 
 SQ2 = math.sqrt(2.0)
 RESONANT = ModelParams(1.0, 1.0, 0.2)
+
+# omega_c <= 0.3 has a window of g with two wells; g/omega_c reaches 100
+WIDE_OMEGA_C = (0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0)
+WIDE_G = np.linspace(0.0, 5.0, 501)
+
+
+def profile_energy(alphas: np.ndarray, p: ModelParams) -> np.ndarray:
+    """min over beta of <H> at each alpha: the lower eigenvalue of the beta quadratic form."""
+    a = alphas * alphas * p.omega_c - 2.0 * alphas * p.g
+    b_sq = 2.0 * p.omega_a**2 * np.exp(-alphas * alphas)
+    return (a - np.sqrt(a * a + 2.0 * b_sq)) / 2.0
 
 
 class TestEnergyExpectation:
@@ -54,12 +65,35 @@ class TestBetaStationary:
             assert lo * hi == pytest.approx(-2.0, rel=1e-12)
 
     def test_both_roots_satisfy_beta_condition(self):
+        # d<H>/dbeta = 0  <=>  B beta^2 + 2 A beta - 2 B = 0
         rng = np.random.default_rng(3)
         for _ in range(20):
             alpha = rng.uniform(0.05, 1.0)
             p = ModelParams(1.0, rng.uniform(0.8, 1.2), rng.uniform(0.1, 1.0))
+            a = alpha * alpha * p.omega_c - 2.0 * alpha * p.g
+            b = SQ2 * p.omega_a * math.exp(-alpha * alpha / 2.0)
             for beta in beta_stationary(alpha, p):
-                assert abs(stationarity_residuals(alpha, beta, p)[1]) < 1e-10
+                terms = (b * beta * beta, 2.0 * a * beta, -2.0 * b)
+                assert abs(sum(terms)) < 1e-14 * sum(abs(t) for t in terms)
+
+    @pytest.mark.parametrize("omega_c,g", [(1.0, 4.0), (0.05, 5.0), (1.0, 0.5)])
+    def test_root_product_without_cancellation(self, omega_c, g):
+        # the direct lower root (-A - R) / B cancels: product -1.99999977 at alpha = 4, (1, 4)
+        p = ModelParams(1.0, omega_c, g)
+        for alpha in np.linspace(0.0, 37.0, 371):
+            lo, hi = beta_stationary(float(alpha), p)
+            assert lo * hi == pytest.approx(-2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("omega_c,g", [(1.0, 4.0), (0.05, 5.0)])
+    def test_limits_once_exp_underflows(self, omega_c, g):
+        p = ModelParams(1.0, omega_c, g)
+        for alpha in (38.0, 39.0, 40.0, 100.0):
+            lo, hi = beta_stationary(alpha, p)
+            a = alpha * alpha * omega_c - 2.0 * alpha * g
+            if a > 0.0:  # beta -> -inf: the m=0 level is the lowest
+                assert lo == -math.inf and 0.0 <= hi < 1e-300
+            else:  # beta -> 0: the displaced pair is the lowest
+                assert -1e-300 < lo <= 0.0 and hi == math.inf
 
     def test_lower_root_against_grid_minimization(self):
         lo, _ = beta_stationary(0.1, RESONANT)
@@ -91,11 +125,41 @@ class TestSolve:
                 assert 0.0 < sol.alpha < g / wc
 
     def test_stationarity_residuals_small(self):
-        for g in np.arange(0.05, 1.25, 0.05):
+        for g in np.arange(0.0, 1.25, 0.05):
             p = ModelParams(1.0, 1.0, float(g))
             sol = solve(p)
-            r_a, r_b = stationarity_residuals(sol.alpha, sol.beta, p)
-            assert max(abs(r_a), abs(r_b)) < 1e-10
+            assert stationarity_residual(sol.alpha, sol.beta, p) < 1e-14
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega_c", WIDE_OMEGA_C)
+    def test_global_minimum_on_wide_grid(self, omega_c):
+        fractions = np.linspace(0.0, 1.0, 4001)
+        for g in WIDE_G:
+            p = ModelParams(1.0, omega_c, float(g))
+            sol = solve(p)
+            assert sol.energy <= profile_energy(g / omega_c * fractions, p).min() + 1e-12
+            assert stationarity_residual(sol.alpha, sol.beta, p) <= 1e-8
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "omega_c,g",
+        [(0.2, 0.48), (0.05, 0.2), (0.05, 0.41), (1.0, 4.0), (0.1, 3.0), (0.1, 4.0), (0.05, 2.0)],
+    )
+    def test_regression_points(self, omega_c, g):
+        # where a bounded minimizer lands in the metastable well, or rearranged
+        # residuals divide by alpha beta or overflow exp(alpha^2 / 2)
+        p = ModelParams(1.0, omega_c, g)
+        sol = solve(p)
+        assert sol.energy <= profile_energy(np.linspace(0.0, g / omega_c, 200001), p).min() + 1e-12
+        assert stationarity_residual(sol.alpha, sol.beta, p) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "omega_c,g,alpha,energy", [(0.2, 0.48, 2.36127, -1.15498), (0.05, 0.2, 0.20175, -1.01998)]
+    )
+    def test_global_well_chosen_over_metastable(self, omega_c, g, alpha, energy):
+        sol = solve(ModelParams(1.0, omega_c, g))
+        assert sol.alpha == pytest.approx(alpha, abs=1e-5)
+        assert sol.energy == pytest.approx(energy, abs=1e-5)
 
     def test_norm_sq(self):
         sol = solve(ModelParams(1.0, 1.0, 0.4))
