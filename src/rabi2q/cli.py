@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -35,24 +36,6 @@ REFERENCE_ENERGIES = (
     (1.2, -1.68602, -1.62699, -1.68995),
 )
 
-DEFAULTS = {
-    "omega-c": 1.0,
-    "g": None,
-    "g-min": 0.0,
-    "g-max": 1.0,
-    "steps": 21,
-    "nmax-start": 16,
-    "tol": 1e-10,
-    "format": "csv",
-    "output": None,
-    "methods": METHODS,
-    "outputs": ("energy",),
-    "parallel": 1,
-    "threshold": 5e-6,
-    "g-tol": 1e-3,
-    "ref-tol": 2e-5,
-}
-
 
 class UsageError(Exception):
     """Flag values that parse but make no sense (exit code 3)."""
@@ -66,117 +49,152 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(3)
 
-
-@dataclass(frozen=True)
-class SweepSpec:
-    g_min: float
-    g_max: float
-    steps: int
-    omega_c_over_a: float
-    methods: tuple[str, ...]
-    outputs: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.g_min > self.g_max:
-            raise ValueError(f"g_min={self.g_min} exceeds g_max={self.g_max}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.g_min, self.g_max, self.steps)
-
-    def columns(self) -> list[str]:
-        cols = ["g"]
-        if "energy" in self.outputs:
-            cols += [f"energy_{m}" for m in METHODS if m in self.methods]
-        cols += [o for o in OUTPUTS[1:] if o in self.outputs]
-        if self._needs_exact():
-            cols += ["n_max_used", "eig_residual"]
-        if self._needs_variational():
-            cols.append("stat_residual")
-        cols.append("error")
-        return cols
-
-    def _needs_exact(self) -> bool:
-        return (
-            "fidelity" in self.outputs
-            or "negativity_exact" in self.outputs
-            or ("energy" in self.outputs and "exact" in self.methods)
-        )
-
-    def _needs_variational(self) -> bool:
-        approx_methods = ("variational", "transform", "corrected")
-        return (
-            any(o in self.outputs for o in ("alpha", "beta", "fidelity", "negativity_approx"))
-            or ("energy" in self.outputs and any(m in self.methods for m in approx_methods))
-        )
+    def set_config_defaults(self, config: dict) -> None:
+        """Make config values (keys are flag names) the defaults, cast by each flag's type."""
+        self.set_defaults(**{
+            action.dest: (action.type or str)(config[key])
+            for action in self._actions
+            if (key := action.dest.replace("_", "-")) in config
+        })  # fmt: skip
 
 
-def compute_sweep_row(
-    g: float,
-    omega_c: float,
-    tol: float,
-    n_max_start: int,
-    methods: tuple[str, ...],
-    outputs: tuple[str, ...],
+class _Point:
+    """The stages at one parameter point, each run when first read and kept."""
+
+    def __init__(self, params: ModelParams, tol: float, n_max_start: int):
+        self.params, self.tol, self.n_max_start = params, tol, n_max_start
+
+    @cached_property
+    def exact(self):
+        return ground_state(self.params, tol=self.tol, n_max_start=self.n_max_start)
+
+    @cached_property
+    def var(self):
+        return variational.solve(self.params)
+
+    @cached_property
+    def dressed(self):
+        return transform.solve_chi(self.params, self.var)
+
+    @cached_property
+    def delta_e(self):
+        return transform.perturbation_correction(self.dressed, self.params)
+
+    @cached_property
+    def rho(self):
+        return entangle.reduced_density_from_joint(self.exact.state)
+
+
+# Output column -> (the stages its value needs, its value at a _Point).
+COLUMNS = {
+    "g": ((), attrgetter("params.g")),
+    "omega_c": ((), attrgetter("params.omega_c")),
+    "negativity_small_g": ((), lambda p: entangle.negativity_small_g(p.params)),
+    "error": ((), lambda p: ""),
+    "energy_exact": (("exact",), attrgetter("exact.energy")),
+    "n_max_used": (("exact",), attrgetter("exact.n_max_used")),
+    "eig_residual": (("exact",), attrgetter("exact.residual")),
+    "negativity_exact": (("exact", "rho"), lambda p: entangle.negativity_numerical(p.rho).value),
+    "energy_variational": (("var",), attrgetter("var.energy")),
+    "energy": (("var",), attrgetter("var.energy")),  # the variational command's name
+    "alpha": (("var",), attrgetter("var.alpha")),
+    "beta": (("var",), attrgetter("var.beta")),
+    "norm_sq": (("var",), attrgetter("var.norm_sq")),
+    "stat_residual": (("var",), attrgetter("var.residual")),
+    "negativity_approx": (
+        ("var",), lambda p: entangle.negativity_closed_form(p.var.alpha, p.var.beta)
+    ),
+    "concurrence_approx": (
+        ("var",), lambda p: entangle.concurrence_approx(p.var.alpha, p.var.beta)
+    ),
+    "fidelity": (
+        ("exact", "var"),
+        lambda p: fidelity(
+            variational.trial_state(p.var, FockTruncation(p.exact.state.n_max)), p.exact.state
+        ),
+    ),
+    "energy_transform": (("var", "dressed"), attrgetter("dressed.eps_minus")),
+    **{
+        name: (("var", "dressed"), attrgetter(f"dressed.{name}"))
+        for name in ("chi", "eta", "mu", "lambda_minus", "lambda_plus", "eps_minus", "eps_zero",
+                     "eps_plus")
+    },  # fmt: skip
+    "delta_e": (("var", "dressed", "delta_e"), attrgetter("delta_e")),
+    "energy_corrected": (
+        ("var", "dressed", "delta_e"), lambda p: p.dressed.eps_minus + p.delta_e
+    ),
+}
+
+# The single-point subcommands: help text and the columns of their one row.
+POINT_COMMANDS = {
+    "ground": (
+        "all methods at one parameter point",
+        ("g", "omega_c", "energy_exact", "energy_variational", "energy_corrected", "alpha",
+         "beta", "chi", "fidelity", "negativity_exact", "negativity_approx", "n_max_used"),
+    ),
+    "variational": (
+        "coherent-state minimization only",
+        ("g", "omega_c", "alpha", "beta", "energy", "norm_sq", "stat_residual"),
+    ),
+    "transform": (
+        "dressed levels and correction only",
+        ("g", "omega_c", "chi", "eta", "mu", "lambda_minus", "lambda_plus", "eps_minus",
+         "eps_zero", "eps_plus", "delta_e", "energy_corrected"),
+    ),
+    "negativity": (
+        "entanglement at one parameter point",
+        ("g", "omega_c", "negativity_exact", "negativity_approx", "negativity_small_g",
+         "concurrence_approx", "n_max_used"),
+    ),
+}  # fmt: skip
+
+
+def evaluate(
+    params: ModelParams, columns: tuple[str, ...], tol: float, n_max_start: int
 ) -> dict:
-    """One grid point; any failure is recorded in the row's error field."""
-    spec = SweepSpec(g, g, 1, omega_c, methods, outputs)
-    row: dict = {"g": g, "error": ""}
-    try:
-        params = ModelParams(1.0, omega_c, g)
-        gs = ground_state(params, tol=tol, n_max_start=n_max_start) if spec._needs_exact() else None
-        var = variational.solve(params) if spec._needs_variational() else None
+    """The values of ``columns`` (keys of COLUMNS) at one parameter point.
 
-        if "energy" in outputs:
-            if "exact" in methods:
-                row["energy_exact"] = gs.energy
-            if "variational" in methods:
-                row["energy_variational"] = var.energy
-            if "transform" in methods or "corrected" in methods:
-                dressed = transform.dressed_levels(var.alpha, params)
-                if "transform" in methods:
-                    row["energy_transform"] = dressed.eps_minus
-                if "corrected" in methods:
-                    correction = transform.perturbation_correction(dressed, params)
-                    row["energy_corrected"] = dressed.eps_minus + correction
-        if "alpha" in outputs:
-            row["alpha"] = var.alpha
-        if "beta" in outputs:
-            row["beta"] = var.beta
-        if "fidelity" in outputs:
-            trial = variational.trial_state(var, FockTruncation(gs.state.n_max))
-            row["fidelity"] = fidelity(trial, gs.state)
-        if "negativity_exact" in outputs:
-            rho = entangle.reduced_density_from_joint(gs.state)
-            row["negativity_exact"] = entangle.negativity_numerical(rho).value
-        if "negativity_approx" in outputs:
-            row["negativity_approx"] = entangle.negativity_closed_form(var.alpha, var.beta)
-        if gs is not None:
-            row["n_max_used"] = gs.n_max_used
-            row["eig_residual"] = gs.residual
-        if var is not None:
-            row["stat_residual"] = variational.stationarity_residual(var.alpha, var.beta, params)
-    except Exception as exc:  # recorded in-row, sweep continues
+    Values are computed in column order.  Each stage (exact ground state,
+    variational solution, dressed levels, perturbative correction, reduced
+    density matrix) runs at most once, when the first column that needs it
+    is read; ``tol`` and ``n_max_start`` go to the exact solver.  If
+    ``columns`` holds "error", a failure ends the row and is recorded there;
+    otherwise it is raised.
+    """
+    point = _Point(params, tol, n_max_start)
+    row = {}
+    try:
+        for column in columns:
+            row[column] = COLUMNS[column][1](point)
+    except Exception as exc:
+        if "error" not in columns:
+            raise
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
-def _sweep_task(task: tuple) -> dict:
-    return compute_sweep_row(*task)
+def sweep_columns(methods: tuple[str, ...], outputs: tuple[str, ...]) -> tuple[str, ...]:
+    """Columns of a sweep: the requested ones, then the diagnostics of the
+    exact and variational stages they need, then the error."""
+    columns = ["g"]
+    if "energy" in outputs:
+        columns += [f"energy_{m}" for m in METHODS if m in methods]
+    columns += [o for o in OUTPUTS[1:] if o in outputs]
+    stages = {stage for column in columns for stage in COLUMNS[column][0]}
+    if "exact" in stages:
+        columns += ["n_max_used", "eig_residual"]
+    if "var" in stages:
+        columns.append("stat_residual")
+    return (*columns, "error")
 
 
-def run_sweep(
-    spec: SweepSpec, tol: float, n_max_start: int, parallel: int = 1
-) -> list[dict]:
-    tasks = [
-        (float(g), spec.omega_c_over_a, tol, n_max_start, spec.methods, spec.outputs)
-        for g in spec.grid()
-    ]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(_sweep_task, tasks))
-    return [compute_sweep_row(*task) for task in tasks]
+def _sweep_row(task: tuple) -> dict:
+    g, omega_c, columns, tol, n_max_start = task
+    try:
+        params = ModelParams(1.0, omega_c, g)
+    except ValueError as exc:  # recorded in-row like any failure inside evaluate
+        return {"g": g, "error": f"ValueError: {exc}"}
+    return evaluate(params, columns, tol, n_max_start)
 
 
 def locate_negativity_zero(
@@ -198,7 +216,8 @@ def locate_negativity_zero(
     """
     def above(g: float) -> bool:
         params = ModelParams(1.0, omega_c, g)
-        return entangle.exact_negativity(params, tol=tol, n_max_start=n_max_start) > threshold
+        value = evaluate(params, ("negativity_exact",), tol, n_max_start)["negativity_exact"]
+        return value > threshold
 
     if not above(g_lo):
         raise ValueError(
@@ -283,123 +302,22 @@ def _subset(text: str, universe: tuple[str, ...], kind: str) -> tuple[str, ...]:
     return tuple(u for u in universe if u in items)
 
 
-_CASTS = {
-    "omega-c": float,
-    "g": float,
-    "g-min": float,
-    "g-max": float,
-    "steps": int,
-    "nmax-start": int,
-    "tol": float,
-    "format": str,
-    "output": str,
-    "methods": _method_tuple,
-    "outputs": _output_tuple,
-    "parallel": int,
-    "threshold": float,
-    "g-tol": float,
-    "ref-tol": float,
-}
+def require_g(opt: argparse.Namespace) -> float:
+    if opt.g is None:
+        raise UsageError("a coupling strength is required (--g or config 'g')")
+    return opt.g
 
 
-class _Options:
-    """Precedence: command-line flag, then config file, then default."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._args = args
-        self._config = config
-
-    def get(self, key: str):
-        return self.get_or(key, DEFAULTS[key])
-
-    def get_or(self, key: str, fallback):
-        value = getattr(self._args, key.replace("-", "_"), None)
-        if value is not None:
-            return value
-        if key in self._config:
-            return _CASTS[key](self._config[key])
-        return fallback
-
-    def require_g(self) -> float:
-        g = self.get("g")
-        if g is None:
-            raise UsageError("a coupling strength is required (--g or config 'g')")
-        return float(g)
-
-
-def cmd_ground(opt: _Options) -> int:
-    g = opt.require_g()
-    omega_c, tol, nmax = opt.get("omega-c"), opt.get("tol"), opt.get("nmax-start")
-    params = ModelParams(1.0, omega_c, g)
-    gs = ground_state(params, tol=tol, n_max_start=nmax)
-    var = variational.solve(params)
-    dressed = transform.dressed_levels(var.alpha, params)
-    corrected = dressed.eps_minus + transform.perturbation_correction(dressed, params)
-    trial = variational.trial_state(var, FockTruncation(gs.state.n_max))
-    rho = entangle.reduced_density_from_joint(gs.state)
-    row = {
-        "g": g,
-        "omega_c": omega_c,
-        "energy_exact": gs.energy,
-        "energy_variational": var.energy,
-        "energy_corrected": corrected,
-        "alpha": var.alpha,
-        "beta": var.beta,
-        "chi": dressed.chi,
-        "fidelity": fidelity(trial, gs.state),
-        "negativity_exact": entangle.negativity_numerical(rho).value,
-        "negativity_approx": entangle.negativity_closed_form(var.alpha, var.beta),
-        "n_max_used": gs.n_max_used,
-    }
-    _write(render_rows(list(row), [row], opt.get("format")), opt.get("output"))
+def cmd_point(opt: argparse.Namespace) -> int:
+    """One parameter point, projected onto the subcommand's columns."""
+    params = ModelParams(1.0, opt.omega_c, require_g(opt))
+    row = evaluate(params, opt.columns, opt.tol, opt.nmax_start)
+    _write(render_rows(opt.columns, [row], opt.format), opt.output)
     return 0
 
 
-def cmd_variational(opt: _Options) -> int:
-    g = opt.require_g()
-    omega_c = opt.get("omega-c")
-    params = ModelParams(1.0, omega_c, g)
-    var = variational.solve(params)
-    row = {
-        "g": g,
-        "omega_c": omega_c,
-        "alpha": var.alpha,
-        "beta": var.beta,
-        "energy": var.energy,
-        "norm_sq": var.norm_sq,
-        "stat_residual": variational.stationarity_residual(var.alpha, var.beta, params),
-    }
-    _write(render_rows(list(row), [row], opt.get("format")), opt.get("output"))
-    return 0
-
-
-def cmd_transform(opt: _Options) -> int:
-    g = opt.require_g()
-    omega_c = opt.get("omega-c")
-    params = ModelParams(1.0, omega_c, g)
-    sol = transform.solve_chi(params)
-    delta_e = transform.perturbation_correction(sol, params)
-    row = {
-        "g": g,
-        "omega_c": omega_c,
-        "chi": sol.chi,
-        "eta": sol.eta,
-        "mu": sol.mu,
-        "lambda_minus": sol.lambda_minus,
-        "lambda_plus": sol.lambda_plus,
-        "eps_minus": sol.eps_minus,
-        "eps_zero": sol.eps_zero,
-        "eps_plus": sol.eps_plus,
-        "delta_e": delta_e,
-        "energy_corrected": sol.eps_minus + delta_e,
-    }
-    _write(render_rows(list(row), [row], opt.get("format")), opt.get("output"))
-    return 0
-
-
-def cmd_table1(opt: _Options) -> int:
-    tol, nmax, ref_tol = opt.get("tol"), opt.get("nmax-start"), opt.get("ref-tol")
-    columns = [
+def cmd_table1(opt: argparse.Namespace) -> int:
+    columns = (
         "g",
         "energy_exact",
         "energy_transform",
@@ -407,34 +325,22 @@ def cmd_table1(opt: _Options) -> int:
         "ref_exact",
         "ref_transform",
         "ref_corrected",
-    ]
+    )
     rows = []
     mismatches = []
-    for g, ref_exact, ref_dressed, ref_corrected in REFERENCE_ENERGIES:
-        params = ModelParams(1.0, 1.0, g)
-        gs = ground_state(params, tol=tol, n_max_start=nmax)
-        sol = transform.solve_chi(params)
-        corrected = sol.eps_minus + transform.perturbation_correction(sol, params)
-        computed = (gs.energy, sol.eps_minus, corrected)
-        refs = (ref_exact, ref_dressed, ref_corrected)
-        for name, have, want in zip(columns[1:4], computed, refs):
-            if abs(have - want) > ref_tol:
+    for g, *refs in REFERENCE_ENERGIES:
+        computed = evaluate(ModelParams(1.0, 1.0, g), columns[1:4], opt.tol, opt.nmax_start)
+        row = {"g": g, **dict(zip(columns[4:], refs))}
+        for name, want in zip(columns[1:4], refs):
+            have = computed[name]
+            if abs(have - want) > opt.ref_tol:
                 mismatches.append(
                     f"g={g}: {name} computed {have:.7f} vs reference {want:.5f} "
-                    f"(|diff|={abs(have - want):.2e} > {ref_tol:g})"
+                    f"(|diff|={abs(have - want):.2e} > {opt.ref_tol:g})"
                 )
-        rows.append(
-            {
-                "g": g,
-                "energy_exact": round(gs.energy, 5),
-                "energy_transform": round(sol.eps_minus, 5),
-                "energy_corrected": round(corrected, 5),
-                "ref_exact": ref_exact,
-                "ref_transform": ref_dressed,
-                "ref_corrected": ref_corrected,
-            }
-        )
-    _write(render_rows(columns, rows, opt.get("format")), opt.get("output"))
+            row[name] = round(have, 5)
+        rows.append(row)
+    _write(render_rows(columns, rows, opt.format), opt.output)
     if mismatches:
         for line in mismatches:
             print(line, file=sys.stderr)
@@ -442,73 +348,61 @@ def cmd_table1(opt: _Options) -> int:
     return 0
 
 
-def cmd_sweep(opt: _Options) -> int:
-    try:
-        spec = SweepSpec(
-            g_min=opt.get("g-min"),
-            g_max=opt.get("g-max"),
-            steps=opt.get("steps"),
-            omega_c_over_a=opt.get("omega-c"),
-            methods=opt.get("methods"),
-            outputs=opt.get("outputs"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    rows = run_sweep(spec, opt.get("tol"), opt.get("nmax-start"), opt.get("parallel"))
-    _write(render_rows(spec.columns(), rows, opt.get("format")), opt.get("output"))
+def cmd_sweep(opt: argparse.Namespace) -> int:
+    if opt.g_min > opt.g_max:
+        raise UsageError(f"g_min={opt.g_min} exceeds g_max={opt.g_max}")
+    if opt.steps < 1:
+        raise UsageError(f"steps must be >= 1, got {opt.steps}")
+    columns = sweep_columns(opt.methods, opt.outputs)
+    tasks = [
+        (float(g), opt.omega_c, columns, opt.tol, opt.nmax_start)
+        for g in np.linspace(opt.g_min, opt.g_max, opt.steps)
+    ]
+    if opt.parallel > 1:
+        with ProcessPoolExecutor(max_workers=opt.parallel) as pool:
+            rows = list(pool.map(_sweep_row, tasks))
+    else:
+        rows = [_sweep_row(task) for task in tasks]
+    _write(render_rows(columns, rows, opt.format), opt.output)
     return 0
 
 
-def cmd_negativity(opt: _Options) -> int:
-    g = opt.require_g()
-    omega_c = opt.get("omega-c")
-    params = ModelParams(1.0, omega_c, g)
-    gs = ground_state(params, tol=opt.get("tol"), n_max_start=opt.get("nmax-start"))
-    var = variational.solve(params)
-    rho = entangle.reduced_density_from_joint(gs.state)
-    row = {
-        "g": g,
-        "omega_c": omega_c,
-        "negativity_exact": entangle.negativity_numerical(rho).value,
-        "negativity_approx": entangle.negativity_closed_form(var.alpha, var.beta),
-        "negativity_small_g": entangle.negativity_small_g(params),
-        "concurrence_approx": entangle.concurrence_approx(var.alpha, var.beta),
-        "n_max_used": gs.n_max_used,
-    }
-    _write(render_rows(list(row), [row], opt.get("format")), opt.get("output"))
-    return 0
-
-
-def cmd_find_zero(opt: _Options) -> int:
-    omega_c = opt.get("omega-c")
-    g_lo = opt.get_or("g-min", 1.5)
-    g_hi = opt.get_or("g-max", 3.5)
-    threshold = opt.get("threshold")
+def cmd_find_zero(opt: argparse.Namespace) -> int:
     crossing = locate_negativity_zero(
-        omega_c,
-        g_lo=g_lo,
-        g_hi=g_hi,
-        threshold=threshold,
-        g_tol=opt.get("g-tol"),
-        tol=opt.get("tol"),
-        n_max_start=opt.get("nmax-start"),
+        opt.omega_c,
+        g_lo=opt.g_min,
+        g_hi=opt.g_max,
+        threshold=opt.threshold,
+        g_tol=opt.g_tol,
+        tol=opt.tol,
+        n_max_start=opt.nmax_start,
     )
     row = {
-        "omega_c": omega_c,
-        "g_lo": g_lo,
-        "g_hi": g_hi,
-        "threshold": threshold,
+        "omega_c": opt.omega_c,
+        "g_lo": opt.g_min,
+        "g_hi": opt.g_max,
+        "threshold": opt.threshold,
         "g_zero": crossing,
     }
-    _write(render_rows(list(row), [row], opt.get("format")), opt.get("output"))
+    _write(render_rows(list(row), [row], opt.format), opt.output)
     return 0
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--omega-c", type=float, help="omega_c / omega_a (default 1.0)")
-    sub.add_argument("--nmax-start", type=int, help="initial Fock truncation (default 16)")
-    sub.add_argument("--tol", type=float, help="energy convergence tolerance (default 1e-10)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    sub.add_argument(
+        "--omega-c", type=float, default=1.0, help="omega_c / omega_a (default %(default)s)"
+    )
+    sub.add_argument(
+        "--nmax-start", type=int, default=16, help="initial Fock truncation (default %(default)s)"
+    )
+    sub.add_argument(
+        "--tol", type=float, default=1e-10,
+        help="energy convergence tolerance (default %(default)s)",
+    )  # fmt: skip
+    sub.add_argument(
+        "--format", choices=("csv", "json"), default="csv",
+        help="output format (default %(default)s)",
+    )  # fmt: skip
     sub.add_argument("--output", help="write to this path instead of stdout")
     sub.add_argument("--config", help="flat 'key = value' file mirroring the flag names")
 
@@ -517,55 +411,55 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rabi2q", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    sub = subparsers.add_parser("ground", help="all methods at one parameter point")
-    sub.add_argument("--g", type=float, help="coupling strength in units of omega_a")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_ground)
-
-    sub = subparsers.add_parser("variational", help="coherent-state minimization only")
-    sub.add_argument("--g", type=float)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_variational)
-
-    sub = subparsers.add_parser("transform", help="dressed levels and correction only")
-    sub.add_argument("--g", type=float)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_transform)
+    for name, (text, columns) in POINT_COMMANDS.items():
+        sub = subparsers.add_parser(name, help=text)
+        sub.add_argument("--g", type=float, help="coupling strength in units of omega_a")
+        _add_common(sub)
+        sub.set_defaults(func=cmd_point, columns=columns, subparser=sub)
 
     sub = subparsers.add_parser("table1", help="check the resonance energy benchmark")
-    sub.add_argument("--ref-tol", type=float, help="comparison tolerance (default 2e-5)")
+    sub.add_argument(
+        "--ref-tol", type=float, default=2e-5, help="comparison tolerance (default %(default)s)"
+    )
     _add_common(sub)
-    sub.set_defaults(func=cmd_table1)
+    sub.set_defaults(func=cmd_table1, subparser=sub)
 
     sub = subparsers.add_parser("sweep", help="scan a g grid, CSV/JSON per row")
-    sub.add_argument("--g-min", type=float)
-    sub.add_argument("--g-max", type=float)
-    sub.add_argument("--steps", type=int)
-    sub.add_argument("--methods", type=_method_tuple, help=f"subset of {','.join(METHODS)}")
-    sub.add_argument("--outputs", type=_output_tuple, help=f"subset of {','.join(OUTPUTS)}")
-    sub.add_argument("--parallel", type=int, help="worker processes (default 1)")
+    sub.add_argument("--g-min", type=float, default=0.0)
+    sub.add_argument("--g-max", type=float, default=1.0)
+    sub.add_argument("--steps", type=int, default=21)
+    sub.add_argument(
+        "--methods", type=_method_tuple, default=METHODS, help=f"subset of {','.join(METHODS)}"
+    )
+    sub.add_argument(
+        "--outputs", type=_output_tuple, default=("energy",),
+        help=f"subset of {','.join(OUTPUTS)}",
+    )  # fmt: skip
+    sub.add_argument(
+        "--parallel", type=int, default=1, help="worker processes (default %(default)s)"
+    )
     _add_common(sub)
-    sub.set_defaults(func=cmd_sweep)
-
-    sub = subparsers.add_parser("negativity", help="entanglement at one parameter point")
-    sub.add_argument("--g", type=float)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_negativity)
+    sub.set_defaults(func=cmd_sweep, subparser=sub)
 
     sub = subparsers.add_parser(
         "find-zero", help="coupling where the exact negativity reaches numerical zero"
     )
-    sub.add_argument("--g-min", type=float, help="bracket start (default 1.5)")
-    sub.add_argument("--g-max", type=float, help="bracket end (default 3.5)")
+    sub.add_argument(
+        "--g-min", type=float, default=1.5, help="bracket start (default %(default)s)"
+    )
+    sub.add_argument("--g-max", type=float, default=3.5, help="bracket end (default %(default)s)")
     sub.add_argument(
         "--threshold",
         type=float,
-        help="negativity below this counts as zero (default 5e-6, half a unit "
+        default=5e-6,
+        help="negativity below this counts as zero (default %(default)s, half a unit "
         "in the benchmark table's fifth decimal)",
     )
-    sub.add_argument("--g-tol", type=float, help="bisection tolerance in g (default 1e-3)")
+    sub.add_argument(
+        "--g-tol", type=float, default=1e-3, help="bisection tolerance in g (default %(default)s)"
+    )
     _add_common(sub)
-    sub.set_defaults(func=cmd_find_zero)
+    sub.set_defaults(func=cmd_find_zero, subparser=sub)
 
     return parser
 
@@ -574,8 +468,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        return args.func(_Options(args, config))
+        if args.config:
+            # precedence: flag, then config file, then default
+            args.subparser.set_config_defaults(_load_config(args.config))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"rabi2q: error: {exc}", file=sys.stderr)
         return 3

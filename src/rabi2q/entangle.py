@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import JointState, ground_state
+from .exact import JointState
 from .model import ATOM_DIM, SQRT2, ModelParams
 
 BASIS_LABELS = ("ee", "eg", "ge", "gg")
@@ -132,11 +132,3 @@ def negativity_small_g(params: ModelParams) -> float:
 def concurrence_approx(alpha: float, beta: float) -> float:
     """Concurrence of the trial family; equals twice its negativity."""
     return 2.0 * negativity_closed_form(alpha, beta)
-
-
-def exact_negativity(
-    params: ModelParams, tol: float = 1e-10, n_max_start: int = 16
-) -> float:
-    """Negativity of the numerically exact ground state."""
-    result = ground_state(params, tol=tol, n_max_start=n_max_start)
-    return negativity_numerical(reduced_density_from_joint(result.state)).value

@@ -18,6 +18,7 @@ truncated spaces are nested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -50,19 +51,14 @@ class GroundStateResult:
     parity_splitting: float  # E0_even - E0_odd at the final truncation (tunnelling)
 
 
-class Rung(tuple):
-    """One truncation's ``(energy, state, excited_gap, residual)``.
+class Rung(NamedTuple):
+    """One truncation's ground energy and state, with its diagnostics."""
 
-    Unpacks and indexes as that 4-tuple; ``parity_splitting`` rides along
-    as an attribute.
-    """
-
+    energy: float
+    state: JointState
+    excited_gap: float
+    residual: float
     parity_splitting: float
-
-    def __new__(cls, energy, state, excited_gap, residual, parity_splitting):
-        rung = super().__new__(cls, (energy, state, excited_gap, residual))
-        rung.parity_splitting = parity_splitting
-        return rung
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
@@ -147,10 +143,9 @@ def _inverse_iteration(band: np.ndarray, eigenvalue: float, start: np.ndarray) -
 def ground_state_at(params: ModelParams, n_max: int) -> Rung:
     """Lowest eigenpair at a fixed truncation, solved in the odd parity sector.
 
-    Returns (energy, state, excited_gap, residual), plus ``parity_splitting``
-    (see ``Rung``).  On a truncation too small for the coupling, the even
-    sector can lie lower (then the splitting is negative and the excited
-    gap 0); ``ground_state`` checks the sign once the energy has converged.
+    On a truncation too small for the coupling, the even sector can lie
+    lower (then the splitting is negative and the excited gap 0);
+    ``ground_state`` checks the sign once the energy has converged.
     """
     trunc = FockTruncation(n_max)
     band, embedding = sector_hamiltonian(params, trunc, odd=True)
@@ -196,7 +191,7 @@ def ground_state(
         raise ValueError(f"n_max_start must be >= 8, got {n_max_start}")
 
     n_max = n_max_start
-    energy_prev = ground_state_at(params, n_max)[0]
+    energy_prev = ground_state_at(params, n_max).energy
     while True:
         n_max *= 2
         if n_max > n_max_cap:
@@ -205,22 +200,21 @@ def ground_state(
                 f"(omega_a={params.omega_a}, omega_c={params.omega_c}, g={params.g})"
             )
         rung = ground_state_at(params, n_max)
-        energy, state, excited_gap, residual = rung
-        gap = abs(energy - energy_prev)
+        gap = abs(rung.energy - energy_prev)
         if gap < tol:
-            if rung.parity_splitting < -1e-12 * (abs(energy) + 1.0):
+            if rung.parity_splitting < -1e-12 * (abs(rung.energy) + 1.0):
                 raise RuntimeError(
                     f"even-sector ground energy lies {-rung.parity_splitting:.3e} below "
                     f"the odd-sector one at n_max={n_max} (omega_a={params.omega_a}, "
                     f"omega_c={params.omega_c}, g={params.g})"
                 )
             return GroundStateResult(
-                energy=energy,
-                state=state,
+                energy=rung.energy,
+                state=rung.state,
                 n_max_used=n_max,
                 convergence_gap=gap,
-                excited_gap=excited_gap,
-                residual=residual,
+                excited_gap=rung.excited_gap,
+                residual=rung.residual,
                 parity_splitting=rung.parity_splitting,
             )
-        energy_prev = energy
+        energy_prev = rung.energy

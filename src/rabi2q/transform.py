@@ -9,7 +9,7 @@ parameter chi) turns the atomic part of the Hamiltonian into
 whose spectrum and eigenvectors are closed-form.  Choosing chi to cancel
 the counter-rotating matrix element out of the lowest dressed level
 reproduces exactly the variational stationarity system, so ``solve_chi``
-delegates to the variational solver and then checks the identity.  The
+takes chi from a variational solution and checks the identity.  The
 neglected two-photon piece of the transformed Hamiltonian is restored
 perturbatively by ``perturbation_correction`` (closed form) and by
 ``perturbation_sum_over_states`` (an independent numerical second-order
@@ -39,8 +39,8 @@ class TransformSolution:
     """Dressed-level data at a given displacement chi.
 
     lambda_-/lambda_+ are the m=0 weights of the lowest/highest dressed
-    eigenvectors (their product is -2); eps_minus < eps_zero < eps_plus are
-    the dressed energies.
+    eigenvectors (|1> + lambda |0> + |-1>, their product is -2);
+    eps_minus < eps_zero < eps_plus are the dressed energies.
     """
 
     chi: float
@@ -53,17 +53,6 @@ class TransformSolution:
     eps_minus: float
     eps_zero: float
     eps_plus: float
-    vec_minus: np.ndarray
-    vec_zero: np.ndarray
-    vec_plus: np.ndarray
-
-
-def _level_vector(lam: float) -> np.ndarray:
-    """(|1> + lam |0> + |-1>) normalized; finite also for infinite lam."""
-    if abs(lam) <= 1.0:
-        return np.array([1.0, lam, 1.0]) / math.sqrt(2.0 + lam * lam)
-    t = 1.0 / abs(lam)
-    return np.array([t, math.copysign(1.0, lam), t]) / math.sqrt(1.0 + 2.0 * t * t)
 
 
 def dressed_levels(chi: float, params: ModelParams) -> TransformSolution:
@@ -106,26 +95,25 @@ def dressed_levels(chi: float, params: ModelParams) -> TransformSolution:
         eps_minus=eps_minus,
         eps_zero=-d,
         eps_plus=eps_plus,
-        vec_minus=_level_vector(lam_minus),
-        vec_zero=np.array([1.0, 0.0, -1.0]) / SQRT2,
-        vec_plus=_level_vector(lam_plus),
     )
 
 
-def solve_chi(params: ModelParams) -> TransformSolution:
+def solve_chi(
+    params: ModelParams, var: variational.VariationalSolution
+) -> TransformSolution:
     """Displacement that removes the counter-rotating coupling to the lowest
     dressed level.
 
     The defining condition coincides with the variational stationarity
     system, with chi = alpha and lambda_- = beta, so chi is taken from
-    ``variational.solve`` (a fixed scan of the beta-eliminated stationarity
-    condition, a bracketed root-find per sign change, the lowest well kept
-    and its ``stationarity_residual`` checked), and the identities
-    eps_- = E_v and lambda_- = beta are asserted to EQUIVALENCE_TOL rather
-    than re-derived.  Neither side divides by eta or by beta, so the check
-    also holds where exp(-chi^2/2) underflows.
+    ``var``, the result of ``variational.solve(params)`` (a fixed scan of
+    the beta-eliminated stationarity condition, a bracketed root-find per
+    sign change, the lowest well kept and its ``stationarity_residual``
+    checked), and the identities eps_- = E_v and lambda_- = beta are
+    asserted to EQUIVALENCE_TOL rather than re-derived.  Neither side
+    divides by eta or by beta, so the check also holds where exp(-chi^2/2)
+    underflows.
     """
-    var = variational.solve(params)
     sol = dressed_levels(var.alpha, params)
     if abs(sol.eps_minus - var.energy) > EQUIVALENCE_TOL or (
         abs(sol.lambda_minus - var.beta) > EQUIVALENCE_TOL

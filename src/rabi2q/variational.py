@@ -37,7 +37,7 @@ from .model import SQRT2, FockTruncation, ModelParams, coherent_state_vector
 
 RESIDUAL_TOL = 1e-8
 
-# Where f is sampled, as fractions of g/omega_c; solve adds the small-g estimate.
+# Where f is sampled, as fractions of g/omega_c.
 _SCAN = np.linspace(0.0, 1.0, 33)
 
 
@@ -46,6 +46,7 @@ class VariationalSolution:
     alpha: float
     beta: float
     energy: float
+    residual: float  # stationarity_residual(alpha, beta, params)
 
     @property
     def norm_sq(self) -> float:
@@ -128,20 +129,20 @@ def _stationarity(alpha, params: ModelParams):
 def solve(params: ModelParams) -> VariationalSolution:
     """Minimize <H> over (alpha, beta); alpha lands in (0, g/w_c].
 
-    f is sampled at 33 evenly spaced points of [0, g/w_c] and at the small-g
-    estimate of alpha.  Each - to + sign change brackets a minimum of the
-    profile, which ``brentq`` resolves to rounding; the lowest one is
-    returned.  The sample at g/w_c is clamped to >= 0: once exp(-alpha^2)
-    underflows the root is g/w_c to rounding, and f there is rounding noise.
-    g = 0 is returned analytically because the alpha condition degenerates
-    there.  Raises RuntimeError if ``stationarity_residual`` of the result
-    exceeds RESIDUAL_TOL.
+    f is sampled at 33 evenly spaced points of [0, g/w_c].  Each - to +
+    sign change brackets a minimum of the profile, which ``brentq``
+    resolves to rounding; the lowest one is returned.  The sample at g/w_c
+    is clamped to >= 0: once exp(-alpha^2) underflows the root is g/w_c to
+    rounding, and f there is rounding noise.  g = 0 is returned analytically
+    because the alpha condition degenerates there.  The result carries its
+    ``stationarity_residual``; RuntimeError is raised if that exceeds
+    RESIDUAL_TOL.
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
     if g == 0.0:
-        return VariationalSolution(alpha=0.0, beta=-SQRT2, energy=-wa)
+        return VariationalSolution(0.0, -SQRT2, -wa, stationarity_residual(0.0, -SQRT2, params))
 
-    alphas = np.sort(np.append(g / wc * _SCAN, small_g_approx(params)[0]))
+    alphas = g / wc * _SCAN
     values = _stationarity(alphas, params)
     values[-1] = max(values[-1], 0.0)
     best = None
@@ -153,17 +154,17 @@ def solve(params: ModelParams) -> VariationalSolution:
                 _stationarity, alphas[i], alphas[i + 1], args=(params,), xtol=1e-15, rtol=1e-15
             )
         beta = beta_stationary(alpha, params)[0]
-        candidate = VariationalSolution(alpha, beta, energy_expectation(alpha, beta, params))
-        if best is None or candidate.energy < best.energy:
-            best = candidate
+        energy = energy_expectation(alpha, beta, params)
+        if best is None or energy < best[2]:
+            best = (alpha, beta, energy)
 
-    residual = stationarity_residual(best.alpha, best.beta, params)
+    alpha, beta, energy = best
+    residual = stationarity_residual(alpha, beta, params)
     if residual > RESIDUAL_TOL:
         raise RuntimeError(
-            f"stationarity residual {residual:.2e} exceeds {RESIDUAL_TOL:g} "
-            f"at alpha={best.alpha!r}"
+            f"stationarity residual {residual:.2e} exceeds {RESIDUAL_TOL:g} at alpha={alpha!r}"
         )
-    return best
+    return VariationalSolution(alpha, beta, energy, residual)
 
 
 def trial_state(sol: VariationalSolution, trunc: FockTruncation) -> JointState:

@@ -26,7 +26,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def corrected_energy(params: ModelParams) -> tuple[float, float]:
-    sol = transform.solve_chi(params)
+    sol = transform.solve_chi(params, variational.solve(params))
     return sol.eps_minus, sol.eps_minus + transform.perturbation_correction(sol, params)
 
 
@@ -126,7 +126,7 @@ def test_criterion_7_method_equivalence_grid():
         for g in np.linspace(0.06, 1.2, 20):
             params = ModelParams(1.0, omega_c, float(g))
             var = variational.solve(params)
-            sol = transform.solve_chi(params)
+            sol = transform.solve_chi(params, var)
             worst = max(
                 worst,
                 abs(sol.chi - var.alpha),
@@ -154,7 +154,7 @@ def test_criterion_8_oracle_suites(exact_ground):
     worst_pert = 0.0
     for omega_c, g in [(1.0, 0.2), (1.0, 0.5), (1.0, 0.8), (0.8, 0.4), (1.2, 0.4), (1.2, 0.9)]:
         params = ModelParams(1.0, omega_c, g)
-        sol = transform.solve_chi(params)
+        sol = transform.solve_chi(params, variational.solve(params))
         closed = transform.perturbation_correction(sol, params)
         summed = transform.perturbation_sum_over_states(sol, params, FockTruncation(40))
         worst_pert = max(worst_pert, abs(closed - summed))
@@ -169,7 +169,7 @@ def test_criterion_8_oracle_suites(exact_ground):
         beta = rng.uniform(-2.0, 2.0)
         params = ModelParams(1.0, rng.uniform(0.8, 1.2), rng.uniform(0.0, 1.0))
         state = variational.trial_state(
-            variational.VariationalSolution(alpha, beta, 0.0), trunc
+            variational.VariationalSolution(alpha, beta, 0.0, residual=0.0), trunc
         )
         h = build_hamiltonian(params, trunc)
         worst_energy = max(

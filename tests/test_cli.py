@@ -1,15 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
+from rabi2q import ModelParams, entangle, transform, variational
+from rabi2q import cli
 from rabi2q.cli import (
+    COLUMNS,
+    METHODS,
+    OUTPUTS,
     REFERENCE_ENERGIES,
-    SweepSpec,
-    compute_sweep_row,
+    evaluate,
     locate_negativity_zero,
     main,
     render_rows,
-    run_sweep,
+    sweep_columns,
 )
 
 
@@ -139,13 +144,13 @@ class TestSweep:
     def test_row_invariants(self):
         import math
 
-        spec = SweepSpec(
-            0.0, 1.0, 6, 1.0,
+        columns = sweep_columns(
             ("exact", "variational", "transform", "corrected"),
             ("energy", "alpha", "beta", "fidelity", "negativity_exact",
              "negativity_approx"),
         )
-        for row in run_sweep(spec, 1e-10, 16):
+        for g in np.linspace(0.0, 1.0, 6):
+            row = evaluate(ModelParams(1.0, 1.0, float(g)), columns, 1e-10, 16)
             assert row["error"] == ""
             for method in ("exact", "variational", "transform", "corrected"):
                 assert math.isfinite(row[f"energy_{method}"])
@@ -153,10 +158,14 @@ class TestSweep:
             assert row["negativity_exact"] >= 0.0
             assert row["negativity_approx"] >= 0.0
 
-    def test_row_failure_is_recorded_not_fatal(self):
-        rows = run_sweep(
-            SweepSpec(0.0, 0.5, 2, -1.0, ("exact",), ("energy",)), 1e-10, 16
-        )
+    def test_row_failure_is_recorded_not_fatal(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--g-min", "0", "--g-max", "0.5", "--steps", "2", "--omega-c", "-1",
+             "--methods", "exact", "--outputs", "energy"],
+        )  # fmt: skip
+        rows = csv_rows(out)
+        assert code == 0 and len(rows) == 2
         assert all("omega_c" in row["error"] for row in rows)
 
     def test_bad_steps_is_a_usage_error(self, capsys):
@@ -170,12 +179,10 @@ class TestSweep:
         assert excinfo.value.code == 3
 
     def test_columns_follow_declared_order(self):
-        spec = SweepSpec(0.0, 1.0, 2, 1.0,
-                         ("exact", "corrected"), ("energy", "beta", "fidelity"))
-        assert spec.columns() == [
+        assert sweep_columns(("exact", "corrected"), ("energy", "beta", "fidelity")) == (
             "g", "energy_exact", "energy_corrected", "beta", "fidelity",
             "n_max_used", "eig_residual", "stat_residual", "error",
-        ]
+        )
 
 
 class TestVariationalCommand:
@@ -281,8 +288,131 @@ class TestFlagsAndConfig:
         assert text == "g,value\n0.1,-1.010152342\n"
 
 
-def test_compute_sweep_row_direct():
-    row = compute_sweep_row(0.2, 1.0, 1e-10, 16, ("exact", "variational"), ("energy",))
+def test_evaluate_direct():
+    columns = sweep_columns(("exact", "variational"), ("energy",))
+    row = evaluate(ModelParams(1.0, 1.0, 0.2), columns, 1e-10, 16)
     assert row["error"] == ""
     assert row["energy_exact"] == pytest.approx(-1.01015, abs=2e-5)
     assert row["energy_variational"] == pytest.approx(-1.01013, abs=2e-5)
+
+
+class TestEvaluate:
+    POINTS = [(1.0, 0.0), (1.0, 0.4), (0.5, 2.0), (0.2, 0.48)]
+
+    @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
+    @pytest.mark.parametrize("omega_c,g", POINTS)
+    def test_projections_agree(self, capsys, omega_c, g):
+        point = ["--omega-c", repr(omega_c), "--g", repr(g)]
+        printed = {}
+        for command in ("ground", "negativity", "variational", "transform"):
+            code, out, _ = run_cli(capsys, [command] + point)
+            assert code == 0
+            printed[command] = csv_rows(out)[0]
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--omega-c", repr(omega_c), "--g-min", repr(g), "--g-max", repr(g),
+             "--steps", "1", "--methods", ",".join(METHODS), "--outputs", ",".join(OUTPUTS)],
+        )  # fmt: skip
+        assert code == 0
+        (printed["sweep"],) = csv_rows(out)
+        assert printed["sweep"]["error"] == ""
+        shared = 0
+        for a in printed:
+            for b in printed:
+                for column in printed[a].keys() & printed[b].keys():
+                    assert printed[a][column] == printed[b][column], (a, b, column)
+                    shared += a < b
+        assert shared >= 15
+        # the same quantities under the single-point commands' own names
+        assert printed["variational"]["energy"] == printed["sweep"]["energy_variational"]
+        assert printed["transform"]["eps_minus"] == printed["sweep"]["energy_transform"]
+
+    @staticmethod
+    def _count_stages(monkeypatch):
+        """Wrap the function behind each stage of evaluate with a call counter."""
+        calls = {}
+        for stage, owner, name in [
+            ("exact", cli, "ground_state"),
+            ("var", variational, "solve"),
+            ("dressed", transform, "solve_chi"),
+            ("delta_e", transform, "perturbation_correction"),
+            ("rho", entangle, "reduced_density_from_joint"),
+        ]:
+            def counted(*args, _fn=getattr(owner, name), _stage=stage, **kwargs):
+                calls[_stage] = calls.get(_stage, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_full_sweep_row_runs_each_stage_once(self, monkeypatch, capsys):
+        calls = self._count_stages(monkeypatch)
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--g-min", "0.4", "--g-max", "0.4", "--steps", "1",
+             "--methods", ",".join(METHODS), "--outputs", ",".join(OUTPUTS)],
+        )  # fmt: skip
+        assert code == 0 and csv_rows(out)[0]["error"] == ""
+        assert calls == {"exact": 1, "var": 1, "dressed": 1, "delta_e": 1, "rho": 1}
+
+    def test_approx_only_row_skips_the_exact_solver(self, monkeypatch, capsys):
+        calls = self._count_stages(monkeypatch)
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--g-min", "0.4", "--g-max", "0.4", "--steps", "1",
+             "--methods", "variational,transform,corrected",
+             "--outputs", "energy,alpha,beta,negativity_approx"],
+        )  # fmt: skip
+        assert code == 0 and csv_rows(out)[0]["error"] == ""
+        assert calls == {"var": 1, "dressed": 1, "delta_e": 1}
+
+    @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
+    @pytest.mark.parametrize("column", sorted(COLUMNS))
+    def test_column_runs_exactly_the_stages_it_declares(self, monkeypatch, column):
+        calls = self._count_stages(monkeypatch)
+        evaluate(ModelParams(1.0, 1.0, 0.4), (column,), 1e-10, 16)
+        assert calls == dict.fromkeys(COLUMNS[column][0], 1)
+
+    def test_failure_keeps_earlier_values(self, monkeypatch):
+        def fail(params):
+            raise RuntimeError("no well")
+
+        monkeypatch.setattr(variational, "solve", fail)
+        columns = ("g", "energy_exact", "energy_variational", "n_max_used", "error")
+        row = evaluate(ModelParams(1.0, 1.0, 0.4), columns, 1e-10, 16)
+        assert list(row) == ["g", "energy_exact", "error"]
+        assert row["error"] == "RuntimeError: no well"
+        with pytest.raises(RuntimeError, match="no well"):
+            evaluate(ModelParams(1.0, 1.0, 0.4), columns[:-1], 1e-10, 16)
+
+    def test_stat_residual_is_the_solvers_own(self):
+        params = ModelParams(1.0, 0.5, 2.0)
+        var = variational.solve(params)
+        row = evaluate(params, ("stat_residual",), 1e-10, 16)
+        assert row["stat_residual"] == var.residual
+        assert var.residual == variational.stationarity_residual(var.alpha, var.beta, params)
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "line,message",
+        [("steps = x", "invalid literal for int()"), ("outputs = bogus", "unknown output 'bogus'")],
+    )
+    def test_bad_config_value_exits_1(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rabi2q: error: ") and message in err
+
+    def test_config_defaults_yield_to_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "g-min = 2.0\ng-max = 3.0\nsteps = 3\nmethods = exact\noutputs = energy,alpha\n"
+        )
+        code, out, _ = run_cli(capsys, ["sweep", "--config", str(cfg), "--g-max", "2.5"])
+        assert code == 0
+        rows = csv_rows(out)
+        assert [row["g"] for row in rows] == ["2", "2.25", "2.5"]
+        assert "alpha" in rows[0]

@@ -7,7 +7,6 @@ from rabi2q import FockTruncation, ModelParams
 from rabi2q.entangle import (
     TwoQubitDensityMatrix,
     concurrence_approx,
-    exact_negativity,
     negativity_closed_form,
     negativity_numerical,
     negativity_small_g,
@@ -16,6 +15,7 @@ from rabi2q.entangle import (
     reduced_density_variational,
 )
 from rabi2q import variational
+from rabi2q.cli import evaluate
 
 SQ2 = math.sqrt(2.0)
 
@@ -79,7 +79,7 @@ class TestReducedVariational:
         expected[3, 3] = 1.0
         np.testing.assert_allclose(rho, expected, atol=1e-14)
         state = variational.trial_state(
-            variational.VariationalSolution(0.0, -SQ2, -1.0), FockTruncation(8)
+            variational.VariationalSolution(0.0, -SQ2, -1.0, residual=0.0), FockTruncation(8)
         )
         np.testing.assert_allclose(
             reduced_density_from_joint(state).entries, rho, atol=1e-14
@@ -135,7 +135,8 @@ class TestNegativityNumerical:
 
     def test_deep_ultrastrong_negativity_is_numerically_zero(self):
         # at g = 2.6 the exact-state negativity has decayed below 1e-5
-        value = exact_negativity(ModelParams(1.0, 1.0, 2.6))
+        row = evaluate(ModelParams(1.0, 1.0, 2.6), ("negativity_exact",), 1e-10, 16)
+        value = row["negativity_exact"]
         assert 0.0 <= value < 1e-5
 
 

@@ -165,12 +165,12 @@ class TestFidelity:
 
 def test_ground_state_at_matches_dense_solve():
     params = ModelParams(1.0, 0.9, 0.6)
-    energy, state, gap, residual = ground_state_at(params, 24)
+    rung = ground_state_at(params, 24)
     h = build_hamiltonian(params, FockTruncation(24))
     vals = np.linalg.eigvalsh(h)
-    assert energy == pytest.approx(vals[0], abs=1e-12)
-    assert gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
-    assert np.linalg.norm(state.coefficients) == pytest.approx(1.0, abs=1e-12)
+    assert rung.energy == pytest.approx(vals[0], abs=1e-12)
+    assert rung.excited_gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
+    assert np.linalg.norm(rung.state.coefficients) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -188,7 +188,7 @@ def test_ground_state_at_matches_dense_spectrum(omega_c, g, n_max):
     full = np.linalg.eigvalsh(h)
 
     rung = ground_state_at(params, n_max)
-    energy, state, gap, _ = rung
+    energy, state, gap = rung.energy, rung.state, rung.excited_gap
     assert energy == pytest.approx(odd[0], abs=1e-12)
     assert energy + rung.parity_splitting == pytest.approx(even[0], abs=1e-12)
     assert gap == pytest.approx(max(0.0, min(odd[1], even[0]) - odd[0]), abs=1e-10)

@@ -21,6 +21,24 @@ WIDE_OMEGA_C = (0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0)
 WIDE_G = np.linspace(0.0, 5.0, 501)
 
 
+def _solve_chi(p):
+    return solve_chi(p, variational.solve(p))
+
+
+def _dressed_vector(lam):
+    """(|1> + lam |0> + |-1>) normalized, for the dressed-level weights."""
+    if math.isinf(lam):
+        return np.array([0.0, math.copysign(1.0, lam), 0.0])
+    return np.array([1.0, lam, 1.0]) / math.sqrt(2.0 + lam * lam)
+
+
+def _dressed_vectors(sol):
+    """The minus, zero and plus dressed eigenvectors as columns."""
+    zero = np.array([1.0, 0.0, -1.0]) / SQ2
+    plus, minus = _dressed_vector(sol.lambda_plus), _dressed_vector(sol.lambda_minus)
+    return np.column_stack([minus, zero, plus])
+
+
 class TestDressedLevels:
     def test_zero_displacement_gives_bare_spectrum(self):
         sol = dressed_levels(0.0, ModelParams(1.0, 1.0, 0.5))
@@ -46,12 +64,12 @@ class TestDressedLevels:
             np.testing.assert_allclose(
                 [sol.eps_minus, sol.eps_zero, sol.eps_plus], eps, atol=1e-12
             )
-            for closed, column in zip((sol.vec_minus, sol.vec_zero, sol.vec_plus), vecs.T):
+            for closed, column in zip(_dressed_vectors(sol).T, vecs.T):
                 assert abs(abs(closed @ column) - 1.0) < 1e-12
 
     def test_eigenvector_orthonormality(self):
         sol = dressed_levels(0.8, ModelParams(1.0, 1.0, 0.9))
-        basis = np.column_stack([sol.vec_minus, sol.vec_zero, sol.vec_plus])
+        basis = _dressed_vectors(sol)
         np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-14)
 
     def test_level_ordering(self):
@@ -89,17 +107,18 @@ class TestDressedLevels:
             assert sol.eps_minus == sol.eps_zero == pytest.approx(-d, rel=1e-15)
             assert sol.eps_plus == 0.0
             assert sol.lambda_minus == 0.0 and sol.lambda_plus == math.inf
-            np.testing.assert_array_equal(sol.vec_plus, [0.0, 1.0, 0.0])
-            np.testing.assert_array_equal(sol.vec_minus, np.array([1.0, 0.0, 1.0]) / SQ2)
+            vec_minus, _, vec_plus = _dressed_vectors(sol).T
+            np.testing.assert_array_equal(vec_plus, [0.0, 1.0, 0.0])
+            np.testing.assert_array_equal(vec_minus, np.array([1.0, 0.0, 1.0]) / SQ2)
 
 
 class TestSolveChi:
     @pytest.mark.parametrize("g,reference", [(0.8, -1.19965), (1.2, -1.62699)])
     def test_resonance_reference_energies(self, g, reference):
-        assert abs(solve_chi(ModelParams(1.0, 1.0, g)).eps_minus - reference) < 2e-5
+        assert abs(_solve_chi(ModelParams(1.0, 1.0, g)).eps_minus - reference) < 2e-5
 
     def test_decoupled(self):
-        sol = solve_chi(ModelParams(1.0, 1.0, 0.0))
+        sol = _solve_chi(ModelParams(1.0, 1.0, 0.0))
         assert sol.chi == 0.0
         assert sol.eps_minus == pytest.approx(-1.0, abs=1e-12)
 
@@ -108,7 +127,7 @@ class TestSolveChi:
     def test_equivalence_check_holds_on_wide_grid(self, omega_c):
         for g in WIDE_G:
             p = ModelParams(1.0, omega_c, float(g))
-            sol = solve_chi(p)  # raises if eps_- or lambda_- departs from the variational side
+            sol = _solve_chi(p)  # raises if eps_- or lambda_- departs from the variational side
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PerturbationValidityWarning)
                 correction = perturbation_correction(sol, p)
@@ -120,7 +139,7 @@ class TestSolveChi:
             for g in (0.2, 0.7, 1.1):
                 p = ModelParams(1.0, wc, g)
                 var = variational.solve(p)
-                sol = solve_chi(p)
+                sol = solve_chi(p, var)
                 assert sol.chi == var.alpha
                 assert abs(sol.lambda_minus - var.beta) < 1e-9
                 assert abs(sol.eps_minus - var.energy) < 1e-9
@@ -130,7 +149,7 @@ class TestPerturbationCorrection:
     @pytest.mark.parametrize("g,reference", [(0.6, -1.10403), (1.0, -1.39094)])
     def test_corrected_energy_reference(self, g, reference):
         p = ModelParams(1.0, 1.0, g)
-        sol = solve_chi(p)
+        sol = _solve_chi(p)
         corrected = sol.eps_minus + perturbation_correction(sol, p)
         assert abs(corrected - reference) < 2e-5
 
@@ -143,12 +162,12 @@ class TestPerturbationCorrection:
         for wc in (0.8, 1.0, 1.2):
             for g in np.arange(0.1, 1.25, 0.1):
                 p = ModelParams(1.0, wc, float(g))
-                sol = solve_chi(p)
+                sol = _solve_chi(p)
                 assert perturbation_correction(sol, p) <= 0.0
 
     def test_warns_outside_expansion_regime(self):
         p = ModelParams(1.0, 0.8, 1.1)
-        sol = solve_chi(p)
+        sol = _solve_chi(p)
         assert sol.chi >= 1.0
         with pytest.warns(PerturbationValidityWarning):
             perturbation_correction(sol, p)
@@ -157,7 +176,7 @@ class TestPerturbationCorrection:
         # second-order shift tightens the dressed-level estimate
         for g in (0.2, 0.4, 0.6, 0.8, 1.0, 1.2):
             p = ModelParams(1.0, 1.0, g)
-            sol = solve_chi(p)
+            sol = _solve_chi(p)
             e_exact = exact_ground(g).energy
             corrected = sol.eps_minus + perturbation_correction(sol, p)
             assert abs(corrected - e_exact) < abs(sol.eps_minus - e_exact)
@@ -166,7 +185,7 @@ class TestPerturbationCorrection:
 class TestSumOverStatesOracle:
     def test_matches_closed_form_tightly(self):
         p = ModelParams(1.0, 1.0, 0.4)
-        sol = solve_chi(p)
+        sol = _solve_chi(p)
         closed = perturbation_correction(sol, p)
         summed = perturbation_sum_over_states(sol, p, FockTruncation(40))
         assert abs(closed - summed) < 1e-10
@@ -176,7 +195,7 @@ class TestSumOverStatesOracle:
     )
     def test_grid_agreement(self, wc, g):
         p = ModelParams(1.0, wc, g)
-        sol = solve_chi(p)
+        sol = _solve_chi(p)
         closed = perturbation_correction(sol, p)
         summed = perturbation_sum_over_states(sol, p, FockTruncation(40))
         assert abs(closed - summed) < 1e-9

@@ -161,6 +161,12 @@ class TestSolve:
         assert sol.alpha == pytest.approx(alpha, abs=1e-5)
         assert sol.energy == pytest.approx(energy, abs=1e-5)
 
+    @pytest.mark.parametrize("omega_c,g", [(1.0, 0.0), (1.0, 0.4), (0.2, 0.48), (0.05, 2.0)])
+    def test_carries_its_residual(self, omega_c, g):
+        p = ModelParams(1.0, omega_c, g)
+        sol = solve(p)
+        assert sol.residual == stationarity_residual(sol.alpha, sol.beta, p)
+
     def test_norm_sq(self):
         sol = solve(ModelParams(1.0, 1.0, 0.4))
         assert sol.norm_sq == pytest.approx(2.0 + sol.beta**2, abs=0.0)
@@ -192,7 +198,7 @@ class TestSmallG:
 
 class TestTrialState:
     def test_decoupled_state_is_lowest_jx_level(self):
-        state = trial_state(VariationalSolution(0.0, -SQ2, -1.0), FockTruncation(8))
+        state = trial_state(VariationalSolution(0.0, -SQ2, -1.0, 0.0), FockTruncation(8))
         expected = np.zeros(27)
         expected[0], expected[1], expected[2] = 0.5, -SQ2 / 2.0, 0.5
         overlap = abs(state.coefficients @ expected)
@@ -221,7 +227,7 @@ class TestTrialState:
             alpha = rng.uniform(-1.0, 1.0)
             beta = rng.uniform(-2.0, 2.0)
             p = ModelParams(1.0, rng.uniform(0.8, 1.2), rng.uniform(0.0, 1.0))
-            sol = VariationalSolution(alpha, beta, energy=0.0)
+            sol = VariationalSolution(alpha, beta, energy=0.0, residual=0.0)
             state = trial_state(sol, trunc)
             h = build_hamiltonian(p, trunc)
             assert state.coefficients @ h @ state.coefficients == pytest.approx(
