@@ -199,20 +199,22 @@ def _sweep_row(task: tuple) -> dict:
 
 def locate_negativity_zero(
     omega_c: float,
-    g_lo: float = 1.5,
-    g_hi: float = 3.5,
-    threshold: float = 5e-6,
-    g_tol: float = 1e-3,
-    tol: float = 1e-10,
-    n_max_start: int = 16,
+    *,
+    g_lo: float,
+    g_hi: float,
+    threshold: float,
+    g_tol: float,
+    tol: float,
+    n_max_start: int,
 ) -> float:
     """Coupling at which the exact-state negativity falls below ``threshold``.
 
     The exact negativity decays smoothly at large g without an exact sign
-    change, so "zero" must mean "below a resolution"; the default threshold
-    is half a unit in the fifth decimal place, the precision of the
-    benchmark table.  Bisection needs the bracket to straddle the
-    threshold, otherwise this raises.
+    change, so "zero" must mean "below a resolution"; ``find-zero``'s
+    default threshold is half a unit in the fifth decimal place, the
+    precision of the benchmark table.  Bisection to ``g_tol`` needs the
+    bracket ``[g_lo, g_hi]`` to straddle the threshold, otherwise this
+    raises; ``tol`` and ``n_max_start`` go to the exact solver.
     """
     def above(g: float) -> bool:
         params = ModelParams(1.0, omega_c, g)
@@ -388,10 +390,13 @@ def cmd_find_zero(opt: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_omega_c(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--omega-c", type=float, default=1.0, help="omega_c / omega_a (default %(default)s)"
     )
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--nmax-start", type=int, default=16, help="initial Fock truncation (default %(default)s)"
     )
@@ -414,9 +419,11 @@ def build_parser() -> _Parser:
     for name, (text, columns) in POINT_COMMANDS.items():
         sub = subparsers.add_parser(name, help=text)
         sub.add_argument("--g", type=float, help="coupling strength in units of omega_a")
+        _add_omega_c(sub)
         _add_common(sub)
         sub.set_defaults(func=cmd_point, columns=columns, subparser=sub)
 
+    # at resonance by definition: no --omega-c
     sub = subparsers.add_parser("table1", help="check the resonance energy benchmark")
     sub.add_argument(
         "--ref-tol", type=float, default=2e-5, help="comparison tolerance (default %(default)s)"
@@ -438,6 +445,7 @@ def build_parser() -> _Parser:
     sub.add_argument(
         "--parallel", type=int, default=1, help="worker processes (default %(default)s)"
     )
+    _add_omega_c(sub)
     _add_common(sub)
     sub.set_defaults(func=cmd_sweep, subparser=sub)
 
@@ -458,6 +466,7 @@ def build_parser() -> _Parser:
     sub.add_argument(
         "--g-tol", type=float, default=1e-3, help="bisection tolerance in g (default %(default)s)"
     )
+    _add_omega_c(sub)
     _add_common(sub)
     sub.set_defaults(func=cmd_find_zero, subparser=sub)
 

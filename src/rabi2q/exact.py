@@ -4,15 +4,17 @@ H commutes with the parity ``model.parity_operator``, and the ground state
 lies in its odd sector (parity -1).  Each sector Hamiltonian is
 pentadiagonal and about half the size of the full space
 (``model.sector_hamiltonian``).  At one truncation the two lowest
-odd-sector eigenvalues and the lowest even-sector eigenvalue come from a
-banded eigenvalue solver (eigenvalues only, no reduction matrix), and the
-ground vector from inverse iteration with banded LU solves; nothing dense
-is assembled.  The full spectrum is the union of the two sectors, so the
-excited gap is min(E1_odd, E0_even) - E0_odd.
+odd-sector eigenvalues and the lowest even-sector eigenvalue come from
+LAPACK's banded eigenvalue solver dsbevx (eigenvalues only, no reduction
+matrix), and the ground vector from inverse iteration with banded LU
+solves; nothing dense is assembled.  The full spectrum is the union of the
+two sectors, so the excited gap is min(E1_odd, E0_even) - E0_odd.
 
 The Fock truncation is grown by doubling until the ground energy is
 converged; energies decrease monotonically along the ladder because the
-truncated spaces are nested.
+truncated spaces are nested.  Each rung before the converged one solves
+only the odd-sector eigenvalues; the even sector, the vector and the
+residual are computed on the converged rung alone.
 """
 
 from __future__ import annotations
@@ -26,6 +28,12 @@ import scipy.linalg
 from .model import ATOM_DIM, FockTruncation, ModelParams, sector_hamiltonian
 
 INVERSE_ITERATIONS = 2
+
+# The LAPACK routine and tolerance scipy.linalg.eig_banded uses for
+# selected eigenvalues, bound once: its Python-side checks add about 25 us
+# a call, some 40% of a solve on the small bands of the paper's window.
+_SBEVX = scipy.linalg.get_lapack_funcs("sbevx", dtype=np.float64)
+_ABSTOL = 2.0 * scipy.linalg.lapack.dlamch("s")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +110,13 @@ def fidelity(a: JointState, b: JointState) -> float:
 
 
 def _lowest_eigenvalues(band: np.ndarray, count: int) -> np.ndarray:
-    return scipy.linalg.eig_banded(
-        band, lower=True, eigvals_only=True, select="i",
-        select_range=(0, count - 1), check_finite=False,
+    """The ``count`` lowest eigenvalues of a band in lower storage; ``band`` is not overwritten."""
+    w, _, m, _, info = _SBEVX(
+        band, 0.0, 1.0, 1, count, compute_v=0, range=2, lower=1, abstol=_ABSTOL, overwrite_ab=0
     )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsbevx failed (info={info})")
+    return w[:m]
 
 
 def _band_matvec(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -140,17 +151,17 @@ def _inverse_iteration(band: np.ndarray, eigenvalue: float, start: np.ndarray) -
     return vec
 
 
-def ground_state_at(params: ModelParams, n_max: int) -> Rung:
-    """Lowest eigenpair at a fixed truncation, solved in the odd parity sector.
+def _odd_sector(params: ModelParams, n_max: int) -> tuple:
+    """The odd-sector band at one truncation, its embedding and its two lowest eigenvalues."""
+    band, embedding = sector_hamiltonian(params, FockTruncation(n_max), odd=True)
+    return band, embedding, _lowest_eigenvalues(band, 2)
 
-    On a truncation too small for the coupling, the even sector can lie
-    lower (then the splitting is negative and the excited gap 0);
-    ``ground_state`` checks the sign once the energy has converged.
-    """
-    trunc = FockTruncation(n_max)
-    band, embedding = sector_hamiltonian(params, trunc, odd=True)
-    energy, odd_1 = (float(e) for e in _lowest_eigenvalues(band, 2))
-    even_0 = float(_lowest_eigenvalues(sector_hamiltonian(params, trunc, odd=False)[0], 1)[0])
+
+def _complete_rung(params: ModelParams, n_max: int, band, embedding, odd_energies) -> Rung:
+    """The rest of a rung once its odd-sector eigenvalues are known."""
+    energy, odd_1 = (float(e) for e in odd_energies)
+    even_band = sector_hamiltonian(params, FockTruncation(n_max), odd=False)[0]
+    even_0 = float(_lowest_eigenvalues(even_band, 1)[0])
     # The sector couplings form a tree (a chain of S/D vectors with a |0>
     # leaf on each S), and every coupling is >= 0.  Flipping signs by depth
     # in the tree makes them <= 0, so the ground vector's components carry
@@ -169,6 +180,16 @@ def ground_state_at(params: ModelParams, n_max: int) -> Rung:
         residual,
         even_0 - energy,
     )
+
+
+def ground_state_at(params: ModelParams, n_max: int) -> Rung:
+    """Lowest eigenpair at a fixed truncation, solved in the odd parity sector.
+
+    On a truncation too small for the coupling, the even sector can lie
+    lower (then the splitting is negative and the excited gap 0);
+    ``ground_state`` checks the sign once the energy has converged.
+    """
+    return _complete_rung(params, n_max, *_odd_sector(params, n_max))
 
 
 def ground_state(
@@ -191,7 +212,7 @@ def ground_state(
         raise ValueError(f"n_max_start must be >= 8, got {n_max_start}")
 
     n_max = n_max_start
-    energy_prev = ground_state_at(params, n_max).energy
+    energy_prev = float(_odd_sector(params, n_max)[2][0])
     while True:
         n_max *= 2
         if n_max > n_max_cap:
@@ -199,9 +220,11 @@ def ground_state(
                 f"ground state not converged to {tol:g} by n_max={n_max_cap} "
                 f"(omega_a={params.omega_a}, omega_c={params.omega_c}, g={params.g})"
             )
-        rung = ground_state_at(params, n_max)
-        gap = abs(rung.energy - energy_prev)
+        band, embedding, odd_energies = _odd_sector(params, n_max)
+        energy = float(odd_energies[0])
+        gap = abs(energy - energy_prev)
         if gap < tol:
+            rung = _complete_rung(params, n_max, band, embedding, odd_energies)
             if rung.parity_splitting < -1e-12 * (abs(rung.energy) + 1.0):
                 raise RuntimeError(
                     f"even-sector ground energy lies {-rung.parity_splitting:.3e} below "
@@ -217,4 +240,4 @@ def ground_state(
                 residual=rung.residual,
                 parity_splitting=rung.parity_splitting,
             )
-        energy_prev = rung.energy
+        energy_prev = energy

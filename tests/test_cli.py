@@ -92,6 +92,15 @@ class TestTable1:
         assert code == 2
         assert "reference" in err
 
+    def test_detuning_is_rejected(self, capsys):
+        # the table is at resonance; a detuning must not be accepted and ignored
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--omega-c", "2"])
+        assert excinfo.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--omega-c" in captured.err
+
 
 class TestSweep:
     def test_deterministic_output(self, capsys):
@@ -238,16 +247,19 @@ class TestFindZero:
         assert code == 1
         assert "already" in err
 
+    # find-zero's defaults
+    SEARCH = {"threshold": 5e-6, "g_tol": 1e-3, "tol": 1e-10, "n_max_start": 16}
+
     def test_crossing_unique_in_widened_bracket(self):
         # monotone decay past the maximum: scan brackets agree with bisection
-        a = locate_negativity_zero(1.0, g_lo=1.5, g_hi=3.5, g_tol=1e-3)
-        b = locate_negativity_zero(1.0, g_lo=2.0, g_hi=3.2, g_tol=1e-3)
+        a = locate_negativity_zero(1.0, g_lo=1.5, g_hi=3.5, **self.SEARCH)
+        b = locate_negativity_zero(1.0, g_lo=2.0, g_hi=3.2, **self.SEARCH)
         assert abs(a - b) < 5e-3
 
     def test_detuned_crossing_exists(self):
         # exploratory, no benchmark value: positive detuning pushes the
         # numerical zero out to g ~ 3.1
-        g = locate_negativity_zero(1.2, g_lo=1.5, g_hi=3.5, g_tol=1e-3)
+        g = locate_negativity_zero(1.2, g_lo=1.5, g_hi=3.5, **self.SEARCH)
         assert 2.9 < g < 3.3
 
 

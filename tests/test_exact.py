@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rabi2q import (
     FockTruncation,
@@ -198,3 +199,69 @@ def test_ground_state_at_matches_dense_spectrum(omega_c, g, n_max):
     if rung.parity_splitting >= 0.0:
         assert energy == pytest.approx(full[0], abs=1e-12)
         assert gap == pytest.approx(full[1] - full[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("omega_c,g", [(1.0, 0.0), (1.0, 0.4), (1.0, 3.5), (0.5, 2.0), (0.2, 2.0)])
+def test_ladder_equals_standalone_converged_rung(omega_c, g):
+    # the ladder solves only energies below the converged rung, then
+    # completes that rung by the code ground_state_at runs
+    params = ModelParams(1.0, omega_c, g)
+    result = ground_state(params)
+    rung = ground_state_at(params, result.n_max_used)
+    assert result.energy == rung.energy
+    assert result.state.n_max == rung.state.n_max == result.n_max_used
+    assert np.array_equal(result.state.coefficients, rung.state.coefficients)
+    assert result.excited_gap == rung.excited_gap
+    assert result.residual == rung.residual
+    assert result.parity_splitting == rung.parity_splitting
+
+
+def test_ladder_work_counts(monkeypatch):
+    # k rungs: k odd-sector eigenvalue solves, and the even sector and the
+    # vector on the converged rung only
+    odd_bands, solves, iterations = set(), [], []
+    real_sector, real_solve, real_iterate = (
+        exact.sector_hamiltonian, exact._lowest_eigenvalues, exact._inverse_iteration
+    )
+
+    def sector(params, trunc, odd):
+        band, embedding = real_sector(params, trunc, odd)
+        if odd:
+            odd_bands.add(id(band))
+        return band, embedding
+
+    def solve(band, count):
+        solves.append(id(band) in odd_bands)
+        return real_solve(band, count)
+
+    def iterate(*args):
+        iterations.append(args)
+        return real_iterate(*args)
+
+    monkeypatch.setattr(exact, "sector_hamiltonian", sector)
+    monkeypatch.setattr(exact, "_lowest_eigenvalues", solve)
+    monkeypatch.setattr(exact, "_inverse_iteration", iterate)
+    result = ground_state(ModelParams(1.0, 1.0, 0.4))
+    assert result.n_max_used == 32  # rungs 16 and 32
+    assert solves.count(True) == 2
+    assert solves.count(False) == 1
+    assert len(iterations) == 1
+
+
+@pytest.mark.parametrize(
+    "omega_c,g,n_max", [(1.0, 0.0, 16), (1.0, 0.4, 32), (1.0, 3.5, 128), (0.2, 2.0, 512)]
+)
+@pytest.mark.parametrize("odd", [True, False])
+@pytest.mark.parametrize("count", [1, 2])
+def test_lowest_eigenvalues_equal_eig_banded(omega_c, g, n_max, odd, count):
+    band = model.sector_hamiltonian(ModelParams(1.0, omega_c, g), FockTruncation(n_max), odd)[0]
+    # Fortran order, which LAPACK could overwrite in place
+    band = np.asfortranarray(band)
+    before = band.copy()
+    values = exact._lowest_eigenvalues(band, count)
+    reference = scipy.linalg.eig_banded(
+        band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
+    )
+    assert np.array_equal(values, reference)
+    # inverse iteration reuses the odd band after its eigenvalues are taken
+    assert np.array_equal(band, before)
