@@ -398,7 +398,7 @@ def _add_omega_c(sub: argparse.ArgumentParser) -> None:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--nmax-start", type=int, default=16, help="initial Fock truncation (default %(default)s)"
+        "--nmax-start", type=int, default=16, help="smallest Fock truncation (default %(default)s)"
     )
     sub.add_argument(
         "--tol", type=float, default=1e-10,

@@ -10,17 +10,18 @@ matrix), and the ground vector from inverse iteration with banded LU
 solves; nothing dense is assembled.  The full spectrum is the union of the
 two sectors, so the excited gap is min(E1_odd, E0_even) - E0_odd.
 
-The Fock truncation is grown by doubling until the ground energy is
-converged; energies decrease monotonically along the ladder because the
-truncated spaces are nested.  Each rung before the converged one solves
-only the odd-sector eigenvalues; the even sector, the vector and the
-residual are computed on the converged rung alone.
+The Fock truncation is sized from alpha = g / omega_c, an upper bound on
+the field displacement, and one solve there is accepted on its own
+truncation-error estimate: the residual of the zero-padded ground vector
+in the untruncated H, in Kato-Temple form (``ground_state_at``).  Only
+when the estimate exceeds the tolerance is the truncation grown, by a
+quarter, and solved again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -53,20 +54,10 @@ class GroundStateResult:
     energy: float
     state: JointState
     n_max_used: int
-    convergence_gap: float  # |E(n_max) - E(n_max/2)|
-    excited_gap: float      # E_1 - E_0 at the final truncation
-    residual: float         # ||H v - E v||_2 at the final truncation
-    parity_splitting: float  # E0_even - E0_odd at the final truncation (tunnelling)
-
-
-class Rung(NamedTuple):
-    """One truncation's ground energy and state, with its diagnostics."""
-
-    energy: float
-    state: JointState
-    excited_gap: float
-    residual: float
-    parity_splitting: float
+    convergence_gap: float  # truncation-error estimate r^2 / (E1_odd - E0), see ground_state_at
+    excited_gap: float      # E_1 - E_0 at n_max_used
+    residual: float         # ||H v - E v||_2 at n_max_used
+    parity_splitting: float  # E0_even - E0_odd at n_max_used (tunnelling)
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
@@ -151,17 +142,24 @@ def _inverse_iteration(band: np.ndarray, eigenvalue: float, start: np.ndarray) -
     return vec
 
 
-def _odd_sector(params: ModelParams, n_max: int) -> tuple:
-    """The odd-sector band at one truncation, its embedding and its two lowest eigenvalues."""
-    band, embedding = sector_hamiltonian(params, FockTruncation(n_max), odd=True)
-    return band, embedding, _lowest_eigenvalues(band, 2)
+def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
+    """Lowest eigenpair at one truncation, solved in the odd parity sector.
 
-
-def _complete_rung(params: ModelParams, n_max: int, band, embedding, odd_energies) -> Rung:
-    """The rest of a rung once its odd-sector eigenvalues are known."""
-    energy, odd_1 = (float(e) for e in odd_energies)
-    even_band = sector_hamiltonian(params, FockTruncation(n_max), odd=False)[0]
-    even_0 = float(_lowest_eigenvalues(even_band, 1)[0])
+    ``convergence_gap`` is the truncation-error estimate r^2 / (E1_odd - E0).
+    The only coupling out of the truncated space is g * sqrt(N + 1) * Jz on
+    the top level N, and Jz swaps S_N and D_N and annihilates |0>_N, so
+    r = g * sqrt(N + 1) * |v_N| is the residual of the zero-padded ground
+    vector in the untruncated H.  This is the Kato-Temple form (T. Kato
+    1949; G. Temple 1928), but an estimate, not a bound: the truncated E1
+    lies above the exact one, and the estimate can fall below the true
+    error when the truncation is far too small.  On such a truncation the
+    even sector can also lie lower (then the splitting is negative and the
+    excited gap 0); ``ground_state`` checks the sign on the accepted solve.
+    """
+    trunc = FockTruncation(n_max)
+    band, embedding = sector_hamiltonian(params, trunc, odd=True)
+    energy, odd_1 = (float(e) for e in _lowest_eigenvalues(band, 2))
+    even_0 = float(_lowest_eigenvalues(sector_hamiltonian(params, trunc, odd=False)[0], 1)[0])
     # The sector couplings form a tree (a chain of S/D vectors with a |0>
     # leaf on each S), and every coupling is >= 0.  Flipping signs by depth
     # in the tree makes them <= 0, so the ground vector's components carry
@@ -172,24 +170,16 @@ def _complete_rung(params: ModelParams, n_max: int, band, embedding, odd_energie
     start[embedding.start] = depth_sign
     start[embedding.start[embedding.paired] + 1] = -depth_sign[embedding.paired]
     vec = _inverse_iteration(band, energy, start)
-    residual = float(np.linalg.norm(_band_matvec(band, vec) - energy * vec))
-    return Rung(
-        energy,
-        make_state(embedding.embed(vec), n_max),
-        max(0.0, min(odd_1, even_0) - energy),
-        residual,
-        even_0 - energy,
+    leak = params.g * math.sqrt(n_max + 1) * abs(float(vec[embedding.start[-1]]))
+    return GroundStateResult(
+        energy=energy,
+        state=make_state(embedding.embed(vec), n_max),
+        n_max_used=n_max,
+        convergence_gap=leak * leak / (odd_1 - energy),
+        excited_gap=max(0.0, min(odd_1, even_0) - energy),
+        residual=float(np.linalg.norm(_band_matvec(band, vec) - energy * vec)),
+        parity_splitting=even_0 - energy,
     )
-
-
-def ground_state_at(params: ModelParams, n_max: int) -> Rung:
-    """Lowest eigenpair at a fixed truncation, solved in the odd parity sector.
-
-    On a truncation too small for the coupling, the even sector can lie
-    lower (then the splitting is negative and the excited gap 0);
-    ``ground_state`` checks the sign once the energy has converged.
-    """
-    return _complete_rung(params, n_max, *_odd_sector(params, n_max))
 
 
 def ground_state(
@@ -198,46 +188,39 @@ def ground_state(
     n_max_start: int = 16,
     n_max_cap: int = 4096,
 ) -> GroundStateResult:
-    """Ground state with the truncation doubled until |dE| < tol.
+    """Ground state on a truncation sized from g/omega_c, accepted on its own error estimate.
 
-    ``tol`` is an absolute energy tolerance in the units of ``params``.
-    Raises RuntimeError if the cap is reached without convergence, which
-    signals pathological parameters rather than a tight tolerance, and if
-    the converged even-sector ground energy lies below the odd-sector one,
-    which would break the premise that the ground state is odd.
+    alpha = g / omega_c bounds the field displacement, so the first solve
+    is at n_max = alpha^2 + 8 alpha + 16, at least ``n_max_start`` and at
+    most ``n_max_cap``.  The truncation grows by a quarter until the
+    estimate of ``ground_state_at`` is below ``tol``, an absolute energy
+    tolerance in the units of ``params``.  Raises RuntimeError if the cap
+    is reached without that, which signals pathological parameters rather
+    than a tight tolerance, and if the accepted even-sector ground energy
+    lies below the odd-sector one, which would break the premise that the
+    ground state is odd.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if n_max_start < 8:
         raise ValueError(f"n_max_start must be >= 8, got {n_max_start}")
 
-    n_max = n_max_start
-    energy_prev = float(_odd_sector(params, n_max)[2][0])
+    alpha = params.g / params.omega_c
+    n_max = min(max(n_max_start, math.ceil(alpha * alpha + 8.0 * alpha + 16.0)), n_max_cap)
     while True:
-        n_max *= 2
-        if n_max > n_max_cap:
+        result = ground_state_at(params, n_max)
+        if result.convergence_gap < tol:
+            break
+        if n_max >= n_max_cap:
             raise RuntimeError(
                 f"ground state not converged to {tol:g} by n_max={n_max_cap} "
                 f"(omega_a={params.omega_a}, omega_c={params.omega_c}, g={params.g})"
             )
-        band, embedding, odd_energies = _odd_sector(params, n_max)
-        energy = float(odd_energies[0])
-        gap = abs(energy - energy_prev)
-        if gap < tol:
-            rung = _complete_rung(params, n_max, band, embedding, odd_energies)
-            if rung.parity_splitting < -1e-12 * (abs(rung.energy) + 1.0):
-                raise RuntimeError(
-                    f"even-sector ground energy lies {-rung.parity_splitting:.3e} below "
-                    f"the odd-sector one at n_max={n_max} (omega_a={params.omega_a}, "
-                    f"omega_c={params.omega_c}, g={params.g})"
-                )
-            return GroundStateResult(
-                energy=rung.energy,
-                state=rung.state,
-                n_max_used=n_max,
-                convergence_gap=gap,
-                excited_gap=rung.excited_gap,
-                residual=rung.residual,
-                parity_splitting=rung.parity_splitting,
-            )
-        energy_prev = energy
+        n_max = min(math.ceil(1.25 * n_max), n_max_cap)
+    if result.parity_splitting < -1e-12 * (abs(result.energy) + 1.0):
+        raise RuntimeError(
+            f"even-sector ground energy lies {-result.parity_splitting:.3e} below "
+            f"the odd-sector one at n_max={n_max} (omega_a={params.omega_a}, "
+            f"omega_c={params.omega_c}, g={params.g})"
+        )
+    return result

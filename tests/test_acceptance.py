@@ -178,7 +178,7 @@ def test_criterion_8_oracle_suites(exact_ground):
                 - variational.energy_expectation(alpha, beta, params)),
         )
 
-    # truncation convergence of the doubling ladder
+    # truncation-error estimate of the accepted exact solve
     worst_gap = max(
         ground_state(ModelParams(1.0, wc, g)).convergence_gap
         for wc, g in [(1.0, 0.4), (1.0, 1.2), (1.2, 0.6)]
@@ -196,7 +196,7 @@ def test_criterion_8_oracle_suites(exact_ground):
     report(8, ok, f"negativity oracle {worst_neg:.1e} (1e-12); "
                   f"perturbation oracle {worst_pert:.1e} (1e-9); "
                   f"energy oracle {worst_energy:.1e} (1e-9); "
-                  f"final doubling gap {worst_gap:.1e} (1e-10); "
+                  f"truncation-error estimate {worst_gap:.1e} (1e-10); "
                   f"E_v >= E_g everywhere: {bound_holds}")
     assert worst_neg < 1e-12
     assert worst_pert < 1e-9

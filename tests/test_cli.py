@@ -64,6 +64,15 @@ class TestGround:
         assert len(payload) == 1
         assert payload[0]["energy_exact"] == pytest.approx(-1.04256, abs=2e-5)
 
+    def test_small_omega_c_deep_coupling_point(self, capsys):
+        # alpha = 44: the exact state needs more than 2048 Fock levels, and
+        # the trial state's exp(-alpha^2 / 2) underflows
+        code, out, _ = run_cli(capsys, ["ground", "--g", "4.4", "--omega-c", "0.1"])
+        assert code == 0
+        row = csv_rows(out)[0]
+        assert 2048 < int(row["n_max_used"]) <= 4096
+        assert float(row["fidelity"]) > 0.999
+
     def test_missing_g_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["ground"])
         assert code == 3
@@ -166,6 +175,16 @@ class TestSweep:
             assert 0.0 <= row["fidelity"] <= 1.0
             assert row["negativity_exact"] >= 0.0
             assert row["negativity_approx"] >= 0.0
+
+    def test_small_omega_c_sweep_has_no_error_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--omega-c", "0.1", "--g-min", "0.2", "--g-max", "4", "--steps", "40",
+             "--methods", ",".join(METHODS), "--outputs", ",".join(OUTPUTS)],
+        )  # fmt: skip
+        rows = csv_rows(out)
+        assert code == 0 and len(rows) == 40
+        assert [row["g"] for row in rows if row["error"]] == []
 
     def test_row_failure_is_recorded_not_fatal(self, capsys):
         code, out, _ = run_cli(

@@ -39,7 +39,7 @@ def test_eigen_residual_bound(exact_ground):
 def test_truncation_monotonicity():
     # nested subspaces: the ground energy cannot rise with more levels
     params = ModelParams(1.0, 1.0, 1.0)
-    energies = [ground_state_at(params, n)[0] for n in (8, 16, 32, 64, 128)]
+    energies = [ground_state_at(params, n).energy for n in (8, 16, 32, 64, 128)]
     for lo, hi in zip(energies, energies[1:]):
         assert hi <= lo + 1e-12
 
@@ -203,8 +203,7 @@ def test_ground_state_at_matches_dense_spectrum(omega_c, g, n_max):
 
 @pytest.mark.parametrize("omega_c,g", [(1.0, 0.0), (1.0, 0.4), (1.0, 3.5), (0.5, 2.0), (0.2, 2.0)])
 def test_ladder_equals_standalone_converged_rung(omega_c, g):
-    # the ladder solves only energies below the converged rung, then
-    # completes that rung by the code ground_state_at runs
+    # ground_state returns the accepted ground_state_at solve itself
     params = ModelParams(1.0, omega_c, g)
     result = ground_state(params)
     rung = ground_state_at(params, result.n_max_used)
@@ -216,9 +215,8 @@ def test_ladder_equals_standalone_converged_rung(omega_c, g):
     assert result.parity_splitting == rung.parity_splitting
 
 
-def test_ladder_work_counts(monkeypatch):
-    # k rungs: k odd-sector eigenvalue solves, and the even sector and the
-    # vector on the converged rung only
+def test_solve_work_counts(monkeypatch):
+    # one solve: both sectors' eigenvalues once and one inverse iteration
     odd_bands, solves, iterations = set(), [], []
     real_sector, real_solve, real_iterate = (
         exact.sector_hamiltonian, exact._lowest_eigenvalues, exact._inverse_iteration
@@ -241,11 +239,85 @@ def test_ladder_work_counts(monkeypatch):
     monkeypatch.setattr(exact, "sector_hamiltonian", sector)
     monkeypatch.setattr(exact, "_lowest_eigenvalues", solve)
     monkeypatch.setattr(exact, "_inverse_iteration", iterate)
-    result = ground_state(ModelParams(1.0, 1.0, 0.4))
-    assert result.n_max_used == 32  # rungs 16 and 32
-    assert solves.count(True) == 2
+    result = ground_state_at(ModelParams(1.0, 1.0, 0.4), 20)
+    assert result.n_max_used == 20
+    assert solves.count(True) == 1
     assert solves.count(False) == 1
     assert len(iterations) == 1
+
+
+def _record_sizes(monkeypatch):
+    """The n_max of every ground_state_at call ground_state makes."""
+    sizes, real = [], exact.ground_state_at
+
+    def solve(params, n_max):
+        sizes.append(n_max)
+        return real(params, n_max)
+
+    monkeypatch.setattr(exact, "ground_state_at", solve)
+    return sizes
+
+
+def test_sized_first_truncation_is_accepted(monkeypatch):
+    # alpha = 0.4: ceil(0.16 + 3.2 + 16) = 20 levels, certified at once
+    sizes = _record_sizes(monkeypatch)
+    result = ground_state(ModelParams(1.0, 1.0, 0.4))
+    assert sizes == [20] and result.n_max_used == 20
+    assert result.convergence_gap < 1e-10
+
+
+def test_truncation_grows_by_a_quarter_up_to_the_cap(monkeypatch):
+    # a tolerance no solve meets: 20, 25, 32, 40, then the cap, never above
+    sizes = _record_sizes(monkeypatch)
+    with pytest.raises(RuntimeError, match="not converged"):
+        ground_state(ModelParams(1.0, 1.0, 0.4), tol=1e-300, n_max_cap=45)
+    assert sizes == [20, 25, 32, 40, 45]
+
+
+@pytest.mark.parametrize("omega_c,g,n_max", [(1.0, 1.0, 8), (0.5, 1.0, 10), (2.0, 0.7, 6), (0.2, 1.0, 40)])
+def test_error_estimate_is_the_padded_residual(omega_c, g, n_max):
+    # dense reference: the zero-padded vector's residual in H one level up,
+    # over the odd sector's own gap
+    params = ModelParams(1.0, omega_c, g)
+    result = ground_state_at(params, n_max)
+    h = build_hamiltonian(params, FockTruncation(n_max + 1))
+    v = pad_state(result.state, n_max + 1).coefficients
+    residual = np.linalg.norm(h @ v - result.energy * v)
+    assert residual > 1e-6
+    trunc = FockTruncation(n_max)
+    signs, q = np.linalg.eigh(parity_operator(trunc))
+    odd = np.linalg.eigvalsh(q[:, signs < 0].T @ build_hamiltonian(params, trunc) @ q[:, signs < 0])
+    assert result.convergence_gap == pytest.approx(residual**2 / (odd[1] - odd[0]), rel=1e-9)
+
+
+def test_error_estimate_certifies_the_truncation():
+    # Kato-Temple estimate against the error to a much larger truncation,
+    # over truncations from far too small up to the sized one (alpha <= 40)
+    tol, compared = 1e-10, 0
+    for omega_c in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
+        for g in np.linspace(0.0, min(5.0, 40.0 * omega_c), 7)[1:]:
+            params = ModelParams(1.0, omega_c, g)
+            alpha = g / omega_c
+            reference = ground_state_at(params, int(alpha * alpha + 20 * alpha + 200)).energy
+            sized = int(np.ceil(alpha * alpha + 8 * alpha + 16))
+            for n_max in np.unique(np.geomspace(8, sized, 12).astype(int)):
+                result = ground_state_at(params, int(n_max))
+                error = result.energy - reference
+                assert not (result.convergence_gap < tol and error > tol), (omega_c, g, n_max)
+                if 1e-12 * abs(reference) < error < 1e-3:
+                    compared += 1
+                    assert result.convergence_gap >= error, (omega_c, g, n_max)
+    assert compared >= 50
+
+
+@pytest.mark.parametrize("g", [4.4, 5.0])
+def test_small_omega_c_deep_coupling_converges(g):
+    # alpha = 44 and 50 need more than 2048 Fock levels
+    params = ModelParams(1.0, 0.1, g)
+    result = ground_state(params)
+    assert result.n_max_used <= 4096
+    reference = ground_state_at(params, result.n_max_used + 1024)
+    assert result.energy == pytest.approx(reference.energy, rel=1e-12)
 
 
 @pytest.mark.parametrize(

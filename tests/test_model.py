@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,3 +207,34 @@ class TestCoherentState:
             errs.append(abs(v @ (a + a.T) @ v - 1.0))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-12
+
+    @pytest.mark.parametrize("amplitude", [-30.0, -7.5, 0.9, 12.0, 30.0])
+    def test_moderate_amplitude_is_the_plain_recurrence(self, amplitude):
+        n_levels = int(amplitude * amplitude + 12 * abs(amplitude) + 20)
+        expected = np.zeros(n_levels)
+        expected[0] = math.exp(-amplitude * amplitude / 2.0)
+        for n in range(1, n_levels):
+            expected[n] = expected[n - 1] * amplitude / math.sqrt(n)
+        v = coherent_state_vector(amplitude, FockTruncation(n_levels - 1))
+        np.testing.assert_allclose(v, expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("amplitude,n_max", [(44.0, 2304), (-44.0, 2304), (60.0, 4096), (100.0, 12000)])
+    def test_large_amplitude_matches_poisson_weights(self, amplitude, n_max):
+        # exp(-amplitude^2 / 2) underflows here; the vector must not vanish
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FockTruncationWarning)
+            v = coherent_state_vector(amplitude, FockTruncation(n_max))
+        assert abs(1.0 - v @ v) < 1e-14
+        n = np.arange(n_max + 1)
+        a2 = amplitude * amplitude
+        log_weight = -a2 + n * math.log(a2) - np.array([math.lgamma(k + 1.0) for k in n])
+        bulk = log_weight > math.log(1e-30)
+        np.testing.assert_allclose(v[bulk] ** 2, np.exp(log_weight[bulk]), rtol=1e-9)
+        # the sign of amplitude^n
+        assert np.all(np.sign(v[bulk]) == np.sign(amplitude) ** n[bulk])
+
+    def test_large_amplitude_truncation_warning(self):
+        # the peak, n = 1936, lies past the truncation
+        with pytest.warns(FockTruncationWarning, match="loses norm"):
+            v = coherent_state_vector(44.0, FockTruncation(1000))
+        assert v.shape == (1001,)
