@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import entangle, transform, variational
-from .exact import fidelity, ground_state
+from .exact import DEFAULT_TOL, fidelity, ground_state
 from .model import FockTruncation, ModelParams
 
 METHODS = ("exact", "variational", "transform", "corrected")
@@ -61,12 +61,12 @@ class _Parser(argparse.ArgumentParser):
 class _Point:
     """The stages at one parameter point, each run when first read and kept."""
 
-    def __init__(self, params: ModelParams, tol: float, n_max_start: int):
-        self.params, self.tol, self.n_max_start = params, tol, n_max_start
+    def __init__(self, params: ModelParams, tol: float):
+        self.params, self.tol = params, tol
 
     @cached_property
     def exact(self):
-        return ground_state(self.params, tol=self.tol, n_max_start=self.n_max_start)
+        return ground_state(self.params, tol=self.tol)
 
     @cached_property
     def var(self):
@@ -149,19 +149,17 @@ POINT_COMMANDS = {
 }  # fmt: skip
 
 
-def evaluate(
-    params: ModelParams, columns: tuple[str, ...], tol: float, n_max_start: int
-) -> dict:
+def evaluate(params: ModelParams, columns: tuple[str, ...], tol: float) -> dict:
     """The values of ``columns`` (keys of COLUMNS) at one parameter point.
 
     Values are computed in column order.  Each stage (exact ground state,
     variational solution, dressed levels, perturbative correction, reduced
     density matrix) runs at most once, when the first column that needs it
-    is read; ``tol`` and ``n_max_start`` go to the exact solver.  If
+    is read; ``tol`` goes to the exact solver.  If
     ``columns`` holds "error", a failure ends the row and is recorded there;
     otherwise it is raised.
     """
-    point = _Point(params, tol, n_max_start)
+    point = _Point(params, tol)
     row = {}
     try:
         for column in columns:
@@ -189,12 +187,12 @@ def sweep_columns(methods: tuple[str, ...], outputs: tuple[str, ...]) -> tuple[s
 
 
 def _sweep_row(task: tuple) -> dict:
-    g, omega_c, columns, tol, n_max_start = task
+    g, omega_c, columns, tol = task
     try:
         params = ModelParams(1.0, omega_c, g)
     except ValueError as exc:  # recorded in-row like any failure inside evaluate
         return {"g": g, "error": f"ValueError: {exc}"}
-    return evaluate(params, columns, tol, n_max_start)
+    return evaluate(params, columns, tol)
 
 
 def locate_negativity_zero(
@@ -205,7 +203,6 @@ def locate_negativity_zero(
     threshold: float,
     g_tol: float,
     tol: float,
-    n_max_start: int,
 ) -> float:
     """Coupling at which the exact-state negativity falls below ``threshold``.
 
@@ -213,13 +210,15 @@ def locate_negativity_zero(
     change, so "zero" must mean "below a resolution"; ``find-zero``'s
     default threshold is half a unit in the fifth decimal place, the
     precision of the benchmark table.  Bisection to ``g_tol`` needs the
-    bracket ``[g_lo, g_hi]`` to straddle the threshold, otherwise this
-    raises; ``tol`` and ``n_max_start`` go to the exact solver.
+    bracket ``[g_lo, g_hi]`` to straddle the threshold and a positive
+    ``g_tol``, otherwise this raises; ``tol`` goes to the exact solver.
     """
     def above(g: float) -> bool:
         params = ModelParams(1.0, omega_c, g)
-        value = evaluate(params, ("negativity_exact",), tol, n_max_start)["negativity_exact"]
-        return value > threshold
+        return evaluate(params, ("negativity_exact",), tol)["negativity_exact"] > threshold
+
+    if not g_tol > 0:
+        raise ValueError(f"g_tol must be positive, got {g_tol}")
 
     if not above(g_lo):
         raise ValueError(
@@ -304,6 +303,13 @@ def _subset(text: str, universe: tuple[str, ...], kind: str) -> tuple[str, ...]:
     return tuple(u for u in universe if u in items)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def require_g(opt: argparse.Namespace) -> float:
     if opt.g is None:
         raise UsageError("a coupling strength is required (--g or config 'g')")
@@ -313,7 +319,8 @@ def require_g(opt: argparse.Namespace) -> float:
 def cmd_point(opt: argparse.Namespace) -> int:
     """One parameter point, projected onto the subcommand's columns."""
     params = ModelParams(1.0, opt.omega_c, require_g(opt))
-    row = evaluate(params, opt.columns, opt.tol, opt.nmax_start)
+    # without --tol the columns never run the exact stage
+    row = evaluate(params, opt.columns, getattr(opt, "tol", None))
     _write(render_rows(opt.columns, [row], opt.format), opt.output)
     return 0
 
@@ -331,7 +338,7 @@ def cmd_table1(opt: argparse.Namespace) -> int:
     rows = []
     mismatches = []
     for g, *refs in REFERENCE_ENERGIES:
-        computed = evaluate(ModelParams(1.0, 1.0, g), columns[1:4], opt.tol, opt.nmax_start)
+        computed = evaluate(ModelParams(1.0, 1.0, g), columns[1:4], opt.tol)
         row = {"g": g, **dict(zip(columns[4:], refs))}
         for name, want in zip(columns[1:4], refs):
             have = computed[name]
@@ -355,9 +362,11 @@ def cmd_sweep(opt: argparse.Namespace) -> int:
         raise UsageError(f"g_min={opt.g_min} exceeds g_max={opt.g_max}")
     if opt.steps < 1:
         raise UsageError(f"steps must be >= 1, got {opt.steps}")
+    if opt.parallel < 1:
+        raise UsageError(f"parallel must be >= 1, got {opt.parallel}")
     columns = sweep_columns(opt.methods, opt.outputs)
     tasks = [
-        (float(g), opt.omega_c, columns, opt.tol, opt.nmax_start)
+        (float(g), opt.omega_c, columns, opt.tol)
         for g in np.linspace(opt.g_min, opt.g_max, opt.steps)
     ]
     if opt.parallel > 1:
@@ -370,6 +379,8 @@ def cmd_sweep(opt: argparse.Namespace) -> int:
 
 
 def cmd_find_zero(opt: argparse.Namespace) -> int:
+    if not opt.g_min < opt.g_max:
+        raise UsageError(f"g_min={opt.g_min} must be below g_max={opt.g_max}")
     crossing = locate_negativity_zero(
         opt.omega_c,
         g_lo=opt.g_min,
@@ -377,7 +388,6 @@ def cmd_find_zero(opt: argparse.Namespace) -> int:
         threshold=opt.threshold,
         g_tol=opt.g_tol,
         tol=opt.tol,
-        n_max_start=opt.nmax_start,
     )
     row = {
         "omega_c": opt.omega_c,
@@ -396,14 +406,13 @@ def _add_omega_c(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--nmax-start", type=int, default=16, help="smallest Fock truncation (default %(default)s)"
-    )
-    sub.add_argument(
-        "--tol", type=float, default=1e-10,
-        help="energy convergence tolerance (default %(default)s)",
-    )  # fmt: skip
+def _add_common(sub: argparse.ArgumentParser, tol: bool = True) -> None:
+    """The output flags, and ``--tol`` where the command can run the exact solver."""
+    if tol:
+        sub.add_argument(
+            "--tol", type=_positive_float, default=DEFAULT_TOL,
+            help="exact solver's energy tolerance (default %(default)s)",
+        )  # fmt: skip
     sub.add_argument(
         "--format", choices=("csv", "json"), default="csv",
         help="output format (default %(default)s)",
@@ -420,14 +429,15 @@ def build_parser() -> _Parser:
         sub = subparsers.add_parser(name, help=text)
         sub.add_argument("--g", type=float, help="coupling strength in units of omega_a")
         _add_omega_c(sub)
-        _add_common(sub)
+        _add_common(sub, tol=any("exact" in COLUMNS[column][0] for column in columns))
         sub.set_defaults(func=cmd_point, columns=columns, subparser=sub)
 
     # at resonance by definition: no --omega-c
     sub = subparsers.add_parser("table1", help="check the resonance energy benchmark")
     sub.add_argument(
-        "--ref-tol", type=float, default=2e-5, help="comparison tolerance (default %(default)s)"
-    )
+        "--ref-tol", type=_positive_float, default=2e-5,
+        help="comparison tolerance (default %(default)s)",
+    )  # fmt: skip
     _add_common(sub)
     sub.set_defaults(func=cmd_table1, subparser=sub)
 
@@ -464,8 +474,9 @@ def build_parser() -> _Parser:
         "in the benchmark table's fifth decimal)",
     )
     sub.add_argument(
-        "--g-tol", type=float, default=1e-3, help="bisection tolerance in g (default %(default)s)"
-    )
+        "--g-tol", type=_positive_float, default=1e-3,
+        help="bisection tolerance in g (default %(default)s)",
+    )  # fmt: skip
     _add_omega_c(sub)
     _add_common(sub)
     sub.set_defaults(func=cmd_find_zero, subparser=sub)

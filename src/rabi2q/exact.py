@@ -2,20 +2,20 @@
 
 H commutes with the parity ``model.parity_operator``, and the ground state
 lies in its odd sector (parity -1).  Each sector Hamiltonian is
-pentadiagonal and about half the size of the full space
-(``model.sector_hamiltonian``).  At one truncation the two lowest
-odd-sector eigenvalues and the lowest even-sector eigenvalue come from
-LAPACK's banded eigenvalue solver dsbevx (eigenvalues only, no reduction
-matrix), and the ground vector from inverse iteration with banded LU
-solves; nothing dense is assembled.  The full spectrum is the union of the
-two sectors, so the excited gap is min(E1_odd, E0_even) - E0_odd.
+pentadiagonal and about half the size of the full space, and is read only
+in the LAPACK lower band storage ``model.sector_hamiltonian`` builds.  At
+one truncation the two lowest odd-sector eigenvalues and the lowest
+even-sector eigenvalue come from LAPACK's banded eigenvalue solver dsbevx
+(eigenvalues only), and the ground vector from inverse iteration with
+banded Cholesky solves; nothing dense is assembled.  The full spectrum is
+the union of the sectors, so the excited gap is min(E1_odd, E0_even) - E0_odd.
 
 The Fock truncation is sized from alpha = g / omega_c, an upper bound on
 the field displacement, and one solve there is accepted on its own
 truncation-error estimate: the residual of the zero-padded ground vector
 in the untruncated H, in Kato-Temple form (``ground_state_at``).  Only
 when the estimate exceeds the tolerance is the truncation grown, by a
-quarter, and solved again.
+quarter, up to ``N_MAX_CAP``, and solved again.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import scipy.linalg
 from .model import ATOM_DIM, FockTruncation, ModelParams, sector_hamiltonian
 
 INVERSE_ITERATIONS = 2
+N_MAX_CAP = 4096  # largest Fock truncation ground_state tries
+DEFAULT_TOL = 1e-10  # ground_state's absolute energy tolerance
 
 # The LAPACK routine and tolerance scipy.linalg.eig_banded uses for
 # selected eigenvalues, bound once: its Python-side checks add about 25 us
@@ -110,34 +112,25 @@ def _lowest_eigenvalues(band: np.ndarray, count: int) -> np.ndarray:
     return w[:m]
 
 
-def _band_matvec(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    out = band[0] * vec
-    for k in (1, 2):
-        out[k:] += band[k, :-k] * vec[:-k]
-        out[:-k] += band[k, :-k] * vec[k:]
-    return out
-
-
 def _inverse_iteration(band: np.ndarray, eigenvalue: float, start: np.ndarray) -> np.ndarray:
-    """Eigenvector of a computed eigenvalue, by banded solves of (H - shift) x = v.
+    """Eigenvector of the lowest eigenvalue, by banded Cholesky solves of (H - shift) x = v.
 
     The shift sits below the eigenvalue by 1e-10 of the largest entry, far
-    more than its rounding error, so H - shift is never exactly singular
-    (at g = 0 the eigenvalue -omega_a is exact); each solve still damps the
-    other eigenvectors by that offset over their distance.
+    more than its rounding error, so H - shift is positive definite and
+    never exactly singular (at g = 0 the eigenvalue -omega_a is exact);
+    each solve still damps the other eigenvectors by that offset over their
+    distance.  If the Cholesky factorisation fails, the shift is not below
+    the spectrum, so ``eigenvalue`` is not the lowest: LinAlgError.
     """
     shift = eigenvalue - 1e-10 * float(np.abs(band).max())
-    # LAPACK general band storage of H - shift, two extra rows for LU fill-in
-    ab = np.zeros((7, band.shape[1]))
-    ab[4] = band[0] - shift
-    ab[5, :-1] = ab[3, 1:] = band[1, :-1]
-    ab[6, :-2] = ab[2, 2:] = band[2, :-2]
-    lu, pivots, info = scipy.linalg.lapack.dgbtrf(ab, 2, 2)
+    shifted = np.vstack((band[0] - shift, band[1:]))
+    factor, info = scipy.linalg.lapack.dpbtrf(shifted, lower=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"banded LU of H - shift failed (info={info})")
+        msg = f"H - shift is not positive definite: {eigenvalue} is not the lowest eigenvalue"
+        raise np.linalg.LinAlgError(f"{msg} (dpbtrf info={info})")
     vec = start
     for _ in range(INVERSE_ITERATIONS):
-        vec = scipy.linalg.lapack.dgbtrs(lu, 2, 2, vec, pivots)[0]
+        vec = scipy.linalg.lapack.dpbtrs(factor, vec, lower=1)[0]
         vec /= np.linalg.norm(vec)
     return vec
 
@@ -171,52 +164,45 @@ def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
     start[embedding.start[embedding.paired] + 1] = -depth_sign[embedding.paired]
     vec = _inverse_iteration(band, energy, start)
     leak = params.g * math.sqrt(n_max + 1) * abs(float(vec[embedding.start[-1]]))
+    h_vec = scipy.linalg.blas.dsbmv(2, 1.0, band, vec, lower=1)
     return GroundStateResult(
         energy=energy,
         state=make_state(embedding.embed(vec), n_max),
         n_max_used=n_max,
         convergence_gap=leak * leak / (odd_1 - energy),
         excited_gap=max(0.0, min(odd_1, even_0) - energy),
-        residual=float(np.linalg.norm(_band_matvec(band, vec) - energy * vec)),
+        residual=float(np.linalg.norm(h_vec - energy * vec)),
         parity_splitting=even_0 - energy,
     )
 
 
-def ground_state(
-    params: ModelParams,
-    tol: float = 1e-10,
-    n_max_start: int = 16,
-    n_max_cap: int = 4096,
-) -> GroundStateResult:
+def ground_state(params: ModelParams, tol: float = DEFAULT_TOL) -> GroundStateResult:
     """Ground state on a truncation sized from g/omega_c, accepted on its own error estimate.
 
     alpha = g / omega_c bounds the field displacement, so the first solve
-    is at n_max = alpha^2 + 8 alpha + 16, at least ``n_max_start`` and at
-    most ``n_max_cap``.  The truncation grows by a quarter until the
-    estimate of ``ground_state_at`` is below ``tol``, an absolute energy
-    tolerance in the units of ``params``.  Raises RuntimeError if the cap
-    is reached without that, which signals pathological parameters rather
-    than a tight tolerance, and if the accepted even-sector ground energy
-    lies below the odd-sector one, which would break the premise that the
-    ground state is odd.
+    is at n_max = alpha^2 + 8 alpha + 16, at most ``N_MAX_CAP``.  The
+    truncation grows by a quarter until the estimate of ``ground_state_at``
+    is below ``tol``, a positive absolute energy tolerance in the units of
+    ``params``.  Raises RuntimeError if the cap is reached without that,
+    which signals pathological parameters rather than a tight tolerance,
+    and if the accepted even-sector ground energy lies below the odd-sector
+    one, which would break the premise that the ground state is odd.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if n_max_start < 8:
-        raise ValueError(f"n_max_start must be >= 8, got {n_max_start}")
 
     alpha = params.g / params.omega_c
-    n_max = min(max(n_max_start, math.ceil(alpha * alpha + 8.0 * alpha + 16.0)), n_max_cap)
+    n_max = min(math.ceil(alpha * alpha + 8.0 * alpha + 16.0), N_MAX_CAP)
     while True:
         result = ground_state_at(params, n_max)
         if result.convergence_gap < tol:
             break
-        if n_max >= n_max_cap:
+        if n_max >= N_MAX_CAP:
             raise RuntimeError(
-                f"ground state not converged to {tol:g} by n_max={n_max_cap} "
+                f"ground state not converged to {tol:g} by n_max={N_MAX_CAP} "
                 f"(omega_a={params.omega_a}, omega_c={params.omega_c}, g={params.g})"
             )
-        n_max = min(math.ceil(1.25 * n_max), n_max_cap)
+        n_max = min(math.ceil(1.25 * n_max), N_MAX_CAP)
     if result.parity_splitting < -1e-12 * (abs(result.energy) + 1.0):
         raise RuntimeError(
             f"even-sector ground energy lies {-result.parity_splitting:.3e} below "

@@ -35,6 +35,8 @@ SQRT2 = math.sqrt(2.0)
 
 ATOM_DIM = 3
 
+COHERENT_DEFICIT_TOL = 1e-12  # norm deficit above which a coherent state warns
+
 
 class FockTruncationWarning(UserWarning):
     """A coherent state lost more weight to Fock truncation than tolerated."""
@@ -166,14 +168,12 @@ def sector_hamiltonian(
     return band, SectorEmbedding(paired, start)
 
 
-def coherent_state_vector(
-    amplitude: float, trunc: FockTruncation, deficit_tol: float = 1e-12
-) -> np.ndarray:
+def coherent_state_vector(amplitude: float, trunc: FockTruncation) -> np.ndarray:
     """Fock components exp(-amplitude^2/2) * amplitude^n / sqrt(n!), n = 0..n_max.
 
     The vector is deliberately not renormalized, so the truncation error is
     visible as a norm deficit 1 - <v, v>.  A FockTruncationWarning reporting
-    that deficit is emitted when it exceeds ``deficit_tol``.
+    that deficit is emitted when it exceeds ``COHERENT_DEFICIT_TOL``.
 
     The components follow from v_0 by v_n = v_(n-1) * amplitude / sqrt(n),
     unless v_0 is below the smallest normal float (|amplitude| above about
@@ -189,7 +189,7 @@ def coherent_state_vector(
         for n in range(1, trunc.n_levels):
             v[n] = v[n - 1] * amplitude / math.sqrt(n)
     deficit = 1.0 - float(v @ v)
-    if deficit > deficit_tol:
+    if deficit > COHERENT_DEFICIT_TOL:
         warnings.warn(
             f"coherent state amplitude={amplitude} loses norm {deficit:.3e} "
             f"at n_max={trunc.n_max}",

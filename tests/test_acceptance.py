@@ -98,7 +98,7 @@ def test_criterion_5_small_g_negativity_law(exact_ground):
 
 def test_criterion_6_negativity_zero_crossing_and_maximum(exact_ground):
     crossing = locate_negativity_zero(
-        1.0, g_lo=1.5, g_hi=3.5, threshold=NEGATIVITY_FLOOR, g_tol=1e-3, tol=1e-10, n_max_start=16
+        1.0, g_lo=1.5, g_hi=3.5, threshold=NEGATIVITY_FLOOR, g_tol=1e-3, tol=1e-10
     )
     stays_zero = all(
         negativity_numerical(reduced_density_from_joint(exact_ground(g).state)).value

@@ -24,6 +24,15 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def exit_code(capsys, argv):
+    """Exit code and stdout, whether the parser or a command rejects ``argv``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
 def csv_rows(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -168,7 +177,7 @@ class TestSweep:
              "negativity_approx"),
         )
         for g in np.linspace(0.0, 1.0, 6):
-            row = evaluate(ModelParams(1.0, 1.0, float(g)), columns, 1e-10, 16)
+            row = evaluate(ModelParams(1.0, 1.0, float(g)), columns, 1e-10)
             assert row["error"] == ""
             for method in ("exact", "variational", "transform", "corrected"):
                 assert math.isfinite(row[f"energy_{method}"])
@@ -267,13 +276,19 @@ class TestFindZero:
         assert "already" in err
 
     # find-zero's defaults
-    SEARCH = {"threshold": 5e-6, "g_tol": 1e-3, "tol": 1e-10, "n_max_start": 16}
+    SEARCH = {"threshold": 5e-6, "g_tol": 1e-3, "tol": 1e-10}
 
     def test_crossing_unique_in_widened_bracket(self):
         # monotone decay past the maximum: scan brackets agree with bisection
         a = locate_negativity_zero(1.0, g_lo=1.5, g_hi=3.5, **self.SEARCH)
         b = locate_negativity_zero(1.0, g_lo=2.0, g_hi=3.2, **self.SEARCH)
         assert abs(a - b) < 5e-3
+
+    @pytest.mark.parametrize("g_tol", [0.0, -1e-3, float("nan")])
+    def test_nonpositive_g_tol_raises(self, g_tol):
+        search = {**self.SEARCH, "g_tol": g_tol}
+        with pytest.raises(ValueError, match="g_tol"):
+            locate_negativity_zero(1.0, g_lo=1.5, g_hi=3.5, **search)
 
     def test_detuned_crossing_exists(self):
         # exploratory, no benchmark value: positive detuning pushes the
@@ -314,6 +329,34 @@ class TestFlagsAndConfig:
         assert out == ""
         assert target.read_text().startswith("g,omega_c,")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["ground", "--g", "0.4", "--nmax-start", "16"],
+         ["variational", "--g", "0.4", "--tol", "1e-3"],
+         ["transform", "--g", "0.4", "--tol", "1e-3"]],
+        ids=" ".join,
+    )  # fmt: skip
+    def test_flags_nothing_reads_are_rejected(self, capsys, argv):
+        # variational and transform never run the exact solver
+        assert exit_code(capsys, argv) == (3, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ground", "--g", "0.4", "--tol", "nan"],
+         ["ground", "--g", "0.4", "--tol=-1e-10"],
+         ["sweep", "--tol", "0"],
+         ["sweep", "--parallel", "-3"],
+         ["sweep", "--parallel", "0"],
+         ["find-zero", "--g-tol", "0"],
+         ["find-zero", "--g-tol", "nan"],
+         ["find-zero", "--g-min", "3.5", "--g-max", "1.5"],
+         ["find-zero", "--g-min", "2.0", "--g-max", "2.0"],
+         ["table1", "--ref-tol", "nan"]],
+        ids=" ".join,
+    )  # fmt: skip
+    def test_bad_values_are_usage_errors_before_any_row(self, capsys, argv):
+        assert exit_code(capsys, argv) == (3, "")
+
     def test_render_rows_csv_formatting(self):
         text = render_rows(["g", "value"], [{"g": 0.1, "value": -1.0101523423}], "csv")
         assert text == "g,value\n0.1,-1.010152342\n"
@@ -321,7 +364,7 @@ class TestFlagsAndConfig:
 
 def test_evaluate_direct():
     columns = sweep_columns(("exact", "variational"), ("energy",))
-    row = evaluate(ModelParams(1.0, 1.0, 0.2), columns, 1e-10, 16)
+    row = evaluate(ModelParams(1.0, 1.0, 0.2), columns, 1e-10)
     assert row["error"] == ""
     assert row["energy_exact"] == pytest.approx(-1.01015, abs=2e-5)
     assert row["energy_variational"] == pytest.approx(-1.01013, abs=2e-5)
@@ -401,7 +444,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("column", sorted(COLUMNS))
     def test_column_runs_exactly_the_stages_it_declares(self, monkeypatch, column):
         calls = self._count_stages(monkeypatch)
-        evaluate(ModelParams(1.0, 1.0, 0.4), (column,), 1e-10, 16)
+        evaluate(ModelParams(1.0, 1.0, 0.4), (column,), 1e-10)
         assert calls == dict.fromkeys(COLUMNS[column][0], 1)
 
     def test_failure_keeps_earlier_values(self, monkeypatch):
@@ -410,16 +453,16 @@ class TestEvaluate:
 
         monkeypatch.setattr(variational, "solve", fail)
         columns = ("g", "energy_exact", "energy_variational", "n_max_used", "error")
-        row = evaluate(ModelParams(1.0, 1.0, 0.4), columns, 1e-10, 16)
+        row = evaluate(ModelParams(1.0, 1.0, 0.4), columns, 1e-10)
         assert list(row) == ["g", "energy_exact", "error"]
         assert row["error"] == "RuntimeError: no well"
         with pytest.raises(RuntimeError, match="no well"):
-            evaluate(ModelParams(1.0, 1.0, 0.4), columns[:-1], 1e-10, 16)
+            evaluate(ModelParams(1.0, 1.0, 0.4), columns[:-1], 1e-10)
 
     def test_stat_residual_is_the_solvers_own(self):
         params = ModelParams(1.0, 0.5, 2.0)
         var = variational.solve(params)
-        row = evaluate(params, ("stat_residual",), 1e-10, 16)
+        row = evaluate(params, ("stat_residual",), 1e-10)
         assert row["stat_residual"] == var.residual
         assert var.residual == variational.stationarity_residual(var.alpha, var.beta, params)
 

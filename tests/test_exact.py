@@ -111,17 +111,18 @@ def test_deep_coupling_returns_lowest_pair_with_gap_diagnostic(exact_ground):
     assert np.linalg.norm(result.state.coefficients) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_hard_cap_raises():
+def test_hard_cap_raises(monkeypatch):
     # alpha = g / omega_c = 10 needs about 200 Fock levels; the cap allows 64
+    monkeypatch.setattr(exact, "N_MAX_CAP", 64)
     with pytest.raises(RuntimeError, match="not converged"):
-        ground_state(ModelParams(1.0, 0.2, 2.0), tol=1e-10, n_max_start=8, n_max_cap=64)
+        ground_state(ModelParams(1.0, 0.2, 2.0), tol=1e-10)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
         ground_state(ModelParams(1.0, 1.0, 0.5), tol=0.0)
     with pytest.raises(ValueError):
-        ground_state(ModelParams(1.0, 1.0, 0.5), n_max_start=4)
+        ground_state(ModelParams(1.0, 1.0, 0.5), tol=float("nan"))
 
 
 class TestFidelity:
@@ -184,7 +185,7 @@ def test_ground_state_at_matches_dense_spectrum(omega_c, g, n_max):
     trunc = FockTruncation(n_max)
     h = build_hamiltonian(params, trunc)
     signs, q = np.linalg.eigh(parity_operator(trunc))
-    odd = np.linalg.eigvalsh(q[:, signs < 0].T @ h @ q[:, signs < 0])
+    odd, odd_vectors = np.linalg.eigh(q[:, signs < 0].T @ h @ q[:, signs < 0])
     even = np.linalg.eigvalsh(q[:, signs > 0].T @ h @ q[:, signs > 0])
     full = np.linalg.eigvalsh(h)
 
@@ -194,11 +195,27 @@ def test_ground_state_at_matches_dense_spectrum(omega_c, g, n_max):
     assert energy + rung.parity_splitting == pytest.approx(even[0], abs=1e-12)
     assert gap == pytest.approx(max(0.0, min(odd[1], even[0]) - odd[0]), abs=1e-10)
     assert _odd_weight(state) >= 1.0 - 1e-12
+    v = state.coefficients
+    assert abs(v @ (q[:, signs < 0] @ odd_vectors[:, 0])) >= 1.0 - 1e-12
+    assert rung.residual == pytest.approx(np.linalg.norm(h @ v - energy * v), abs=1e-14)
     # the full spectrum is the union of the sectors
     assert min(energy, even[0]) == pytest.approx(full[0], abs=1e-12)
     if rung.parity_splitting >= 0.0:
         assert energy == pytest.approx(full[0], abs=1e-12)
         assert gap == pytest.approx(full[1] - full[0], abs=1e-10)
+
+
+def test_inverse_iteration_needs_the_lowest_eigenvalue():
+    # H - shift is positive definite only below the spectrum: given the
+    # second eigenvalue, the Cholesky factorisation fails instead of
+    # returning that eigenvalue's vector
+    band = model.sector_hamiltonian(ModelParams(1.0, 1.0, 0.4), FockTruncation(20), odd=True)[0]
+    lowest, second = exact._lowest_eigenvalues(band, 2)
+    start = np.ones(band.shape[1])
+    vec = exact._inverse_iteration(band, lowest, start)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(np.linalg.LinAlgError, match="not the lowest"):
+        exact._inverse_iteration(band, second, start)
 
 
 @pytest.mark.parametrize("omega_c,g", [(1.0, 0.0), (1.0, 0.4), (1.0, 3.5), (0.5, 2.0), (0.2, 2.0)])
@@ -269,8 +286,9 @@ def test_sized_first_truncation_is_accepted(monkeypatch):
 def test_truncation_grows_by_a_quarter_up_to_the_cap(monkeypatch):
     # a tolerance no solve meets: 20, 25, 32, 40, then the cap, never above
     sizes = _record_sizes(monkeypatch)
+    monkeypatch.setattr(exact, "N_MAX_CAP", 45)
     with pytest.raises(RuntimeError, match="not converged"):
-        ground_state(ModelParams(1.0, 1.0, 0.4), tol=1e-300, n_max_cap=45)
+        ground_state(ModelParams(1.0, 1.0, 0.4), tol=1e-300)
     assert sizes == [20, 25, 32, 40, 45]
 
 
