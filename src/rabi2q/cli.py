@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -358,6 +358,8 @@ def cmd_table1(opt: argparse.Namespace) -> int:
 
 
 def cmd_sweep(opt: argparse.Namespace) -> int:
+    if not (math.isfinite(opt.g_min) and math.isfinite(opt.g_max)):
+        raise UsageError(f"g_min={opt.g_min} and g_max={opt.g_max} must be finite")
     if opt.g_min > opt.g_max:
         raise UsageError(f"g_min={opt.g_min} exceeds g_max={opt.g_max}")
     if opt.steps < 1:
@@ -370,6 +372,8 @@ def cmd_sweep(opt: argparse.Namespace) -> int:
         for g in np.linspace(opt.g_min, opt.g_max, opt.steps)
     ]
     if opt.parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=opt.parallel) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
@@ -468,7 +472,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--g-max", type=float, default=3.5, help="bracket end (default %(default)s)")
     sub.add_argument(
         "--threshold",
-        type=float,
+        type=_positive_float,
         default=5e-6,
         help="negativity below this counts as zero (default %(default)s, half a unit "
         "in the benchmark table's fifth decimal)",

@@ -20,8 +20,6 @@ import numpy as np
 from .exact import JointState
 from .model import ATOM_DIM, SQRT2, ModelParams
 
-BASIS_LABELS = ("ee", "eg", "ge", "gg")
-
 # Columns: m = (+1, 0, -1) expressed in the (ee, eg, ge, gg) basis.  With
 # |e/g> = (|up> +/- |dn>)/sqrt2 per qubit:
 #   |m=+1> = |up,up>             -> (|ee> + |eg> + |ge> + |gg>) / 2
@@ -49,7 +47,6 @@ class TwoQubitDensityMatrix:
 class NegativityResult:
     value: float
     negative_eigenvalues: tuple[float, ...]
-    method: str  # "numerical_pt" | "closed_form" | "small_g"
 
 
 def reduced_density_from_joint(state: JointState) -> TwoQubitDensityMatrix:
@@ -108,7 +105,6 @@ def negativity_numerical(rho: TwoQubitDensityMatrix) -> NegativityResult:
     return NegativityResult(
         value=float(-negative.sum()),
         negative_eigenvalues=tuple(float(x) for x in negative),
-        method="numerical_pt",
     )
 
 

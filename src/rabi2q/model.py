@@ -175,19 +175,39 @@ def coherent_state_vector(amplitude: float, trunc: FockTruncation) -> np.ndarray
     visible as a norm deficit 1 - <v, v>.  A FockTruncationWarning reporting
     that deficit is emitted when it exceeds ``COHERENT_DEFICIT_TOL``.
 
-    The components follow from v_0 by v_n = v_(n-1) * amplitude / sqrt(n),
-    unless v_0 is below the smallest normal float (|amplitude| above about
-    37.6); then the recurrence runs both ways from the peak, see
-    ``_coherent_from_peak``.
+    The magnitudes run from one anchor level n0 by the ratios
+    |amplitude| / sqrt(n) upwards and sqrt(n) / |amplitude| downwards, and
+    the odd components are negated last when amplitude < 0.  The anchor is
+    n0 = 0, v_0 = exp(-amplitude^2/2), while that is a normal float.  Past
+    that (|amplitude| above about 37.6) it is the peak n0 = round(amplitude^2),
+    or the top level if the truncation ends below the peak, so the work and
+    memory stay O(n_levels).  With d = n0 - amplitude^2, Stirling's series
+    for log(n0!) gives the peak anchor without cancellation:
+
+        log v_n0 = d/2 - (n0/2) log1p(d / amplitude^2) - log(2 pi n0)/4
+                   - 1/(24 n0) + 1/(720 n0^3)
+
+    The next term, 1/(2520 n0^5), is below rounding for n0 >= 1400, and
+    where a short truncation puts n0 lower, v_n0 is many orders of
+    magnitude below the peak.
     """
-    v0 = math.exp(-amplitude * amplitude / 2.0)
-    if v0 < sys.float_info.min:
-        v = _coherent_from_peak(amplitude, trunc.n_levels)
-    else:
-        v = np.zeros(trunc.n_levels)
+    a = abs(amplitude)
+    a2 = a * a
+    v0 = math.exp(-a2 / 2.0)
+    n0 = 0 if v0 >= sys.float_info.min else min(round(a2), trunc.n_max)
+    v = np.empty(trunc.n_levels)
+    if n0 == 0:
         v[0] = v0
-        for n in range(1, trunc.n_levels):
-            v[n] = v[n - 1] * amplitude / math.sqrt(n)
+    else:
+        log_v = (
+            0.5 * (n0 - a2) - 0.5 * n0 * math.log1p((n0 - a2) / a2)
+            - 0.25 * math.log(2.0 * math.pi * n0) - 1.0 / (24.0 * n0) + 1.0 / (720.0 * n0**3)
+        )
+        v[n0] = math.exp(log_v)
+    v[n0 + 1:] = v[n0] * np.cumprod(a / np.sqrt(np.arange(n0 + 1, trunc.n_levels)))
+    v[:n0] = v[n0] * np.cumprod(np.sqrt(np.arange(n0, 0, -1)) / a)[::-1]
+    if amplitude < 0:
+        v[1::2] = -v[1::2]
     deficit = 1.0 - float(v @ v)
     if deficit > COHERENT_DEFICIT_TOL:
         warnings.warn(
@@ -197,37 +217,6 @@ def coherent_state_vector(amplitude: float, trunc: FockTruncation) -> np.ndarray
             stacklevel=2,
         )
     return v
-
-
-def _coherent_from_peak(amplitude: float, n_levels: int) -> np.ndarray:
-    """Coherent-state components from the peak n0 = round(amplitude^2) outwards.
-
-    If the truncation ends below the peak, n0 is the top level instead, so
-    the work and memory stay O(n_levels).  With d = n0 - amplitude^2,
-    Stirling's series for log(n0!) gives the anchor without cancellation:
-
-        log v_n0 = d/2 - (n0/2) log1p(d / amplitude^2) - log(2 pi n0)/4
-                   - 1/(24 n0) + 1/(720 n0^3)
-
-    The next term, 1/(2520 n0^5), is below rounding for n0 >= 1400, and
-    where a short truncation puts n0 lower, v_n0 is many orders of
-    magnitude below the peak.  The ratios amplitude / sqrt(n) then run up
-    and down from n0.
-    """
-    a2 = amplitude * amplitude
-    n0 = max(1, min(round(a2), n_levels - 1))
-    log_v = (
-        0.5 * (n0 - a2) - 0.5 * n0 * math.log1p((n0 - a2) / a2)
-        - 0.25 * math.log(2.0 * math.pi * n0) - 1.0 / (24.0 * n0) + 1.0 / (720.0 * n0**3)
-    )
-    a = abs(amplitude)
-    length = max(n_levels, n0 + 1)
-    mag = np.empty(length)
-    mag[n0] = math.exp(log_v)
-    mag[n0 + 1:] = mag[n0] * np.cumprod(a / np.sqrt(np.arange(n0 + 1, length)))
-    mag[:n0] = mag[n0] * np.cumprod(np.sqrt(np.arange(n0, 0, -1)) / a)[::-1]
-    sign = (-1.0) ** np.arange(n_levels) if amplitude < 0 else 1.0
-    return sign * mag[:n_levels]
 
 
 def parity_operator(trunc: FockTruncation) -> np.ndarray:

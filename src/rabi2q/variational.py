@@ -171,10 +171,12 @@ def trial_state(sol: VariationalSolution, trunc: FockTruncation) -> JointState:
     """Materialize the trial vector on a Fock truncation (renormalized once).
 
     Atom order is m = (+1, 0, -1): the m=+1 component carries |-alpha>, the
-    m=0 component beta |0>, the m=-1 component |+alpha>.
+    m=0 component beta |0>, the m=-1 component |+alpha>.  One coherent
+    vector serves both, since <n|-alpha> = (-1)^n <n|alpha>.
     """
     plus = coherent_state_vector(sol.alpha, trunc)
-    minus = coherent_state_vector(-sol.alpha, trunc)
+    minus = plus.copy()
+    minus[1::2] = -minus[1::2]
     vec = np.zeros(trunc.dim)
     vec[0::3] = minus
     vec[1] = sol.beta  # beta |0>_F on the m=0 level

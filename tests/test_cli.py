@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,19 @@ class TestSweep:
         _, serial, _ = run_cli(capsys, base)
         _, parallel, _ = run_cli(capsys, base + ["--parallel", "2"])
         assert serial == parallel
+
+    def test_process_pool_is_imported_only_under_parallel(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        probe = (
+            "import sys, rabi2q.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
 
     def test_fidelity_column_above_0p999_up_to_half_coupling(self, capsys):
         code, out, _ = run_cli(
@@ -351,7 +368,12 @@ class TestFlagsAndConfig:
          ["find-zero", "--g-tol", "nan"],
          ["find-zero", "--g-min", "3.5", "--g-max", "1.5"],
          ["find-zero", "--g-min", "2.0", "--g-max", "2.0"],
-         ["table1", "--ref-tol", "nan"]],
+         ["table1", "--ref-tol", "nan"],
+         ["sweep", "--g-min", "nan", "--g-max", "1", "--steps", "3"],
+         ["sweep", "--g-max", "inf"],
+         ["sweep", "--g-min=-inf", "--g-max", "0"],
+         ["find-zero", "--threshold", "0"],
+         ["find-zero", "--threshold", "nan"]],
         ids=" ".join,
     )  # fmt: skip
     def test_bad_values_are_usage_errors_before_any_row(self, capsys, argv):

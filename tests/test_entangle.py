@@ -125,7 +125,6 @@ class TestNegativityNumerical:
         rho2 = b @ b.T / np.trace(b @ b.T)
         result = negativity_numerical(TwoQubitDensityMatrix(np.kron(rho1, rho2)))
         assert result.value < 1e-12
-        assert result.method == "numerical_pt"
 
     def test_bell_state(self):
         psi = np.array([1.0, 0.0, 0.0, 1.0]) / SQ2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rabi2q.model import (
+    COHERENT_DEFICIT_TOL,
     FockTruncation,
     FockTruncationWarning,
     ModelParams,
@@ -176,6 +177,16 @@ class TestSectorHamiltonian:
         np.testing.assert_allclose(band, expected, atol=1e-15)
 
 
+def assert_poisson_weights(v, amplitude):
+    """|v_n|^2 matches the Poisson weight wherever that exceeds 1e-30, with sign amplitude^n."""
+    n = np.arange(v.size)
+    a2 = amplitude * amplitude
+    log_weight = -a2 + n * math.log(a2) - np.array([math.lgamma(k + 1.0) for k in n])
+    bulk = log_weight > math.log(1e-30)
+    np.testing.assert_allclose(v[bulk] ** 2, np.exp(log_weight[bulk]), rtol=1e-9)
+    assert np.all(np.sign(v[bulk]) == np.sign(amplitude) ** n[bulk])
+
+
 class TestCoherentState:
     def test_vacuum(self):
         v = coherent_state_vector(0.0, FockTruncation(6))
@@ -226,13 +237,25 @@ class TestCoherentState:
             warnings.simplefilter("error", FockTruncationWarning)
             v = coherent_state_vector(amplitude, FockTruncation(n_max))
         assert abs(1.0 - v @ v) < 1e-14
-        n = np.arange(n_max + 1)
-        a2 = amplitude * amplitude
-        log_weight = -a2 + n * math.log(a2) - np.array([math.lgamma(k + 1.0) for k in n])
-        bulk = log_weight > math.log(1e-30)
-        np.testing.assert_allclose(v[bulk] ** 2, np.exp(log_weight[bulk]), rtol=1e-9)
-        # the sign of amplitude^n
-        assert np.all(np.sign(v[bulk]) == np.sign(amplitude) ** n[bulk])
+        assert_poisson_weights(v, amplitude)
+
+    @pytest.mark.parametrize("amplitude", [37.0, -37.6, 37.64, -37.66, 38.0])
+    def test_no_seam_at_the_anchor_switch(self, amplitude):
+        # v_0 = exp(-amplitude^2 / 2) leaves the normal floats between 37.64 and 37.66
+        n_max = math.ceil(amplitude * amplitude + 8 * abs(amplitude) + 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FockTruncationWarning)
+            v = coherent_state_vector(amplitude, FockTruncation(n_max))
+        assert abs(1.0 - v @ v) < COHERENT_DEFICIT_TOL
+        assert_poisson_weights(v, amplitude)
+
+    @pytest.mark.parametrize("amplitude", [0.7, 30.0, 37.7, 44.01])
+    def test_negative_amplitude_flips_odd_components(self, amplitude):
+        # 37.7 and 44.01 put the peak anchor at an odd level (1421, 1937)
+        trunc = FockTruncation(math.ceil(amplitude * amplitude + 8 * amplitude + 16))
+        v = coherent_state_vector(amplitude, trunc)
+        signs = (-1.0) ** np.arange(trunc.n_levels)
+        assert np.array_equal(coherent_state_vector(-amplitude, trunc), signs * v)
 
     def test_large_amplitude_truncation_warning(self):
         # the peak, n = 1936, lies past the truncation

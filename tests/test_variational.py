@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rabi2q import FockTruncation, ModelParams, build_hamiltonian
+from rabi2q import FockTruncation, FockTruncationWarning, ModelParams, build_hamiltonian
 from rabi2q.variational import (
     VariationalSolution,
     beta_stationary,
@@ -218,6 +219,12 @@ class TestTrialState:
         assert state.coefficients @ h @ state.coefficients == pytest.approx(
             sol.energy, abs=1e-9
         )
+
+    def test_one_truncation_warning_per_trial_state(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trial_state(VariationalSolution(2.0, -0.5, -1.0, 0.0), FockTruncation(3))
+        assert [w.category for w in caught] == [FockTruncationWarning]
 
     def test_formula_matches_matrix_element_on_random_inputs(self):
         # validates the closed form of <H> over the whole trial family
