@@ -12,11 +12,12 @@ import argparse
 import json
 import math
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import entangle, transform, variational
 from .exact import DEFAULT_TOL, fidelity, ground_state
@@ -209,35 +210,30 @@ def locate_negativity_zero(
     The exact negativity decays smoothly at large g without an exact sign
     change, so "zero" must mean "below a resolution"; ``find-zero``'s
     default threshold is half a unit in the fifth decimal place, the
-    precision of the benchmark table.  Bisection to ``g_tol`` needs the
-    bracket ``[g_lo, g_hi]`` to straddle the threshold and a positive
-    ``g_tol``, otherwise this raises; ``tol`` goes to the exact solver.
+    precision of the benchmark table.  Brent's method on negativity minus
+    ``threshold`` finds g within ``g_tol / 2`` of the crossing, given a
+    bracket ``[g_lo, g_hi]`` that straddles it and a positive ``g_tol``;
+    otherwise this raises.  ``tol`` goes to the exact solver.
     """
-    def above(g: float) -> bool:
+    @cache  # brentq evaluates the bracket ends again
+    def excess(g: float) -> float:
         params = ModelParams(1.0, omega_c, g)
-        return evaluate(params, ("negativity_exact",), tol)["negativity_exact"] > threshold
+        return evaluate(params, ("negativity_exact",), tol)["negativity_exact"] - threshold
 
     if not g_tol > 0:
         raise ValueError(f"g_tol must be positive, got {g_tol}")
 
-    if not above(g_lo):
+    if not excess(g_lo) > 0:
         raise ValueError(
             f"negativity is already at or below {threshold:g} at g={g_lo}; "
             "no crossing inside the bracket"
         )
-    if above(g_hi):
+    if excess(g_hi) > 0:
         raise ValueError(
             f"negativity is still above {threshold:g} at g={g_hi}; "
             "no crossing inside the bracket"
         )
-    lo, hi = g_lo, g_hi
-    while hi - lo > g_tol:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(excess, g_lo, g_hi, xtol=0.5 * g_tol)
 
 
 def _fmt(value) -> str:
@@ -383,8 +379,8 @@ def cmd_sweep(opt: argparse.Namespace) -> int:
 
 
 def cmd_find_zero(opt: argparse.Namespace) -> int:
-    if not opt.g_min < opt.g_max:
-        raise UsageError(f"g_min={opt.g_min} must be below g_max={opt.g_max}")
+    if not (math.isfinite(opt.g_min) and math.isfinite(opt.g_max) and opt.g_min < opt.g_max):
+        raise UsageError(f"g_min={opt.g_min} must be below g_max={opt.g_max}, both finite")
     crossing = locate_negativity_zero(
         opt.omega_c,
         g_lo=opt.g_min,
@@ -479,7 +475,7 @@ def build_parser() -> _Parser:
     )
     sub.add_argument(
         "--g-tol", type=_positive_float, default=1e-3,
-        help="bisection tolerance in g (default %(default)s)",
+        help="tolerance of the crossing in g (default %(default)s)",
     )  # fmt: skip
     _add_omega_c(sub)
     _add_common(sub)

@@ -192,7 +192,7 @@ def ground_state(params: ModelParams, tol: float = DEFAULT_TOL) -> GroundStateRe
         raise ValueError(f"tol must be positive, got {tol}")
 
     alpha = params.g / params.omega_c
-    n_max = min(math.ceil(alpha * alpha + 8.0 * alpha + 16.0), N_MAX_CAP)
+    n_max = math.ceil(min(alpha * alpha + 8.0 * alpha + 16.0, N_MAX_CAP))
     while True:
         result = ground_state_at(params, n_max)
         if result.convergence_gap < tol:

@@ -135,8 +135,9 @@ def solve(params: ModelParams) -> VariationalSolution:
     is clamped to >= 0: once exp(-alpha^2) underflows the root is g/w_c to
     rounding, and f there is rounding noise.  g = 0 is returned analytically
     because the alpha condition degenerates there.  The result carries its
-    ``stationarity_residual``; RuntimeError is raised if that exceeds
-    RESIDUAL_TOL.
+    ``stationarity_residual``.  RuntimeError is raised if that exceeds
+    RESIDUAL_TOL, or if no well of finite energy is found, which happens
+    once g/w_c overflows the profile.
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
     if g == 0.0:
@@ -158,6 +159,8 @@ def solve(params: ModelParams) -> VariationalSolution:
         if best is None or energy < best[2]:
             best = (alpha, beta, energy)
 
+    if best is None or not math.isfinite(best[2]):
+        raise RuntimeError(f"no well of finite energy found (omega_c={wc}, g={g})")
     alpha, beta, energy = best
     residual = stationarity_residual(alpha, beta, params)
     if residual > RESIDUAL_TOL:

@@ -296,7 +296,7 @@ class TestFindZero:
     SEARCH = {"threshold": 5e-6, "g_tol": 1e-3, "tol": 1e-10}
 
     def test_crossing_unique_in_widened_bracket(self):
-        # monotone decay past the maximum: scan brackets agree with bisection
+        # monotone decay past the maximum: two brackets find one crossing
         a = locate_negativity_zero(1.0, g_lo=1.5, g_hi=3.5, **self.SEARCH)
         b = locate_negativity_zero(1.0, g_lo=2.0, g_hi=3.2, **self.SEARCH)
         assert abs(a - b) < 5e-3
@@ -312,6 +312,33 @@ class TestFindZero:
         # numerical zero out to g ~ 3.1
         g = locate_negativity_zero(1.2, g_lo=1.5, g_hi=3.5, **self.SEARCH)
         assert 2.9 < g < 3.3
+
+    def test_fewer_evaluations_than_bisection_none_repeated(self, monkeypatch):
+        solved = []
+
+        def counted(params, columns, tol):
+            solved.append(params.g)
+            return evaluate(params, columns, tol)
+
+        monkeypatch.setattr(cli, "evaluate", counted)
+        locate_negativity_zero(1.0, g_lo=1.5, g_hi=3.5, **self.SEARCH)
+        # bisection of [1.5, 3.5] to 1e-3: the 2 ends and 11 midpoints
+        assert len(solved) < 13
+        assert len(set(solved)) == len(solved)
+
+    @pytest.mark.parametrize("omega_c", [0.5, 1.0, 1.2])
+    def test_within_half_g_tol_of_the_crossing(self, omega_c):
+        def above(g):
+            params = ModelParams(1.0, omega_c, g)
+            negativity = evaluate(params, ("negativity_exact",), self.SEARCH["tol"])
+            return negativity["negativity_exact"] > self.SEARCH["threshold"]
+
+        lo, hi = 1.5, 3.5
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        g = locate_negativity_zero(omega_c, g_lo=1.5, g_hi=3.5, **self.SEARCH)
+        assert abs(g - lo) <= 0.5 * self.SEARCH["g_tol"] + 1e-9
 
 
 class TestFlagsAndConfig:
@@ -373,7 +400,9 @@ class TestFlagsAndConfig:
          ["sweep", "--g-max", "inf"],
          ["sweep", "--g-min=-inf", "--g-max", "0"],
          ["find-zero", "--threshold", "0"],
-         ["find-zero", "--threshold", "nan"]],
+         ["find-zero", "--threshold", "nan"],
+         ["find-zero", "--g-max", "inf"],
+         ["find-zero", "--g-min=-inf"]],
         ids=" ".join,
     )  # fmt: skip
     def test_bad_values_are_usage_errors_before_any_row(self, capsys, argv):

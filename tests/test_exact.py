@@ -118,6 +118,15 @@ def test_hard_cap_raises(monkeypatch):
         ground_state(ModelParams(1.0, 0.2, 2.0), tol=1e-10)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("omega_c,g", [(1e-300, 1e5), (1.0, 1e200)])
+def test_overflowing_size_reaches_the_cap(monkeypatch, omega_c, g):
+    # alpha^2 + 8 alpha + 16 is inf here, so the size is capped before it is rounded
+    monkeypatch.setattr(exact, "N_MAX_CAP", 64)
+    with pytest.raises(RuntimeError, match="not converged"):
+        ground_state(ModelParams(1.0, omega_c, g), tol=1e-10)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         ground_state(ModelParams(1.0, 1.0, 0.5), tol=0.0)

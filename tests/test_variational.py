@@ -168,6 +168,13 @@ class TestSolve:
         sol = solve(p)
         assert sol.residual == stationarity_residual(sol.alpha, sol.beta, p)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("omega_c,g", [(1e-160, 1.0), (1.0, 1e154)])
+    def test_overflowing_profile_raises(self, omega_c, g):
+        # the scan is all NaN at (1e-160, 1); the well's energy is -inf at (1, 1e154)
+        with pytest.raises(RuntimeError, match="no well of finite energy"):
+            solve(ModelParams(1.0, omega_c, g))
+
     def test_norm_sq(self):
         sol = solve(ModelParams(1.0, 1.0, 0.4))
         assert sol.norm_sq == pytest.approx(2.0 + sol.beta**2, abs=0.0)
