@@ -50,14 +50,6 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(3)
 
-    def set_config_defaults(self, config: dict) -> None:
-        """Make config values (keys are flag names) the defaults, cast by each flag's type."""
-        self.set_defaults(**{
-            action.dest: (action.type or str)(config[key])
-            for action in self._actions
-            if (key := action.dest.replace("_", "-")) in config
-        })  # fmt: skip
-
 
 class _Point:
     """The stages at one parameter point, each run when first read and kept."""
@@ -245,15 +237,15 @@ def _fmt(value) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, float):
-        return float(f"{value:.10g}")
+    if isinstance(value, float):  # JSON has no inf or NaN
+        return float(f"{value:.10g}") if math.isfinite(value) else None
     return value
 
 
 def render_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         payload = [{c: _jsonable(row.get(c)) for c in columns if c in row} for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     lines = [",".join(columns)]
     lines += [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
@@ -266,17 +258,20 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_config(path: str) -> dict:
-    config = {}
+def _load_config(path: str) -> list[str]:
+    """Each ``key = value`` line of a config file as the flag ``--key=value``;
+    the ``=`` form keeps a value such as -1 from being read as a flag."""
+    flags = []
     for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        key, sep, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
+        if not (key or sep or value):
             continue
-        if "=" not in line:
-            raise ValueError(f"config line is not 'key = value': {raw!r}")
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
-    return config
+        if not (key and sep):
+            raise UsageError(f"config line is not 'key = value': {raw!r}")
+        if "config".startswith(key):  # --config, or an abbreviation of it
+            raise UsageError(f"config key {key!r} in {path}: config files do not nest")
+        flags.append(f"--{key}={value}")
+    return flags
 
 
 def _method_tuple(text: str) -> tuple[str, ...]:
@@ -306,15 +301,23 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def require_g(opt: argparse.Namespace) -> float:
-    if opt.g is None:
-        raise UsageError("a coupling strength is required (--g or config 'g')")
-    return opt.g
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def cmd_point(opt: argparse.Namespace) -> int:
     """One parameter point, projected onto the subcommand's columns."""
-    params = ModelParams(1.0, opt.omega_c, require_g(opt))
+    params = ModelParams(1.0, opt.omega_c, opt.g)
     # without --tol the columns never run the exact stage
     row = evaluate(params, opt.columns, getattr(opt, "tol", None))
     _write(render_rows(opt.columns, [row], opt.format), opt.output)
@@ -354,14 +357,8 @@ def cmd_table1(opt: argparse.Namespace) -> int:
 
 
 def cmd_sweep(opt: argparse.Namespace) -> int:
-    if not (math.isfinite(opt.g_min) and math.isfinite(opt.g_max)):
-        raise UsageError(f"g_min={opt.g_min} and g_max={opt.g_max} must be finite")
     if opt.g_min > opt.g_max:
         raise UsageError(f"g_min={opt.g_min} exceeds g_max={opt.g_max}")
-    if opt.steps < 1:
-        raise UsageError(f"steps must be >= 1, got {opt.steps}")
-    if opt.parallel < 1:
-        raise UsageError(f"parallel must be >= 1, got {opt.parallel}")
     columns = sweep_columns(opt.methods, opt.outputs)
     tasks = [
         (float(g), opt.omega_c, columns, opt.tol)
@@ -379,8 +376,8 @@ def cmd_sweep(opt: argparse.Namespace) -> int:
 
 
 def cmd_find_zero(opt: argparse.Namespace) -> int:
-    if not (math.isfinite(opt.g_min) and math.isfinite(opt.g_max) and opt.g_min < opt.g_max):
-        raise UsageError(f"g_min={opt.g_min} must be below g_max={opt.g_max}, both finite")
+    if not opt.g_min < opt.g_max:
+        raise UsageError(f"g_min={opt.g_min} must be below g_max={opt.g_max}")
     crossing = locate_negativity_zero(
         opt.omega_c,
         g_lo=opt.g_min,
@@ -400,14 +397,13 @@ def cmd_find_zero(opt: argparse.Namespace) -> int:
     return 0
 
 
-def _add_omega_c(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--omega-c", type=float, default=1.0, help="omega_c / omega_a (default %(default)s)"
-    )
-
-
-def _add_common(sub: argparse.ArgumentParser, tol: bool = True) -> None:
-    """The output flags, and ``--tol`` where the command can run the exact solver."""
+def _add_common(sub: argparse.ArgumentParser, omega_c: bool = True, tol: bool = True) -> None:
+    """``--omega-c`` unless the command is at resonance, ``--tol`` where it can
+    run the exact solver, and the output flags."""
+    if omega_c:
+        sub.add_argument(
+            "--omega-c", type=float, default=1.0, help="omega_c / omega_a (default %(default)s)"
+        )
     if tol:
         sub.add_argument(
             "--tol", type=_positive_float, default=DEFAULT_TOL,
@@ -418,7 +414,7 @@ def _add_common(sub: argparse.ArgumentParser, tol: bool = True) -> None:
         help="output format (default %(default)s)",
     )  # fmt: skip
     sub.add_argument("--output", help="write to this path instead of stdout")
-    sub.add_argument("--config", help="flat 'key = value' file mirroring the flag names")
+    sub.add_argument("--config", help="'key = value' file, each line read as --key=value")
 
 
 def build_parser() -> _Parser:
@@ -427,24 +423,22 @@ def build_parser() -> _Parser:
 
     for name, (text, columns) in POINT_COMMANDS.items():
         sub = subparsers.add_parser(name, help=text)
-        sub.add_argument("--g", type=float, help="coupling strength in units of omega_a")
-        _add_omega_c(sub)
+        sub.add_argument("--g", type=float, required=True, help="coupling in units of omega_a")
         _add_common(sub, tol=any("exact" in COLUMNS[column][0] for column in columns))
-        sub.set_defaults(func=cmd_point, columns=columns, subparser=sub)
+        sub.set_defaults(func=cmd_point, columns=columns)
 
-    # at resonance by definition: no --omega-c
     sub = subparsers.add_parser("table1", help="check the resonance energy benchmark")
     sub.add_argument(
         "--ref-tol", type=_positive_float, default=2e-5,
         help="comparison tolerance (default %(default)s)",
     )  # fmt: skip
-    _add_common(sub)
-    sub.set_defaults(func=cmd_table1, subparser=sub)
+    _add_common(sub, omega_c=False)  # at resonance by definition
+    sub.set_defaults(func=cmd_table1)
 
     sub = subparsers.add_parser("sweep", help="scan a g grid, CSV/JSON per row")
-    sub.add_argument("--g-min", type=float, default=0.0)
-    sub.add_argument("--g-max", type=float, default=1.0)
-    sub.add_argument("--steps", type=int, default=21)
+    sub.add_argument("--g-min", type=_finite_float, default=0.0)
+    sub.add_argument("--g-max", type=_finite_float, default=1.0)
+    sub.add_argument("--steps", type=_positive_int, default=21)
     sub.add_argument(
         "--methods", type=_method_tuple, default=METHODS, help=f"subset of {','.join(METHODS)}"
     )
@@ -453,19 +447,20 @@ def build_parser() -> _Parser:
         help=f"subset of {','.join(OUTPUTS)}",
     )  # fmt: skip
     sub.add_argument(
-        "--parallel", type=int, default=1, help="worker processes (default %(default)s)"
+        "--parallel", type=_positive_int, default=1, help="worker processes (default %(default)s)"
     )
-    _add_omega_c(sub)
     _add_common(sub)
-    sub.set_defaults(func=cmd_sweep, subparser=sub)
+    sub.set_defaults(func=cmd_sweep)
 
     sub = subparsers.add_parser(
         "find-zero", help="coupling where the exact negativity reaches numerical zero"
     )
     sub.add_argument(
-        "--g-min", type=float, default=1.5, help="bracket start (default %(default)s)"
+        "--g-min", type=_finite_float, default=1.5, help="bracket start (default %(default)s)"
     )
-    sub.add_argument("--g-max", type=float, default=3.5, help="bracket end (default %(default)s)")
+    sub.add_argument(
+        "--g-max", type=_finite_float, default=3.5, help="bracket end (default %(default)s)"
+    )
     sub.add_argument(
         "--threshold",
         type=_positive_float,
@@ -477,21 +472,25 @@ def build_parser() -> _Parser:
         "--g-tol", type=_positive_float, default=1e-3,
         help="tolerance of the crossing in g (default %(default)s)",
     )  # fmt: skip
-    _add_omega_c(sub)
     _add_common(sub)
-    sub.set_defaults(func=cmd_find_zero, subparser=sub)
+    sub.set_defaults(func=cmd_find_zero)
 
     return parser
 
 
+# finds --config before the one full parse; a _Parser, so a bare --config exits 3
+_CONFIG_PARSER = _Parser(prog="rabi2q", add_help=False)
+_CONFIG_PARSER.add_argument("--config")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.config:
-            # precedence: flag, then config file, then default
-            args.subparser.set_config_defaults(_load_config(args.config))
-            args = parser.parse_args(argv)
+        config = _CONFIG_PARSER.parse_known_args(argv)[0].config
+        if config:
+            # after the subcommand: precedence is flag, then config file, then default
+            argv[1:1] = _load_config(config)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"rabi2q: error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -23,18 +24,18 @@ from rabi2q.cli import (
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    """Exit code, stdout and stderr, whether the parser or a command rejects ``argv``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 def exit_code(capsys, argv):
     """Exit code and stdout, whether the parser or a command rejects ``argv``."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().out
+    return run_cli(capsys, argv)[:2]
 
 
 def csv_rows(text):
@@ -87,9 +88,9 @@ class TestGround:
         assert float(row["fidelity"]) > 0.999
 
     def test_missing_g_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, ["ground"])
-        assert code == 3
-        assert "coupling strength" in err
+        code, out, err = run_cli(capsys, ["ground"])
+        assert (code, out) == (3, "")
+        assert "--g" in err
 
 
 class TestTable1:
@@ -412,6 +413,52 @@ class TestFlagsAndConfig:
         text = render_rows(["g", "value"], [{"g": 0.1, "value": -1.0101523423}], "csv")
         assert text == "g,value\n0.1,-1.010152342\n"
 
+    def test_json_has_no_nonfinite_tokens(self, capsys):
+        # mu and lambda_plus are infinite at g = 40; RFC 8259 has no Infinity or NaN
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        argv = ["transform", "--g", "40", "--format"]
+        code, out, _ = run_cli(capsys, [*argv, "json"])
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)[0]["mu"] is None
+        assert csv_rows(run_cli(capsys, [*argv, "csv"])[1])[0]["mu"] == "inf"
+
+    # Every flag of each subcommand but --config and --output, at cheap values.
+    EVERY_FLAG = {
+        "ground": {"g": "0.4", "omega-c": "0.8", "tol": "1e-8", "format": "json"},
+        "variational": {"g": "0.4", "omega-c": "0.8", "format": "json"},
+        "transform": {"g": "0.4", "omega-c": "0.8", "format": "csv"},
+        "negativity": {"g": "0.4", "omega-c": "0.8", "tol": "1e-8", "format": "csv"},
+        "table1": {"ref-tol": "1e-4", "tol": "1e-8", "format": "json"},
+        "sweep": {"g-min": "-1", "g-max": "0.5", "steps": "4", "methods": "exact,variational",
+                  "outputs": "energy,alpha", "parallel": "1", "omega-c": "0.8", "tol": "1e-8",
+                  "format": "csv"},
+        "find-zero": {"g-min": "2.6", "g-max": "2.7", "threshold": "5e-6", "g-tol": "0.01",
+                      "omega-c": "1", "tol": "1e-8", "format": "json"},
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("command", EVERY_FLAG)
+    def test_config_prints_what_the_same_flags_print(self, capsys, tmp_path, command):
+        values = self.EVERY_FLAG[command]
+        subparsers = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )  # fmt: skip
+        takes = {
+            option[2:] for action in subparsers.choices[command]._actions
+            for option in action.option_strings if option.startswith("--")
+        }  # fmt: skip
+        assert set(values) == takes - {"help", "config", "output"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        code, out, _ = run_cli(capsys, [command, "--config", str(cfg)])
+        flags = [token for key, value in values.items() for token in (f"--{key}", value)]
+        assert (code, out) == exit_code(capsys, [command, *flags])
+        assert code == 0 and out
+        if command == "sweep":  # g-min = -1 is a value, so its row fails, not the parse
+            assert "g must be non-negative" in csv_rows(out)[0]["error"]
+
 
 def test_evaluate_direct():
     columns = sweep_columns(("exact", "variational"), ("energy",))
@@ -519,17 +566,37 @@ class TestEvaluate:
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize(
-        "line,message",
-        [("steps = x", "invalid literal for int()"), ("outputs = bogus", "unknown output 'bogus'")],
-    )
-    def test_bad_config_value_exits_1(self, capsys, tmp_path, line, message):
+    @pytest.mark.parametrize("line", ["steps = x", "outputs = bogus", "tol = -1"])
+    def test_bad_config_value_exits_3(self, capsys, tmp_path, line):
+        # the line is read as the flag --key=value, so argparse rejects it as it would the flag
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg)])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("rabi2q: error: ") and message in err
+        assert (code, out) == (3, "")
+        assert "--" + line.split(" = ")[0] in err
+
+    @pytest.mark.parametrize(
+        "command,text,named",
+        [("ground", "g = 0.4\nomegac = 2\n", "--omegac"),
+         ("table1", "omega-c = 2\n", "--omega-c"),
+         ("ground", "g = 0.4\nparallel = 2\n", "--parallel"),
+         ("ground", "g = 0.4\nformat = xml\n", "--format"),
+         ("ground", "g 0.4\n", "'g 0.4'"),
+         ("ground", "g = 0.4\nconfig = other.cfg\n", "'config'")],
+        ids=["unknown key", "key table1 lacks", "key ground lacks", "unknown format",
+             "line without =", "config key"],
+    )  # fmt: skip
+    def test_bad_config_line_exits_3(self, capsys, tmp_path, command, text, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+        assert (code, out) == (3, "")
+        assert named in err
+
+    def test_config_without_a_path_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, ["ground", "--config"])
+        assert (code, out) == (3, "")
+        assert "--config" in err
 
     def test_config_defaults_yield_to_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
