@@ -5,7 +5,7 @@ perturbative correction, and qubit-qubit entanglement negativity.
 """
 
 from . import entangle, exact, transform, variational
-from .exact import GroundStateResult, JointState, fidelity, ground_state, pad_state
+from .exact import GroundStateResult, JointState, fidelity, ground_state
 from .model import (
     FockTruncation,
     FockTruncationWarning,
@@ -32,7 +32,6 @@ __all__ = [
     "exact",
     "fidelity",
     "ground_state",
-    "pad_state",
     "parity_operator",
     "spin1_matrices",
     "transform",

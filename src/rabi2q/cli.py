@@ -87,7 +87,7 @@ COLUMNS = {
     "energy_exact": (("exact",), attrgetter("exact.energy")),
     "n_max_used": (("exact",), attrgetter("exact.n_max_used")),
     "eig_residual": (("exact",), attrgetter("exact.residual")),
-    "negativity_exact": (("exact", "rho"), lambda p: entangle.negativity_numerical(p.rho).value),
+    "negativity_exact": (("exact", "rho"), lambda p: entangle.negativity_numerical(p.rho)),
     "energy_variational": (("var",), attrgetter("var.energy")),
     "energy": (("var",), attrgetter("var.energy")),  # the variational command's name
     "alpha": (("var",), attrgetter("var.alpha")),
@@ -261,8 +261,12 @@ def _write(text: str, output: str | None) -> None:
 def _load_config(path: str) -> list[str]:
     """Each ``key = value`` line of a config file as the flag ``--key=value``;
     the ``=`` form keeps a value such as -1 from being read as a flag."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+        raise UsageError(f"cannot read config file {path}: {getattr(exc, 'strerror', exc)}")
     flags = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         key, sep, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
         if not (key or sep or value):
             continue
@@ -294,25 +298,25 @@ def _subset(text: str, universe: tuple[str, ...], kind: str) -> tuple[str, ...]:
     return tuple(u for u in universe if u in items)
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def _checked(cast, accept, requirement: str):
+    """An argparse type whose error message states ``requirement``; argparse's
+    own message for a failed cast would name the type function instead."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan  # NaN, cast or given, fails every requirement below
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+_positive_float = _checked(float, lambda value: value > 0, "a positive number")
+_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+_finite_float = _checked(float, math.isfinite, "a finite number")
 
 
 def cmd_point(opt: argparse.Namespace) -> int:
@@ -478,6 +482,8 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built once: parsing does not change a parser
+_PARSER = build_parser()
 # finds --config before the one full parse; a _Parser, so a bare --config exits 3
 _CONFIG_PARSER = _Parser(prog="rabi2q", add_help=False)
 _CONFIG_PARSER.add_argument("--config")
@@ -490,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         if config:
             # after the subcommand: precedence is flag, then config file, then default
             argv[1:1] = _load_config(config)
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"rabi2q: error: {exc}", file=sys.stderr)

@@ -3,69 +3,52 @@ partial transpose and negativity.
 
 Two-qubit basis order is |ee>, |eg>, |ge>, |gg> where |e>, |g> are the
 energy eigenstates of a single qubit.  The atomic term of the Hamiltonian
-is proportional to Jx, so a qubit's energy basis is its x basis; the
-collective z levels map to products of energy eigenstates through a
-one-qubit rotation.  Because negativity is invariant under local
+is proportional to Jx, so a qubit's energy basis is its x basis: with
+|e/g> = (|up> +/- |dn>)/sqrt2, the atom states of ``model`` are the Bell
+states S = (|ee> + |gg>)/sqrt2, |0> = (|ee> - |gg>)/sqrt2 and
+D = (|eg> + |ge>)/sqrt2.  Because negativity is invariant under local
 unitaries, this choice only fixes matrix entries, not any entanglement
-value.
+value.  Parity keeps S and |0> apart from D, so every reduced density
+matrix here is X-shaped, with r22 = r23 = r33.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import JointState
-from .model import ATOM_DIM, SQRT2, ModelParams
-
-# Columns: m = (+1, 0, -1) expressed in the (ee, eg, ge, gg) basis.  With
-# |e/g> = (|up> +/- |dn>)/sqrt2 per qubit:
-#   |m=+1> = |up,up>             -> (|ee> + |eg> + |ge> + |gg>) / 2
-#   |m= 0> = (|up,dn>+|dn,up>)/sqrt2 -> (|ee> - |gg>) / sqrt2
-#   |m=-1> = |dn,dn>             -> (|ee> - |eg> - |ge> + |gg>) / 2
-# The singlet row is absent: it carries no weight in this model.
-TRIPLET_EMBEDDING = np.array(
-    [
-        [0.5, 1.0 / SQRT2, 0.5],
-        [0.5, 0.0, -0.5],
-        [0.5, 0.0, -0.5],
-        [0.5, -1.0 / SQRT2, 0.5],
-    ]
-)
+from .model import SQRT2, ModelParams
 
 
-@dataclass(frozen=True, eq=False)
-class TwoQubitDensityMatrix:
-    """4x4 real symmetric unit-trace matrix in the (ee, eg, ge, gg) basis."""
-
-    entries: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class NegativityResult:
-    value: float
-    negative_eigenvalues: tuple[float, ...]
+def _x_shaped(r11: float, r14: float, r22: float, r44: float) -> np.ndarray:
+    return np.array(
+        [[r11, 0.0, 0.0, r14], [0.0, r22, r22, 0.0], [0.0, r22, r22, 0.0], [r14, 0.0, 0.0, r44]]
+    )
 
 
-def reduced_density_from_joint(state: JointState) -> TwoQubitDensityMatrix:
-    """Trace out the field and express the atomic state on two qubits."""
-    coeff = state.coefficients
-    norm_sq = float(coeff @ coeff)
+def reduced_density_from_joint(state: JointState) -> np.ndarray:
+    """Trace out the field; the state holds S_n and |0>_n at even n and D_n
+    at odd n.  With s = sum S_n^2, z = sum |0>_n^2, c = sum S_n |0>_n and
+    d = sum D_n^2:  r11, r44 = (s + z)/2 +/- c,  r14 = (s - z)/2,  r22 = d/2.
+    """
+    vec, layout = state.amplitudes, state.embedding
+    first = vec[layout.start]  # S_n where paired, D_n elsewhere
+    s_n, d_n = first[layout.paired], first[~layout.paired]
+    zero_n = vec[layout.start[layout.paired] + 1]
+    s, z, c, d = s_n @ s_n, zero_n @ zero_n, s_n @ zero_n, d_n @ d_n
+    norm_sq = float(s + z + d)
     if abs(norm_sq - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized: <v, v> = {norm_sq!r}")
-    by_level = coeff.reshape(-1, ATOM_DIM)
-    rho_triplet = by_level.T @ by_level
-    rho = TRIPLET_EMBEDDING @ rho_triplet @ TRIPLET_EMBEDDING.T
-    return TwoQubitDensityMatrix(0.5 * (rho + rho.T))
+    return _x_shaped(0.5 * (s + z) + c, 0.5 * (s - z), 0.5 * d, 0.5 * (s + z) - c)
 
 
-def reduced_density_variational(alpha: float, beta: float) -> TwoQubitDensityMatrix:
+def reduced_density_variational(alpha: float, beta: float) -> np.ndarray:
     """Closed form of the reduced density matrix for the coherent-state
     trial family.
 
-    X-shaped with, up to the overall 1/(2 N^2) = 1/(2 (2 + beta^2)):
+    Up to the overall 1/(2 N^2) = 1/(2 (2 + beta^2)):
         r11 = 1 + beta^2 + 2 sqrt2 beta e^(-alpha^2/2) + e^(-2 alpha^2)
         r14 = r41 = 1 - beta^2 + e^(-2 alpha^2)
         r22 = r23 = r32 = r33 = 1 - e^(-2 alpha^2)
@@ -78,34 +61,22 @@ def reduced_density_variational(alpha: float, beta: float) -> TwoQubitDensityMat
     r14 = 1.0 - b2 + e_full
     r22 = 1.0 - e_full
     r44 = 1.0 + b2 - 2.0 * SQRT2 * beta * e_half + e_full
-    rho = np.array(
-        [
-            [r11, 0.0, 0.0, r14],
-            [0.0, r22, r22, 0.0],
-            [0.0, r22, r22, 0.0],
-            [r14, 0.0, 0.0, r44],
-        ]
-    ) / (2.0 * (2.0 + b2))
-    return TwoQubitDensityMatrix(rho)
+    return _x_shaped(r11, r14, r22, r44) / (2.0 * (2.0 + b2))
 
 
-def partial_transpose(rho: TwoQubitDensityMatrix, qubit: int = 0) -> np.ndarray:
+def partial_transpose(rho: np.ndarray, qubit: int = 0) -> np.ndarray:
     """Transpose the indices of one qubit; trace and hermiticity survive."""
     if qubit not in (0, 1):
         raise ValueError(f"qubit must be 0 or 1, got {qubit}")
-    blocks = rho.entries.reshape(2, 2, 2, 2)
+    blocks = rho.reshape(2, 2, 2, 2)
     axes = (2, 1, 0, 3) if qubit == 0 else (0, 3, 2, 1)
     return np.transpose(blocks, axes).reshape(4, 4)
 
 
-def negativity_numerical(rho: TwoQubitDensityMatrix) -> NegativityResult:
+def negativity_numerical(rho: np.ndarray) -> float:
     """|sum of the negative eigenvalues of the partial transpose|."""
     eigenvalues = np.linalg.eigvalsh(partial_transpose(rho, qubit=0))
-    negative = eigenvalues[eigenvalues < 0.0]
-    return NegativityResult(
-        value=float(-negative.sum()),
-        negative_eigenvalues=tuple(float(x) for x in negative),
-    )
+    return float(-eigenvalues[eigenvalues < 0.0].sum())
 
 
 def negativity_closed_form(alpha: float, beta: float) -> float:

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .model import ATOM_DIM, FockTruncation, ModelParams, sector_hamiltonian
+from .model import FockTruncation, ModelParams, SectorEmbedding, sector_hamiltonian
 
 INVERSE_ITERATIONS = 2
 N_MAX_CAP = 4096  # largest Fock truncation ground_state tries
@@ -41,14 +42,22 @@ _ABSTOL = 2.0 * scipy.linalg.lapack.dlamch("s")
 
 @dataclass(frozen=True, eq=False)
 class JointState:
-    """Real state vector on the product basis, in the `model` ordering.
+    """Real unit vector in the odd parity sector, laid out by ``embedding``."""
 
-    Unit norm; the sign is fixed so the largest-magnitude coefficient is
-    positive (a global sign carries no physics).
-    """
+    amplitudes: np.ndarray
+    embedding: SectorEmbedding
 
-    coefficients: np.ndarray
-    n_max: int
+    @property
+    def n_max(self) -> int:
+        return self.embedding.paired.size - 1
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The product-basis view, signed so its largest-magnitude coefficient
+        is positive (a global sign carries no physics)."""
+        vec = self.embedding.embed(self.amplitudes)
+        k = int(np.argmax(np.abs(vec)))
+        return -vec if vec[k] < 0 else vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,44 +71,23 @@ class GroundStateResult:
     parity_splitting: float  # E0_even - E0_odd at n_max_used (tunnelling)
 
 
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    return -vec if vec[k] < 0 else vec
-
-
-def make_state(coefficients: np.ndarray, n_max: int) -> JointState:
-    """Normalize, apply the sign convention and wrap as a JointState."""
-    vec = np.asarray(coefficients, dtype=float)
-    if vec.shape != (ATOM_DIM * (n_max + 1),):
-        raise ValueError(
-            f"expected length {ATOM_DIM * (n_max + 1)} for n_max={n_max}, "
-            f"got shape {vec.shape}"
-        )
+def make_state(amplitudes: np.ndarray, n_max: int) -> JointState:
+    """Normalize odd-sector amplitudes and wrap them as a JointState."""
+    embedding = SectorEmbedding.of(FockTruncation(n_max), odd=True)
+    vec = np.asarray(amplitudes, dtype=float)
+    if vec.shape != (embedding.size,):
+        raise ValueError(f"expected length {embedding.size} for n_max={n_max}, got {vec.shape}")
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0:
         raise ValueError("zero vector cannot be a state")
-    return JointState(_canonical_sign(vec / nrm), n_max)
-
-
-def pad_state(state: JointState, n_max: int) -> JointState:
-    """Extend a state with zero amplitude on the added Fock levels."""
-    if n_max < state.n_max:
-        raise ValueError(f"cannot pad from n_max={state.n_max} down to {n_max}")
-    if n_max == state.n_max:
-        return state
-    vec = np.zeros(ATOM_DIM * (n_max + 1))
-    vec[: state.coefficients.size] = state.coefficients
-    return JointState(vec, n_max)
+    return JointState(vec / nrm, embedding)
 
 
 def fidelity(a: JointState, b: JointState) -> float:
     """|<a, b>|; global sign is unphysical.  Both states must share n_max."""
     if a.n_max != b.n_max:
-        raise ValueError(
-            f"states live on different truncations ({a.n_max} vs {b.n_max}); "
-            "pad the shorter one with pad_state first"
-        )
-    return float(abs(a.coefficients @ b.coefficients))
+        raise ValueError(f"states live on different truncations ({a.n_max} vs {b.n_max})")
+    return float(abs(a.amplitudes @ b.amplitudes))
 
 
 def _lowest_eigenvalues(band: np.ndarray, count: int) -> np.ndarray:
@@ -167,7 +155,7 @@ def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
     h_vec = scipy.linalg.blas.dsbmv(2, 1.0, band, vec, lower=1)
     return GroundStateResult(
         energy=energy,
-        state=make_state(embedding.embed(vec), n_max),
+        state=JointState(vec, embedding),
         n_max_used=n_max,
         convergence_gap=leak * leak / (odd_1 - energy),
         excited_gap=max(0.0, min(odd_1, even_0) - energy),

@@ -9,21 +9,23 @@ The model is
 with Jx, Jz the spin-1 angular momentum matrices and a the field
 annihilation operator on a truncated Fock space.
 
-Basis ordering, fixed once here and used everywhere in this package:
-joint index = fock_index * 3 + atom_index, with atom levels ordered
-m = (+1, 0, -1) (eigenvalues of Jz).  In this ordering H is real symmetric
-and block tridiagonal in the photon number (total bandwidth 5).
-
 H commutes with the parity ``parity_operator``, so it splits into two
 sectors.  In the atom basis S = (|+1> + |-1>)/sqrt2, |0>, D = (|+1> - |-1>)/sqrt2
 (Jx couples only S and |0>, Jz swaps S and D), the odd sector (parity -1,
 which holds the ground state) keeps S_n, |0>_n at even n and D_n at odd n;
 the even sector keeps the rest.  Ordered by photon number, S before |0>,
-each sector Hamiltonian is pentadiagonal: ``sector_hamiltonian``.
+each sector Hamiltonian is pentadiagonal: ``sector_hamiltonian``.  States
+are held in the odd-sector basis, laid out by ``SectorEmbedding``.
+
+The product ordering serves ``build_hamiltonian``, ``parity_operator`` and
+``SectorEmbedding.embed``: joint index = fock_index * 3 + atom_index, atom
+levels ordered m = (+1, 0, -1) (eigenvalues of Jz).  There H is real
+symmetric and block tridiagonal in the photon number (total bandwidth 5).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -64,7 +66,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Highest retained photon number; the product space has dimension 3*(n_max+1)."""
+    """Highest retained photon number."""
 
     n_max: int
 
@@ -75,10 +77,6 @@ class FockTruncation:
     @property
     def n_levels(self) -> int:
         return self.n_max + 1
-
-    @property
-    def dim(self) -> int:
-        return ATOM_DIM * (self.n_max + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +126,23 @@ class SectorEmbedding:
     """Where each Fock level's vectors sit in a sector basis.
 
     Level n holds S_n then |0>_n where ``paired[n]``, and D_n otherwise;
-    its first vector has sector index ``start[n]``.
+    its first vector has sector index ``start[n]``.  Build it with ``of``,
+    which keeps one read-only layout per truncation and sector.
     """
 
     paired: np.ndarray  # (n_levels,) bool
     start: np.ndarray   # (n_levels,) int
+    size: int           # dimension of the sector
+
+    @classmethod
+    @functools.lru_cache(maxsize=64)
+    def of(cls, trunc: FockTruncation, odd: bool) -> SectorEmbedding:
+        """The layout of the odd (parity -1) or the even sector of ``trunc``."""
+        paired = (np.arange(trunc.n_levels) % 2 == 0) == odd
+        counts = 1 + paired
+        start = np.cumsum(counts) - counts
+        paired.flags.writeable = start.flags.writeable = False
+        return cls(paired, start, int(start[-1] + counts[-1]))
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
         """Map a sector vector to the full product basis (an isometry)."""
@@ -153,19 +163,18 @@ def sector_hamiltonian(
     ``band[k, j]`` is the matrix element between sector vectors j + k and j.
     Nonzero entries are omega_c * n on the diagonal, omega_a between S_n
     and |0>_n, and g * sqrt(n + 1) between the S or D vector of level n and
-    the D or S vector of level n + 1.  ``embedding`` maps sector vectors
-    back to the full basis of ``build_hamiltonian``.
+    the D or S vector of level n + 1.  ``embedding`` is the sector's layout.
     """
+    embedding = SectorEmbedding.of(trunc, odd=odd)
+    paired, start = embedding.paired, embedding.start
     n = np.arange(trunc.n_levels)
-    paired = (n % 2 == 0) == odd
     counts = 1 + paired
-    start = np.cumsum(counts) - counts
 
-    band = np.zeros((3, start[-1] + counts[-1]))
+    band = np.zeros((3, embedding.size))
     band[0] = params.omega_c * np.repeat(n, counts)
     band[1, start[paired]] = params.omega_a
     band[counts[:-1], start[:-1]] = params.g * np.sqrt(n[1:])
-    return band, SectorEmbedding(paired, start)
+    return band, embedding
 
 
 def coherent_state_vector(amplitude: float, trunc: FockTruncation) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .exact import JointState, make_state
-from .model import SQRT2, FockTruncation, ModelParams, coherent_state_vector
+from .model import SQRT2, FockTruncation, ModelParams, SectorEmbedding, coherent_state_vector
 
 RESIDUAL_TOL = 1e-8
 
@@ -171,17 +171,14 @@ def solve(params: ModelParams) -> VariationalSolution:
 
 
 def trial_state(sol: VariationalSolution, trunc: FockTruncation) -> JointState:
-    """Materialize the trial vector on a Fock truncation (renormalized once).
-
-    Atom order is m = (+1, 0, -1): the m=+1 component carries |-alpha>, the
-    m=0 component beta |0>, the m=-1 component |+alpha>.  One coherent
-    vector serves both, since <n|-alpha> = (-1)^n <n|alpha>.
+    """The trial vector in the odd sector of a Fock truncation, renormalized:
+    |-alpha>|+1> + |alpha>|-1> is S_n = sqrt2 <n|-alpha> at even n and
+    D_n = sqrt2 <n|-alpha> at odd n (see ``model``), and beta |0>|0> is |0>_0.
     """
-    plus = coherent_state_vector(sol.alpha, trunc)
-    minus = plus.copy()
-    minus[1::2] = -minus[1::2]
-    vec = np.zeros(trunc.dim)
-    vec[0::3] = minus
-    vec[1] = sol.beta  # beta |0>_F on the m=0 level
-    vec[2::3] = plus
+    minus = coherent_state_vector(sol.alpha, trunc)
+    minus[1::2] = -minus[1::2]  # <n|-alpha> = (-1)^n <n|alpha>
+    embedding = SectorEmbedding.of(trunc, odd=True)
+    vec = np.zeros(embedding.size)
+    vec[embedding.start] = SQRT2 * minus
+    vec[embedding.start[0] + 1] = sol.beta
     return make_state(vec, trunc.n_max)

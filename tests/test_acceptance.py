@@ -87,9 +87,7 @@ def test_criterion_4_detuned_regime(exact_ground):
 
 
 def test_criterion_5_small_g_negativity_law(exact_ground):
-    value = negativity_numerical(
-        reduced_density_from_joint(exact_ground(0.02).state)
-    ).value
+    value = negativity_numerical(reduced_density_from_joint(exact_ground(0.02).state))
     ratio = value / 0.02**2
     ok = abs(ratio - 1.0 / 16.0) < 0.01 / 16.0
     report(5, ok, f"negativity/g^2 at g=0.02 is {ratio:.6f} vs 1/16 = {1/16:.6f} (1%)")
@@ -101,13 +99,13 @@ def test_criterion_6_negativity_zero_crossing_and_maximum(exact_ground):
         1.0, g_lo=1.5, g_hi=3.5, threshold=NEGATIVITY_FLOOR, g_tol=1e-3, tol=1e-10
     )
     stays_zero = all(
-        negativity_numerical(reduced_density_from_joint(exact_ground(g).state)).value
+        negativity_numerical(reduced_density_from_joint(exact_ground(g).state))
         < NEGATIVITY_FLOOR
         for g in (2.8, 3.0, 3.5)
     )
     grid = [round(float(g), 2) for g in np.arange(0.7, 1.32, 0.02)]
     values = [
-        negativity_numerical(reduced_density_from_joint(exact_ground(g).state)).value
+        negativity_numerical(reduced_density_from_joint(exact_ground(g).state))
         for g in grid
     ]
     g_max = grid[int(np.argmax(values))]
@@ -147,7 +145,7 @@ def test_criterion_8_oracle_suites(exact_ground):
     for _ in range(100):
         alpha = rng.uniform(-1.5, 1.5)
         beta = rng.uniform(-np.sqrt(2.0), np.sqrt(2.0))
-        numeric = negativity_numerical(reduced_density_variational(alpha, beta)).value
+        numeric = negativity_numerical(reduced_density_variational(alpha, beta))
         worst_neg = max(worst_neg, abs(numeric - negativity_closed_form(alpha, beta)))
 
     # closed-form correction vs sum over states at 6 grid points

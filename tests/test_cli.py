@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -592,6 +593,34 @@ class TestConfigErrors:
         code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
         assert (code, out) == (3, "")
         assert named in err
+
+    @pytest.mark.parametrize("kind", ["missing file", "directory"])
+    def test_unreadable_config_path_exits_3(self, capsys, tmp_path, kind):
+        # the path is user input like a flag value: a usage error that names it
+        path = tmp_path / "absent.cfg" if kind == "missing file" else tmp_path
+        code, out, err = run_cli(capsys, ["ground", "--g", "0.4", "--config", str(path)])
+        assert (code, out) == (3, "")
+        assert str(path) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--steps", "x"], ["sweep", "--tol", "abc"], ["sweep", "--g-min", "abc"]],
+        ids=" ".join,
+    )
+    def test_unparsable_number_message_names_no_private_function(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert argv[1] in err
+        assert re.search(r"\b_\w", err) is None, err
+
+    def test_no_state_survives_between_calls(self, capsys, tmp_path):
+        # the parser is built once; a config's value must not become a later default
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega-c = 2\n")
+        code, out, _ = run_cli(capsys, ["variational", "--g", "0.4", "--config", str(cfg)])
+        assert code == 0 and csv_rows(out)[0]["omega_c"] == "2"
+        code, out, _ = run_cli(capsys, ["variational", "--g", "0.4"])
+        assert code == 0 and csv_rows(out)[0]["omega_c"] == "1"
 
     def test_config_without_a_path_exits_3(self, capsys):
         code, out, err = run_cli(capsys, ["ground", "--config"])

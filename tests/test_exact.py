@@ -8,7 +8,6 @@ from rabi2q import (
     build_hamiltonian,
     fidelity,
     ground_state,
-    pad_state,
     parity_operator,
 )
 from rabi2q import exact, model, variational
@@ -140,31 +139,25 @@ class TestFidelity:
         assert fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states(self):
-        v = np.zeros(6)
-        w = np.zeros(6)
+        # n_max = 1, odd sector: S0, |0>0, D1
+        v = np.zeros(3)
+        w = np.zeros(3)
         v[0] = 1.0
-        w[3] = 1.0
+        w[2] = 1.0
         assert fidelity(make_state(v, 1), make_state(w, 1)) == 0.0
 
     def test_sign_insensitive(self):
         rng = np.random.default_rng(7)
-        v = rng.normal(size=12)
+        v = rng.normal(size=6)
         a = make_state(v, 3)
         b = make_state(-v, 3)
         assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self, exact_ground):
         a = exact_ground(0.2).state
-        small = make_state(np.ones(6), 1)
-        with pytest.raises(ValueError, match="pad"):
+        small = make_state(np.ones(3), 1)
+        with pytest.raises(ValueError, match="different truncations"):
             fidelity(a, small)
-
-    def test_padding(self, exact_ground):
-        a = exact_ground(0.2).state
-        small = make_state(np.ones(6), 1)
-        padded = pad_state(small, a.n_max)
-        assert padded.coefficients.size == a.coefficients.size
-        assert fidelity(a, padded) <= 1.0
 
     def test_variational_fidelity_reference(self, exact_ground):
         # resonance, g = 0.4: overlap above 0.999
@@ -172,6 +165,15 @@ class TestFidelity:
         sol = variational.solve(ModelParams(1.0, 1.0, 0.4))
         trial = variational.trial_state(sol, FockTruncation(result.state.n_max))
         assert fidelity(trial, result.state) > 0.999
+
+
+@pytest.mark.parametrize("omega_c,g", [(1.0, 0.4), (0.2, 2.0), (0.1, 2.0)])
+def test_fidelity_equals_the_product_basis_overlap(exact_ground, omega_c, g):
+    state = exact_ground(g, omega_c).state
+    sol = variational.solve(ModelParams(1.0, omega_c, g))
+    trial = variational.trial_state(sol, FockTruncation(state.n_max))
+    reference = abs(trial.coefficients @ state.coefficients)
+    assert fidelity(trial, state) == pytest.approx(reference, rel=0, abs=1e-15)
 
 
 def test_ground_state_at_matches_dense_solve():
@@ -308,7 +310,7 @@ def test_error_estimate_is_the_padded_residual(omega_c, g, n_max):
     params = ModelParams(1.0, omega_c, g)
     result = ground_state_at(params, n_max)
     h = build_hamiltonian(params, FockTruncation(n_max + 1))
-    v = pad_state(result.state, n_max + 1).coefficients
+    v = np.pad(result.state.coefficients, (0, 3))
     residual = np.linalg.norm(h @ v - result.energy * v)
     assert residual > 1e-6
     trunc = FockTruncation(n_max)

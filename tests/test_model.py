@@ -160,8 +160,8 @@ class TestSectorHamiltonian:
             band, embedding = sector_hamiltonian(params, trunc, odd)
             columns += [embedding.embed(e) for e in np.eye(band.shape[1])]
         u = np.column_stack(columns)
-        assert u.shape == (trunc.dim, trunc.dim)
-        np.testing.assert_allclose(u.T @ u, np.eye(trunc.dim), atol=1e-15)
+        assert u.shape == (3 * trunc.n_levels, 3 * trunc.n_levels)
+        np.testing.assert_allclose(u.T @ u, np.eye(3 * trunc.n_levels), atol=1e-15)
 
     def test_hand_assembled_odd_band(self):
         # n_max = 2, odd sector: S0, |0>0, D1, S2, |0>2
