@@ -179,15 +179,6 @@ def sweep_columns(methods: tuple[str, ...], outputs: tuple[str, ...]) -> tuple[s
     return (*columns, "error")
 
 
-def _sweep_row(task: tuple) -> dict:
-    g, omega_c, columns, tol = task
-    try:
-        params = ModelParams(1.0, omega_c, g)
-    except ValueError as exc:  # recorded in-row like any failure inside evaluate
-        return {"g": g, "error": f"ValueError: {exc}"}
-    return evaluate(params, columns, tol)
-
-
 def locate_negativity_zero(
     omega_c: float,
     *,
@@ -314,9 +305,10 @@ def _checked(cast, accept, requirement: str):
     return parse
 
 
-_positive_float = _checked(float, lambda value: value > 0, "a positive number")
+_positive_float = _checked(float, lambda value: 0 < value < math.inf, "a positive finite number")
 _positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
 _finite_float = _checked(float, math.isfinite, "a finite number")
+_nonnegative_float = _checked(float, lambda value: 0 <= value < math.inf, "a finite number >= 0")
 
 
 def cmd_point(opt: argparse.Namespace) -> int:
@@ -364,17 +356,14 @@ def cmd_sweep(opt: argparse.Namespace) -> int:
     if opt.g_min > opt.g_max:
         raise UsageError(f"g_min={opt.g_min} exceeds g_max={opt.g_max}")
     columns = sweep_columns(opt.methods, opt.outputs)
-    tasks = [
-        (float(g), opt.omega_c, columns, opt.tol)
-        for g in np.linspace(opt.g_min, opt.g_max, opt.steps)
-    ]
-    if opt.parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=opt.parallel) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(task) for task in tasks]
+    rows = []
+    for g in np.linspace(opt.g_min, opt.g_max, opt.steps).tolist():
+        try:
+            params = ModelParams(1.0, opt.omega_c, g)
+        except ValueError as exc:  # a negative g: recorded in-row like a failure inside evaluate
+            rows.append({"g": g, "error": f"ValueError: {exc}"})
+        else:
+            rows.append(evaluate(params, columns, opt.tol))
     _write(render_rows(columns, rows, opt.format), opt.output)
     return 0
 
@@ -406,8 +395,9 @@ def _add_common(sub: argparse.ArgumentParser, omega_c: bool = True, tol: bool = 
     run the exact solver, and the output flags."""
     if omega_c:
         sub.add_argument(
-            "--omega-c", type=float, default=1.0, help="omega_c / omega_a (default %(default)s)"
-        )
+            "--omega-c", type=_positive_float, default=1.0,
+            help="omega_c / omega_a (default %(default)s)",
+        )  # fmt: skip
     if tol:
         sub.add_argument(
             "--tol", type=_positive_float, default=DEFAULT_TOL,
@@ -427,7 +417,9 @@ def build_parser() -> _Parser:
 
     for name, (text, columns) in POINT_COMMANDS.items():
         sub = subparsers.add_parser(name, help=text)
-        sub.add_argument("--g", type=float, required=True, help="coupling in units of omega_a")
+        sub.add_argument(
+            "--g", type=_nonnegative_float, required=True, help="coupling in units of omega_a"
+        )
         _add_common(sub, tol=any("exact" in COLUMNS[column][0] for column in columns))
         sub.set_defaults(func=cmd_point, columns=columns)
 
@@ -450,9 +442,6 @@ def build_parser() -> _Parser:
         "--outputs", type=_output_tuple, default=("energy",),
         help=f"subset of {','.join(OUTPUTS)}",
     )  # fmt: skip
-    sub.add_argument(
-        "--parallel", type=_positive_int, default=1, help="worker processes (default %(default)s)"
-    )
     _add_common(sub)
     sub.set_defaults(func=cmd_sweep)
 
@@ -460,10 +449,10 @@ def build_parser() -> _Parser:
         "find-zero", help="coupling where the exact negativity reaches numerical zero"
     )
     sub.add_argument(
-        "--g-min", type=_finite_float, default=1.5, help="bracket start (default %(default)s)"
+        "--g-min", type=_nonnegative_float, default=1.5, help="bracket start (default %(default)s)"
     )
     sub.add_argument(
-        "--g-max", type=_finite_float, default=3.5, help="bracket end (default %(default)s)"
+        "--g-max", type=_nonnegative_float, default=3.5, help="bracket end (default %(default)s)"
     )
     sub.add_argument(
         "--threshold",

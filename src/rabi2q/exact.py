@@ -64,11 +64,14 @@ class JointState:
 class GroundStateResult:
     energy: float
     state: JointState
-    n_max_used: int
     convergence_gap: float  # truncation-error estimate r^2 / (E1_odd - E0), see ground_state_at
     excited_gap: float      # E_1 - E_0 at n_max_used
     residual: float         # ||H v - E v||_2 at n_max_used
     parity_splitting: float  # E0_even - E0_odd at n_max_used (tunnelling)
+
+    @property
+    def n_max_used(self) -> int:
+        return self.state.n_max
 
 
 def make_state(amplitudes: np.ndarray, n_max: int) -> JointState:
@@ -156,7 +159,6 @@ def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
     return GroundStateResult(
         energy=energy,
         state=JointState(vec, embedding),
-        n_max_used=n_max,
         convergence_gap=leak * leak / (odd_1 - energy),
         excited_gap=max(0.0, min(odd_1, even_0) - energy),
         residual=float(np.linalg.norm(h_vec - energy * vec)),

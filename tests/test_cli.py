@@ -22,6 +22,7 @@ from rabi2q.cli import (
     render_rows,
     sweep_columns,
 )
+from rabi2q.transform import PerturbationValidityWarning
 
 
 def run_cli(capsys, argv):
@@ -82,7 +83,8 @@ class TestGround:
     def test_small_omega_c_deep_coupling_point(self, capsys):
         # alpha = 44: the exact state needs more than 2048 Fock levels, and
         # the trial state's exp(-alpha^2 / 2) underflows
-        code, out, _ = run_cli(capsys, ["ground", "--g", "4.4", "--omega-c", "0.1"])
+        with pytest.warns(PerturbationValidityWarning):
+            code, out, _ = run_cli(capsys, ["ground", "--g", "4.4", "--omega-c", "0.1"])
         assert code == 0
         row = csv_rows(out)[0]
         assert 2048 < int(row["n_max_used"]) <= 4096
@@ -145,14 +147,11 @@ class TestSweep:
         assert float(rows[0]["g"]) == 0.0
         assert float(rows[0]["energy_exact"]) == pytest.approx(-1.0, abs=1e-9)
 
-    def test_parallel_matches_serial(self, capsys):
-        base = ["sweep", "--g-min", "0.1", "--g-max", "0.5", "--steps", "3",
-                "--outputs", "energy,fidelity"]
-        _, serial, _ = run_cli(capsys, base)
-        _, parallel, _ = run_cli(capsys, base + ["--parallel", "2"])
-        assert serial == parallel
+    def test_parallel_flag_is_gone(self, capsys):
+        # rows are computed serially in one process; no flag chooses otherwise
+        assert exit_code(capsys, ["sweep", "--parallel", "2"]) == (3, "")
 
-    def test_process_pool_is_imported_only_under_parallel(self):
+    def test_import_loads_no_process_pool(self):
         src = str(Path(cli.__file__).resolve().parents[1])
         path = filter(None, [src, os.environ.get("PYTHONPATH")])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -205,11 +204,12 @@ class TestSweep:
             assert row["negativity_approx"] >= 0.0
 
     def test_small_omega_c_sweep_has_no_error_row(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            ["sweep", "--omega-c", "0.1", "--g-min", "0.2", "--g-max", "4", "--steps", "40",
-             "--methods", ",".join(METHODS), "--outputs", ",".join(OUTPUTS)],
-        )  # fmt: skip
+        with pytest.warns(PerturbationValidityWarning):  # chi >= 1 in deep coupling
+            code, out, _ = run_cli(
+                capsys,
+                ["sweep", "--omega-c", "0.1", "--g-min", "0.2", "--g-max", "4", "--steps", "40",
+                 "--methods", ",".join(METHODS), "--outputs", ",".join(OUTPUTS)],
+            )  # fmt: skip
         rows = csv_rows(out)
         assert code == 0 and len(rows) == 40
         assert [row["g"] for row in rows if row["error"]] == []
@@ -217,12 +217,13 @@ class TestSweep:
     def test_row_failure_is_recorded_not_fatal(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            ["sweep", "--g-min", "0", "--g-max", "0.5", "--steps", "2", "--omega-c", "-1",
+            ["sweep", "--g-min", "-1", "--g-max", "0.5", "--steps", "2",
              "--methods", "exact", "--outputs", "energy"],
         )  # fmt: skip
         rows = csv_rows(out)
         assert code == 0 and len(rows) == 2
-        assert all("omega_c" in row["error"] for row in rows)
+        assert "g must be non-negative" in rows[0]["error"]
+        assert rows[1]["error"] == ""
 
     def test_bad_steps_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--steps", "0"])
@@ -391,8 +392,6 @@ class TestFlagsAndConfig:
         [["ground", "--g", "0.4", "--tol", "nan"],
          ["ground", "--g", "0.4", "--tol=-1e-10"],
          ["sweep", "--tol", "0"],
-         ["sweep", "--parallel", "-3"],
-         ["sweep", "--parallel", "0"],
          ["find-zero", "--g-tol", "0"],
          ["find-zero", "--g-tol", "nan"],
          ["find-zero", "--g-min", "3.5", "--g-max", "1.5"],
@@ -403,8 +402,18 @@ class TestFlagsAndConfig:
          ["sweep", "--g-min=-inf", "--g-max", "0"],
          ["find-zero", "--threshold", "0"],
          ["find-zero", "--threshold", "nan"],
+         ["find-zero", "--threshold", "inf"],
+         ["find-zero", "--g-tol", "inf"],
          ["find-zero", "--g-max", "inf"],
-         ["find-zero", "--g-min=-inf"]],
+         ["find-zero", "--g-min=-inf"],
+         ["ground", "--g", "0.4", "--omega-c", "-1"],
+         ["ground", "--g", "-1"],
+         ["ground", "--g", "nan"],
+         ["variational", "--g", "0.5", "--omega-c", "inf"],
+         ["find-zero", "--omega-c", "-1"],
+         ["find-zero", "--g-min", "-1", "--g-max", "3"],
+         ["sweep", "--omega-c", "0"],
+         ["sweep", "--omega-c", "nan"]],
         ids=" ".join,
     )  # fmt: skip
     def test_bad_values_are_usage_errors_before_any_row(self, capsys, argv):
@@ -420,10 +429,13 @@ class TestFlagsAndConfig:
             raise ValueError(f"{token} is not JSON")
 
         argv = ["transform", "--g", "40", "--format"]
-        code, out, _ = run_cli(capsys, [*argv, "json"])
+        with pytest.warns(PerturbationValidityWarning):
+            code, out, _ = run_cli(capsys, [*argv, "json"])
         assert code == 0
         assert json.loads(out, parse_constant=reject)[0]["mu"] is None
-        assert csv_rows(run_cli(capsys, [*argv, "csv"])[1])[0]["mu"] == "inf"
+        with pytest.warns(PerturbationValidityWarning):
+            out = run_cli(capsys, [*argv, "csv"])[1]
+        assert csv_rows(out)[0]["mu"] == "inf"
 
     # Every flag of each subcommand but --config and --output, at cheap values.
     EVERY_FLAG = {
@@ -433,8 +445,7 @@ class TestFlagsAndConfig:
         "negativity": {"g": "0.4", "omega-c": "0.8", "tol": "1e-8", "format": "csv"},
         "table1": {"ref-tol": "1e-4", "tol": "1e-8", "format": "json"},
         "sweep": {"g-min": "-1", "g-max": "0.5", "steps": "4", "methods": "exact,variational",
-                  "outputs": "energy,alpha", "parallel": "1", "omega-c": "0.8", "tol": "1e-8",
-                  "format": "csv"},
+                  "outputs": "energy,alpha", "omega-c": "0.8", "tol": "1e-8", "format": "csv"},
         "find-zero": {"g-min": "2.6", "g-max": "2.7", "threshold": "5e-6", "g-tol": "0.01",
                       "omega-c": "1", "tol": "1e-8", "format": "json"},
     }  # fmt: skip
@@ -580,7 +591,7 @@ class TestConfigErrors:
         "command,text,named",
         [("ground", "g = 0.4\nomegac = 2\n", "--omegac"),
          ("table1", "omega-c = 2\n", "--omega-c"),
-         ("ground", "g = 0.4\nparallel = 2\n", "--parallel"),
+         ("ground", "g = 0.4\nsteps = 2\n", "--steps"),
          ("ground", "g = 0.4\nformat = xml\n", "--format"),
          ("ground", "g 0.4\n", "'g 0.4'"),
          ("ground", "g = 0.4\nconfig = other.cfg\n", "'config'")],
