@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .exact import JointState
-from .model import SQRT2, ModelParams
+from .model import SQRT2, ModelParams, sector_slices
 
 
 def _x_shaped(r11: float, r14: float, r22: float, r44: float) -> np.ndarray:
@@ -33,10 +33,7 @@ def reduced_density_from_joint(state: JointState) -> np.ndarray:
     at odd n.  With s = sum S_n^2, z = sum |0>_n^2, c = sum S_n |0>_n and
     d = sum D_n^2:  r11, r44 = (s + z)/2 +/- c,  r14 = (s - z)/2,  r22 = d/2.
     """
-    vec, layout = state.amplitudes, state.embedding
-    first = vec[layout.start]  # S_n where paired, D_n elsewhere
-    s_n, d_n = first[layout.paired], first[~layout.paired]
-    zero_n = vec[layout.start[layout.paired] + 1]
+    s_n, zero_n, d_n = (state.amplitudes[k] for k in sector_slices(odd=True))
     s, z, c, d = s_n @ s_n, zero_n @ zero_n, s_n @ zero_n, d_n @ d_n
     norm_sq = float(s + z + d)
     if abs(norm_sq - 1.0) > 1e-10:

@@ -27,7 +27,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .model import FockTruncation, ModelParams, SectorEmbedding, sector_hamiltonian
+from .model import (
+    FockTruncation, ModelParams, embed, sector_hamiltonian, sector_size, sector_slices
+)
 
 INVERSE_ITERATIONS = 2
 N_MAX_CAP = 4096  # largest Fock truncation ground_state tries
@@ -42,20 +44,19 @@ _ABSTOL = 2.0 * scipy.linalg.lapack.dlamch("s")
 
 @dataclass(frozen=True, eq=False)
 class JointState:
-    """Real unit vector in the odd parity sector, laid out by ``embedding``."""
+    """Real unit vector in the odd parity sector, laid out as ``model.sector_slices`` says."""
 
     amplitudes: np.ndarray
-    embedding: SectorEmbedding
 
     @property
     def n_max(self) -> int:
-        return self.embedding.paired.size - 1
+        return 2 * self.amplitudes.size // 3 - 1  # inverts model.sector_size
 
     @cached_property
     def coefficients(self) -> np.ndarray:
         """The product-basis view, signed so its largest-magnitude coefficient
         is positive (a global sign carries no physics)."""
-        vec = self.embedding.embed(self.amplitudes)
+        vec = embed(self.amplitudes, self.n_max, odd=True)
         k = int(np.argmax(np.abs(vec)))
         return -vec if vec[k] < 0 else vec
 
@@ -76,14 +77,14 @@ class GroundStateResult:
 
 def make_state(amplitudes: np.ndarray, n_max: int) -> JointState:
     """Normalize odd-sector amplitudes and wrap them as a JointState."""
-    embedding = SectorEmbedding.of(FockTruncation(n_max), odd=True)
+    size = sector_size(FockTruncation(n_max), odd=True)
     vec = np.asarray(amplitudes, dtype=float)
-    if vec.shape != (embedding.size,):
-        raise ValueError(f"expected length {embedding.size} for n_max={n_max}, got {vec.shape}")
+    if vec.shape != (size,):
+        raise ValueError(f"expected length {size} for n_max={n_max}, got {vec.shape}")
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0:
         raise ValueError("zero vector cannot be a state")
-    return JointState(vec / nrm, embedding)
+    return JointState(vec / nrm)
 
 
 def fidelity(a: JointState, b: JointState) -> float:
@@ -103,17 +104,22 @@ def _lowest_eigenvalues(band: np.ndarray, count: int) -> np.ndarray:
     return w[:m]
 
 
+def _shift_offset(band: np.ndarray) -> float:
+    """How far ``_inverse_iteration`` shifts below the eigenvalue: 1e-10 of the largest entry."""
+    return 1e-10 * float(np.abs(band).max())
+
+
 def _inverse_iteration(band: np.ndarray, eigenvalue: float, start: np.ndarray) -> np.ndarray:
     """Eigenvector of the lowest eigenvalue, by banded Cholesky solves of (H - shift) x = v.
 
-    The shift sits below the eigenvalue by 1e-10 of the largest entry, far
-    more than its rounding error, so H - shift is positive definite and
-    never exactly singular (at g = 0 the eigenvalue -omega_a is exact);
-    each solve still damps the other eigenvectors by that offset over their
-    distance.  If the Cholesky factorisation fails, the shift is not below
-    the spectrum, so ``eigenvalue`` is not the lowest: LinAlgError.
+    The shift sits ``_shift_offset`` below the eigenvalue, far more than its
+    rounding error, so H - shift is positive definite and never exactly
+    singular (at g = 0 the eigenvalue -omega_a is exact); each solve damps
+    the other eigenvectors by that offset over their distance.  If the
+    Cholesky factorisation fails, the shift is not below the spectrum, so
+    ``eigenvalue`` is not the lowest: LinAlgError.
     """
-    shift = eigenvalue - 1e-10 * float(np.abs(band).max())
+    shift = eigenvalue - _shift_offset(band)
     shifted = np.vstack((band[0] - shift, band[1:]))
     factor, info = scipy.linalg.lapack.dpbtrf(shifted, lower=1)
     if info != 0:
@@ -131,34 +137,41 @@ def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
 
     ``convergence_gap`` is the truncation-error estimate r^2 / (E1_odd - E0).
     The only coupling out of the truncated space is g * sqrt(N + 1) * Jz on
-    the top level N, and Jz swaps S_N and D_N and annihilates |0>_N, so
-    r = g * sqrt(N + 1) * |v_N| is the residual of the zero-padded ground
-    vector in the untruncated H.  This is the Kato-Temple form (T. Kato
-    1949; G. Temple 1928), but an estimate, not a bound: the truncated E1
-    lies above the exact one, and the estimate can fall below the true
-    error when the truncation is far too small.  On such a truncation the
-    even sector can also lie lower (then the splitting is negative and the
-    excited gap 0); ``ground_state`` checks the sign on the accepted solve.
+    the top level N, and Jz swaps S_N and D_N and annihilates |0>_N, so with
+    v_N the S_N (even N) or D_N (odd N) amplitude, r = g * sqrt(N + 1) * |v_N|
+    is the residual of the zero-padded ground vector in the untruncated H.
+    This is the Kato-Temple form (T. Kato 1949; G. Temple 1928), but an
+    estimate, not a bound: the truncated E1 lies above the exact one, and
+    the estimate can fall below the true error when the truncation is far
+    too small.  On such a truncation the even sector can also lie lower
+    (then the splitting is negative and the excited gap 0); ``ground_state``
+    checks the sign on the accepted solve.
+    Raises RuntimeError if E1_odd - E0 <= 1e4 shift offsets, where inverse
+    iteration keeps over 1e-8 of the next vector (omega_c below about 1e-9).
     """
     trunc = FockTruncation(n_max)
-    band, embedding = sector_hamiltonian(params, trunc, odd=True)
+    band = sector_hamiltonian(params, trunc, odd=True)
     energy, odd_1 = (float(e) for e in _lowest_eigenvalues(band, 2))
-    even_0 = float(_lowest_eigenvalues(sector_hamiltonian(params, trunc, odd=False)[0], 1)[0])
+    even_0 = float(_lowest_eigenvalues(sector_hamiltonian(params, trunc, odd=False), 1)[0])
+    if odd_1 - energy <= 1e4 * _shift_offset(band):
+        raise RuntimeError(
+            f"odd-sector gap {odd_1 - energy:.3e} is too small to resolve the ground vector "
+            f"at n_max={n_max} (omega_a={params.omega_a}, omega_c={params.omega_c}, g={params.g})"
+        )
     # The sector couplings form a tree (a chain of S/D vectors with a |0>
     # leaf on each S), and every coupling is >= 0.  Flipping signs by depth
-    # in the tree makes them <= 0, so the ground vector's components carry
-    # exactly these signs (Perron-Frobenius) and the start cannot be
-    # orthogonal to it, even at g = 0.
-    depth_sign = (-1.0) ** np.arange(n_max + 1)
-    start = np.empty(band.shape[1])
-    start[embedding.start] = depth_sign
-    start[embedding.start[embedding.paired] + 1] = -depth_sign[embedding.paired]
+    # in the tree makes them <= 0 (+1 on S_n, -1 on |0>_n and D_n at odd n),
+    # so the ground vector's components carry exactly these signs
+    # (Perron-Frobenius) and the start cannot be orthogonal to it, at g = 0 too.
+    s, _, d = sector_slices(odd=True)
+    start = np.full(band.shape[1], -1.0)
+    start[s] = 1.0
     vec = _inverse_iteration(band, energy, start)
-    leak = params.g * math.sqrt(n_max + 1) * abs(float(vec[embedding.start[-1]]))
+    leak = params.g * math.sqrt(n_max + 1) * abs(float(vec[d if n_max % 2 else s][-1]))
     h_vec = scipy.linalg.blas.dsbmv(2, 1.0, band, vec, lower=1)
     return GroundStateResult(
         energy=energy,
-        state=JointState(vec, embedding),
+        state=JointState(vec),
         convergence_gap=leak * leak / (odd_1 - energy),
         excited_gap=max(0.0, min(odd_1, even_0) - energy),
         residual=float(np.linalg.norm(h_vec - energy * vec)),

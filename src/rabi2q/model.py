@@ -14,18 +14,18 @@ sectors.  In the atom basis S = (|+1> + |-1>)/sqrt2, |0>, D = (|+1> - |-1>)/sqrt
 (Jx couples only S and |0>, Jz swaps S and D), the odd sector (parity -1,
 which holds the ground state) keeps S_n, |0>_n at even n and D_n at odd n;
 the even sector keeps the rest.  Ordered by photon number, S before |0>,
-each sector Hamiltonian is pentadiagonal: ``sector_hamiltonian``.  States
-are held in the odd-sector basis, laid out by ``SectorEmbedding``.
+each sector Hamiltonian is pentadiagonal (``sector_hamiltonian``), and a
+sector vector's S, |0> and D amplitudes are three strided slices
+(``sector_slices``).  States are held in the odd-sector basis.
 
 The product ordering serves ``build_hamiltonian``, ``parity_operator`` and
-``SectorEmbedding.embed``: joint index = fock_index * 3 + atom_index, atom
-levels ordered m = (+1, 0, -1) (eigenvalues of Jz).  There H is real
-symmetric and block tridiagonal in the photon number (total bandwidth 5).
+``embed``: joint index = fock_index * 3 + atom_index, atom levels ordered
+m = (+1, 0, -1) (eigenvalues of Jz).  There H is real symmetric and block
+tridiagonal in the photon number (total bandwidth 5).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
@@ -121,60 +121,47 @@ def build_hamiltonian(params: ModelParams, trunc: FockTruncation) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-@dataclass(frozen=True, eq=False)
-class SectorEmbedding:
-    """Where each Fock level's vectors sit in a sector basis.
-
-    Level n holds S_n then |0>_n where ``paired[n]``, and D_n otherwise;
-    its first vector has sector index ``start[n]``.  Build it with ``of``,
-    which keeps one read-only layout per truncation and sector.
-    """
-
-    paired: np.ndarray  # (n_levels,) bool
-    start: np.ndarray   # (n_levels,) int
-    size: int           # dimension of the sector
-
-    @classmethod
-    @functools.lru_cache(maxsize=64)
-    def of(cls, trunc: FockTruncation, odd: bool) -> SectorEmbedding:
-        """The layout of the odd (parity -1) or the even sector of ``trunc``."""
-        paired = (np.arange(trunc.n_levels) % 2 == 0) == odd
-        counts = 1 + paired
-        start = np.cumsum(counts) - counts
-        paired.flags.writeable = start.flags.writeable = False
-        return cls(paired, start, int(start[-1] + counts[-1]))
-
-    def embed(self, vec: np.ndarray) -> np.ndarray:
-        """Map a sector vector to the full product basis (an isometry)."""
-        half = vec[self.start] / SQRT2  # S_n or D_n amplitude on |+1> and on |-1>
-        full = np.zeros((self.paired.size, ATOM_DIM))
-        full[:, 0] = half
-        full[:, 2] = np.where(self.paired, half, -half)
-        full[self.paired, 1] = vec[self.start[self.paired] + 1]
-        return full.ravel()
+def sector_slices(odd: bool) -> tuple[slice, slice, slice]:
+    """Slices of a sector vector holding its (S, |0>, D) amplitudes, each ordered by n:
+    the odd sector runs S_0, |0>_0, D_1, S_2, ... and the even one D_0, S_1, |0>_1, ..."""
+    return slice(1 - odd, None, 3), slice(2 - odd, None, 3), slice(2 * odd, None, 3)
 
 
-def sector_hamiltonian(
-    params: ModelParams, trunc: FockTruncation, odd: bool
-) -> tuple[np.ndarray, SectorEmbedding]:
+def sector_size(trunc: FockTruncation, odd: bool) -> int:
+    """Dimension of the odd (parity -1) or the even sector of ``trunc``."""
+    return (3 * trunc.n_max + 3 + odd) // 2
+
+
+def embed(vec: np.ndarray, n_max: int, odd: bool) -> np.ndarray:
+    """Map a sector vector to the full product basis (an isometry)."""
+    s, z, d = sector_slices(odd)
+    paired, single = slice(1 - odd, None, 2), slice(odd, None, 2)  # levels with S or with D
+    full = np.zeros((n_max + 1, ATOM_DIM))
+    full[paired, 0] = full[paired, 2] = vec[s] / SQRT2  # on |+1> and on |-1>
+    full[paired, 1] = vec[z]
+    full[single, 0], full[single, 2] = vec[d] / SQRT2, -vec[d] / SQRT2
+    return full.ravel()
+
+
+def sector_hamiltonian(params: ModelParams, trunc: FockTruncation, odd: bool) -> np.ndarray:
     """H restricted to one parity sector, in LAPACK lower band storage.
 
-    Returns ``(band, embedding)`` with ``band`` of shape (3, sector_dim):
-    ``band[k, j]`` is the matrix element between sector vectors j + k and j.
-    Nonzero entries are omega_c * n on the diagonal, omega_a between S_n
-    and |0>_n, and g * sqrt(n + 1) between the S or D vector of level n and
-    the D or S vector of level n + 1.  ``embedding`` is the sector's layout.
+    The band is (3, sector_size): ``band[k, j]`` is the matrix element between
+    sector vectors j + k and j.  That is omega_c * n on the diagonal, omega_a
+    from S_n to |0>_n, and g * sqrt(n + 1) from S_n to D_(n+1), two slots on,
+    and from D_n to S_(n+1), one slot on.
     """
-    embedding = SectorEmbedding.of(trunc, odd=odd)
-    paired, start = embedding.paired, embedding.start
+    s, z, d = sector_slices(odd)
     n = np.arange(trunc.n_levels)
-    counts = 1 + paired
-
-    band = np.zeros((3, embedding.size))
-    band[0] = params.omega_c * np.repeat(n, counts)
-    band[1, start[paired]] = params.omega_a
-    band[counts[:-1], start[:-1]] = params.g * np.sqrt(n[1:])
-    return band, embedding
+    coupling = params.g * np.sqrt((n + 1) % trunc.n_levels)  # to level n + 1, none above n_max
+    paired, single = slice(1 - odd, None, 2), slice(odd, None, 2)  # levels with S or with D
+    band = np.zeros((3, sector_size(trunc, odd)))
+    band[0, s] = band[0, z] = params.omega_c * n[paired]
+    band[0, d] = params.omega_c * n[single]
+    band[1, s] = params.omega_a
+    band[1, d] = coupling[single]
+    band[2, s] = coupling[paired]
+    return band
 
 
 def coherent_state_vector(amplitude: float, trunc: FockTruncation) -> np.ndarray:

@@ -33,7 +33,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .exact import JointState, make_state
-from .model import SQRT2, FockTruncation, ModelParams, SectorEmbedding, coherent_state_vector
+from .model import (
+    SQRT2, FockTruncation, ModelParams, coherent_state_vector, sector_size, sector_slices
+)
 
 RESIDUAL_TOL = 1e-8
 
@@ -144,7 +146,8 @@ def solve(params: ModelParams) -> VariationalSolution:
         return VariationalSolution(0.0, -SQRT2, -wa, stationarity_residual(0.0, -SQRT2, params))
 
     alphas = g / wc * _SCAN
-    values = _stationarity(alphas, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: no finite well, raised below
+        values = _stationarity(alphas, params)
     values[-1] = max(values[-1], 0.0)
     best = None
     for i in np.flatnonzero((values[:-1] < 0.0) & (values[1:] >= 0.0)):
@@ -175,10 +178,9 @@ def trial_state(sol: VariationalSolution, trunc: FockTruncation) -> JointState:
     |-alpha>|+1> + |alpha>|-1> is S_n = sqrt2 <n|-alpha> at even n and
     D_n = sqrt2 <n|-alpha> at odd n (see ``model``), and beta |0>|0> is |0>_0.
     """
-    minus = coherent_state_vector(sol.alpha, trunc)
-    minus[1::2] = -minus[1::2]  # <n|-alpha> = (-1)^n <n|alpha>
-    embedding = SectorEmbedding.of(trunc, odd=True)
-    vec = np.zeros(embedding.size)
-    vec[embedding.start] = SQRT2 * minus
-    vec[embedding.start[0] + 1] = sol.beta
+    v = SQRT2 * coherent_state_vector(sol.alpha, trunc)
+    s, z, d = sector_slices(odd=True)
+    vec = np.zeros(sector_size(trunc, odd=True))
+    vec[s], vec[d] = v[0::2], -v[1::2]  # sqrt2 <n|-alpha> = (-1)^n sqrt2 <n|alpha>
+    vec[z][0] = sol.beta
     return make_state(vec, trunc.n_max)

@@ -65,9 +65,8 @@ class TestReducedFromJoint:
 
     def test_rejects_unnormalized_state(self):
         from rabi2q.exact import JointState
-        from rabi2q.model import SectorEmbedding
 
-        bad = JointState(np.ones(3), SectorEmbedding.of(FockTruncation(1), odd=True))
+        bad = JointState(np.ones(3))
         with pytest.raises(ValueError, match="not normalized"):
             reduced_density_from_joint(bad)
 

@@ -126,6 +126,33 @@ def test_overflowing_size_reaches_the_cap(monkeypatch, omega_c, g):
         ground_state(ModelParams(1.0, omega_c, g), tol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "omega_c,g",
+    [(1e-10, 0.0), (1e-11, 0.0), (1e-12, 0.0), (1e-14, 1e-14), (1e-16, 1e-16), (1e-18, 0.0),
+     (1e-20, 1e-20)],
+)
+def test_unresolvable_odd_gap_raises(omega_c, g):
+    # E1_odd - E0 is about 2 omega_c: within 1e4 times the inverse iteration's
+    # shift offset the second vector survives (or the gap rounds to 0)
+    with pytest.raises(RuntimeError, match="too small to resolve"):
+        ground_state(ModelParams(1.0, omega_c, g))
+
+
+def test_small_omega_c_matches_the_decoupled_state():
+    # g = 0: the vacuum times the Jx ground state, (S_0 - |0>_0) / sqrt2
+    result = ground_state(ModelParams(1.0, 1e-6, 0.0))
+    s, z, _ = model.sector_slices(odd=True)
+    expected = np.zeros(result.state.amplitudes.size)
+    expected[s][0], expected[z][0] = 1.0, -1.0
+    assert fidelity(result.state, make_state(expected, result.n_max_used)) >= 1.0 - 1e-13
+
+
+@pytest.mark.parametrize("n_max", range(13))
+def test_joint_state_n_max_round_trips(n_max):
+    size = model.sector_size(FockTruncation(n_max), odd=True)
+    assert exact.JointState(np.ones(size)).n_max == n_max
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         ground_state(ModelParams(1.0, 1.0, 0.5), tol=0.0)
@@ -220,7 +247,7 @@ def test_inverse_iteration_needs_the_lowest_eigenvalue():
     # H - shift is positive definite only below the spectrum: given the
     # second eigenvalue, the Cholesky factorisation fails instead of
     # returning that eigenvalue's vector
-    band = model.sector_hamiltonian(ModelParams(1.0, 1.0, 0.4), FockTruncation(20), odd=True)[0]
+    band = model.sector_hamiltonian(ModelParams(1.0, 1.0, 0.4), FockTruncation(20), odd=True)
     lowest, second = exact._lowest_eigenvalues(band, 2)
     start = np.ones(band.shape[1])
     vec = exact._inverse_iteration(band, lowest, start)
@@ -251,10 +278,10 @@ def test_solve_work_counts(monkeypatch):
     )
 
     def sector(params, trunc, odd):
-        band, embedding = real_sector(params, trunc, odd)
+        band = real_sector(params, trunc, odd)
         if odd:
             odd_bands.add(id(band))
-        return band, embedding
+        return band
 
     def solve(band, count):
         solves.append(id(band) in odd_bands)
@@ -355,7 +382,7 @@ def test_small_omega_c_deep_coupling_converges(g):
 @pytest.mark.parametrize("odd", [True, False])
 @pytest.mark.parametrize("count", [1, 2])
 def test_lowest_eigenvalues_equal_eig_banded(omega_c, g, n_max, odd, count):
-    band = model.sector_hamiltonian(ModelParams(1.0, omega_c, g), FockTruncation(n_max), odd)[0]
+    band = model.sector_hamiltonian(ModelParams(1.0, omega_c, g), FockTruncation(n_max), odd)
     # Fortran order, which LAPACK could overwrite in place
     band = np.asfortranarray(band)
     before = band.copy()

@@ -12,6 +12,7 @@ from rabi2q.model import (
     annihilation_matrix,
     build_hamiltonian,
     coherent_state_vector,
+    embed,
     parity_operator,
     sector_hamiltonian,
     spin1_matrices,
@@ -142,8 +143,8 @@ class TestSectorHamiltonian:
     def test_band_is_projected_hamiltonian(self, n_max, odd):
         params = ModelParams(0.9, 1.3, 0.7)
         trunc = FockTruncation(n_max)
-        band, embedding = sector_hamiltonian(params, trunc, odd)
-        u = np.column_stack([embedding.embed(e) for e in np.eye(band.shape[1])])
+        band = sector_hamiltonian(params, trunc, odd)
+        u = np.column_stack([embed(e, n_max, odd) for e in np.eye(band.shape[1])])
         projected = u.T @ build_hamiltonian(params, trunc) @ u
         # 1e-14 absolute, plus the rounding of 1/sqrt(2) in u on entries ~ omega_c * n
         np.testing.assert_allclose(projected, self.dense(band), rtol=1e-15, atol=1e-14)
@@ -157,8 +158,8 @@ class TestSectorHamiltonian:
         params = ModelParams(1.0, 1.0, 0.5)
         columns = []
         for odd in (True, False):
-            band, embedding = sector_hamiltonian(params, trunc, odd)
-            columns += [embedding.embed(e) for e in np.eye(band.shape[1])]
+            band = sector_hamiltonian(params, trunc, odd)
+            columns += [embed(e, trunc.n_max, odd) for e in np.eye(band.shape[1])]
         u = np.column_stack(columns)
         assert u.shape == (3 * trunc.n_levels, 3 * trunc.n_levels)
         np.testing.assert_allclose(u.T @ u, np.eye(3 * trunc.n_levels), atol=1e-15)
@@ -166,7 +167,7 @@ class TestSectorHamiltonian:
     def test_hand_assembled_odd_band(self):
         # n_max = 2, odd sector: S0, |0>0, D1, S2, |0>2
         g = 0.5
-        band, _ = sector_hamiltonian(ModelParams(0.8, 1.0, g), FockTruncation(2), odd=True)
+        band = sector_hamiltonian(ModelParams(0.8, 1.0, g), FockTruncation(2), odd=True)
         expected = np.array(
             [
                 [0.0, 0.0, 1.0, 2.0, 2.0],

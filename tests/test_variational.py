@@ -168,7 +168,6 @@ class TestSolve:
         sol = solve(p)
         assert sol.residual == stationarity_residual(sol.alpha, sol.beta, p)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("omega_c,g", [(1e-160, 1.0), (1.0, 1e154)])
     def test_overflowing_profile_raises(self, omega_c, g):
         # the scan is all NaN at (1e-160, 1); the well's energy is -inf at (1, 1e154)
