@@ -66,12 +66,8 @@ class _Point:
         return variational.solve(self.params)
 
     @cached_property
-    def dressed(self):
-        return transform.solve_chi(self.params, self.var)
-
-    @cached_property
     def delta_e(self):
-        return transform.perturbation_correction(self.dressed, self.params)
+        return transform.perturbation_correction(self.var.levels, self.params)
 
     @cached_property
     def rho(self):
@@ -103,19 +99,18 @@ COLUMNS = {
     "fidelity": (
         ("exact", "var"),
         lambda p: fidelity(
-            variational.trial_state(p.var, FockTruncation(p.exact.state.n_max)), p.exact.state
+            variational.trial_state(p.var.alpha, p.var.beta, FockTruncation(p.exact.state.n_max)),
+            p.exact.state,
         ),
     ),
-    "energy_transform": (("var", "dressed"), attrgetter("dressed.eps_minus")),
+    "energy_transform": (("var",), attrgetter("var.levels.eps_minus")),
     **{
-        name: (("var", "dressed"), attrgetter(f"dressed.{name}"))
+        name: (("var",), attrgetter(f"var.levels.{name}"))
         for name in ("chi", "eta", "mu", "lambda_minus", "lambda_plus", "eps_minus", "eps_zero",
                      "eps_plus")
     },  # fmt: skip
-    "delta_e": (("var", "dressed", "delta_e"), attrgetter("delta_e")),
-    "energy_corrected": (
-        ("var", "dressed", "delta_e"), lambda p: p.dressed.eps_minus + p.delta_e
-    ),
+    "delta_e": (("var", "delta_e"), attrgetter("delta_e")),
+    "energy_corrected": (("var", "delta_e"), lambda p: p.var.levels.eps_minus + p.delta_e),
 }
 
 # The single-point subcommands: help text and the columns of their one row.
@@ -146,11 +141,11 @@ def evaluate(params: ModelParams, columns: tuple[str, ...], tol: float) -> dict:
     """The values of ``columns`` (keys of COLUMNS) at one parameter point.
 
     Values are computed in column order.  Each stage (exact ground state,
-    variational solution, dressed levels, perturbative correction, reduced
-    density matrix) runs at most once, when the first column that needs it
-    is read; ``tol`` goes to the exact solver.  If
-    ``columns`` holds "error", a failure ends the row and is recorded there;
-    otherwise it is raised.
+    variational solution with its dressed levels, perturbative correction,
+    reduced density matrix) runs at most once, when the first column that
+    needs it is read; ``tol`` goes to the exact solver.  If ``columns``
+    holds "error", a failure ends the row and is recorded there; otherwise
+    it is raised.
     """
     point = _Point(params, tol)
     row = {}

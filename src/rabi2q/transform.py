@@ -6,12 +6,14 @@ parameter chi) turns the atomic part of the Hamiltonian into
 
     eta w_a Jx - (2 g chi - w_c chi^2) Jz^2,      eta = exp(-chi^2/2),
 
-whose spectrum and eigenvectors are closed-form.  Choosing chi to cancel
-the counter-rotating matrix element out of the lowest dressed level
-reproduces exactly the variational stationarity system, so ``solve_chi``
-takes chi from a variational solution and checks the identity.  The
-neglected two-photon piece of the transformed Hamiltonian is restored
-perturbatively by ``perturbation_correction`` (closed form) and by
+whose spectrum and eigenvectors are closed-form (``dressed_levels``).
+Choosing chi to cancel the counter-rotating matrix element out of the
+lowest dressed level reproduces exactly the variational stationarity
+system, with chi = alpha and lambda_- = beta, so the variational solve
+computes these levels once at its alpha and carries them
+(``variational.VariationalSolution.levels``).  The neglected two-photon
+piece of the transformed Hamiltonian is restored perturbatively by
+``perturbation_correction`` (closed form) and by
 ``perturbation_sum_over_states`` (an independent numerical second-order
 sum used to validate the closed form).
 """
@@ -24,10 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import variational
 from .model import SQRT2, FockTruncation, ModelParams, annihilation_matrix, spin1_matrices
-
-EQUIVALENCE_TOL = 1e-9
 
 
 class PerturbationValidityWarning(UserWarning):
@@ -58,26 +57,29 @@ class TransformSolution:
 def dressed_levels(chi: float, params: ModelParams) -> TransformSolution:
     """Closed-form spectrum of eta w_a Jx - (2 g chi - w_c chi^2) Jz^2.
 
-    With c = eta w_a, d = 2 g chi - w_c chi^2, s = sqrt(d^2 + 4 c^2) and
-    mu = d / c:
+    With c = eta w_a, b = sqrt2 c, d = 2 g chi - w_c chi^2,
+    s = sqrt(d^2 + 2 b^2) and mu = d / c:
         eps_0   = -d                  (antisymmetric level)
         eps_+/- = (-d +/- s) / 2
         |+/->   = (|1> + lambda_{+/-} |0> + |-1>) / N_{+/-},
-                  lambda_{+/-} = (mu +/- sqrt(4 + mu^2)) / sqrt2 = (d +/- s) / (sqrt2 c)
+                  lambda_{+/-} = (mu +/- sqrt(4 + mu^2)) / sqrt2 = (d +/- s) / b
         |0>     = (|1> - |-1>) / sqrt2
     Of each pair (eps_+ eps_- = -c^2, lambda_+ lambda_- = -2) the member of
     smaller magnitude is formed through the product, so nothing cancels.
     Nothing divides by eta, which underflows for chi above ~38.6; mu and the
-    far lambda are infinite there.
+    far lambda are infinite there.  lambda_- at chi = alpha is the lower
+    root of the variational beta condition B beta^2 - 2 d beta - 2 B = 0
+    with B = b, and is taken as the variational beta.
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
     eta = math.exp(-chi * chi / 2.0)
     c = eta * wa
-    d = 2.0 * g * chi - wc * chi * chi
-    far = math.sqrt(d * d + 4.0 * c * c) + abs(d)  # 2 |far eps| = sqrt2 c |far lambda|
+    b = SQRT2 * c  # B of ``variational`` at alpha = chi
+    d = 2.0 * chi * g - chi * chi * wc  # the products of its A, so d = -A exactly
+    far = math.sqrt(d * d + 2.0 * b * b) + abs(d)  # 2 |far eps| = b |far lambda|
     near_eps = 2.0 * c * c / far
-    near_lam = 2.0 * SQRT2 * c / far
-    far_lam = far / (SQRT2 * c) if c else math.inf
+    near_lam = 2.0 * b / far
+    far_lam = far / b if b else math.inf
     if d >= 0.0:
         eps_minus, eps_plus = -far / 2.0, near_eps
         lam_minus, lam_plus = -near_lam, far_lam
@@ -96,34 +98,6 @@ def dressed_levels(chi: float, params: ModelParams) -> TransformSolution:
         eps_zero=-d,
         eps_plus=eps_plus,
     )
-
-
-def solve_chi(
-    params: ModelParams, var: variational.VariationalSolution
-) -> TransformSolution:
-    """Displacement that removes the counter-rotating coupling to the lowest
-    dressed level.
-
-    The defining condition coincides with the variational stationarity
-    system, with chi = alpha and lambda_- = beta, so chi is taken from
-    ``var``, the result of ``variational.solve(params)`` (a fixed scan of
-    the beta-eliminated stationarity condition, a bracketed root-find per
-    sign change, the lowest well kept and its ``stationarity_residual``
-    checked), and the identities eps_- = E_v and lambda_- = beta are
-    asserted to EQUIVALENCE_TOL rather than re-derived.  Neither side
-    divides by eta or by beta, so the check also holds where exp(-chi^2/2)
-    underflows.
-    """
-    sol = dressed_levels(var.alpha, params)
-    if abs(sol.eps_minus - var.energy) > EQUIVALENCE_TOL or (
-        abs(sol.lambda_minus - var.beta) > EQUIVALENCE_TOL
-    ):
-        raise RuntimeError(
-            "dressed-level/variational equivalence violated: "
-            f"eps_-={sol.eps_minus!r} vs E_v={var.energy!r}, "
-            f"lambda_-={sol.lambda_minus!r} vs beta={var.beta!r}"
-        )
-    return sol
 
 
 def perturbation_correction(sol: TransformSolution, params: ModelParams) -> float:

@@ -7,14 +7,18 @@ The trial state is
 with |alpha> a real-amplitude coherent state and N^2 = 2 + beta^2.  Its
 energy expectation has the closed form implemented by
 ``energy_expectation``.  With A = alpha^2 w_c - 2 alpha g and
-B = sqrt2 w_a exp(-alpha^2/2), setting its beta derivative to zero gives a
-quadratic in beta whose lower root (``beta_stationary``) eliminates beta
-exactly and leaves the one-dimensional profile
+B = sqrt2 w_a exp(-alpha^2/2), setting its beta derivative to zero gives
+the quadratic B beta^2 + 2 A beta - 2 B = 0, whose lower root minimizes
+<H> over beta.  That root is the m=0 weight lambda_- of the lowest level
+of the displacement-transformed atom at chi = alpha
+(``transform.dressed_levels``), so beta is taken from there.  Eliminating
+beta leaves the one-dimensional profile
 
-    E(alpha) = (A - R) / 2,      R = sqrt(A^2 + 2 B^2).
+    E(alpha) = (A - R) / 2,      R = sqrt(A^2 + 2 B^2),
 
-Every minimum of E lies in [0, g/w_c], where A <= 0.  There the stationarity
-condition dE/dalpha = 0, scaled by the positive factor 2R/(R - A), reads
+which is that level's energy eps_-.  Every minimum of E lies in [0, g/w_c],
+where A <= 0.  There the stationarity condition dE/dalpha = 0, scaled by
+the positive factor 2R/(R - A), reads
 
     f(alpha) = 2 (alpha w_c - g) + 2 alpha B^2 / (R - A) = 0,
 
@@ -36,8 +40,10 @@ from .exact import JointState, make_state
 from .model import (
     SQRT2, FockTruncation, ModelParams, coherent_state_vector, sector_size, sector_slices
 )
+from .transform import TransformSolution, dressed_levels
 
 RESIDUAL_TOL = 1e-8
+EQUIVALENCE_TOL = 1e-9  # relative, between eps_- and <H> at the returned point
 
 # Where f is sampled, as fractions of g/omega_c.
 _SCAN = np.linspace(0.0, 1.0, 33)
@@ -46,13 +52,17 @@ _SCAN = np.linspace(0.0, 1.0, 33)
 @dataclass(frozen=True)
 class VariationalSolution:
     alpha: float
-    beta: float
-    energy: float
+    energy: float  # energy_expectation(alpha, beta, params)
     residual: float  # stationarity_residual(alpha, beta, params)
+    levels: TransformSolution  # dressed_levels(alpha, params)
+
+    @property
+    def beta(self) -> float:
+        return self.levels.lambda_minus
 
     @property
     def norm_sq(self) -> float:
-        return 2.0 + self.beta * self.beta
+        return self.levels.n_minus_sq
 
 
 def energy_expectation(alpha: float, beta: float, params: ModelParams) -> float:
@@ -69,27 +79,6 @@ def energy_expectation(alpha: float, beta: float, params: ModelParams) -> float:
             + SQRT2 * beta * params.omega_a * math.exp(-alpha * alpha / 2.0)
         )
     )
-
-
-def beta_stationary(alpha: float, params: ModelParams) -> tuple[float, float]:
-    """Both roots of d<H>/dbeta = 0 at fixed alpha, lower root first.
-
-    With A = alpha^2 w_c - 2 alpha g and B = sqrt2 w_a exp(-alpha^2/2) the
-    condition is B beta^2 + 2 A beta - 2 B = 0 (B > 0 always), so the roots
-    are (-A -/+ sqrt(A^2 + 2 B^2)) / B and their product is -2.  The lower
-    root always minimizes <H> over beta, the upper one maximizes it.  The
-    root of smaller magnitude is formed through the product, so neither
-    cancels; the other overflows to infinity once B is tiny (alpha above
-    about 37.5 at w_c ~ 1).
-    """
-    a = alpha * alpha * params.omega_c - 2.0 * alpha * params.g
-    b = SQRT2 * params.omega_a * math.exp(-alpha * alpha / 2.0)
-    s = math.sqrt(a * a + 2.0 * b * b) + abs(a)  # |far root| * B
-    near = 2.0 * b / s
-    far = s / b if b else math.inf
-    if a < 0.0:
-        return -near, far
-    return -far, near
 
 
 def stationarity_residual(alpha: float, beta: float, params: ModelParams) -> float:
@@ -133,54 +122,74 @@ def solve(params: ModelParams) -> VariationalSolution:
 
     f is sampled at 33 evenly spaced points of [0, g/w_c].  Each - to +
     sign change brackets a minimum of the profile, which ``brentq``
-    resolves to rounding; the lowest one is returned.  The sample at g/w_c
-    is clamped to >= 0: once exp(-alpha^2) underflows the root is g/w_c to
-    rounding, and f there is rounding noise.  g = 0 is returned analytically
-    because the alpha condition degenerates there.  The result carries its
+    resolves to a relative 1e-15, however small alpha is; beta and the
+    dressed levels at that alpha come from one ``dressed_levels`` call, and
+    the well of lowest <H> is returned.  The sample at g/w_c is clamped to
+    >= 0: once exp(-alpha^2) underflows the root is g/w_c to rounding, and
+    f there is rounding noise.  g = 0 is returned analytically because the
+    alpha condition degenerates there.  The result carries its
     ``stationarity_residual``.  RuntimeError is raised if that exceeds
-    RESIDUAL_TOL, or if no well of finite energy is found, which happens
-    once g/w_c overflows the profile.
+    RESIDUAL_TOL, if eps_- departs from <H> by more than EQUIVALENCE_TOL
+    relative (the two are different formulas for one energy), or if no
+    well of finite energy is found, which happens once g/w_c overflows the
+    profile.
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
     if g == 0.0:
-        return VariationalSolution(0.0, -SQRT2, -wa, stationarity_residual(0.0, -SQRT2, params))
+        levels = dressed_levels(0.0, params)  # lambda_- = -sqrt2
+        return VariationalSolution(
+            0.0, -wa, stationarity_residual(0.0, levels.lambda_minus, params), levels
+        )
 
     alphas = g / wc * _SCAN
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: no finite well, raised below
         values = _stationarity(alphas, params)
     values[-1] = max(values[-1], 0.0)
+    # brentq works in units of 2**ka in alpha and 2**kf in f, rescalings that
+    # are exact.  f(alpha) <= 2 (alpha (w_a + w_c) - g), so every root is at
+    # least g/(w_a + w_c) ~ 2**ka and its xtol of 1e-15 is relative at any
+    # root; and its products of f and alpha steps cannot underflow at tiny g.
+    ka, kf = math.frexp(g / (wa + wc))[1], math.frexp(g)[1]
+
+    def scaled(u):
+        return math.ldexp(_stationarity(math.ldexp(u, ka), params), -kf)
+
     best = None
     for i in np.flatnonzero((values[:-1] < 0.0) & (values[1:] >= 0.0)):
         if values[i + 1] == 0.0:
             alpha = float(alphas[i + 1])
         else:
-            alpha = brentq(
-                _stationarity, alphas[i], alphas[i + 1], args=(params,), xtol=1e-15, rtol=1e-15
-            )
-        beta = beta_stationary(alpha, params)[0]
-        energy = energy_expectation(alpha, beta, params)
-        if best is None or energy < best[2]:
-            best = (alpha, beta, energy)
+            u_lo, u_hi = math.ldexp(alphas[i], -ka), math.ldexp(alphas[i + 1], -ka)
+            alpha = math.ldexp(brentq(scaled, u_lo, u_hi, xtol=1e-15, rtol=1e-15), ka)
+        levels = dressed_levels(alpha, params)
+        energy = energy_expectation(alpha, levels.lambda_minus, params)
+        if best is None or energy < best[1]:
+            best = (alpha, energy, levels)
 
-    if best is None or not math.isfinite(best[2]):
+    if best is None or not math.isfinite(best[1]):
         raise RuntimeError(f"no well of finite energy found (omega_c={wc}, g={g})")
-    alpha, beta, energy = best
-    residual = stationarity_residual(alpha, beta, params)
+    alpha, energy, levels = best
+    residual = stationarity_residual(alpha, levels.lambda_minus, params)
     if residual > RESIDUAL_TOL:
         raise RuntimeError(
             f"stationarity residual {residual:.2e} exceeds {RESIDUAL_TOL:g} at alpha={alpha!r}"
         )
-    return VariationalSolution(alpha, beta, energy, residual)
+    if abs(levels.eps_minus - energy) > EQUIVALENCE_TOL * abs(energy):
+        raise RuntimeError(
+            "dressed-level/variational equivalence violated: "
+            f"eps_-={levels.eps_minus!r} vs E_v={energy!r} at alpha={alpha!r}"
+        )
+    return VariationalSolution(alpha, energy, residual, levels)
 
 
-def trial_state(sol: VariationalSolution, trunc: FockTruncation) -> JointState:
+def trial_state(alpha: float, beta: float, trunc: FockTruncation) -> JointState:
     """The trial vector in the odd sector of a Fock truncation, renormalized:
     |-alpha>|+1> + |alpha>|-1> is S_n = sqrt2 <n|-alpha> at even n and
     D_n = sqrt2 <n|-alpha> at odd n (see ``model``), and beta |0>|0> is |0>_0.
     """
-    v = SQRT2 * coherent_state_vector(sol.alpha, trunc)
+    v = SQRT2 * coherent_state_vector(alpha, trunc)
     s, z, d = sector_slices(odd=True)
     vec = np.zeros(sector_size(trunc, odd=True))
     vec[s], vec[d] = v[0::2], -v[1::2]  # sqrt2 <n|-alpha> = (-1)^n sqrt2 <n|alpha>
-    vec[z][0] = sol.beta
+    vec[z][0] = beta
     return make_state(vec, trunc.n_max)

@@ -26,7 +26,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def corrected_energy(params: ModelParams) -> tuple[float, float]:
-    sol = transform.solve_chi(params, variational.solve(params))
+    sol = variational.solve(params).levels
     return sol.eps_minus, sol.eps_minus + transform.perturbation_correction(sol, params)
 
 
@@ -67,7 +67,7 @@ def test_criterion_3_fidelity_above_0p999(exact_ground):
     for g in (0.1, 0.2, 0.3, 0.4, 0.5):
         result = exact_ground(g)
         sol = variational.solve(ModelParams(1.0, 1.0, g))
-        trial = variational.trial_state(sol, FockTruncation(result.state.n_max))
+        trial = variational.trial_state(sol.alpha, sol.beta, FockTruncation(result.state.n_max))
         worst = min(worst, fidelity(trial, result.state))
     ok = worst > 0.999
     report(3, ok, f"min fidelity over g in 0.1..0.5 = {worst:.6f} (> 0.999)")
@@ -124,7 +124,7 @@ def test_criterion_7_method_equivalence_grid():
         for g in np.linspace(0.06, 1.2, 20):
             params = ModelParams(1.0, omega_c, float(g))
             var = variational.solve(params)
-            sol = transform.solve_chi(params, var)
+            sol = var.levels
             worst = max(
                 worst,
                 abs(sol.chi - var.alpha),
@@ -152,7 +152,7 @@ def test_criterion_8_oracle_suites(exact_ground):
     worst_pert = 0.0
     for omega_c, g in [(1.0, 0.2), (1.0, 0.5), (1.0, 0.8), (0.8, 0.4), (1.2, 0.4), (1.2, 0.9)]:
         params = ModelParams(1.0, omega_c, g)
-        sol = transform.solve_chi(params, variational.solve(params))
+        sol = variational.solve(params).levels
         closed = transform.perturbation_correction(sol, params)
         summed = transform.perturbation_sum_over_states(sol, params, FockTruncation(40))
         worst_pert = max(worst_pert, abs(closed - summed))
@@ -166,9 +166,7 @@ def test_criterion_8_oracle_suites(exact_ground):
         alpha = rng.uniform(-1.0, 1.0)
         beta = rng.uniform(-2.0, 2.0)
         params = ModelParams(1.0, rng.uniform(0.8, 1.2), rng.uniform(0.0, 1.0))
-        state = variational.trial_state(
-            variational.VariationalSolution(alpha, beta, 0.0, residual=0.0), trunc
-        )
+        state = variational.trial_state(alpha, beta, trunc)
         h = build_hamiltonian(params, trunc)
         worst_energy = max(
             worst_energy,

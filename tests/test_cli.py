@@ -214,6 +214,21 @@ class TestSweep:
         assert code == 0 and len(rows) == 40
         assert [row["g"] for row in rows if row["error"]] == []
 
+    def test_tiny_omega_c_approximate_sweep_has_no_error_row(self, capsys):
+        # eps_- and <H> differ by an ulp at |E| ~ 1e7; an absolute check rejected 9 rows
+        with pytest.warns(PerturbationValidityWarning):  # chi >= 1
+            code, out, _ = run_cli(
+                capsys,
+                ["sweep", "--omega-c", "1e-5", "--g-min", "1", "--g-max", "30", "--steps", "30",
+                 "--methods", "variational,transform,corrected"],
+            )  # fmt: skip
+        rows = csv_rows(out)
+        assert code == 0 and len(rows) == 30
+        assert [row["g"] for row in rows if row["error"]] == []
+        for row in rows:
+            e_var, e_transform = float(row["energy_variational"]), float(row["energy_transform"])
+            assert abs(e_transform - e_var) <= 1e-9 * abs(e_var)
+
     def test_row_failure_is_recorded_not_fatal(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -252,6 +267,12 @@ class TestVariationalCommand:
         ]  # fmt: skip
         assert float(row["stat_residual"]) < 1e-14
 
+    def test_tiny_alpha_keeps_its_digits(self, capsys):
+        code, out, _ = run_cli(capsys, ["variational", "--omega-c", "1e-20", "--g", "1e-20"])
+        assert code == 0
+        (row,) = csv_rows(out)
+        assert float(row["alpha"]) == pytest.approx(1e-20, rel=1e-9, abs=0.0)
+
     def test_deep_coupling_rows_succeed(self, capsys):
         # a residual that divides by alpha beta rejects these rows spuriously
         code, out, _ = run_cli(
@@ -264,6 +285,17 @@ class TestVariationalCommand:
             assert row["error"] == ""
             assert float(row["stat_residual"]) <= 1e-8
             assert float(row["energy_transform"]) == float(row["energy_variational"])
+
+
+class TestTransformCommand:
+    def test_tiny_omega_c_point_succeeds(self, capsys):
+        # eps_- and <H> differ by 1.5e-8 = one ulp at E = -9e7
+        with pytest.warns(PerturbationValidityWarning):
+            code, out, err = run_cli(capsys, ["transform", "--omega-c", "1e-5", "--g", "30"])
+        assert (code, err) == (0, "")
+        (row,) = csv_rows(out)
+        assert float(row["eps_minus"]) == pytest.approx(-9e7, rel=1e-12)
+        assert float(row["chi"]) == pytest.approx(3e6, rel=1e-12)
 
 
 class TestNegativityCommand:
@@ -518,7 +550,6 @@ class TestEvaluate:
         for stage, owner, name in [
             ("exact", cli, "ground_state"),
             ("var", variational, "solve"),
-            ("dressed", transform, "solve_chi"),
             ("delta_e", transform, "perturbation_correction"),
             ("rho", entangle, "reduced_density_from_joint"),
         ]:
@@ -537,7 +568,7 @@ class TestEvaluate:
              "--methods", ",".join(METHODS), "--outputs", ",".join(OUTPUTS)],
         )  # fmt: skip
         assert code == 0 and csv_rows(out)[0]["error"] == ""
-        assert calls == {"exact": 1, "var": 1, "dressed": 1, "delta_e": 1, "rho": 1}
+        assert calls == {"exact": 1, "var": 1, "delta_e": 1, "rho": 1}
 
     def test_approx_only_row_skips_the_exact_solver(self, monkeypatch, capsys):
         calls = self._count_stages(monkeypatch)
@@ -548,7 +579,7 @@ class TestEvaluate:
              "--outputs", "energy,alpha,beta,negativity_approx"],
         )  # fmt: skip
         assert code == 0 and csv_rows(out)[0]["error"] == ""
-        assert calls == {"var": 1, "dressed": 1, "delta_e": 1}
+        assert calls == {"var": 1, "delta_e": 1}
 
     @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
     @pytest.mark.parametrize("column", sorted(COLUMNS))
@@ -556,6 +587,23 @@ class TestEvaluate:
         calls = self._count_stages(monkeypatch)
         evaluate(ModelParams(1.0, 1.0, 0.4), (column,), 1e-10)
         assert calls == dict.fromkeys(COLUMNS[column][0], 1)
+
+    @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
+    @pytest.mark.parametrize("omega_c,g,wells", [(1.0, 0.4, 1), (0.1, 0.4, 2)])
+    def test_dressed_levels_run_once_per_well(self, monkeypatch, omega_c, g, wells):
+        # inside the variational solve only; no later stage recomputes them
+        calls = []
+
+        def counted(*args, _fn=transform.dressed_levels):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(transform, "dressed_levels", counted)
+        monkeypatch.setattr(variational, "dressed_levels", counted)
+        row = evaluate(ModelParams(1.0, omega_c, g), tuple(COLUMNS), 1e-10)
+        assert row["error"] == ""
+        assert len(calls) == wells
+        assert row["chi"] in [args[0] for args in calls]
 
     def test_failure_keeps_earlier_values(self, monkeypatch):
         def fail(params):

@@ -46,7 +46,7 @@ class TestReducedFromJoint:
     def test_path_equivalence_with_closed_form(self):
         # tracing the materialized trial state must reproduce the closed form
         sol = variational.solve(ModelParams(1.0, 1.0, 0.3))
-        state = variational.trial_state(sol, FockTruncation(64))
+        state = variational.trial_state(sol.alpha, sol.beta, FockTruncation(64))
         from_joint = reduced_density_from_joint(state)
         closed = reduced_density_variational(sol.alpha, sol.beta)
         np.testing.assert_allclose(from_joint, closed, atol=1e-9)
@@ -83,7 +83,7 @@ def test_reduced_density_equals_the_product_basis_partial_trace(exact_ground, om
     # reference: trace the field out of the product-basis view, level by level
     exact = exact_ground(g, omega_c).state
     sol = variational.solve(ModelParams(1.0, omega_c, g))
-    trial = variational.trial_state(sol, FockTruncation(exact.n_max))
+    trial = variational.trial_state(sol.alpha, sol.beta, FockTruncation(exact.n_max))
     for state in (exact, trial):
         by_level = state.coefficients.reshape(-1, 3)
         reference = TRIPLET_IN_QUBITS @ (by_level.T @ by_level) @ TRIPLET_IN_QUBITS.T
@@ -96,9 +96,7 @@ class TestReducedVariational:
         expected = np.zeros((4, 4))
         expected[3, 3] = 1.0
         np.testing.assert_allclose(rho, expected, atol=1e-14)
-        state = variational.trial_state(
-            variational.VariationalSolution(0.0, -SQ2, -1.0, residual=0.0), FockTruncation(8)
-        )
+        state = variational.trial_state(0.0, -SQ2, FockTruncation(8))
         np.testing.assert_allclose(
             reduced_density_from_joint(state), rho, atol=1e-14
         )

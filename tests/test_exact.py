@@ -190,7 +190,7 @@ class TestFidelity:
         # resonance, g = 0.4: overlap above 0.999
         result = exact_ground(0.4)
         sol = variational.solve(ModelParams(1.0, 1.0, 0.4))
-        trial = variational.trial_state(sol, FockTruncation(result.state.n_max))
+        trial = variational.trial_state(sol.alpha, sol.beta, FockTruncation(result.state.n_max))
         assert fidelity(trial, result.state) > 0.999
 
 
@@ -198,7 +198,7 @@ class TestFidelity:
 def test_fidelity_equals_the_product_basis_overlap(exact_ground, omega_c, g):
     state = exact_ground(g, omega_c).state
     sol = variational.solve(ModelParams(1.0, omega_c, g))
-    trial = variational.trial_state(sol, FockTruncation(state.n_max))
+    trial = variational.trial_state(sol.alpha, sol.beta, FockTruncation(state.n_max))
     reference = abs(trial.coefficients @ state.coefficients)
     assert fidelity(trial, state) == pytest.approx(reference, rel=0, abs=1e-15)
 

@@ -11,18 +11,27 @@ from rabi2q.transform import (
     dressed_levels,
     perturbation_correction,
     perturbation_sum_over_states,
-    solve_chi,
 )
 from rabi2q import variational
+from rabi2q.variational import energy_expectation
 
 SQ2 = math.sqrt(2.0)
 
 WIDE_OMEGA_C = (0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0)
 WIDE_G = np.linspace(0.0, 5.0, 501)
+RESONANT = ModelParams(1.0, 1.0, 0.2)
 
 
-def _solve_chi(p):
-    return solve_chi(p, variational.solve(p))
+def _levels(p):
+    """The dressed levels at the variational alpha, as the variational solve carries them."""
+    return variational.solve(p).levels
+
+
+def _beta_condition_terms(lam, chi, p):
+    """The three terms of d<H>/dbeta = 0 at alpha = chi: B beta^2 + 2 A beta - 2 B."""
+    a = chi * chi * p.omega_c - 2.0 * chi * p.g
+    b = SQ2 * p.omega_a * math.exp(-chi * chi / 2.0)
+    return b * lam * lam, 2.0 * a * lam, -2.0 * b
 
 
 def _dressed_vector(lam):
@@ -81,20 +90,70 @@ class TestDressedLevels:
         for chi in (0.1, 0.5, 1.3):
             sol = dressed_levels(chi, ModelParams(1.0, 1.2, 0.8))
             assert sol.lambda_minus * sol.lambda_plus == pytest.approx(-2.0, rel=1e-12)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            chi = rng.uniform(-1.5, 1.5)
+            p = ModelParams(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0, 1.5))
+            sol = dressed_levels(chi, p)
+            assert sol.lambda_minus * sol.lambda_plus == pytest.approx(-2.0, rel=1e-12)
 
-    @pytest.mark.parametrize("omega_c,g", [(1.0, 4.0), (0.05, 5.0), (1.2, 0.8)])
+    def test_lambda_pair_solves_the_beta_condition(self):
+        # both lambdas are stationary points of <H> over beta at alpha = chi
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            chi = rng.uniform(0.05, 1.0)
+            p = ModelParams(1.0, rng.uniform(0.8, 1.2), rng.uniform(0.1, 1.0))
+            sol = dressed_levels(chi, p)
+            for lam in (sol.lambda_minus, sol.lambda_plus):
+                terms = _beta_condition_terms(lam, chi, p)
+                assert abs(sum(terms)) < 1e-14 * sum(abs(t) for t in terms)
+
+    def test_lambda_minus_minimizes_the_trial_energy(self):
+        sol = dressed_levels(0.1, RESONANT)
+        assert sol.lambda_minus == pytest.approx(-1.3930547, abs=1e-6)
+        grid = np.linspace(-3.0, 3.0, 600001)
+        energies = [energy_expectation(0.1, b, RESONANT) for b in grid]
+        assert grid[int(np.argmin(energies))] == pytest.approx(sol.lambda_minus, abs=2e-5)
+        p = ModelParams(1.0, 1.0, 0.6)
+        sol = dressed_levels(0.4, p)
+        assert energy_expectation(0.4, sol.lambda_minus, p) < energy_expectation(
+            0.4, sol.lambda_plus, p
+        )
+
+    @pytest.mark.parametrize("omega_c,g", [(1.0, 4.0), (0.05, 5.0), (1.2, 0.8), (1.0, 0.5)])
     def test_pairs_without_cancellation(self, omega_c, g):
-        # lambda_- agrees with the independently written lower beta root; the
-        # direct (mu - sqrt(4 + mu^2)) / sqrt2 cancels to 0.0 where beta ~ -1e-9
+        # the direct (mu - sqrt(4 + mu^2)) / sqrt2 cancels to 0.0 where beta ~ -1e-9,
+        # and the direct lower beta root gives the product -1.99999977 at (1, 4), chi = 4
         p = ModelParams(1.0, omega_c, g)
         for chi in np.linspace(0.0, 37.0, 371):
             sol = dressed_levels(float(chi), p)
             assert sol.lambda_minus * sol.lambda_plus == pytest.approx(-2.0, rel=1e-14)
-            assert sol.lambda_minus == pytest.approx(
-                variational.beta_stationary(float(chi), p)[0], rel=1e-14
-            )
+            terms = _beta_condition_terms(sol.lambda_minus, float(chi), p)
+            assert abs(sum(terms)) < 1e-14 * sum(abs(t) for t in terms)
             c = sol.eta * p.omega_a
             assert sol.eps_minus * sol.eps_plus == pytest.approx(-c * c, rel=1e-14)
+
+    @pytest.mark.parametrize("omega_c,g", [(1.0, 4.0), (0.05, 5.0)])
+    def test_lambda_limits_once_exp_underflows(self, omega_c, g):
+        p = ModelParams(1.0, omega_c, g)
+        for chi in (38.0, 39.0, 40.0, 100.0):
+            sol = dressed_levels(chi, p)
+            if 2.0 * g * chi - omega_c * chi * chi < 0.0:  # the m=0 level is the lowest
+                assert sol.lambda_minus == -math.inf and 0.0 <= sol.lambda_plus < 1e-300
+            else:  # the displaced pair is the lowest
+                assert -1e-300 < sol.lambda_minus <= 0.0 and sol.lambda_plus == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega_c", (1e-5, 0.05, 0.2, 1.0, 2.0))
+    def test_eps_minus_is_the_trial_energy_at_lambda_minus(self, omega_c):
+        # one energy, two formulas: eps_- and <H>(chi, lambda_-), over the
+        # wells' range [0, g/w_c], deep coupling and underflowed exp(-chi^2/2) included
+        for g in (0.01, 0.3, 1.0, 5.0, 30.0):
+            p = ModelParams(1.0, omega_c, g)
+            for chi in np.linspace(0.0, g / omega_c, 101):
+                sol = dressed_levels(float(chi), p)
+                trial = energy_expectation(float(chi), sol.lambda_minus, p)
+                assert abs(sol.eps_minus - trial) <= 1e-12 * abs(trial)
 
     @pytest.mark.filterwarnings("error")
     def test_no_division_by_vanishing_eta(self):
@@ -112,13 +171,13 @@ class TestDressedLevels:
             np.testing.assert_array_equal(vec_minus, np.array([1.0, 0.0, 1.0]) / SQ2)
 
 
-class TestSolveChi:
+class TestVariationalLevels:
     @pytest.mark.parametrize("g,reference", [(0.8, -1.19965), (1.2, -1.62699)])
     def test_resonance_reference_energies(self, g, reference):
-        assert abs(_solve_chi(ModelParams(1.0, 1.0, g)).eps_minus - reference) < 2e-5
+        assert abs(_levels(ModelParams(1.0, 1.0, g)).eps_minus - reference) < 2e-5
 
     def test_decoupled(self):
-        sol = _solve_chi(ModelParams(1.0, 1.0, 0.0))
+        sol = _levels(ModelParams(1.0, 1.0, 0.0))
         assert sol.chi == 0.0
         assert sol.eps_minus == pytest.approx(-1.0, abs=1e-12)
 
@@ -127,7 +186,7 @@ class TestSolveChi:
     def test_equivalence_check_holds_on_wide_grid(self, omega_c):
         for g in WIDE_G:
             p = ModelParams(1.0, omega_c, float(g))
-            sol = _solve_chi(p)  # raises if eps_- or lambda_- departs from the variational side
+            sol = _levels(p)  # solve raises if eps_- departs from the trial energy
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PerturbationValidityWarning)
                 correction = perturbation_correction(sol, p)
@@ -139,9 +198,9 @@ class TestSolveChi:
             for g in (0.2, 0.7, 1.1):
                 p = ModelParams(1.0, wc, g)
                 var = variational.solve(p)
-                sol = solve_chi(p, var)
+                sol = var.levels
                 assert sol.chi == var.alpha
-                assert abs(sol.lambda_minus - var.beta) < 1e-9
+                assert sol.lambda_minus == var.beta
                 assert abs(sol.eps_minus - var.energy) < 1e-9
 
 
@@ -149,7 +208,7 @@ class TestPerturbationCorrection:
     @pytest.mark.parametrize("g,reference", [(0.6, -1.10403), (1.0, -1.39094)])
     def test_corrected_energy_reference(self, g, reference):
         p = ModelParams(1.0, 1.0, g)
-        sol = _solve_chi(p)
+        sol = _levels(p)
         corrected = sol.eps_minus + perturbation_correction(sol, p)
         assert abs(corrected - reference) < 2e-5
 
@@ -162,12 +221,12 @@ class TestPerturbationCorrection:
         for wc in (0.8, 1.0, 1.2):
             for g in np.arange(0.1, 1.25, 0.1):
                 p = ModelParams(1.0, wc, float(g))
-                sol = _solve_chi(p)
+                sol = _levels(p)
                 assert perturbation_correction(sol, p) <= 0.0
 
     def test_warns_outside_expansion_regime(self):
         p = ModelParams(1.0, 0.8, 1.1)
-        sol = _solve_chi(p)
+        sol = _levels(p)
         assert sol.chi >= 1.0
         with pytest.warns(PerturbationValidityWarning):
             perturbation_correction(sol, p)
@@ -176,7 +235,7 @@ class TestPerturbationCorrection:
         # second-order shift tightens the dressed-level estimate
         for g in (0.2, 0.4, 0.6, 0.8, 1.0, 1.2):
             p = ModelParams(1.0, 1.0, g)
-            sol = _solve_chi(p)
+            sol = _levels(p)
             e_exact = exact_ground(g).energy
             corrected = sol.eps_minus + perturbation_correction(sol, p)
             assert abs(corrected - e_exact) < abs(sol.eps_minus - e_exact)
@@ -185,7 +244,7 @@ class TestPerturbationCorrection:
 class TestSumOverStatesOracle:
     def test_matches_closed_form_tightly(self):
         p = ModelParams(1.0, 1.0, 0.4)
-        sol = _solve_chi(p)
+        sol = _levels(p)
         closed = perturbation_correction(sol, p)
         summed = perturbation_sum_over_states(sol, p, FockTruncation(40))
         assert abs(closed - summed) < 1e-10
@@ -195,7 +254,7 @@ class TestSumOverStatesOracle:
     )
     def test_grid_agreement(self, wc, g):
         p = ModelParams(1.0, wc, g)
-        sol = _solve_chi(p)
+        sol = _levels(p)
         closed = perturbation_correction(sol, p)
         summed = perturbation_sum_over_states(sol, p, FockTruncation(40))
         assert abs(closed - summed) < 1e-9

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from rabi2q import FockTruncation, FockTruncationWarning, ModelParams, build_hamiltonian
+from rabi2q import variational
 from rabi2q.variational import (
-    VariationalSolution,
-    beta_stationary,
     energy_expectation,
     small_g_approx,
     solve,
@@ -49,65 +48,6 @@ class TestEnergyExpectation:
                 alpha * alpha - 2 * alpha * 0.3, abs=1e-14
             )
         assert energy_expectation(0.3, 0.0, p) == pytest.approx(-0.09, abs=1e-14)
-
-
-class TestBetaStationary:
-    def test_symmetric_roots_when_decoupled(self):
-        lo, hi = beta_stationary(0.0, ModelParams(1.0, 1.0, 0.0))
-        assert lo == pytest.approx(-SQ2, abs=1e-14)
-        assert hi == pytest.approx(SQ2, abs=1e-14)
-
-    def test_root_product_is_minus_two(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            alpha = rng.uniform(-1.5, 1.5)
-            p = ModelParams(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0, 1.5))
-            lo, hi = beta_stationary(alpha, p)
-            assert lo * hi == pytest.approx(-2.0, rel=1e-12)
-
-    def test_both_roots_satisfy_beta_condition(self):
-        # d<H>/dbeta = 0  <=>  B beta^2 + 2 A beta - 2 B = 0
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            alpha = rng.uniform(0.05, 1.0)
-            p = ModelParams(1.0, rng.uniform(0.8, 1.2), rng.uniform(0.1, 1.0))
-            a = alpha * alpha * p.omega_c - 2.0 * alpha * p.g
-            b = SQ2 * p.omega_a * math.exp(-alpha * alpha / 2.0)
-            for beta in beta_stationary(alpha, p):
-                terms = (b * beta * beta, 2.0 * a * beta, -2.0 * b)
-                assert abs(sum(terms)) < 1e-14 * sum(abs(t) for t in terms)
-
-    @pytest.mark.parametrize("omega_c,g", [(1.0, 4.0), (0.05, 5.0), (1.0, 0.5)])
-    def test_root_product_without_cancellation(self, omega_c, g):
-        # the direct lower root (-A - R) / B cancels: product -1.99999977 at alpha = 4, (1, 4)
-        p = ModelParams(1.0, omega_c, g)
-        for alpha in np.linspace(0.0, 37.0, 371):
-            lo, hi = beta_stationary(float(alpha), p)
-            assert lo * hi == pytest.approx(-2.0, rel=1e-14)
-
-    @pytest.mark.parametrize("omega_c,g", [(1.0, 4.0), (0.05, 5.0)])
-    def test_limits_once_exp_underflows(self, omega_c, g):
-        p = ModelParams(1.0, omega_c, g)
-        for alpha in (38.0, 39.0, 40.0, 100.0):
-            lo, hi = beta_stationary(alpha, p)
-            a = alpha * alpha * omega_c - 2.0 * alpha * g
-            if a > 0.0:  # beta -> -inf: the m=0 level is the lowest
-                assert lo == -math.inf and 0.0 <= hi < 1e-300
-            else:  # beta -> 0: the displaced pair is the lowest
-                assert -1e-300 < lo <= 0.0 and hi == math.inf
-
-    def test_lower_root_against_grid_minimization(self):
-        lo, _ = beta_stationary(0.1, RESONANT)
-        assert lo == pytest.approx(-1.3930547, abs=1e-6)
-        grid = np.linspace(-3.0, 3.0, 600001)
-        energies = [energy_expectation(0.1, b, RESONANT) for b in grid]
-        assert grid[int(np.argmin(energies))] == pytest.approx(lo, abs=2e-5)
-
-    def test_lower_root_minimizes(self):
-        lo, hi = beta_stationary(0.4, ModelParams(1.0, 1.0, 0.6))
-        assert energy_expectation(0.4, lo, ModelParams(1.0, 1.0, 0.6)) < energy_expectation(
-            0.4, hi, ModelParams(1.0, 1.0, 0.6)
-        )
 
 
 class TestSolve:
@@ -178,6 +118,30 @@ class TestSolve:
         sol = solve(ModelParams(1.0, 1.0, 0.4))
         assert sol.norm_sq == pytest.approx(2.0 + sol.beta**2, abs=0.0)
 
+    def test_beta_and_levels_are_one_closed_form(self):
+        p = ModelParams(1.0, 0.2, 1.3)
+        sol = solve(p)
+        assert sol.levels.chi == sol.alpha
+        assert sol.beta == sol.levels.lambda_minus
+        assert sol.energy == energy_expectation(sol.alpha, sol.beta, p)
+
+    @pytest.mark.parametrize(
+        "omega_c,g", [(127520580.187, 77606893.9), (31754915.04, 26590690.999)]
+    )
+    def test_equivalence_check_is_relative(self, omega_c, g):
+        # at |E| ~ 1e7 the two energy formulas differ by one ulp, above 1e-9
+        sol = solve(ModelParams(1.0, omega_c, g))
+        gap = abs(sol.levels.eps_minus - sol.energy)
+        assert 1e-9 < gap <= 4e-16 * abs(sol.energy)
+
+    def test_equivalence_violation_raises(self, monkeypatch):
+        def shifted(alpha, beta, params, _fn=energy_expectation):
+            return _fn(alpha, beta, params) * (1.0 + 2e-9)
+
+        monkeypatch.setattr(variational, "energy_expectation", shifted)
+        with pytest.raises(RuntimeError, match="equivalence violated"):
+            solve(ModelParams(1.0, 1.0, 0.5))
+
 
 class TestSmallG:
     def test_zero_coupling(self):
@@ -193,6 +157,17 @@ class TestSmallG:
         alpha, _ = small_g_approx(ModelParams(1.0, 1.2, 0.3))
         assert alpha == pytest.approx(0.3 / 2.2, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "omega_c,g", [(1e-20, 1e-20), (1.0, 1e-6), (1.0, 1e-200), (1e-3, 1e-250)]
+    )
+    def test_tiny_alpha_is_resolved_relatively(self, omega_c, g):
+        # at (1e-20, 1e-20) the root alpha ~ g/(w_a + w_c) = 1e-20 sits in a scan
+        # bracket of width 1/32; below g ~ 1e-155 root-finding products underflow
+        p = ModelParams(1.0, omega_c, g)
+        sol = solve(p)
+        assert sol.alpha == pytest.approx(small_g_approx(p)[0], rel=1e-12, abs=0.0)
+        assert sol.residual <= 1e-15
+
     def test_alpha_error_scales_as_g_cubed(self):
         # |solve.alpha - g/(wa+wc)| / g^3 stays bounded as g -> 0
         ratios = []
@@ -205,7 +180,7 @@ class TestSmallG:
 
 class TestTrialState:
     def test_decoupled_state_is_lowest_jx_level(self):
-        state = trial_state(VariationalSolution(0.0, -SQ2, -1.0, 0.0), FockTruncation(8))
+        state = trial_state(0.0, -SQ2, FockTruncation(8))
         expected = np.zeros(27)
         expected[0], expected[1], expected[2] = 0.5, -SQ2 / 2.0, 0.5
         overlap = abs(state.coefficients @ expected)
@@ -213,14 +188,14 @@ class TestTrialState:
 
     def test_normalized(self):
         sol = solve(ModelParams(1.0, 1.0, 0.5))
-        state = trial_state(sol, FockTruncation(40))
+        state = trial_state(sol.alpha, sol.beta, FockTruncation(40))
         assert np.linalg.norm(state.coefficients) == pytest.approx(1.0, abs=1e-12)
 
     def test_energy_matches_matrix_element(self):
         p = ModelParams(1.0, 1.0, 0.4)
         sol = solve(p)
         trunc = FockTruncation(48)
-        state = trial_state(sol, trunc)
+        state = trial_state(sol.alpha, sol.beta, trunc)
         h = build_hamiltonian(p, trunc)
         assert state.coefficients @ h @ state.coefficients == pytest.approx(
             sol.energy, abs=1e-9
@@ -229,7 +204,7 @@ class TestTrialState:
     def test_one_truncation_warning_per_trial_state(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            trial_state(VariationalSolution(2.0, -0.5, -1.0, 0.0), FockTruncation(3))
+            trial_state(2.0, -0.5, FockTruncation(3))
         assert [w.category for w in caught] == [FockTruncationWarning]
 
     def test_formula_matches_matrix_element_on_random_inputs(self):
@@ -240,8 +215,7 @@ class TestTrialState:
             alpha = rng.uniform(-1.0, 1.0)
             beta = rng.uniform(-2.0, 2.0)
             p = ModelParams(1.0, rng.uniform(0.8, 1.2), rng.uniform(0.0, 1.0))
-            sol = VariationalSolution(alpha, beta, energy=0.0, residual=0.0)
-            state = trial_state(sol, trunc)
+            state = trial_state(alpha, beta, trunc)
             h = build_hamiltonian(p, trunc)
             assert state.coefficients @ h @ state.coefficients == pytest.approx(
                 energy_expectation(alpha, beta, p), abs=1e-9
