@@ -51,11 +51,40 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-class _Point:
-    """The stages at one parameter point, each run when first read and kept."""
+class _Grid:
+    """The stages that run over a whole grid of g at one omega_c, each from one
+    call when a row first reads it: the variational solution and its
+    correction, with the errors of the rows where they failed."""
 
-    def __init__(self, params: ModelParams, tol: float):
-        self.params, self.tol = params, tol
+    def __init__(self, omega_c: float, g: np.ndarray):
+        self.omega_c, self.g = omega_c, g
+
+    @cached_property
+    def solution(self) -> tuple[variational.VariationalSolution, dict[int, Exception]]:
+        return variational.solve_grid(ModelParams(1.0, self.omega_c, self.g))
+
+    @cached_property
+    def var(self) -> list[variational.VariationalSolution]:
+        """The solution at each row, as floats."""
+        return self.solution[0].points()
+
+    @cached_property
+    def delta_e(self) -> tuple[list[float], dict[int, Exception]]:
+        """The correction at the rows the solve did not fail; it fails where that did."""
+        solution, failed = self.solution
+        rows = np.setdiff1d(np.arange(self.g.size), list(failed))
+        values = np.full(self.g.size, math.nan)
+        values[rows], errors = transform.perturbation_correction_grid(
+            solution.levels.at(rows), ModelParams(1.0, self.omega_c, self.g[rows])
+        )
+        return values.tolist(), {**failed, **{rows[k].item(): exc for k, exc in errors.items()}}
+
+
+class _Point:
+    """The stages at one coupling of a _Grid, each run when first read and kept."""
+
+    def __init__(self, params: ModelParams, tol: float, grid: _Grid, index: int):
+        self.params, self.tol, self.grid, self.index = params, tol, grid, index
 
     @cached_property
     def exact(self):
@@ -63,11 +92,17 @@ class _Point:
 
     @cached_property
     def var(self):
-        return variational.solve(self.params)
+        errors = self.grid.solution[1]
+        if self.index in errors:
+            raise errors[self.index]
+        return self.grid.var[self.index]
 
     @cached_property
     def delta_e(self):
-        return transform.perturbation_correction(self.var.levels, self.params)
+        values, errors = self.grid.delta_e
+        if self.index in errors:
+            raise errors[self.index]
+        return values[self.index]
 
     @cached_property
     def rho(self):
@@ -137,26 +172,43 @@ POINT_COMMANDS = {
 }  # fmt: skip
 
 
-def evaluate(params: ModelParams, columns: tuple[str, ...], tol: float) -> dict:
-    """The values of ``columns`` (keys of COLUMNS) at one parameter point.
+def evaluate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> list[dict]:
+    """The values of ``columns`` (keys of COLUMNS) at each coupling of the grid
+    ``g`` at ``omega_c``: one row per coupling.
 
-    Values are computed in column order.  Each stage (exact ground state,
-    variational solution with its dressed levels, perturbative correction,
-    reduced density matrix) runs at most once, when the first column that
-    needs it is read; ``tol`` goes to the exact solver.  If ``columns``
-    holds "error", a failure ends the row and is recorded there; otherwise
-    it is raised.
+    Per row, values are computed in column order.  Each stage runs at most
+    once per grid, when the first column that needs it is read: the
+    variational solution with its dressed levels and the perturbative
+    correction as one call over the grid, the exact ground state and its
+    reduced density matrix point by point.  ``tol`` goes to the exact
+    solver.  If ``columns`` holds "error", a failure ends its row and is
+    recorded there, and the other rows go on; a negative g, for one, gives a
+    row of g and the ValueError of ``ModelParams``.  Otherwise the failure
+    is raised.
     """
-    point = _Point(params, tol)
-    row = {}
-    try:
-        for column in columns:
-            row[column] = COLUMNS[column][1](point)
-    except Exception as exc:
-        if "error" not in columns:
-            raise
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+    g = np.asarray(g, dtype=float)
+    # a g that is no coupling fails its row below; the grid solves 0 in its place
+    grid = _Grid(omega_c, np.where((0.0 <= g) & (g < math.inf), g, 0.0))
+    rows = []
+    for index, g_i in enumerate(g.tolist()):
+        try:
+            params = ModelParams(1.0, omega_c, g_i)
+        except ValueError as exc:
+            if "error" not in columns:
+                raise
+            rows.append({"g": g_i, "error": f"ValueError: {exc}"})
+            continue
+        point = _Point(params, tol, grid, index)
+        row = {}
+        try:
+            for column in columns:
+                row[column] = COLUMNS[column][1](point)
+        except Exception as exc:
+            if "error" not in columns:
+                raise
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
 
 
 def sweep_columns(methods: tuple[str, ...], outputs: tuple[str, ...]) -> tuple[str, ...]:
@@ -195,8 +247,8 @@ def locate_negativity_zero(
     """
     @cache  # brentq evaluates the bracket ends again
     def excess(g: float) -> float:
-        params = ModelParams(1.0, omega_c, g)
-        return evaluate(params, ("negativity_exact",), tol)["negativity_exact"] - threshold
+        (row,) = evaluate(omega_c, [g], ("negativity_exact",), tol)
+        return row["negativity_exact"] - threshold
 
     if not g_tol > 0:
         raise ValueError(f"g_tol must be positive, got {g_tol}")
@@ -308,10 +360,9 @@ _nonnegative_float = _checked(float, lambda value: 0 <= value < math.inf, "a fin
 
 def cmd_point(opt: argparse.Namespace) -> int:
     """One parameter point, projected onto the subcommand's columns."""
-    params = ModelParams(1.0, opt.omega_c, opt.g)
     # without --tol the columns never run the exact stage
-    row = evaluate(params, opt.columns, getattr(opt, "tol", None))
-    _write(render_rows(opt.columns, [row], opt.format), opt.output)
+    rows = evaluate(opt.omega_c, [opt.g], opt.columns, getattr(opt, "tol", None))
+    _write(render_rows(opt.columns, rows, opt.format), opt.output)
     return 0
 
 
@@ -327,8 +378,8 @@ def cmd_table1(opt: argparse.Namespace) -> int:
     )
     rows = []
     mismatches = []
-    for g, *refs in REFERENCE_ENERGIES:
-        computed = evaluate(ModelParams(1.0, 1.0, g), columns[1:4], opt.tol)
+    grid = [g for g, *_ in REFERENCE_ENERGIES]
+    for (g, *refs), computed in zip(REFERENCE_ENERGIES, evaluate(1.0, grid, columns[1:4], opt.tol)):
         row = {"g": g, **dict(zip(columns[4:], refs))}
         for name, want in zip(columns[1:4], refs):
             have = computed[name]
@@ -351,14 +402,7 @@ def cmd_sweep(opt: argparse.Namespace) -> int:
     if opt.g_min > opt.g_max:
         raise UsageError(f"g_min={opt.g_min} exceeds g_max={opt.g_max}")
     columns = sweep_columns(opt.methods, opt.outputs)
-    rows = []
-    for g in np.linspace(opt.g_min, opt.g_max, opt.steps).tolist():
-        try:
-            params = ModelParams(1.0, opt.omega_c, g)
-        except ValueError as exc:  # a negative g: recorded in-row like a failure inside evaluate
-            rows.append({"g": g, "error": f"ValueError: {exc}"})
-        else:
-            rows.append(evaluate(params, columns, opt.tol))
+    rows = evaluate(opt.omega_c, np.linspace(opt.g_min, opt.g_max, opt.steps), columns, opt.tol)
     _write(render_rows(columns, rows, opt.format), opt.output)
     return 0
 

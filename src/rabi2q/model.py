@@ -46,22 +46,42 @@ class FockTruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters (hbar = 1): qubit splitting, field frequency, coupling."""
+    """Physical parameters (hbar = 1): qubit splitting, field frequency, coupling.
+
+    ``g`` may also be an array of couplings, a grid at one omega_c; the closed
+    forms of ``variational``, ``transform`` and ``entangle`` then give arrays.
+    """
 
     omega_a: float
     omega_c: float
-    g: float
+    g: float | np.ndarray
 
     def __post_init__(self) -> None:
+        grid = isinstance(self.g, np.ndarray)  # numpy's checks cost microseconds on a float
         for name in ("omega_a", "omega_c", "g"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (np.isfinite(value).all() if name == "g" and grid else math.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.omega_a <= 0:
             raise ValueError(f"omega_a must be positive, got {self.omega_a}")
         if self.omega_c <= 0:
             raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if self.g < 0:
+        if (self.g < 0).any() if grid else self.g < 0:
             raise ValueError(f"g must be non-negative, got {self.g}")
+
+
+def elementwise(fn, *args):
+    """``fn`` of floats (``math.exp``, ``math.hypot``, ``pow``) over arrays of one
+    shape, element by element; floats give a float.
+
+    numpy's SIMD exp, hypot and power differ from libm's by an ulp on a few
+    percent of arguments, so a closed form evaluated through them on a grid would
+    not match the same form evaluated at one point with ``math``.
+    """
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    values = map(fn, *(a.ravel().tolist() for a in args))
+    return np.fromiter(values, float, args[0].size).reshape(args[0].shape)[()]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,12 @@ the positive factor 2R/(R - A), reads
 
 which does not cancel, with f(0) = -2g < 0 and f(g/w_c) >= 0.  For
 w_c below about 0.3 and a window of g, f has three zeros (two wells and the
-barrier between them), so ``solve`` samples f on a fixed grid, root-finds
-every - to + sign change and keeps the root of lowest energy.
+barrier between them), so ``solve_grid`` samples f on a fixed grid,
+root-finds every - to + sign change and keeps the root of lowest energy.
+It does so for a whole grid of g at once: the scans form one array, and
+``masked_brentq`` resolves every bracket of every coupling together, step for
+step as scipy's ``brentq`` would one at a time (R. P. Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 4).  ``solve`` is a grid of one.
 """
 
 from __future__ import annotations
@@ -34,11 +38,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exact import JointState, make_state
 from .model import (
-    SQRT2, FockTruncation, ModelParams, coherent_state_vector, sector_size, sector_slices
+    SQRT2,
+    FockTruncation,
+    ModelParams,
+    coherent_state_vector,
+    elementwise,
+    sector_size,
+    sector_slices,
 )
 from .transform import TransformSolution, dressed_levels
 
@@ -47,10 +56,19 @@ EQUIVALENCE_TOL = 1e-9  # relative, between eps_- and <H> at the returned point
 
 # Where f is sampled, as fractions of g/omega_c.
 _SCAN = np.linspace(0.0, 1.0, 33)
+_SCAN_ROWS = 256  # couplings scanned per block
+
+# the brentq settings transcribed: the xtol and rtol that ``solve`` gave it,
+# and its default maxiter
+_XTOL = _RTOL = 1e-15
+_MAXITER = 100
+_SWAP = np.array([1, 2, 1, 4, 5, 4])  # xpre, xcur, xblk = xcur, xblk, xcur, and so for f
 
 
 @dataclass(frozen=True)
 class VariationalSolution:
+    """The minimizing trial state; each field is a float, or an array over a grid of g."""
+
     alpha: float
     energy: float  # energy_expectation(alpha, beta, params)
     residual: float  # stationarity_residual(alpha, beta, params)
@@ -64,8 +82,20 @@ class VariationalSolution:
     def norm_sq(self) -> float:
         return self.levels.n_minus_sq
 
+    def points(self) -> list[VariationalSolution]:
+        """The solutions of a grid, one per coupling, as floats."""
+        return list(
+            map(
+                VariationalSolution,
+                self.alpha.tolist(),
+                self.energy.tolist(),
+                self.residual.tolist(),
+                self.levels.points(),
+            )
+        )
 
-def energy_expectation(alpha: float, beta: float, params: ModelParams) -> float:
+
+def energy_expectation(alpha, beta, params: ModelParams):
     """<H> in the trial state:
 
     2/(2 + beta^2) * (alpha^2 w_c - 2 alpha g + sqrt2 beta w_a exp(-alpha^2/2)).
@@ -76,12 +106,12 @@ def energy_expectation(alpha: float, beta: float, params: ModelParams) -> float:
         * (
             alpha * alpha * params.omega_c
             - 2.0 * alpha * params.g
-            + SQRT2 * beta * params.omega_a * math.exp(-alpha * alpha / 2.0)
+            + SQRT2 * beta * params.omega_a * elementwise(math.exp, -alpha * alpha / 2.0)
         )
     )
 
 
-def stationarity_residual(alpha: float, beta: float, params: ModelParams) -> float:
+def stationarity_residual(alpha, beta, params: ModelParams):
     """Distance of (alpha, beta) from stationarity: |grad <H>| / |<H>|.
 
     The gradient is taken in the dimensionless (alpha, beta), so the ratio
@@ -90,11 +120,13 @@ def stationarity_residual(alpha: float, beta: float, params: ModelParams) -> flo
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
     a = alpha * alpha * wc - 2.0 * alpha * g
-    b = SQRT2 * wa * math.exp(-alpha * alpha / 2.0)
+    b = SQRT2 * wa * elementwise(math.exp, -alpha * alpha / 2.0)
     n_sq = 2.0 + beta * beta
     d_alpha = 2.0 * (2.0 * (alpha * wc - g) - alpha * b * beta) / n_sq
     d_beta = 2.0 * (b * (2.0 - beta * beta) - 2.0 * a * beta) / (n_sq * n_sq)
-    return math.hypot(d_alpha, d_beta) / abs(energy_expectation(alpha, beta, params))
+    return elementwise(math.hypot, d_alpha, d_beta) / np.abs(
+        energy_expectation(alpha, beta, params)
+    )
 
 
 def small_g_approx(params: ModelParams) -> tuple[float, float]:
@@ -109,77 +141,183 @@ def small_g_approx(params: ModelParams) -> tuple[float, float]:
     return alpha, beta
 
 
-def _stationarity(alpha, params: ModelParams):
-    """f(alpha) of the module docstring, for a float or an array."""
-    wa, wc, g = params.omega_a, params.omega_c, params.g
+def _stationarity(alpha, wa: float, wc: float, g):
+    """f(alpha) of the module docstring, elementwise over arrays of alpha and g."""
     a = alpha * alpha * wc - 2.0 * alpha * g
     b_sq = 2.0 * wa * wa * np.exp(-alpha * alpha)
     return 2.0 * (alpha * wc - g) + 2.0 * alpha * b_sq / (np.sqrt(a * a + 2.0 * b_sq) - a)
 
 
-def solve(params: ModelParams) -> VariationalSolution:
-    """Minimize <H> over (alpha, beta); alpha lands in (0, g/w_c].
+def masked_brentq(f, xa, xb):
+    """scipy's ``brentq`` (zeros/brentq.c) on many brackets at once.
 
-    f is sampled at 33 evenly spaced points of [0, g/w_c].  Each - to +
-    sign change brackets a minimum of the profile, which ``brentq``
-    resolves to a relative 1e-15, however small alpha is; beta and the
-    dressed levels at that alpha come from one ``dressed_levels`` call, and
-    the well of lowest <H> is returned.  The sample at g/w_c is clamped to
-    >= 0: once exp(-alpha^2) underflows the root is g/w_c to rounding, and
-    f there is rounding noise.  g = 0 is returned analytically because the
-    alpha condition degenerates there.  The result carries its
-    ``stationarity_residual``.  RuntimeError is raised if that exceeds
-    RESIDUAL_TOL, if eps_- departs from <H> by more than EQUIVALENCE_TOL
-    relative (the two are different formulas for one energy), or if no
-    well of finite energy is found, which happens once g/w_c overflows the
-    profile.
+    ``f(x, k)`` evaluates the functions of brackets ``k`` (an index array) at
+    the points ``x``.  Each bracket [xa[k], xb[k]] takes its own interpolate,
+    extrapolate or bisect steps, so its root is the one ``brentq`` returns
+    with the same ``f`` and ``xtol = rtol = 1e-15``, bit for bit; a bracket
+    leaves the iteration when it converges.  ValueError and RuntimeError are
+    raised where ``brentq`` raises them: f of the same sign at both ends, a
+    NaN value of f, or no convergence in ``_MAXITER`` steps.
     """
-    wa, wc, g = params.omega_a, params.omega_c, params.g
-    if g == 0.0:
-        levels = dressed_levels(0.0, params)  # lambda_- = -sqrt2
-        return VariationalSolution(
-            0.0, -wa, stationarity_residual(0.0, levels.lambda_minus, params), levels
-        )
+    xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
+    k = np.arange(xpre.size)
+    fpre, fcur = f(xpre, k), f(xcur, k)
+    if np.isnan(fpre).any() or np.isnan(fcur).any():
+        raise ValueError("f is NaN at a bracket end; solver cannot continue")
+    root = np.where(fpre == 0.0, xpre, xcur)  # f = 0 at an end: that end
+    open_ = (fpre != 0.0) & (fcur != 0.0)
+    if (np.signbit(fpre) == np.signbit(fcur))[open_].any():
+        raise ValueError("f(a) and f(b) must have different signs")
+    # the rows xpre, xcur, xblk, fpre, fcur, fblk and spre, scur of the open brackets
+    k, state, steps = k[open_], np.zeros((6, open_.sum())), np.zeros((2, open_.sum()))
+    state[[0, 1, 3, 4]] = xpre[open_], xcur[open_], fpre[open_], fcur[open_]
+    for _ in range(_MAXITER):
+        xpre, xcur, xblk, fpre, fcur, fblk = state
+        # f is 0 at no open bracket's xpre; where it is 0 at xcur, the bracket ends below
+        flip = np.signbit(fpre) != np.signbit(fcur)
+        np.copyto(state[2::3], state[0::3], where=flip)  # xblk, fblk = xpre, fpre
+        np.copyto(steps, xcur - xpre, where=flip)
+        # the end of smaller |f| becomes xcur: xpre, xcur, xblk = xcur, xblk, xcur
+        state = np.where(np.abs(fblk) < np.abs(fcur), state[_SWAP], state)
+        xpre, xcur, xblk, fpre, fcur, fblk = state
 
-    alphas = g / wc * _SCAN
+        delta = (_XTOL + _RTOL * np.abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[k[done]] = xcur[done]
+            going = ~done
+            k, delta, sbis = k[going], delta[going], sbis[going]
+            state, steps = state[:, going], steps[:, going]
+            xpre, xcur, xblk, fpre, fcur, fblk = state
+        if not k.size:
+            return root
+
+        # both candidate steps everywhere; each bracket keeps the one brentq takes
+        spre, scur = steps
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        limit = np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)  # C's MIN; neither is NaN
+        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+        short &= 2.0 * np.abs(stry) < limit
+        steps = np.where(short, (scur, stry), sbis)
+        scur = steps[1]
+
+        # sbis is not 0 (the bracket would have ended): copysign is C's sbis > 0 ? delta : -delta
+        state[0], state[3] = xcur, fcur
+        state[1] += np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
+        state[4] = f(state[1], k)
+        if np.isnan(state[4]).any():
+            raise ValueError("f is NaN inside a bracket; solver cannot continue")
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
+
+
+def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, RuntimeError]]:
+    """Minimize <H> over (alpha, beta) at each coupling of ``params.g``, a 1-d
+    array; alpha lands in (0, g/w_c].
+
+    f is sampled at 33 evenly spaced points of [0, g/w_c] per coupling.  Each
+    - to + sign change brackets a minimum of the profile; ``masked_brentq``
+    resolves them all to a relative 1e-15, however small alpha is, and one
+    ``dressed_levels`` call gives beta and the dressed levels at every root.
+    The well of lowest <H> is kept per coupling.  The sample at g/w_c is
+    clamped to >= 0: once exp(-alpha^2) underflows the root is g/w_c to
+    rounding, and f there is rounding noise.  g = 0 is solved analytically
+    because the alpha condition degenerates there.  Each solution carries its
+    ``stationarity_residual``.
+
+    Returns the solutions as arrays over the grid, and a RuntimeError for
+    each index where the solve fails (its array entries mean nothing): where
+    the residual exceeds RESIDUAL_TOL, where eps_- departs from <H> by more
+    than EQUIVALENCE_TOL relative (the two are different formulas for one
+    energy), or where no well of finite energy is found, which happens once
+    g/w_c overflows the profile.
+    """
+    wa, wc = params.omega_a, params.omega_c
+    g = np.asarray(params.g, dtype=float)
+    top = g / wc
+    values = np.empty((g.size, _SCAN.size))  # f at alpha = top * _SCAN
+    for chunk in range(0, g.size, _SCAN_ROWS):  # bounds the temporaries of long grids
+        rows = slice(chunk, chunk + _SCAN_ROWS)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: no finite well, raised below
+            values[rows] = _stationarity(top[rows, None] * _SCAN, wa, wc, g[rows, None])
+    last = values[:, -1]
+    last[last < 0.0] = 0.0
+    row, col = np.nonzero((values[:, :-1] < 0.0) & (values[:, 1:] >= 0.0))
+
+    # The brackets' roots, in row order; where f is 0 at the upper end, that end.
+    # masked_brentq works in units of 2**ka in alpha and 2**kf in f, rescalings
+    # that are exact.  f(alpha) <= 2 (alpha (w_a + w_c) - g), so every root is at
+    # least g/(w_a + w_c) ~ 2**ka and xtol = 1e-15 is relative at any root; and
+    # its products of f and alpha steps cannot underflow at tiny g.
+    roots = top[row] * _SCAN[col + 1]
+    open_ = np.flatnonzero(values[row, col + 1] != 0.0)
+    g_open = g[row[open_]]
+    ka, kf = np.frexp(g_open / (wa + wc))[1], np.frexp(g_open)[1]
+
+    def scaled(u, k):
+        return np.ldexp(_stationarity(np.ldexp(u, ka[k]), wa, wc, g_open[k]), -kf[k])
+
+    lo = np.ldexp(top[row[open_]] * _SCAN[col[open_]], -ka)
+    roots[open_] = np.ldexp(masked_brentq(scaled, lo, np.ldexp(roots[open_], -ka)), ka)
+
+    # Candidates: the roots, then alpha = 0 once per coupling.  That one's
+    # <H> is -w_a at g = 0, which has no bracket, and NaN elsewhere, so it is
+    # kept only by a coupling without a well, and then fails the finite check.
+    n, m = g.size, row.size
+    alpha = np.concatenate((roots, np.zeros(n)))
+    on = ModelParams(wa, wc, np.concatenate((g[row], g)))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: no finite well, raised below
-        values = _stationarity(alphas, params)
-    values[-1] = max(values[-1], 0.0)
-    # brentq works in units of 2**ka in alpha and 2**kf in f, rescalings that
-    # are exact.  f(alpha) <= 2 (alpha (w_a + w_c) - g), so every root is at
-    # least g/(w_a + w_c) ~ 2**ka and its xtol of 1e-15 is relative at any
-    # root; and its products of f and alpha steps cannot underflow at tiny g.
-    ka, kf = math.frexp(g / (wa + wc))[1], math.frexp(g)[1]
+        levels = dressed_levels(alpha, on)
+        energy = energy_expectation(alpha, levels.lambda_minus, on)
+    energy[m:] = np.where(g == 0.0, -wa, math.nan)
 
-    def scaled(u):
-        return math.ldexp(_stationarity(math.ldexp(u, ka), params), -kf)
+    # per coupling, its first well, replaced by each later one of lower <H>
+    pick = np.arange(m, m + n)
+    rank = np.arange(m) - np.searchsorted(row, row)
+    for r in range(rank.max() + 1 if m else 0):
+        k = np.flatnonzero(rank == r)
+        better = (pick[row[k]] >= m) | (energy[k] < energy[pick[row[k]]])
+        pick[row[k[better]]] = k[better]
+    alpha, energy, levels = alpha[pick], energy[pick], levels.at(pick)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # rows without a well
+        residual = stationarity_residual(alpha, levels.lambda_minus, params)
+        unequal = np.abs(levels.eps_minus - energy) > EQUIVALENCE_TOL * np.abs(energy)
 
-    best = None
-    for i in np.flatnonzero((values[:-1] < 0.0) & (values[1:] >= 0.0)):
-        if values[i + 1] == 0.0:
-            alpha = float(alphas[i + 1])
+    errors = {}
+    found = np.isfinite(energy)
+    checked = found & (g != 0.0)
+    for i in np.flatnonzero(~found | (checked & ((residual > RESIDUAL_TOL) | unequal))).tolist():
+        at = f"at alpha={alpha[i].item()!r}"
+        if not found[i]:
+            errors[i] = RuntimeError(
+                f"no well of finite energy found (omega_c={wc}, g={g[i].item()})"
+            )
+        elif residual[i] > RESIDUAL_TOL:
+            errors[i] = RuntimeError(
+                f"stationarity residual {residual[i]:.2e} exceeds {RESIDUAL_TOL:g} {at}"
+            )
         else:
-            u_lo, u_hi = math.ldexp(alphas[i], -ka), math.ldexp(alphas[i + 1], -ka)
-            alpha = math.ldexp(brentq(scaled, u_lo, u_hi, xtol=1e-15, rtol=1e-15), ka)
-        levels = dressed_levels(alpha, params)
-        energy = energy_expectation(alpha, levels.lambda_minus, params)
-        if best is None or energy < best[1]:
-            best = (alpha, energy, levels)
+            errors[i] = RuntimeError(
+                "dressed-level/variational equivalence violated: "
+                f"eps_-={levels.eps_minus[i].item()!r} vs E_v={energy[i].item()!r} {at}"
+            )
+    return VariationalSolution(alpha, energy, residual, levels), errors
 
-    if best is None or not math.isfinite(best[1]):
-        raise RuntimeError(f"no well of finite energy found (omega_c={wc}, g={g})")
-    alpha, energy, levels = best
-    residual = stationarity_residual(alpha, levels.lambda_minus, params)
-    if residual > RESIDUAL_TOL:
-        raise RuntimeError(
-            f"stationarity residual {residual:.2e} exceeds {RESIDUAL_TOL:g} at alpha={alpha!r}"
-        )
-    if abs(levels.eps_minus - energy) > EQUIVALENCE_TOL * abs(energy):
-        raise RuntimeError(
-            "dressed-level/variational equivalence violated: "
-            f"eps_-={levels.eps_minus!r} vs E_v={energy!r} at alpha={alpha!r}"
-        )
-    return VariationalSolution(alpha, energy, residual, levels)
+
+def solve(params: ModelParams) -> VariationalSolution:
+    """``solve_grid`` at the one coupling of ``params``, as floats; its
+    RuntimeError is raised.  Many couplings are cheaper as one grid: the
+    masked Brent costs about as much per step on one bracket as on a
+    thousand."""
+    grid, errors = solve_grid(ModelParams(params.omega_a, params.omega_c, np.array([params.g])))
+    if errors:
+        raise errors[0]
+    return grid.points()[0]
 
 
 def trial_state(alpha: float, beta: float, trunc: FockTruncation) -> JointState:

@@ -1,9 +1,11 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,8 +196,7 @@ class TestSweep:
             ("energy", "alpha", "beta", "fidelity", "negativity_exact",
              "negativity_approx"),
         )
-        for g in np.linspace(0.0, 1.0, 6):
-            row = evaluate(ModelParams(1.0, 1.0, float(g)), columns, 1e-10)
+        for row in evaluate(1.0, np.linspace(0.0, 1.0, 6), columns, 1e-10):
             assert row["error"] == ""
             for method in ("exact", "variational", "transform", "corrected"):
                 assert math.isfinite(row[f"energy_{method}"])
@@ -228,6 +229,20 @@ class TestSweep:
         for row in rows:
             e_var, e_transform = float(row["energy_variational"]), float(row["energy_transform"])
             assert abs(e_transform - e_var) <= 1e-9 * abs(e_var)
+
+    def test_approximate_sweep_warns_once(self, capsys):
+        # chi >= 1 at 1512 of its rows; each row used to warn on its own
+        argv = ["sweep", "--g-min", "0", "--g-max", "5", "--steps", "2001",
+                "--methods", "variational,transform,corrected",
+                "--outputs", "energy,alpha,beta,negativity_approx"]  # fmt: skip
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and len(csv_rows(out)) == 2001
+        assert [w.category for w in caught] == [PerturbationValidityWarning]
+        assert str(caught[0].message).startswith(
+            "1512 of 2001 points (g from 1.2225 to 5) have chi >= 1, up to chi=5.0000;"
+        )
 
     def test_row_failure_is_recorded_not_fatal(self, capsys):
         code, out, _ = run_cli(
@@ -351,9 +366,9 @@ class TestFindZero:
     def test_fewer_evaluations_than_bisection_none_repeated(self, monkeypatch):
         solved = []
 
-        def counted(params, columns, tol):
-            solved.append(params.g)
-            return evaluate(params, columns, tol)
+        def counted(omega_c, g, columns, tol):
+            solved.extend(g)
+            return evaluate(omega_c, g, columns, tol)
 
         monkeypatch.setattr(cli, "evaluate", counted)
         locate_negativity_zero(1.0, g_lo=1.5, g_hi=3.5, **self.SEARCH)
@@ -364,9 +379,8 @@ class TestFindZero:
     @pytest.mark.parametrize("omega_c", [0.5, 1.0, 1.2])
     def test_within_half_g_tol_of_the_crossing(self, omega_c):
         def above(g):
-            params = ModelParams(1.0, omega_c, g)
-            negativity = evaluate(params, ("negativity_exact",), self.SEARCH["tol"])
-            return negativity["negativity_exact"] > self.SEARCH["threshold"]
+            (row,) = evaluate(omega_c, [g], ("negativity_exact",), self.SEARCH["tol"])
+            return row["negativity_exact"] > self.SEARCH["threshold"]
 
         lo, hi = 1.5, 3.5
         while hi - lo > 1e-9:
@@ -506,7 +520,7 @@ class TestFlagsAndConfig:
 
 def test_evaluate_direct():
     columns = sweep_columns(("exact", "variational"), ("energy",))
-    row = evaluate(ModelParams(1.0, 1.0, 0.2), columns, 1e-10)
+    (row,) = evaluate(1.0, [0.2], columns, 1e-10)
     assert row["error"] == ""
     assert row["energy_exact"] == pytest.approx(-1.01015, abs=2e-5)
     assert row["energy_variational"] == pytest.approx(-1.01013, abs=2e-5)
@@ -549,8 +563,8 @@ class TestEvaluate:
         calls = {}
         for stage, owner, name in [
             ("exact", cli, "ground_state"),
-            ("var", variational, "solve"),
-            ("delta_e", transform, "perturbation_correction"),
+            ("var", variational, "solve_grid"),
+            ("delta_e", transform, "perturbation_correction_grid"),
             ("rho", entangle, "reduced_density_from_joint"),
         ]:
             def counted(*args, _fn=getattr(owner, name), _stage=stage, **kwargs):
@@ -561,37 +575,39 @@ class TestEvaluate:
         return calls
 
     def test_full_sweep_row_runs_each_stage_once(self, monkeypatch, capsys):
+        # the variational solve and the correction once per grid, the exact stages once per row
         calls = self._count_stages(monkeypatch)
         code, out, _ = run_cli(
             capsys,
-            ["sweep", "--g-min", "0.4", "--g-max", "0.4", "--steps", "1",
+            ["sweep", "--g-min", "0.1", "--g-max", "0.4", "--steps", "4",
              "--methods", ",".join(METHODS), "--outputs", ",".join(OUTPUTS)],
         )  # fmt: skip
-        assert code == 0 and csv_rows(out)[0]["error"] == ""
-        assert calls == {"exact": 1, "var": 1, "delta_e": 1, "rho": 1}
+        assert code == 0 and [row["error"] for row in csv_rows(out)] == [""] * 4
+        assert calls == {"exact": 4, "var": 1, "delta_e": 1, "rho": 4}
 
     def test_approx_only_row_skips_the_exact_solver(self, monkeypatch, capsys):
         calls = self._count_stages(monkeypatch)
         code, out, _ = run_cli(
             capsys,
-            ["sweep", "--g-min", "0.4", "--g-max", "0.4", "--steps", "1",
+            ["sweep", "--g-min", "0.1", "--g-max", "0.4", "--steps", "4",
              "--methods", "variational,transform,corrected",
              "--outputs", "energy,alpha,beta,negativity_approx"],
         )  # fmt: skip
-        assert code == 0 and csv_rows(out)[0]["error"] == ""
+        assert code == 0 and [row["error"] for row in csv_rows(out)] == [""] * 4
         assert calls == {"var": 1, "delta_e": 1}
 
     @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
     @pytest.mark.parametrize("column", sorted(COLUMNS))
     def test_column_runs_exactly_the_stages_it_declares(self, monkeypatch, column):
         calls = self._count_stages(monkeypatch)
-        evaluate(ModelParams(1.0, 1.0, 0.4), (column,), 1e-10)
+        evaluate(1.0, [0.4], (column,), 1e-10)
         assert calls == dict.fromkeys(COLUMNS[column][0], 1)
 
     @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
     @pytest.mark.parametrize("omega_c,g,wells", [(1.0, 0.4, 1), (0.1, 0.4, 2)])
     def test_dressed_levels_run_once_per_well(self, monkeypatch, omega_c, g, wells):
-        # inside the variational solve only; no later stage recomputes them
+        # inside the variational solve only, at every well of every row and at
+        # alpha = 0 once per row; no later stage recomputes them
         calls = []
 
         def counted(*args, _fn=transform.dressed_levels):
@@ -600,27 +616,108 @@ class TestEvaluate:
 
         monkeypatch.setattr(transform, "dressed_levels", counted)
         monkeypatch.setattr(variational, "dressed_levels", counted)
-        row = evaluate(ModelParams(1.0, omega_c, g), tuple(COLUMNS), 1e-10)
-        assert row["error"] == ""
-        assert len(calls) == wells
-        assert row["chi"] in [args[0] for args in calls]
+        rows = evaluate(omega_c, [g] * 3, tuple(COLUMNS), 1e-10)
+        assert [row["error"] for row in rows] == [""] * 3
+        assert len(calls) == 1
+        chi = calls[0][0]
+        assert chi.size == 3 * (wells + 1)
+        assert all(row["chi"] in chi for row in rows)
 
     def test_failure_keeps_earlier_values(self, monkeypatch):
         def fail(params):
             raise RuntimeError("no well")
 
-        monkeypatch.setattr(variational, "solve", fail)
+        monkeypatch.setattr(variational, "solve_grid", fail)
         columns = ("g", "energy_exact", "energy_variational", "n_max_used", "error")
-        row = evaluate(ModelParams(1.0, 1.0, 0.4), columns, 1e-10)
+        (row,) = evaluate(1.0, [0.4], columns, 1e-10)
         assert list(row) == ["g", "energy_exact", "error"]
         assert row["error"] == "RuntimeError: no well"
         with pytest.raises(RuntimeError, match="no well"):
-            evaluate(ModelParams(1.0, 1.0, 0.4), columns[:-1], 1e-10)
+            evaluate(1.0, [0.4], columns[:-1], 1e-10)
+        monkeypatch.undo()
+
+        # the exact stage fails at one row of a sweep: that row keeps its g and
+        # its error, and every other row equals its own grid of one
+        def ground_state(params, tol, _fn=cli.ground_state):
+            if params.g in (0.5, 0.7):
+                raise RuntimeError(f"not converged at {params.g}")
+            return _fn(params, tol=tol)
+
+        monkeypatch.setattr(cli, "ground_state", ground_state)
+        columns = ("g", "energy_exact", "energy_variational", "alpha", "n_max_used", "error")
+        grid = [0.4, 0.5, 0.6, 0.7]
+        rows = evaluate(1.0, grid, columns, 1e-10)
+        assert rows[1] == {"g": 0.5, "error": "RuntimeError: not converged at 0.5"}
+        assert rows[3] == {"g": 0.7, "error": "RuntimeError: not converged at 0.7"}
+        for g, row in zip(grid[::2], rows[::2]):
+            assert list(row) == list(columns) and row["error"] == ""
+            assert row == evaluate(1.0, [g], columns, 1e-10)[0]
+        # without an error column the first failing row's error is raised
+        with pytest.raises(RuntimeError, match="not converged at 0.5"):
+            evaluate(1.0, grid, columns[:-1], 1e-10)
+
+        # a column that raises at one row ends that row there
+        def fidelity(a, b, _fn=cli.fidelity, _calls=[]):
+            _calls.append(b)
+            if len(_calls) == 2:
+                raise ValueError("no overlap")
+            return _fn(a, b)
+
+        monkeypatch.setattr(cli, "fidelity", fidelity)
+        rows = evaluate(1.0, [0.4, 0.6, 0.8], ("g", "fidelity", "alpha", "error"), 1e-10)
+        assert rows[1] == {"g": 0.6, "error": "ValueError: no overlap"}
+        assert [list(rows[i]) for i in (0, 2)] == [["g", "fidelity", "alpha", "error"]] * 2
+
+    @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
+    def test_correction_overflow_fails_its_row_only(self):
+        # at omega_c = 0.5, chi^4 passes the float range at g = 6e76 and 7e76 while
+        # the dressed levels are finite; the other rows keep their correction,
+        # each as its own grid of one computes it
+        columns = ("g", "energy_variational", "energy_corrected", "delta_e", "error")
+        grid = [0.0, 0.4, 6e76, 3.0, 7e76]
+        rows = evaluate(0.5, grid, columns, None)
+        overflow = "OverflowError: (34, 'Numerical result out of range')"
+        for i in (2, 4):
+            assert list(rows[i]) == ["g", "energy_variational", "error"]
+            assert rows[i]["error"] == overflow
+        for i in (0, 1, 3):
+            assert rows[i]["error"] == "" and math.isfinite(rows[i]["energy_corrected"])
+        for g, row in zip(grid, rows):
+            assert row == evaluate(0.5, [g], columns, None)[0]
+
+    def test_warnings_as_errors_fail_the_rows_outside_only(self):
+        # chi >= 1 from g ~ 1.22 at resonance: those rows fail at the correction
+        columns = ("g", "energy_transform", "energy_corrected", "error")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = evaluate(1.0, [0.4, 1.0, 1.4, 1.6], columns, None)
+        for row in rows[:2]:
+            assert row["error"] == "" and math.isfinite(row["energy_corrected"])
+        for row in rows[2:]:
+            assert list(row) == ["g", "energy_transform", "error"]
+            assert row["error"].startswith(
+                "PerturbationValidityWarning: 2 of 4 points (g from 1.4 to 1.6) have chi >= 1"
+            )
+
+    def test_the_warning_counts_the_rows_the_solve_kept(self):
+        # the solve fails at g = 1.5e77 (alpha would be 1.5e77), so only g = 1.4 is outside
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = evaluate(1.0, [0.4, 1.4, 1.5e77], ("g", "energy_corrected", "error"), None)
+        assert [row["error"] for row in rows[:2]] == ["", ""]
+        assert rows[2]["error"].startswith("RuntimeError: dressed-level/variational equivalence")
+        assert [w.category for w in caught] == [PerturbationValidityWarning]
+        assert str(caught[0].message).startswith("1 of 2 points (g from 1.4 to 1.4) have chi >= 1")
+
+    def test_negative_g_fails_every_column_but_g(self):
+        rows = evaluate(1.0, [-1.0, 0.4], ("g", "omega_c", "alpha", "error"), None)
+        assert rows[0] == {"g": -1.0, "error": "ValueError: g must be non-negative, got -1.0"}
+        assert rows[1]["error"] == "" and rows[1]["omega_c"] == 1.0
 
     def test_stat_residual_is_the_solvers_own(self):
         params = ModelParams(1.0, 0.5, 2.0)
         var = variational.solve(params)
-        row = evaluate(params, ("stat_residual",), 1e-10)
+        (row,) = evaluate(0.5, [2.0], ("stat_residual",), 1e-10)
         assert row["stat_residual"] == var.residual
         assert var.residual == variational.stationarity_residual(var.alpha, var.beta, params)
 

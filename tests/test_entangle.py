@@ -151,7 +151,7 @@ class TestNegativityNumerical:
 
     def test_deep_ultrastrong_negativity_is_numerically_zero(self):
         # at g = 2.6 the exact-state negativity has decayed below 1e-5
-        row = evaluate(ModelParams(1.0, 1.0, 2.6), ("negativity_exact",), 1e-10)
+        (row,) = evaluate(1.0, [2.6], ("negativity_exact",), 1e-10)
         value = row["negativity_exact"]
         assert 0.0 <= value < 1e-5
 

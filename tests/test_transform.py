@@ -10,6 +10,7 @@ from rabi2q.transform import (
     PerturbationValidityWarning,
     dressed_levels,
     perturbation_correction,
+    perturbation_correction_grid,
     perturbation_sum_over_states,
 )
 from rabi2q import variational
@@ -184,13 +185,13 @@ class TestVariationalLevels:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("omega_c", WIDE_OMEGA_C)
     def test_equivalence_check_holds_on_wide_grid(self, omega_c):
-        for g in WIDE_G:
-            p = ModelParams(1.0, omega_c, float(g))
-            sol = _levels(p)  # solve raises if eps_- departs from the trial energy
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PerturbationValidityWarning)
-                correction = perturbation_correction(sol, p)
-            assert math.isfinite(correction) and correction <= 0.0
+        p = ModelParams(1.0, omega_c, WIDE_G)
+        var, errors = variational.solve_grid(p)
+        assert errors == {}  # a row fails if eps_- departs from the trial energy
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PerturbationValidityWarning)
+            correction = perturbation_correction(var.levels, p)
+        assert np.isfinite(correction).all() and (correction <= 0.0).all()
 
     def test_equivalence_with_variational(self):
         # chi = alpha, lambda_- = beta, eps_- = E_v
@@ -205,6 +206,23 @@ class TestVariationalLevels:
 
 
 class TestPerturbationCorrection:
+    def test_arrays_take_libm_exp_and_pow(self):
+        # numpy's SIMD exp and power differ from libm in the last bit on a few
+        # percent of arguments; on an array each value is the float formula's
+        rng = np.random.default_rng(1)
+        chi, g, wc = rng.uniform(0.0, 3.0, 2000), rng.uniform(0.0, 3.0, 2000), 0.7
+        p = ModelParams(1.0, wc, g)
+        sol = dressed_levels(chi, p)
+        assert sol.eta.tolist() == [math.exp(-c * c / 2.0) for c in chi.tolist()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PerturbationValidityWarning)
+            correction = perturbation_correction(sol, p)
+        fields = (sol.chi, sol.n_minus_sq, sol.n_plus_sq, sol.eps_minus, sol.eps_zero, sol.eps_plus)
+        assert correction.tolist() == [
+            -(2.0 * c**4 / nm) * (2.0 * ep**2 / (nm * wc) + e0**2 / (npl * (2.0 * wc + ep - em)))
+            for c, nm, npl, em, e0, ep in zip(*(f.tolist() for f in fields))
+        ]
+
     @pytest.mark.parametrize("g,reference", [(0.6, -1.10403), (1.0, -1.39094)])
     def test_corrected_energy_reference(self, g, reference):
         p = ModelParams(1.0, 1.0, g)
@@ -228,8 +246,55 @@ class TestPerturbationCorrection:
         p = ModelParams(1.0, 0.8, 1.1)
         sol = _levels(p)
         assert sol.chi >= 1.0
-        with pytest.warns(PerturbationValidityWarning):
+        message = rf"^chi={sol.chi:.4f} >= 1 is outside"
+        with pytest.warns(PerturbationValidityWarning, match=message):
             perturbation_correction(sol, p)
+
+    def test_one_warning_per_grid(self):
+        # it counts the points with chi >= 1 and names their g range and largest chi
+        p = ModelParams(1.0, 1.0, np.linspace(0.5, 3.0, 6))
+        var, errors = variational.solve_grid(p)
+        outside = var.alpha >= 1.0
+        assert errors == {} and 1 < outside.sum() < 6
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            correction = perturbation_correction(var.levels, p)
+        assert [w.category for w in caught] == [PerturbationValidityWarning]
+        assert str(caught[0].message).startswith(
+            f"{outside.sum()} of 6 points (g from {p.g[outside].min():g} to 3) have chi >= 1, "
+            f"up to chi={var.alpha.max():.4f}; they are outside the expansion's stated regime"
+        )
+        for i, g in enumerate(p.g.tolist()):
+            one = ModelParams(1.0, 1.0, g)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PerturbationValidityWarning)
+                assert correction[i] == perturbation_correction(_levels(one), one)
+
+    def test_grid_keeps_the_points_that_do_not_overflow(self):
+        # chi^4 overflows at chi = 1e78 only; the float form raises there
+        p = ModelParams(1.0, 1.0, np.array([0.3, 1e78, 0.6]))
+        sol = dressed_levels(np.array([0.25, 1e78, 0.4]), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PerturbationValidityWarning)
+            values, errors = perturbation_correction_grid(sol, p)
+            assert list(errors) == [1] and isinstance(errors[1], OverflowError)
+            for i in (0, 2):
+                one = ModelParams(1.0, 1.0, p.g[i].item())
+                levels = dressed_levels(sol.chi[i].item(), one)
+                assert values[i] == perturbation_correction(levels, one)
+            with pytest.raises(OverflowError):
+                perturbation_correction(sol.at(np.array([1])), ModelParams(1.0, 1.0, p.g[1:2]))
+
+    def test_warning_as_error_fails_the_points_outside(self):
+        p = ModelParams(1.0, 1.0, np.array([0.3, 1.5, 0.6]))
+        sol = dressed_levels(np.array([0.25, 1.2, 0.4]), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, errors = perturbation_correction_grid(sol, p)
+            with pytest.raises(PerturbationValidityWarning, match="^1 of 3 points"):
+                perturbation_correction(sol, p)
+        assert list(errors) == [1] and isinstance(errors[1], PerturbationValidityWarning)
+        assert np.isfinite(values[[0, 2]]).all()
 
     def test_improves_on_uncorrected(self, exact_ground):
         # second-order shift tightens the dressed-level estimate

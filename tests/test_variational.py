@@ -1,15 +1,24 @@
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from rabi2q import FockTruncation, FockTruncationWarning, ModelParams, build_hamiltonian
 from rabi2q import variational
 from rabi2q.variational import (
     energy_expectation,
+    masked_brentq,
     small_g_approx,
     solve,
+    solve_grid,
     stationarity_residual,
     trial_state,
 )
@@ -30,6 +39,24 @@ def profile_energy(alphas: np.ndarray, p: ModelParams) -> np.ndarray:
 
 
 class TestEnergyExpectation:
+    def test_arrays_take_libm_exp_and_hypot(self):
+        rng = np.random.default_rng(3)
+        alpha, beta, g = (rng.uniform(lo, hi, 2000) for lo, hi in ((0, 3), (-2, 0), (0, 3)))
+        p = ModelParams(1.0, 0.7, g)
+        energy, residual = [], []
+        for a, b, g_i in zip(alpha.tolist(), beta.tolist(), g.tolist()):
+            e = 2.0 / (2.0 + b * b) * (
+                a * a * 0.7 - 2.0 * a * g_i + SQ2 * b * 1.0 * math.exp(-a * a / 2.0)
+            )
+            big_a, big_b = a * a * 0.7 - 2.0 * a * g_i, SQ2 * 1.0 * math.exp(-a * a / 2.0)
+            n_sq = 2.0 + b * b
+            d_a = 2.0 * (2.0 * (a * 0.7 - g_i) - a * big_b * b) / n_sq
+            d_b = 2.0 * (big_b * (2.0 - b * b) - 2.0 * big_a * b) / (n_sq * n_sq)
+            energy.append(e)
+            residual.append(math.hypot(d_a, d_b) / abs(e))
+        assert energy_expectation(alpha, beta, p).tolist() == energy
+        assert stationarity_residual(alpha, beta, p).tolist() == residual
+
     def test_decoupled_ground_value(self):
         assert energy_expectation(0.0, -SQ2, ModelParams(1.0, 1.0, 0.0)) == pytest.approx(
             -1.0, abs=1e-14
@@ -75,11 +102,12 @@ class TestSolve:
     @pytest.mark.parametrize("omega_c", WIDE_OMEGA_C)
     def test_global_minimum_on_wide_grid(self, omega_c):
         fractions = np.linspace(0.0, 1.0, 4001)
-        for g in WIDE_G:
-            p = ModelParams(1.0, omega_c, float(g))
-            sol = solve(p)
-            assert sol.energy <= profile_energy(g / omega_c * fractions, p).min() + 1e-12
-            assert stationarity_residual(sol.alpha, sol.beta, p) <= 1e-8
+        grid, errors = solve_grid(ModelParams(1.0, omega_c, WIDE_G))
+        assert errors == {}
+        for i, g in enumerate(WIDE_G.tolist()):
+            p = ModelParams(1.0, omega_c, g)
+            assert grid.energy[i] <= profile_energy(g / omega_c * fractions, p).min() + 1e-12
+            assert stationarity_residual(grid.alpha[i], grid.beta[i], p) <= 1e-8
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -141,6 +169,128 @@ class TestSolve:
         monkeypatch.setattr(variational, "energy_expectation", shifted)
         with pytest.raises(RuntimeError, match="equivalence violated"):
             solve(ModelParams(1.0, 1.0, 0.5))
+
+
+def _bits(sol: variational.VariationalSolution, i=()) -> list[bytes]:
+    """Every field of a solution (at index ``i`` of a grid), as the bytes of its float."""
+    values = [sol.alpha, sol.energy, sol.residual]
+    values += [getattr(sol.levels, f.name) for f in fields(sol.levels)]
+    return [np.float64(np.asarray(v)[i]).tobytes() for v in values]
+
+
+class TestSolveGrid:
+    # g = 0, the two-well window at omega_c 0.1, tiny g down to 1e-250, the
+    # omega_c 1e-5 sweep, and couplings without a finite well among good ones
+    GRIDS = [
+        (1.0, np.linspace(0.0, 5.0, 101)),
+        (0.1, np.linspace(0.25, 0.45, 201)),
+        (0.2, np.linspace(0.0, 2.0, 41)),
+        (1.0, np.array([1e-250, 1e-200, 1e-155, 1e-100, 1e-20, 1e-6, 0.0, 0.4])),
+        (1e-3, np.array([1e-250, 0.5])),
+        (1e-5, np.linspace(1.0, 30.0, 30)),
+        (1.0, np.array([0.5, 1e154, 2.0, 1e160])),
+        (1e-160, np.array([0.0, 1.0, 2.0])),
+    ]
+
+    @pytest.mark.parametrize("omega_c,g", GRIDS)
+    def test_grid_equals_points(self, omega_c, g):
+        grid, errors = solve_grid(ModelParams(1.0, omega_c, g))
+        for i, g_i in enumerate(g.tolist()):
+            p = ModelParams(1.0, omega_c, g_i)
+            if i in errors:
+                with pytest.raises(RuntimeError) as excinfo:
+                    solve(p)
+                assert str(excinfo.value) == str(errors[i])
+            else:
+                assert _bits(grid, i) == _bits(solve(p))
+
+    def test_failing_rows_leave_the_others_alone(self):
+        g = np.array([0.5, 1e154, 2.0])
+        grid, errors = solve_grid(ModelParams(1.0, 1.0, g))
+        assert list(errors) == [1]
+        assert "no well of finite energy" in str(errors[1])
+        for i in (0, 2):
+            assert _bits(grid, i) == _bits(solve(ModelParams(1.0, 1.0, float(g[i]))))
+
+    def test_two_wells_per_row(self):
+        # every coupling of this window has two wells, resolved in one masked Brent
+        g = np.linspace(0.25, 0.45, 201)
+        calls = []
+
+        def counted(f, xa, xb, _fn=masked_brentq):
+            calls.append(np.size(xa))
+            return _fn(f, xa, xb)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(variational, "masked_brentq", counted)
+            solve_grid(ModelParams(1.0, 0.1, g))
+        assert len(calls) == 1 and calls[0] >= 2 * g.size
+
+    def test_does_not_import_scipy_optimize(self):
+        src = str(Path(variational.__file__).resolve().parents[1])
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        probe = "import sys, rabi2q.variational; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "False\n"
+
+
+class TestMaskedBrentq:
+    """``masked_brentq`` against ``scipy.optimize.brentq``, one bracket at a time."""
+
+    @staticmethod
+    def _functions(n, rng):
+        # f_k(x) = h_k((x - c_k) / s_k) from five shapes, written with + - * / and
+        # sqrt only, so f is the same float whether evaluated on an array or alone
+        scale = 10.0 ** rng.integers(-300, 300, n)
+        centre = rng.uniform(-1.0, 1.0, n) * scale
+        shape = rng.integers(0, 5, n)
+
+        def f(x, k):
+            u = (x - centre[k]) / scale[k]
+            return np.select(
+                [shape[k] == 0, shape[k] == 1, shape[k] == 2, shape[k] == 3],
+                [u, u / (1.0 + np.abs(u)) + u * u * u / 6.0, np.sign(u) * np.sqrt(np.abs(u)),
+                 u * u * u + 0.1 * u],
+                np.floor(8.0 * u) / 8.0,  # exactly 0 on [0, 1/8): hit mid-iteration
+            )  # fmt: skip
+
+        lo = centre - rng.uniform(0.01, 2.0, n) * scale
+        hi = centre + rng.uniform(0.01, 2.0, n) * scale
+        # f = 0 exactly at a bracket end
+        lo[:20] = np.where(shape[:20] == 0, centre[:20], lo[:20])
+        hi[20:40] = np.where(shape[20:40] == 0, centre[20:40], hi[20:40])
+        return f, lo, hi
+
+    def test_roots_equal_brentq_bit_for_bit(self):
+        n = 1000
+        f, lo, hi = self._functions(n, np.random.default_rng(7))
+        roots = masked_brentq(f, lo, hi)
+        steps = []
+        for k in range(n):
+            calls = []
+
+            def one(x, k=k):
+                calls.append(x)
+                return float(f(np.array([x]), np.array([k]))[0])
+
+            assert roots[k] == brentq(one, lo[k], hi[k], xtol=1e-15, rtol=1e-15), k
+            steps.append(len(calls))
+        assert len(set(steps)) > 10  # brackets converge after different numbers of steps
+        assert min(steps) == 2  # an end that is a root
+
+    def test_raises_where_brentq_raises(self, monkeypatch):
+        def f(x, k):
+            return x * x * x - 2.0
+
+        for a, b, maxiter in [(3.0, 5.0, 100), (0.0, 4.1, 3)]:
+            with pytest.raises((ValueError, RuntimeError)) as expected:
+                brentq(lambda x: f(x, 0), a, b, xtol=1e-15, rtol=1e-15, maxiter=maxiter)
+            monkeypatch.setattr(variational, "_MAXITER", maxiter)
+            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                masked_brentq(f, np.array([0.0, a]), np.array([4.0, b]))
 
 
 class TestSmallG:
