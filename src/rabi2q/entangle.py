@@ -80,11 +80,18 @@ def negativity_closed_form(alpha: float, beta: float) -> float:
     """Negativity of the trial family:
 
     max{ (2 e^(-2 alpha^2) - beta^2) / (2 (2 + beta^2)), 0 }.
+
+    At small g both terms of the numerator are near 2, so there (where
+    e^(-2 alpha^2) >= 1/2) it is taken as 2 expm1(-2 alpha^2) + (2 - beta^2),
+    with 2 - beta^2 exact from beta's integer ratio: nothing cancels.
     """
-    raw = (2.0 * math.exp(-2.0 * alpha * alpha) - beta * beta) / (
-        2.0 * (2.0 + beta * beta)
-    )
-    return max(raw, 0.0)
+    e_minus_1 = math.expm1(-2.0 * alpha * alpha)
+    if e_minus_1 >= -0.5 and math.isfinite(beta):  # a NaN or infinite beta has no ratio
+        n, d = beta.as_integer_ratio()
+        numerator = 2.0 * e_minus_1 + (2 * d * d - n * n) / (d * d)
+    else:
+        numerator = 2.0 * math.exp(-2.0 * alpha * alpha) - beta * beta
+    return max(numerator / (2.0 * (2.0 + beta * beta)), 0.0)
 
 
 def negativity_small_g(params: ModelParams) -> float:

@@ -70,20 +70,6 @@ class ModelParams:
             raise ValueError(f"g must be non-negative, got {self.g}")
 
 
-def elementwise(fn, *args):
-    """``fn`` of floats (``math.exp``, ``math.hypot``, ``pow``) over arrays of one
-    shape, element by element; floats give a float.
-
-    numpy's SIMD exp, hypot and power differ from libm's by an ulp on a few
-    percent of arguments, so a closed form evaluated through them on a grid would
-    not match the same form evaluated at one point with ``math``.
-    """
-    if not isinstance(args[0], np.ndarray):
-        return fn(*args)
-    values = map(fn, *(a.ravel().tolist() for a in args))
-    return np.fromiter(values, float, args[0].size).reshape(args[0].shape)[()]
-
-
 @dataclass(frozen=True)
 class FockTruncation:
     """Highest retained photon number."""

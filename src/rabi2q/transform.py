@@ -29,9 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import (
-    SQRT2, FockTruncation, ModelParams, annihilation_matrix, elementwise, spin1_matrices
-)
+from .model import SQRT2, FockTruncation, ModelParams, annihilation_matrix, spin1_matrices
 
 
 class PerturbationValidityWarning(UserWarning):
@@ -84,14 +82,14 @@ def dressed_levels(chi, params: ModelParams) -> TransformSolution:
     far lambda are infinite there.  lambda_- at chi = alpha is the lower
     root of the variational beta condition B beta^2 - 2 d beta - 2 B = 0
     with B = b, and is taken as the variational beta.  ``chi`` is a float or
-    an array, element by element; eta is libm's exp (``model.elementwise``).
+    an array, element by element.
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
     chi = np.asarray(chi, dtype=float)
     # overflow gives inf and 0/0 NaN, as in float arithmetic; a division by a
     # vanishing b or c is in a branch np.where does not take
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        eta = elementwise(math.exp, -chi * chi / 2.0)
+        eta = np.exp(-chi * chi / 2.0)
         c = eta * wa
         b = SQRT2 * c  # B of ``variational`` at alpha = chi
         d = 2.0 * chi * g - chi * chi * wc  # the products of its A, so d = -A exactly
@@ -116,29 +114,16 @@ def dressed_levels(chi, params: ModelParams) -> TransformSolution:
         )
 
 
-def _power(x, n: int, errors: dict):
-    """x ** n as float arithmetic computes it (libm's pow), element by element.
-    Past the float range the element is inf, and its OverflowError goes into
-    ``errors`` under the element's index (0 for a float) unless one is there."""
-
-    def power(index, value):
-        try:
-            return float(value) ** n  # a numpy float would give inf and a RuntimeWarning
-        except OverflowError as exc:
-            errors.setdefault(index, exc)
-            return math.inf
-
-    return elementwise(power, np.arange(x.size).reshape(x.shape) if np.ndim(x) else 0, x)
-
-
 def perturbation_correction_grid(sol: TransformSolution, params: ModelParams):
     """``perturbation_correction`` over a grid of chi, with the failures by index.
 
     Returns the values and, for each index where the correction fails, its
     exception: OverflowError where chi^4, eps_+^2 or eps_0^2 passes the float
-    range (chi above ~1e77; the value there is meaningless), and, where
-    warnings are errors, the PerturbationValidityWarning at each point with
-    chi >= 1.  The other points keep their values.
+    range from a finite value (chi above ~1e77; the value there is
+    meaningless), and, where warnings are errors, the
+    PerturbationValidityWarning at each point with chi >= 1.  The other points
+    keep their values.  The powers are numpy's, for a float too, so a point's
+    value does not depend on the grid it sits in.
     """
     chi = sol.chi
     errors = {}
@@ -163,11 +148,17 @@ def perturbation_correction_grid(sol: TransformSolution, params: ModelParams):
             errors = dict.fromkeys(outside.tolist(), exc)
     wc = params.omega_c
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in float arithmetic
-        values = -(2.0 * _power(chi, 4, errors) / sol.n_minus_sq) * (
-            2.0 * _power(sol.eps_plus, 2, errors) / (sol.n_minus_sq * wc)
-            + _power(sol.eps_zero, 2, errors)
-            / (sol.n_plus_sq * (2.0 * wc + sol.eps_plus - sol.eps_minus))
+        chi4, eps_plus_sq, eps_zero_sq = (
+            np.power(chi, 4), np.power(sol.eps_plus, 2), np.power(sol.eps_zero, 2)
         )
+        values = -(2.0 * chi4 / sol.n_minus_sq) * (
+            2.0 * eps_plus_sq / (sol.n_minus_sq * wc)
+            + eps_zero_sq / (sol.n_plus_sq * (2.0 * wc + sol.eps_plus - sol.eps_minus))
+        )
+    # a power past the float range from a finite base fails its point, as float ** raises
+    bases, powers = (chi, sol.eps_plus, sol.eps_zero), (chi4, eps_plus_sq, eps_zero_sq)
+    for i in np.flatnonzero((np.isfinite(bases) & np.isinf(powers)).any(axis=0)).tolist():
+        errors.setdefault(i, OverflowError(34, "Numerical result out of range"))
     return values, errors
 
 
@@ -181,9 +172,9 @@ def perturbation_correction(sol: TransformSolution, params: ModelParams):
     form assumes chi < 1; larger chi is evaluated anyway but flagged, by one
     warning per call: on a grid it counts the points with chi >= 1 and names
     their range of g (``params.g``) and the largest chi.  chi^4 past the
-    float range (chi above ~1e77) raises OverflowError; on a grid, the error
-    of the first failing point is raised (``perturbation_correction_grid``
-    keeps the others).
+    float range (chi above ~1e77) raises OverflowError, for a float as on a
+    grid; on a grid, the error of the first failing point is raised
+    (``perturbation_correction_grid`` keeps the others).
     """
     values, errors = perturbation_correction_grid(sol, params)
     if errors:

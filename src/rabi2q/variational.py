@@ -45,7 +45,6 @@ from .model import (
     FockTruncation,
     ModelParams,
     coherent_state_vector,
-    elementwise,
     sector_size,
     sector_slices,
 )
@@ -106,7 +105,7 @@ def energy_expectation(alpha, beta, params: ModelParams):
         * (
             alpha * alpha * params.omega_c
             - 2.0 * alpha * params.g
-            + SQRT2 * beta * params.omega_a * elementwise(math.exp, -alpha * alpha / 2.0)
+            + SQRT2 * beta * params.omega_a * np.exp(-alpha * alpha / 2.0)
         )
     )
 
@@ -120,13 +119,11 @@ def stationarity_residual(alpha, beta, params: ModelParams):
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
     a = alpha * alpha * wc - 2.0 * alpha * g
-    b = SQRT2 * wa * elementwise(math.exp, -alpha * alpha / 2.0)
+    b = SQRT2 * wa * np.exp(-alpha * alpha / 2.0)
     n_sq = 2.0 + beta * beta
     d_alpha = 2.0 * (2.0 * (alpha * wc - g) - alpha * b * beta) / n_sq
     d_beta = 2.0 * (b * (2.0 - beta * beta) - 2.0 * a * beta) / (n_sq * n_sq)
-    return elementwise(math.hypot, d_alpha, d_beta) / np.abs(
-        energy_expectation(alpha, beta, params)
-    )
+    return np.hypot(d_alpha, d_beta) / np.abs(energy_expectation(alpha, beta, params))
 
 
 def small_g_approx(params: ModelParams) -> tuple[float, float]:
@@ -142,7 +139,7 @@ def small_g_approx(params: ModelParams) -> tuple[float, float]:
 
 
 def _stationarity(alpha, wa: float, wc: float, g):
-    """f(alpha) of the module docstring, elementwise over arrays of alpha and g."""
+    """f(alpha) of the module docstring, over arrays of alpha and g."""
     a = alpha * alpha * wc - 2.0 * alpha * g
     b_sq = 2.0 * wa * wa * np.exp(-alpha * alpha)
     return 2.0 * (alpha * wc - g) + 2.0 * alpha * b_sq / (np.sqrt(a * a + 2.0 * b_sq) - a)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ class TestNegativityClosedForm:
 
     def test_near_solution_value(self):
         assert negativity_closed_form(0.1, -1.3930) == pytest.approx(0.00253, abs=1e-5)
+
+    @pytest.mark.parametrize("g", [1e-5, 1.58e-4, 1e-3, 0.05])
+    def test_small_g_keeps_its_digits(self, g):
+        # both terms of the numerator are near 2 at small g; the reference is
+        # the form at the same (alpha, beta), evaluated to 50 digits
+        var = variational.solve(ModelParams(1.0, 1.0, g))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, b = Decimal(var.alpha), Decimal(var.beta)
+            exact = (2 * (-2 * a * a).exp() - b * b) / (2 * (2 + b * b))
+            value = negativity_closed_form(var.alpha, var.beta)
+            assert abs(Decimal(value) - exact) <= Decimal("1e-14") * exact
+        assert concurrence_approx(var.alpha, var.beta) == 2.0 * value
+
+    def test_non_finite_beta_gives_nan(self):
+        for beta in (math.nan, math.inf, -math.inf):
+            assert math.isnan(negativity_closed_form(0.1, beta))
 
     def test_matches_numerical_partial_transpose(self):
         # on the trial family's reachable domain (the minimizing weight has

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -206,22 +207,36 @@ class TestVariationalLevels:
 
 
 class TestPerturbationCorrection:
-    def test_arrays_take_libm_exp_and_pow(self):
-        # numpy's SIMD exp and power differ from libm in the last bit on a few
-        # percent of arguments; on an array each value is the float formula's
+    def test_a_value_does_not_depend_on_its_grid(self):
+        # each element of an array result is the function at that element, as a
+        # float and as a grid of one, bit for bit; the float formula with libm's
+        # exp and pow agrees to rounding
         rng = np.random.default_rng(1)
         chi, g, wc = rng.uniform(0.0, 3.0, 2000), rng.uniform(0.0, 3.0, 2000), 0.7
         p = ModelParams(1.0, wc, g)
         sol = dressed_levels(chi, p)
-        assert sol.eta.tolist() == [math.exp(-c * c / 2.0) for c in chi.tolist()]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PerturbationValidityWarning)
-            correction = perturbation_correction(sol, p)
-        fields = (sol.chi, sol.n_minus_sq, sol.n_plus_sq, sol.eps_minus, sol.eps_zero, sol.eps_plus)
-        assert correction.tolist() == [
+            correction, errors = perturbation_correction_grid(sol, p)
+            assert errors == {}
+            for i, levels in enumerate(sol.points()):
+                one_point = ModelParams(1.0, wc, g[i].item()), ModelParams(1.0, wc, g[i : i + 1])
+                for chi_i, p_i in zip((chi[i].item(), chi[i : i + 1]), one_point):
+                    one = dressed_levels(chi_i, p_i)
+                    assert [np.ravel(getattr(one, f.name)).item() for f in fields(one)] == [
+                        getattr(levels, f.name) for f in fields(levels)
+                    ]
+                    value, errors = perturbation_correction_grid(one, p_i)
+                    assert errors == {} and np.ravel(value).tolist() == [correction[i]]
+        rtol = 64 * np.finfo(float).eps
+        eta = [math.exp(-c * c / 2.0) for c in chi.tolist()]
+        np.testing.assert_allclose(sol.eta, eta, rtol=rtol, atol=0)
+        columns = (sol.chi, sol.n_minus_sq, sol.n_plus_sq, sol.eps_minus, sol.eps_zero, sol.eps_plus)
+        reference = [
             -(2.0 * c**4 / nm) * (2.0 * ep**2 / (nm * wc) + e0**2 / (npl * (2.0 * wc + ep - em)))
-            for c, nm, npl, em, e0, ep in zip(*(f.tolist() for f in fields))
+            for c, nm, npl, em, e0, ep in zip(*(f.tolist() for f in columns))
         ]
+        np.testing.assert_allclose(correction, reference, rtol=rtol, atol=0)
 
     @pytest.mark.parametrize("g,reference", [(0.6, -1.10403), (1.0, -1.39094)])
     def test_corrected_energy_reference(self, g, reference):
@@ -284,6 +299,11 @@ class TestPerturbationCorrection:
                 assert values[i] == perturbation_correction(levels, one)
             with pytest.raises(OverflowError):
                 perturbation_correction(sol.at(np.array([1])), ModelParams(1.0, 1.0, p.g[1:2]))
+            # the float path fails with the grid's error text
+            one = ModelParams(1.0, 1.0, 1e78)
+            with pytest.raises(OverflowError) as raised:
+                perturbation_correction(dressed_levels(1e78, one), one)
+        assert str(raised.value) == str(errors[1]) == "(34, 'Numerical result out of range')"
 
     def test_warning_as_error_fails_the_points_outside(self):
         p = ModelParams(1.0, 1.0, np.array([0.3, 1.5, 0.6]))

@@ -39,10 +39,12 @@ def profile_energy(alphas: np.ndarray, p: ModelParams) -> np.ndarray:
 
 
 class TestEnergyExpectation:
-    def test_arrays_take_libm_exp_and_hypot(self):
+    def test_a_value_does_not_depend_on_its_grid(self):
+        # each element of an array result is the function at that element, as a
+        # float and as a grid of one, bit for bit; the float formula with libm's
+        # exp and hypot agrees to rounding
         rng = np.random.default_rng(3)
         alpha, beta, g = (rng.uniform(lo, hi, 2000) for lo, hi in ((0, 3), (-2, 0), (0, 3)))
-        p = ModelParams(1.0, 0.7, g)
         energy, residual = [], []
         for a, b, g_i in zip(alpha.tolist(), beta.tolist(), g.tolist()):
             e = 2.0 / (2.0 + b * b) * (
@@ -54,8 +56,18 @@ class TestEnergyExpectation:
             d_b = 2.0 * (big_b * (2.0 - b * b) - 2.0 * big_a * b) / (n_sq * n_sq)
             energy.append(e)
             residual.append(math.hypot(d_a, d_b) / abs(e))
-        assert energy_expectation(alpha, beta, p).tolist() == energy
-        assert stationarity_residual(alpha, beta, p).tolist() == residual
+        for fn, reference in ((energy_expectation, energy), (stationarity_residual, residual)):
+            values = fn(alpha, beta, ModelParams(1.0, 0.7, g)).tolist()
+            floats = [
+                fn(a, b, ModelParams(1.0, 0.7, g_i))
+                for a, b, g_i in zip(alpha.tolist(), beta.tolist(), g.tolist())
+            ]
+            ones = [
+                fn(alpha[i : i + 1], beta[i : i + 1], ModelParams(1.0, 0.7, g[i : i + 1])).item()
+                for i in range(g.size)
+            ]
+            assert floats == values and ones == values
+            np.testing.assert_allclose(values, reference, rtol=64 * np.finfo(float).eps, atol=0)
 
     def test_decoupled_ground_value(self):
         assert energy_expectation(0.0, -SQ2, ModelParams(1.0, 1.0, 0.0)) == pytest.approx(
