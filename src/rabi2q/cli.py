@@ -4,6 +4,11 @@ the resonance energy benchmark table, and the negativity zero locator.
 All quantities are in units of the qubit splitting (omega_a = 1); detuning
 enters as the ratio omega_c / omega_a.  CSV output is deterministic:
 fixed column order, floats at 10 significant digits, newline-separated.
+
+A command loads only the solvers it runs: ``rabi2q.exact``, and with it
+scipy.linalg, is imported with the first row that needs the exact stage,
+and scipy.optimize only by ``find-zero``.  So ``variational``, ``transform``
+and an approximate ``sweep`` run on numpy alone.
 """
 
 from __future__ import annotations
@@ -17,11 +22,9 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import entangle, transform, variational
-from .exact import DEFAULT_TOL, fidelity, ground_state
-from .model import FockTruncation, ModelParams
+from .model import DEFAULT_TOL, FockTruncation, ModelParams, fidelity
 
 METHODS = ("exact", "variational", "transform", "corrected")
 OUTPUTS = ("energy", "alpha", "beta", "fidelity", "negativity_exact", "negativity_approx")
@@ -88,6 +91,8 @@ class _Point:
 
     @cached_property
     def exact(self):
+        from .exact import ground_state  # scipy.linalg loads with the first exact row
+
         return ground_state(self.params, tol=self.tol)
 
     @cached_property
@@ -118,7 +123,7 @@ COLUMNS = {
     "energy_exact": (("exact",), attrgetter("exact.energy")),
     "n_max_used": (("exact",), attrgetter("exact.n_max_used")),
     "eig_residual": (("exact",), attrgetter("exact.residual")),
-    "negativity_exact": (("exact", "rho"), lambda p: entangle.negativity_numerical(p.rho)),
+    "negativity_exact": (("exact", "rho"), lambda p: entangle.negativity_x_state(p.rho)),
     "energy_variational": (("var",), attrgetter("var.energy")),
     "energy": (("var",), attrgetter("var.energy")),  # the variational command's name
     "alpha": (("var",), attrgetter("var.alpha")),
@@ -263,6 +268,8 @@ def locate_negativity_zero(
             f"negativity is still above {threshold:g} at g={g_hi}; "
             "no crossing inside the bracket"
         )
+    from scipy.optimize import brentq  # the one use of scipy.optimize
+
     return brentq(excess, g_lo, g_hi, xtol=0.5 * g_tol)
 
 

@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from .exact import JointState
-from .model import SQRT2, ModelParams, sector_slices
+from .model import SQRT2, JointState, ModelParams, sector_slices
 
 
 def _x_shaped(r11: float, r14: float, r22: float, r44: float) -> np.ndarray:
@@ -74,6 +73,21 @@ def negativity_numerical(rho: np.ndarray) -> float:
     """|sum of the negative eigenvalues of the partial transpose|."""
     eigenvalues = np.linalg.eigvalsh(partial_transpose(rho, qubit=0))
     return float(-eigenvalues[eigenvalues < 0.0].sum())
+
+
+def negativity_x_state(rho: np.ndarray) -> float:
+    """Negativity of an X-shaped rho with r22 = r23 = r33, such as
+    ``reduced_density_from_joint`` returns, in closed form.
+
+    Its partial transpose splits into the blocks [[r11, r22], [r22, r44]] and
+    [[r22, r14], [r14, r22]], with the eigenvalues
+    (r11 + r44)/2 +/- hypot((r11 - r44)/2, r22) and r22 +/- |r14|; only the
+    lower one of each pair can be negative.  ``negativity_numerical`` takes
+    any rho.
+    """
+    r11, r14, r22, r44 = (float(rho[i, j]) for i, j in ((0, 0), (0, 3), (1, 1), (3, 3)))
+    outer = math.hypot(0.5 * (r11 - r44), r22) - 0.5 * (r11 + r44)
+    return max(0.0, outer) + max(0.0, abs(r14) - r22)
 
 
 def negativity_closed_form(alpha: float, beta: float) -> float:

@@ -16,49 +16,34 @@ truncation-error estimate: the residual of the zero-padded ground vector
 in the untruncated H, in Kato-Temple form (``ground_state_at``).  Only
 when the estimate exceeds the tolerance is the truncation grown, by a
 quarter, up to ``N_MAX_CAP``, and solved again.
+
+This is the one module of the package that imports scipy (scipy.linalg),
+and nothing imports it eagerly: the package loads it on first access, and
+the command line with the first row that needs the exact stage, so the
+approximate routes run without scipy.  The state type it returns,
+``JointState``, and ``DEFAULT_TOL`` live in ``model``, which needs no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .model import (
-    FockTruncation, ModelParams, embed, sector_hamiltonian, sector_size, sector_slices
+    DEFAULT_TOL, FockTruncation, JointState, ModelParams, sector_hamiltonian, sector_slices
 )
 
 INVERSE_ITERATIONS = 2
 N_MAX_CAP = 4096  # largest Fock truncation ground_state tries
-DEFAULT_TOL = 1e-10  # ground_state's absolute energy tolerance
 
 # The LAPACK routine and tolerance scipy.linalg.eig_banded uses for
 # selected eigenvalues, bound once: its Python-side checks add about 25 us
 # a call, some 40% of a solve on the small bands of the paper's window.
 _SBEVX = scipy.linalg.get_lapack_funcs("sbevx", dtype=np.float64)
 _ABSTOL = 2.0 * scipy.linalg.lapack.dlamch("s")
-
-
-@dataclass(frozen=True, eq=False)
-class JointState:
-    """Real unit vector in the odd parity sector, laid out as ``model.sector_slices`` says."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return 2 * self.amplitudes.size // 3 - 1  # inverts model.sector_size
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """The product-basis view, signed so its largest-magnitude coefficient
-        is positive (a global sign carries no physics)."""
-        vec = embed(self.amplitudes, self.n_max, odd=True)
-        k = int(np.argmax(np.abs(vec)))
-        return -vec if vec[k] < 0 else vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,25 +58,6 @@ class GroundStateResult:
     @property
     def n_max_used(self) -> int:
         return self.state.n_max
-
-
-def make_state(amplitudes: np.ndarray, n_max: int) -> JointState:
-    """Normalize odd-sector amplitudes and wrap them as a JointState."""
-    size = sector_size(FockTruncation(n_max), odd=True)
-    vec = np.asarray(amplitudes, dtype=float)
-    if vec.shape != (size,):
-        raise ValueError(f"expected length {size} for n_max={n_max}, got {vec.shape}")
-    nrm = float(np.linalg.norm(vec))
-    if nrm == 0.0:
-        raise ValueError("zero vector cannot be a state")
-    return JointState(vec / nrm)
-
-
-def fidelity(a: JointState, b: JointState) -> float:
-    """|<a, b>|; global sign is unphysical.  Both states must share n_max."""
-    if a.n_max != b.n_max:
-        raise ValueError(f"states live on different truncations ({a.n_max} vs {b.n_max})")
-    return float(abs(a.amplitudes @ b.amplitudes))
 
 
 def _lowest_eigenvalues(band: np.ndarray, count: int) -> np.ndarray:

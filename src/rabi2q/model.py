@@ -16,7 +16,8 @@ which holds the ground state) keeps S_n, |0>_n at even n and D_n at odd n;
 the even sector keeps the rest.  Ordered by photon number, S before |0>,
 each sector Hamiltonian is pentadiagonal (``sector_hamiltonian``), and a
 sector vector's S, |0> and D amplitudes are three strided slices
-(``sector_slices``).  States are held in the odd-sector basis.
+(``sector_slices``).  States are held in the odd-sector basis, as
+``JointState``; this module and the types in it need nothing but numpy.
 
 The product ordering serves ``build_hamiltonian``, ``parity_operator`` and
 ``embed``: joint index = fock_index * 3 + atom_index, atom levels ordered
@@ -30,6 +31,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +40,7 @@ SQRT2 = math.sqrt(2.0)
 ATOM_DIM = 3
 
 COHERENT_DEFICIT_TOL = 1e-12  # norm deficit above which a coherent state warns
+DEFAULT_TOL = 1e-10  # exact.ground_state's absolute energy tolerance
 
 
 class FockTruncationWarning(UserWarning):
@@ -147,6 +150,44 @@ def embed(vec: np.ndarray, n_max: int, odd: bool) -> np.ndarray:
     full[paired, 1] = vec[z]
     full[single, 0], full[single, 2] = vec[d] / SQRT2, -vec[d] / SQRT2
     return full.ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class JointState:
+    """Real unit vector in the odd parity sector, laid out as ``sector_slices`` says."""
+
+    amplitudes: np.ndarray
+
+    @property
+    def n_max(self) -> int:
+        return 2 * self.amplitudes.size // 3 - 1  # inverts sector_size
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The product-basis view, signed so its largest-magnitude coefficient
+        is positive (a global sign carries no physics)."""
+        vec = embed(self.amplitudes, self.n_max, odd=True)
+        k = int(np.argmax(np.abs(vec)))
+        return -vec if vec[k] < 0 else vec
+
+
+def make_state(amplitudes: np.ndarray, n_max: int) -> JointState:
+    """Normalize odd-sector amplitudes and wrap them as a JointState."""
+    size = sector_size(FockTruncation(n_max), odd=True)
+    vec = np.asarray(amplitudes, dtype=float)
+    if vec.shape != (size,):
+        raise ValueError(f"expected length {size} for n_max={n_max}, got {vec.shape}")
+    nrm = float(np.linalg.norm(vec))
+    if nrm == 0.0:
+        raise ValueError("zero vector cannot be a state")
+    return JointState(vec / nrm)
+
+
+def fidelity(a: JointState, b: JointState) -> float:
+    """|<a, b>|; global sign is unphysical.  Both states must share n_max."""
+    if a.n_max != b.n_max:
+        raise ValueError(f"states live on different truncations ({a.n_max} vs {b.n_max})")
+    return float(abs(a.amplitudes @ b.amplitudes))
 
 
 def sector_hamiltonian(params: ModelParams, trunc: FockTruncation, odd: bool) -> np.ndarray:

@@ -39,12 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import JointState, make_state
 from .model import (
     SQRT2,
     FockTruncation,
+    JointState,
     ModelParams,
     coherent_state_vector,
+    make_state,
     sector_size,
     sector_slices,
 )

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabi2q import ModelParams, entangle, transform, variational
+from rabi2q import ModelParams, entangle, exact, transform, variational
 from rabi2q import cli
 from rabi2q.cli import (
     COLUMNS,
@@ -562,7 +562,7 @@ class TestEvaluate:
         """Wrap the function behind each stage of evaluate with a call counter."""
         calls = {}
         for stage, owner, name in [
-            ("exact", cli, "ground_state"),
+            ("exact", exact, "ground_state"),
             ("var", variational, "solve_grid"),
             ("delta_e", transform, "perturbation_correction_grid"),
             ("rho", entangle, "reduced_density_from_joint"),
@@ -638,12 +638,12 @@ class TestEvaluate:
 
         # the exact stage fails at one row of a sweep: that row keeps its g and
         # its error, and every other row equals its own grid of one
-        def ground_state(params, tol, _fn=cli.ground_state):
+        def ground_state(params, tol, _fn=exact.ground_state):
             if params.g in (0.5, 0.7):
                 raise RuntimeError(f"not converged at {params.g}")
             return _fn(params, tol=tol)
 
-        monkeypatch.setattr(cli, "ground_state", ground_state)
+        monkeypatch.setattr(exact, "ground_state", ground_state)
         columns = ("g", "energy_exact", "energy_variational", "alpha", "n_max_used", "error")
         grid = [0.4, 0.5, 0.6, 0.7]
         rows = evaluate(1.0, grid, columns, 1e-10)

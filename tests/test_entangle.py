@@ -4,12 +4,13 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from rabi2q import FockTruncation, ModelParams
+from rabi2q import FockTruncation, ModelParams, ground_state
 from rabi2q.entangle import (
     concurrence_approx,
     negativity_closed_form,
     negativity_numerical,
     negativity_small_g,
+    negativity_x_state,
     partial_transpose,
     reduced_density_from_joint,
     reduced_density_variational,
@@ -65,7 +66,7 @@ class TestReducedFromJoint:
             assert abs(rho[j, i]) < 1e-12
 
     def test_rejects_unnormalized_state(self):
-        from rabi2q.exact import JointState
+        from rabi2q.model import JointState
 
         bad = JointState(np.ones(3))
         with pytest.raises(ValueError, match="not normalized"):
@@ -155,6 +156,33 @@ class TestNegativityNumerical:
         (row,) = evaluate(1.0, [2.6], ("negativity_exact",), 1e-10)
         value = row["negativity_exact"]
         assert 0.0 <= value < 1e-5
+
+
+class TestNegativityXState:
+    @pytest.mark.parametrize(
+        "omega_c,g_min,g_max,steps",
+        [(1.0, 0.0, 1.2, 241),  # the paper's window
+         (0.2, 0.2, 2.0, 10),  # deep coupling
+         (1.0, 1.5, 3.5, 200),  # the default find-zero bracket
+         (0.1, 0.2, 4.6, 25)],  # small omega_c, alpha up to 46
+    )  # fmt: skip
+    def test_matches_the_partial_transpose_on_exact_states(self, omega_c, g_min, g_max, steps):
+        for g in np.linspace(g_min, g_max, steps):
+            state = ground_state(ModelParams(1.0, omega_c, float(g))).state
+            rho = reduced_density_from_joint(state)
+            assert abs(negativity_x_state(rho) - negativity_numerical(rho)) <= 1e-15
+
+    def test_both_channels_on_the_trial_family(self):
+        # beta^2 < 2 opens the |r14| - r22 channel, beta^2 > 2 the other one
+        rng = np.random.default_rng(406)
+        for _ in range(200):
+            alpha, beta = rng.uniform(-1.5, 1.5), rng.uniform(-3.0, 3.0)
+            rho = reduced_density_variational(alpha, beta)
+            assert negativity_x_state(rho) == pytest.approx(negativity_numerical(rho), abs=1e-15)
+
+    def test_bell_state(self):
+        psi = np.array([1.0, 0.0, 0.0, 1.0]) / SQ2
+        assert negativity_x_state(np.outer(psi, psi)) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestNegativityClosedForm:

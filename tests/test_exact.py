@@ -11,7 +11,8 @@ from rabi2q import (
     parity_operator,
 )
 from rabi2q import exact, model, variational
-from rabi2q.exact import ground_state_at, make_state
+from rabi2q.exact import ground_state_at
+from rabi2q.model import make_state
 
 
 def _odd_weight(state):
@@ -150,7 +151,7 @@ def test_small_omega_c_matches_the_decoupled_state():
 @pytest.mark.parametrize("n_max", range(13))
 def test_joint_state_n_max_round_trips(n_max):
     size = model.sector_size(FockTruncation(n_max), odd=True)
-    assert exact.JointState(np.ones(size)).n_max == n_max
+    assert model.JointState(np.ones(size)).n_max == n_max
 
 
 def test_input_validation():
