@@ -5,6 +5,11 @@ All quantities are in units of the qubit splitting (omega_a = 1); detuning
 enters as the ratio omega_c / omega_a.  CSV output is deterministic:
 fixed column order, floats at 10 significant digits, newline-separated.
 
+Every command is a projection of ``evaluate``, which fills a table over a
+grid of g: the variational solution and its correction run once per grid
+and are read as whole arrays, a column at a time; the exact ground state
+runs row by row, and is dropped after its row.
+
 A command loads only the solvers it runs: ``rabi2q.exact``, and with it
 scipy.linalg, is imported with the first row that needs the exact stage,
 and scipy.optimize only by ``find-zero``.  So ``variational``, ``transform``
@@ -18,7 +23,7 @@ import json
 import math
 import sys
 from functools import cache, cached_property
-from operator import attrgetter
+from operator import add, attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -55,21 +60,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Grid:
-    """The stages that run over a whole grid of g at one omega_c, each from one
-    call when a row first reads it: the variational solution and its
-    correction, with the errors of the rows where they failed."""
+    """The stages of ``evaluate`` over a grid of g at one omega_c.  The
+    variational solution and its correction each run as one call over the
+    whole grid, the first time a column needs them, and report the rows where
+    they failed; a call that raises fails every row it was given.  The exact
+    ground state runs row by row, and only the last row's is kept."""
 
-    def __init__(self, omega_c: float, g: np.ndarray):
-        self.omega_c, self.g = omega_c, g
+    def __init__(self, omega_c: float, g: np.ndarray, tol: float | None):
+        self.omega_c, self.g, self.tol = omega_c, g, tol
+        self._floats: dict[str, list[float]] = {}
+        self._cells: dict[str, list | Exception] = {}
+        self._exact = (None, None)  # (row, its ground state)
 
     @cached_property
-    def solution(self) -> tuple[variational.VariationalSolution, dict[int, Exception]]:
-        return variational.solve_grid(ModelParams(1.0, self.omega_c, self.g))
+    def solution(self) -> tuple[variational.VariationalSolution | None, dict[int, Exception]]:
+        try:
+            return variational.solve_grid(ModelParams(1.0, self.omega_c, self.g))
+        except Exception as exc:
+            return None, dict.fromkeys(range(self.g.size), exc)
 
-    @cached_property
-    def var(self) -> list[variational.VariationalSolution]:
-        """The solution at each row, as floats."""
-        return self.solution[0].points()
+    def floats(self, name: str) -> list[float]:
+        """A field of the solution (``alpha``, ``levels.chi``, ...), one float per row."""
+        if name not in self._floats:
+            self._floats[name] = attrgetter(name)(self.solution[0]).tolist()
+        return self._floats[name]
 
     @cached_property
     def delta_e(self) -> tuple[list[float], dict[int, Exception]]:
@@ -77,80 +91,114 @@ class _Grid:
         solution, failed = self.solution
         rows = np.setdiff1d(np.arange(self.g.size), list(failed))
         values = np.full(self.g.size, math.nan)
-        values[rows], errors = transform.perturbation_correction_grid(
-            solution.levels.at(rows), ModelParams(1.0, self.omega_c, self.g[rows])
-        )
+        try:
+            values[rows], errors = transform.perturbation_correction_grid(
+                solution.levels.at(rows), ModelParams(1.0, self.omega_c, self.g[rows])
+            )
+        except Exception as exc:
+            errors = dict.fromkeys(range(rows.size), exc)
         return values.tolist(), {**failed, **{rows[k].item(): exc for k, exc in errors.items()}}
 
+    def cells(self, column: str) -> list | Exception:
+        """A column of COLUMNS computed for the whole grid: its values, one per
+        row, or the exception it raised as a whole."""
+        if column not in self._cells:
+            try:
+                self._cells[column] = COLUMNS[column][1](self)
+            except Exception as exc:
+                self._cells[column] = exc
+        return self._cells[column]
 
-class _Point:
-    """The stages at one coupling of a _Grid, each run when first read and kept."""
+    def errors(self, stage: str) -> dict[int, Exception]:
+        """The rows where a grid stage ("var" or "delta_e") failed, with their exceptions."""
+        return (self.solution if stage == "var" else self.delta_e)[1]
 
-    def __init__(self, params: ModelParams, tol: float, grid: _Grid, index: int):
-        self.params, self.tol, self.grid, self.index = params, tol, grid, index
+    def exact(self, row: int):
+        if self._exact[0] != row:
+            from .exact import ground_state  # scipy.linalg loads with the first exact row
 
-    @cached_property
-    def exact(self):
-        from .exact import ground_state  # scipy.linalg loads with the first exact row
-
-        return ground_state(self.params, tol=self.tol)
-
-    @cached_property
-    def var(self):
-        errors = self.grid.solution[1]
-        if self.index in errors:
-            raise errors[self.index]
-        return self.grid.var[self.index]
-
-    @cached_property
-    def delta_e(self):
-        values, errors = self.grid.delta_e
-        if self.index in errors:
-            raise errors[self.index]
-        return values[self.index]
-
-    @cached_property
-    def rho(self):
-        return entangle.reduced_density_from_joint(self.exact.state)
+            params = ModelParams(1.0, self.omega_c, self.g.item(row))
+            self._exact = (row, ground_state(params, tol=self.tol))
+        return self._exact[1]
 
 
-# Output column -> (the stages its value needs, its value at a _Point).
+_GRID_STAGES = ("var", "delta_e")
+
+
+def _solution(name: str):
+    """The column of one field of the variational solution or of its dressed levels."""
+    return ("var",), lambda grid: grid.floats(name)
+
+
+def _negativity_small_g(grid: _Grid) -> list[float]:
+    with np.errstate(over="ignore"):  # g^2 past the float range is inf, as for a float
+        return entangle.negativity_small_g(ModelParams(1.0, grid.omega_c, grid.g)).tolist()
+
+
+# Output column -> (the stages its value needs, its values).  A column of the
+# exact stage is computed row by row, value(grid, row); any other column is
+# computed for the whole grid at once, value(grid), one value per row.
 COLUMNS = {
-    "g": ((), attrgetter("params.g")),
-    "omega_c": ((), attrgetter("params.omega_c")),
-    "negativity_small_g": ((), lambda p: entangle.negativity_small_g(p.params)),
-    "error": ((), lambda p: ""),
-    "energy_exact": (("exact",), attrgetter("exact.energy")),
-    "n_max_used": (("exact",), attrgetter("exact.n_max_used")),
-    "eig_residual": (("exact",), attrgetter("exact.residual")),
-    "negativity_exact": (("exact", "rho"), lambda p: entangle.negativity_x_state(p.rho)),
-    "energy_variational": (("var",), attrgetter("var.energy")),
-    "energy": (("var",), attrgetter("var.energy")),  # the variational command's name
-    "alpha": (("var",), attrgetter("var.alpha")),
-    "beta": (("var",), attrgetter("var.beta")),
-    "norm_sq": (("var",), attrgetter("var.norm_sq")),
-    "stat_residual": (("var",), attrgetter("var.residual")),
+    "g": ((), lambda grid: grid.g.tolist()),
+    "omega_c": ((), lambda grid: [grid.omega_c] * grid.g.size),
+    "negativity_small_g": ((), _negativity_small_g),
+    "error": ((), lambda grid: [""] * grid.g.size),
+    "energy_exact": (("exact",), lambda grid, row: grid.exact(row).energy),
+    "n_max_used": (("exact",), lambda grid, row: grid.exact(row).n_max_used),
+    "eig_residual": (("exact",), lambda grid, row: grid.exact(row).residual),
+    "negativity_exact": (
+        ("exact", "rho"),
+        lambda grid, row: entangle.negativity_x_state(
+            entangle.reduced_density_from_joint(grid.exact(row).state)
+        ),
+    ),
+    "energy_variational": _solution("energy"),
+    "energy": _solution("energy"),  # the variational command's name
+    "alpha": _solution("alpha"),
+    "beta": _solution("beta"),
+    "norm_sq": _solution("norm_sq"),
+    "stat_residual": _solution("residual"),
     "negativity_approx": (
-        ("var",), lambda p: entangle.negativity_closed_form(p.var.alpha, p.var.beta)
+        ("var",),
+        lambda grid: list(
+            map(entangle.negativity_closed_form, grid.floats("alpha"), grid.floats("beta"))
+        ),
     ),
     "concurrence_approx": (
-        ("var",), lambda p: entangle.concurrence_approx(p.var.alpha, p.var.beta)
+        ("var",),
+        lambda grid: list(
+            map(entangle.concurrence_approx, grid.floats("alpha"), grid.floats("beta"))
+        ),
     ),
     "fidelity": (
         ("exact", "var"),
-        lambda p: fidelity(
-            variational.trial_state(p.var.alpha, p.var.beta, FockTruncation(p.exact.state.n_max)),
-            p.exact.state,
+        lambda grid, row: fidelity(
+            variational.trial_state(
+                grid.floats("alpha")[row],
+                grid.floats("beta")[row],
+                FockTruncation(grid.exact(row).state.n_max),
+            ),
+            grid.exact(row).state,
         ),
     ),
-    "energy_transform": (("var",), attrgetter("var.levels.eps_minus")),
+    "energy_transform": _solution("levels.eps_minus"),
     **{
-        name: (("var",), attrgetter(f"var.levels.{name}"))
+        name: _solution(f"levels.{name}")
         for name in ("chi", "eta", "mu", "lambda_minus", "lambda_plus", "eps_minus", "eps_zero",
                      "eps_plus")
     },  # fmt: skip
-    "delta_e": (("var", "delta_e"), attrgetter("delta_e")),
-    "energy_corrected": (("var", "delta_e"), lambda p: p.var.levels.eps_minus + p.delta_e),
+    "delta_e": (("var", "delta_e"), lambda grid: grid.delta_e[0]),
+    "energy_corrected": (
+        ("var", "delta_e"),
+        lambda grid: list(map(add, grid.floats("levels.eps_minus"), grid.delta_e[0])),
+    ),
+}
+
+# Per column: the grid stages whose failures end a row there, whether it is
+# computed row by row, and its values.
+_SPECS = {
+    column: ([stage for stage in stages if stage in _GRID_STAGES], "exact" in stages, value)
+    for column, (stages, value) in COLUMNS.items()
 }
 
 # The single-point subcommands: help text and the columns of their one row.
@@ -181,38 +229,99 @@ def evaluate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
     """The values of ``columns`` (keys of COLUMNS) at each coupling of the grid
     ``g`` at ``omega_c``: one row per coupling.
 
-    Per row, values are computed in column order.  Each stage runs at most
-    once per grid, when the first column that needs it is read: the
-    variational solution with its dressed levels and the perturbative
-    correction as one call over the grid, the exact ground state and its
-    reduced density matrix point by point.  ``tol`` goes to the exact
-    solver.  If ``columns`` holds "error", a failure ends its row and is
-    recorded there, and the other rows go on; a negative g, for one, gives a
-    row of g and the ValueError of ``ModelParams``.  Otherwise the failure
-    is raised.
+    Each stage runs at most once per grid, and only when a column needs it at
+    a live row: the variational solution with its dressed levels and the
+    perturbative correction as one call over the grid, the exact ground state
+    and its reduced density matrix row by row.  ``tol`` goes to the exact
+    solver.  Up to the first column of the exact stage, the table is filled
+    one column at a time, each column read from the grid stages' arrays at
+    once.  From that column on it is filled row by row, so that each row's
+    exact ground state is dropped after its row; a grid column there is
+    computed for the whole grid when the first row reaches it.
+
+    A row ends at the first column whose stage failed there or whose value
+    raised.  If ``columns`` holds "error", the failure is recorded there, the
+    row keeps the columns before it, and the other rows go on; a negative g,
+    for one, gives a row of g and the ValueError of ``ModelParams``.
+    Otherwise the failure of the lowest failing row is raised.
     """
     g = np.asarray(g, dtype=float)
-    # a g that is no coupling fails its row below; the grid solves 0 in its place
-    grid = _Grid(omega_c, np.where((0.0 <= g) & (g < math.inf), g, 0.0))
-    rows = []
-    for index, g_i in enumerate(g.tolist()):
-        try:
-            params = ModelParams(1.0, omega_c, g_i)
-        except ValueError as exc:
-            if "error" not in columns:
-                raise
-            rows.append({"g": g_i, "error": f"ValueError: {exc}"})
-            continue
-        point = _Point(params, tol, grid, index)
-        row = {}
-        try:
-            for column in columns:
-                row[column] = COLUMNS[column][1](point)
-        except Exception as exc:
-            if "error" not in columns:
-                raise
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+    coupling = (0.0 <= g) & (g < math.inf)
+    ends = {}  # row -> (the position of the column it ended at, or -1, and the exception)
+    if not (np.count_nonzero(coupling) == g.size and 0.0 < omega_c < math.inf):
+        # a row that is no parameter point ends before the first column
+        for row, g_row in enumerate(g.tolist()):
+            try:
+                ModelParams(1.0, omega_c, g_row)
+            except ValueError as exc:
+                ends[row] = (-1, exc)
+    keep_going = "error" in columns
+
+    def survivors(rows) -> list[int]:
+        if not ends:
+            return list(rows)
+        # without an error column, only the rows before the first failure matter
+        limit = g.size if keep_going else min(ends)
+        return [row for row in rows if row < limit and row not in ends]
+
+    # the grid solves 0 in place of a g that is no coupling
+    grid = _Grid(omega_c, np.where(coupling, g, 0.0) if ends else g, tol)
+
+    def cell(column: str, row: int):
+        """A column's value at a row; raises the failure that ends the row there."""
+        grid_stages, per_row, value = _SPECS[column]
+        for stage in grid_stages:
+            errors = grid.errors(stage)
+            if row in errors:
+                raise errors[row]
+        if per_row:
+            return value(grid, row)
+        cells = grid.cells(column)
+        if isinstance(cells, Exception):
+            raise cells
+        return cells[row]
+
+    split = 0  # the position of the first column computed row by row
+    while split < len(columns) and not _SPECS[columns[split]][1]:
+        split += 1
+    alive = survivors(range(g.size))
+    table = []
+    for position, column in enumerate(columns[:split]):
+        for stage in _SPECS[column][0]:
+            errors = grid.errors(stage) if alive else None
+            if errors:
+                for row, exc in errors.items():
+                    ends.setdefault(row, (position, exc))
+                alive = survivors(alive)
+        cells = grid.cells(column) if alive else None
+        if isinstance(cells, Exception):  # at every live row
+            ends.update(dict.fromkeys(alive, (position, cells)))
+            alive, cells = [], None
+        table.append(cells)
+    table += [[None] * g.size for _ in columns[split:]]
+    for row in alive:
+        for position in range(split, len(columns)):
+            try:
+                table[position][row] = cell(columns[position], row)
+            except Exception as exc:
+                ends[row] = (position, exc)
+                break
+        if row in ends and not keep_going:
+            break  # the rows after it no longer matter
+    alive = survivors(alive)
+
+    if ends and not keep_going:
+        raise ends[min(ends)][1]
+    if table and alive:
+        rows = [dict(zip(columns, cells)) for cells in zip(*table)]
+    else:  # every row ended, or there are no columns
+        rows = [{} for _ in range(g.size)]
+    for row, (position, exc) in ends.items():
+        if position < 0:
+            rows[row] = {"g": g[row].item()}
+        else:
+            rows[row] = {column: table[k][row] for k, column in enumerate(columns[:position])}
+        rows[row]["error"] = f"{type(exc).__name__}: {exc}"
     return rows
 
 
@@ -273,26 +382,46 @@ def locate_negativity_zero(
     return brentq(excess, g_lo, g_hi, xtol=0.5 * g_tol)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
-
-
 def _jsonable(value):
     if isinstance(value, float):  # JSON has no inf or NaN
         return float(f"{value:.10g}") if math.isfinite(value) else None
     return value
 
 
+def _template(kinds: tuple[type, ...]) -> str:
+    """The %-template of a CSV row whose values have these types: floats at 10
+    significant digits, None empty, anything else as ``str`` prints it."""
+    return ",".join(
+        "%.10g" if issubclass(kind, float) else "%.0s" if kind is type(None) else "%s"
+        for kind in kinds
+    )
+
+
 def render_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
+    """``rows`` as CSV (a header, then one line per row) or as a JSON list,
+    with the values of ``columns``; floats at 10 significant digits.
+
+    Each CSV row is formatted in one step, by the %-template of its value
+    types; a row that ended early leaves the columns it lacks empty.
+    """
     if fmt == "json":
         payload = [{c: _jsonable(row.get(c)) for c in columns if c in row} for row in rows]
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    # the row's values in column order, or KeyError; itemgetter of one key gives no tuple
+    cells_of = (
+        itemgetter(*columns) if len(columns) > 1 else lambda row: tuple(row[c] for c in columns)
+    )
+    templates = {}
     lines = [",".join(columns)]
-    lines += [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
+    for row in rows:
+        try:
+            cells = cells_of(row)
+        except KeyError:  # a row that ended early: the columns it lacks print empty
+            cells = tuple(map(row.get, columns))
+        kinds = tuple(map(type, cells))
+        if kinds not in templates:
+            templates[kinds] = _template(kinds)
+        lines.append(templates[kinds] % cells)
     return "\n".join(lines) + "\n"
 
 

@@ -27,6 +27,7 @@ approximate routes run without scipy.  The state type it returns,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,20 @@ from .model import (
     DEFAULT_TOL, FockTruncation, JointState, ModelParams, sector_hamiltonian, sector_slices
 )
 
-INVERSE_ITERATIONS = 2
+INVERSE_ITERATIONS = 2  # the fewest; a small gap takes more, see _inverse_iteration
+LEFTOVER = 1e-8  # the largest share of the next eigenvector inverse iteration leaves
 N_MAX_CAP = 4096  # largest Fock truncation ground_state tries
+# The smallest shift offset of inverse iteration, relative to the largest band
+# entry: 16 rounding units, well above the eigenvalue's rounding error.
+SHIFT_FLOOR = 16.0 * sys.float_info.epsilon
+# The smallest odd-sector gap ground_state_at accepts, relative to the largest
+# band entry.  Rounding at eps * max|band| mixes up to about eps * max|band| /
+# gap of the next odd level into the ground vector: at g > 0 a gap of 1e-6
+# keeps that near 2e-10, the printed digits.  At g = 0 no photon number
+# couples to another, so the vector is solved within its own block and the
+# gap need only stand out from the rounding of the eigenvalues, by 100 floors.
+COUPLED_GAP = 1e-6
+DECOUPLED_GAP = 100.0 * SHIFT_FLOOR
 
 # The LAPACK routine and tolerance scipy.linalg.eig_banded uses for
 # selected eigenvalues, bound once: its Python-side checks add about 25 us
@@ -70,29 +83,33 @@ def _lowest_eigenvalues(band: np.ndarray, count: int) -> np.ndarray:
     return w[:m]
 
 
-def _shift_offset(band: np.ndarray) -> float:
-    """How far ``_inverse_iteration`` shifts below the eigenvalue: 1e-10 of the largest entry."""
-    return 1e-10 * float(np.abs(band).max())
-
-
-def _inverse_iteration(band: np.ndarray, eigenvalue: float, start: np.ndarray) -> np.ndarray:
+def _inverse_iteration(
+    band: np.ndarray, eigenvalue: float, start: np.ndarray, gap: float
+) -> np.ndarray:
     """Eigenvector of the lowest eigenvalue, by banded Cholesky solves of (H - shift) x = v.
 
-    The shift sits ``_shift_offset`` below the eigenvalue, far more than its
-    rounding error, so H - shift is positive definite and never exactly
-    singular (at g = 0 the eigenvalue -omega_a is exact); each solve damps
-    the other eigenvectors by that offset over their distance.  If the
-    Cholesky factorisation fails, the shift is not below the spectrum, so
-    ``eigenvalue`` is not the lowest: LinAlgError.
+    The shift sits 1e-10 of the largest band entry below the eigenvalue, or
+    1e-5 of the ``gap`` to the next eigenvalue where that is less, but at
+    least SHIFT_FLOOR of that entry, more than the eigenvalue's rounding
+    error.  So H - shift is positive definite and never exactly singular
+    (at g = 0 the eigenvalue -omega_a is exact).  Each solve damps
+    the next eigenvector, ``gap`` above, by offset / (gap + offset) against
+    the lowest; there are INVERSE_ITERATIONS solves, or more until that
+    leaves at most LEFTOVER of it.  If the Cholesky factorisation fails, the
+    shift is not below the spectrum, so ``eigenvalue`` is not the lowest:
+    LinAlgError.
     """
-    shift = eigenvalue - _shift_offset(band)
+    scale = float(np.abs(band).max())
+    offset = max(min(1e-10 * scale, 1e-5 * gap), SHIFT_FLOOR * scale)
+    shift = eigenvalue - offset
     shifted = np.vstack((band[0] - shift, band[1:]))
     factor, info = scipy.linalg.lapack.dpbtrf(shifted, lower=1)
     if info != 0:
         msg = f"H - shift is not positive definite: {eigenvalue} is not the lowest eigenvalue"
         raise np.linalg.LinAlgError(f"{msg} (dpbtrf info={info})")
+    damping = math.log(offset / (gap + offset))
     vec = start
-    for _ in range(INVERSE_ITERATIONS):
+    for _ in range(max(INVERSE_ITERATIONS, math.ceil(math.log(LEFTOVER) / damping))):
         vec = scipy.linalg.lapack.dpbtrs(factor, vec, lower=1)[0]
         vec /= np.linalg.norm(vec)
     return vec
@@ -112,14 +129,18 @@ def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
     too small.  On such a truncation the even sector can also lie lower
     (then the splitting is negative and the excited gap 0); ``ground_state``
     checks the sign on the accepted solve.
-    Raises RuntimeError if E1_odd - E0 <= 1e4 shift offsets, where inverse
-    iteration keeps over 1e-8 of the next vector (omega_c below about 1e-9).
+    Raises RuntimeError if, at g > 0, E1_odd - E0 is at most COUPLED_GAP of
+    the largest band entry (omega_c below about 5e-7 at omega_a = 1), where rounding
+    could mix more than about 2e-10 of the next level into the ground vector;
+    at g = 0, only if it is at most DECOUPLED_GAP, 1600 rounding units of
+    that entry (omega_c below about 2e-13), where the gap barely stands out
+    from the rounding of the eigenvalues.
     """
     trunc = FockTruncation(n_max)
     band = sector_hamiltonian(params, trunc, odd=True)
     energy, odd_1 = (float(e) for e in _lowest_eigenvalues(band, 2))
     even_0 = float(_lowest_eigenvalues(sector_hamiltonian(params, trunc, odd=False), 1)[0])
-    if odd_1 - energy <= 1e4 * _shift_offset(band):
+    if odd_1 - energy <= (COUPLED_GAP if params.g else DECOUPLED_GAP) * np.abs(band).max():
         raise RuntimeError(
             f"odd-sector gap {odd_1 - energy:.3e} is too small to resolve the ground vector "
             f"at n_max={n_max} (omega_a={params.omega_a}, omega_c={params.omega_c}, g={params.g})"
@@ -132,7 +153,7 @@ def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
     s, _, d = sector_slices(odd=True)
     start = np.full(band.shape[1], -1.0)
     start[s] = 1.0
-    vec = _inverse_iteration(band, energy, start)
+    vec = _inverse_iteration(band, energy, start, odd_1 - energy)
     leak = params.g * math.sqrt(n_max + 1) * abs(float(vec[d if n_max % 2 else s][-1]))
     h_vec = scipy.linalg.blas.dsbmv(2, 1.0, band, vec, lower=1)
     return GroundStateResult(

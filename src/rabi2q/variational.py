@@ -82,18 +82,6 @@ class VariationalSolution:
     def norm_sq(self) -> float:
         return self.levels.n_minus_sq
 
-    def points(self) -> list[VariationalSolution]:
-        """The solutions of a grid, one per coupling, as floats."""
-        return list(
-            map(
-                VariationalSolution,
-                self.alpha.tolist(),
-                self.energy.tolist(),
-                self.residual.tolist(),
-                self.levels.points(),
-            )
-        )
-
 
 def energy_expectation(alpha, beta, params: ModelParams):
     """<H> in the trial state:
@@ -315,7 +303,9 @@ def solve(params: ModelParams) -> VariationalSolution:
     grid, errors = solve_grid(ModelParams(params.omega_a, params.omega_c, np.array([params.g])))
     if errors:
         raise errors[0]
-    return grid.points()[0]
+    return VariationalSolution(
+        grid.alpha.item(), grid.energy.item(), grid.residual.item(), grid.levels.points()[0]
+    )
 
 
 def trial_state(alpha: float, beta: float, trunc: FockTruncation) -> JointState:

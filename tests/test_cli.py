@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +470,11 @@ class TestFlagsAndConfig:
         text = render_rows(["g", "value"], [{"g": 0.1, "value": -1.0101523423}], "csv")
         assert text == "g,value\n0.1,-1.010152342\n"
 
+    def test_render_rows_leaves_the_columns_a_row_lacks_empty(self):
+        rows = [{"g": 0.4, "value": 1.0, "error": ""}, {"g": -1.0, "error": "ValueError: negative"}]
+        text = render_rows(["g", "value", "error"], rows, "csv")
+        assert text == "g,value,error\n0.4,1,\n-1,,ValueError: negative\n"
+
     def test_json_has_no_nonfinite_tokens(self, capsys):
         # mu and lambda_plus are infinite at g = 40; RFC 8259 has no Infinity or NaN
         def reject(token):
@@ -720,6 +726,139 @@ class TestEvaluate:
         (row,) = evaluate(0.5, [2.0], ("stat_residual",), 1e-10)
         assert row["stat_residual"] == var.residual
         assert var.residual == variational.stationarity_residual(var.alpha, var.beta, params)
+
+    @staticmethod
+    def _fail_fidelity_at(monkeypatch, n_max):
+        """Make the fidelity column raise at the rows whose exact state has ``n_max``."""
+        def fidelity(a, b, _fn=cli.fidelity):
+            if b.n_max == n_max:
+                raise ValueError("no overlap")
+            return _fn(a, b)
+
+        monkeypatch.setattr(cli, "fidelity", fidelity)
+
+    @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_prints_what_its_grids_of_one_print(self, monkeypatch, fmt):
+        # every column, those of the exact stage last, so that each kind of
+        # failure ends its row before it: a negative g, the correction's
+        # overflow (6e76 at omega_c = 0.5), no finite well (1e200), and a
+        # raise in the fidelity column (at g = 0.8, where n_max is 32)
+        columns = tuple(sorted(COLUMNS, key=lambda column: "exact" in COLUMNS[column][0]))
+        self._fail_fidelity_at(monkeypatch, 32)
+        grid = [0.4, -1.0, 6e76, 0.8, 1e200, 1.2]
+        rows = evaluate(0.5, grid, columns, 1e-10)
+        assert [row["error"].split(":")[0] for row in rows] == [
+            "", "ValueError", "OverflowError", "ValueError", "RuntimeError", ""
+        ]
+        assert rows[3]["error"] == "ValueError: no overlap"
+        assert list(rows[0]) == list(columns)
+        ones = [render_rows(columns, evaluate(0.5, [g], columns, 1e-10), fmt) for g in grid]
+        if fmt == "csv":
+            header = ",".join(columns) + "\n"
+            assert all(one.startswith(header) for one in ones)
+            expected = header + "".join(one[len(header):] for one in ones)
+        else:  # each "[\n  {...}\n]\n" without its brackets
+            expected = "[\n" + ",\n".join(one[2:-3] for one in ones) + "\n]\n"
+        assert render_rows(columns, rows, fmt) == expected
+
+    @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
+    def test_the_lowest_failing_row_raises(self, monkeypatch):
+        # a later column fails an earlier row than an earlier column does:
+        # without an error column, the earlier row's failure is raised, as
+        # when the rows were evaluated one at a time
+        columns = ("g", "energy_variational", "energy_corrected")
+        rows = evaluate(0.5, [0.4, 6e76, 1e200], (*columns, "error"), None)
+        assert rows[1]["error"].startswith("OverflowError")  # at energy_corrected
+        assert rows[2]["error"].startswith("RuntimeError: no well")  # at energy_variational
+        with pytest.raises(OverflowError):
+            evaluate(0.5, [0.4, 6e76, 1e200], columns, None)
+
+        def ground_state(params, tol, _fn=exact.ground_state):
+            if params.g == 1.2:
+                raise RuntimeError("not converged at 1.2")
+            return _fn(params, tol=tol)
+
+        monkeypatch.setattr(exact, "ground_state", ground_state)
+        self._fail_fidelity_at(monkeypatch, 24)  # at g = 0.8
+        columns = ("g", "energy_exact", "fidelity")
+        rows = evaluate(1.0, [0.4, 0.8, 1.2], (*columns, "error"), 1e-10)
+        assert rows[1] == {"g": 0.8, "energy_exact": rows[1]["energy_exact"],
+                           "error": "ValueError: no overlap"}  # fmt: skip
+        assert rows[2] == {"g": 1.2, "error": "RuntimeError: not converged at 1.2"}
+        with pytest.raises(ValueError, match="no overlap"):
+            evaluate(1.0, [0.4, 0.8, 1.2], columns, 1e-10)
+
+    def test_ended_rows_never_reach_the_exact_stage(self, monkeypatch):
+        calls = self._count_stages(monkeypatch)
+        solved = []
+
+        def ground_state(params, tol, _fn=exact.ground_state):
+            solved.append(params.g)
+            return _fn(params, tol=tol)
+
+        monkeypatch.setattr(exact, "ground_state", ground_state)
+        columns = ("g", "energy_variational", "energy_exact", "negativity_exact", "error")
+        rows = evaluate(1.0, [0.4, 1e200, -1.0, 0.8], columns, 1e-10)
+        assert [row["error"] for row in rows[::3]] == ["", ""]
+        assert (calls, solved) == ({"var": 1, "exact": 2, "rho": 2}, [0.4, 0.8])
+        # without an error column, the rows after the first failure do not matter
+        calls.clear()
+        solved.clear()
+        with pytest.raises(RuntimeError, match="no well"):
+            evaluate(1.0, [0.4, 1e200, 0.8], columns[:-1], 1e-10)
+        assert (calls, solved) == ({"var": 1, "exact": 1, "rho": 1}, [0.4])
+        # nor do those after a row the exact stage fails
+        def fails_at_1p2(params, tol):
+            if params.g == 1.2:
+                solved.append(params.g)
+                raise RuntimeError("not converged")
+            return ground_state(params, tol)  # records g
+
+        monkeypatch.setattr(exact, "ground_state", fails_at_1p2)
+        solved.clear()
+        with pytest.raises(RuntimeError, match="not converged"):
+            evaluate(1.0, [0.4, 1.2, 0.8], ("g", "energy_exact", "alpha"), 1e-10)
+        assert solved == [0.4, 1.2]
+
+        # nor does a grid stage run once no row is alive: the correction,
+        # with chi >= 1 at g = 1.6, neither runs nor warns
+        def unconverged(params, tol):
+            raise RuntimeError("not converged")
+
+        monkeypatch.setattr(exact, "ground_state", unconverged)
+        calls.clear()
+        columns = ("g", "energy_exact", "energy_corrected", "error")
+        rows = evaluate(1.0, [0.4, 1.6], columns, 1e-10)
+        assert [row["error"] for row in rows] == ["RuntimeError: not converged"] * 2
+        assert calls == {}
+        # the same before the first exact column: no finite well at g = 1e200
+        # ends the row at energy_variational, and no later column is computed
+        calls.clear()
+        small_g = []
+        monkeypatch.setattr(entangle, "negativity_small_g", small_g.append)
+        columns = ("g", "energy_variational", "energy_corrected", "negativity_small_g", "error")
+        (row,) = evaluate(1.0, [1e200], columns, None)
+        assert list(row) == ["g", "error"] and row["error"].startswith("RuntimeError: no well")
+        assert (calls, small_g) == ({"var": 1}, [])
+
+    def test_each_rows_exact_state_is_dropped_after_its_row(self, monkeypatch):
+        # the exact columns sit apart, with grid columns between them, yet a
+        # row's ground state is gone before the next row solves its own
+        results = []
+
+        def ground_state(params, tol, _fn=exact.ground_state):
+            assert [result() for result in results[:-1]] == [None] * (len(results) - 1)
+            result = _fn(params, tol=tol)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(exact, "ground_state", ground_state)
+        columns = ("g", "energy_exact", "alpha", "delta_e", "fidelity", "negativity_exact",
+                   "n_max_used", "error")  # fmt: skip
+        rows = evaluate(1.0, [0.2, 0.4, 0.6, 0.8], columns, 1e-10)
+        assert [row["error"] for row in rows] == [""] * 4 and len(results) == 4
+        assert rows == [evaluate(1.0, [g], columns, 1e-10)[0] for g in (0.2, 0.4, 0.6, 0.8)]
 
 
 class TestConfigErrors:

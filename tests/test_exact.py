@@ -128,24 +128,44 @@ def test_overflowing_size_reaches_the_cap(monkeypatch, omega_c, g):
 
 
 @pytest.mark.parametrize(
-    "omega_c,g",
-    [(1e-10, 0.0), (1e-11, 0.0), (1e-12, 0.0), (1e-14, 1e-14), (1e-16, 1e-16), (1e-18, 0.0),
-     (1e-20, 1e-20)],
+    "omega_c,g", [(1e-14, 1e-14), (1e-16, 1e-16), (1e-18, 0.0), (1e-20, 1e-20)]
 )
 def test_unresolvable_odd_gap_raises(omega_c, g):
-    # E1_odd - E0 is about 2 omega_c: within 1e4 times the inverse iteration's
-    # shift offset the second vector survives (or the gap rounds to 0)
+    # E1_odd - E0 is about 2 omega_c: within 100 of inverse iteration's
+    # smallest shift offsets the gap is not resolved from rounding (or rounds to 0)
     with pytest.raises(RuntimeError, match="too small to resolve"):
         ground_state(ModelParams(1.0, omega_c, g))
 
 
-def test_small_omega_c_matches_the_decoupled_state():
+def _assert_decoupled_ground_state(omega_c, g=0.0):
     # g = 0: the vacuum times the Jx ground state, (S_0 - |0>_0) / sqrt2
-    result = ground_state(ModelParams(1.0, 1e-6, 0.0))
+    result = ground_state(ModelParams(1.0, omega_c, g))
     s, z, _ = model.sector_slices(odd=True)
     expected = np.zeros(result.state.amplitudes.size)
     expected[s][0], expected[z][0] = 1.0, -1.0
     assert fidelity(result.state, make_state(expected, result.n_max_used)) >= 1.0 - 1e-13
+
+
+def test_small_omega_c_matches_the_decoupled_state():
+    for omega_c in (1e-6, 1e-9):
+        _assert_decoupled_ground_state(omega_c)
+
+
+@pytest.mark.parametrize("omega_c,g", [(1e-10, 0.0), (1e-11, 0.0), (1e-12, 0.0), (4.5e-13, 0.0)])
+def test_resolvable_odd_gap_gives_the_decoupled_state(omega_c, g):
+    # below omega_c = 5e-6 inverse iteration shifts by 1e-5 of the gap, or by
+    # its floor, so at g = 0 gaps down to 4e-13 are resolved; at 4.5e-13,
+    # 1e-5 of the gap rounds away in E0 - offset, and only the floor keeps
+    # the shift below the eigenvalue
+    _assert_decoupled_ground_state(omega_c, g)
+
+
+@pytest.mark.parametrize("omega_c,g", [(1e-7, 1e-7), (1e-9, 1e-12), (3e-12, 1e-12)])
+def test_coupled_tiny_gap_is_refused(omega_c, g):
+    # at g > 0 a gap below 1e-6 of the band lets rounding mix more than
+    # about 2e-10 of the next level into the ground vector
+    with pytest.raises(RuntimeError, match="too small to resolve"):
+        ground_state(ModelParams(1.0, omega_c, g))
 
 
 @pytest.mark.parametrize("n_max", range(13))
@@ -251,10 +271,10 @@ def test_inverse_iteration_needs_the_lowest_eigenvalue():
     band = model.sector_hamiltonian(ModelParams(1.0, 1.0, 0.4), FockTruncation(20), odd=True)
     lowest, second = exact._lowest_eigenvalues(band, 2)
     start = np.ones(band.shape[1])
-    vec = exact._inverse_iteration(band, lowest, start)
+    vec = exact._inverse_iteration(band, lowest, start, second - lowest)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(np.linalg.LinAlgError, match="not the lowest"):
-        exact._inverse_iteration(band, second, start)
+        exact._inverse_iteration(band, second, start, second - lowest)
 
 
 @pytest.mark.parametrize("omega_c,g", [(1.0, 0.0), (1.0, 0.4), (1.0, 3.5), (0.5, 2.0), (0.2, 2.0)])
