@@ -32,6 +32,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,24 +191,62 @@ def fidelity(a: JointState, b: JointState) -> float:
     return float(abs(a.amplitudes @ b.amplitudes))
 
 
+class SectorPattern(NamedTuple):
+    """The parameter-free parts of one parity sector's band, one entry per sector vector.
+
+    ``numbers`` is each vector's photon number n, the band's diagonal over
+    omega_c; ``roots`` its rows 1 and 2 over g, sqrt(n + 1) on the coupling
+    from S_n or D_n to level n + 1 and 0 elsewhere; ``signs`` is +1 on S_n
+    and -1 elsewhere, the signs of the odd sector's ground vector (``exact``).
+    """
+
+    numbers: np.ndarray
+    roots: np.ndarray
+    signs: np.ndarray
+
+
+# One pattern per parity, built up to the largest n_max asked for so far: a
+# smaller truncation is its leading slots, since the sector is ordered by n.
+# It depends on nothing else, so every caller may share it.
+_PATTERNS: dict[bool, SectorPattern] = {}
+
+
+def sector_pattern(trunc: FockTruncation, odd: bool) -> SectorPattern:
+    """The pattern of the odd or the even sector of ``trunc`` (views of a shared pattern)."""
+    size = sector_size(trunc, odd)
+    pattern = _PATTERNS.get(odd)
+    if pattern is None or pattern.signs.size < size:
+        s, z, d = sector_slices(odd)
+        n = np.arange(trunc.n_levels)
+        paired, single = slice(1 - odd, None, 2), slice(odd, None, 2)  # levels with S or with D
+        numbers = np.empty(size)
+        numbers[s] = numbers[z] = n[paired]
+        numbers[d] = n[single]
+        root = np.sqrt(n + 1.0)
+        roots = np.zeros((2, size))
+        roots[0, d] = root[single]
+        roots[1, s] = root[paired]
+        signs = np.full(size, -1.0)
+        signs[s] = 1.0
+        pattern = _PATTERNS[odd] = SectorPattern(numbers, roots, signs)
+    return SectorPattern(pattern.numbers[:size], pattern.roots[:, :size], pattern.signs[:size])
+
+
 def sector_hamiltonian(params: ModelParams, trunc: FockTruncation, odd: bool) -> np.ndarray:
     """H restricted to one parity sector, in LAPACK lower band storage.
 
     The band is (3, sector_size): ``band[k, j]`` is the matrix element between
     sector vectors j + k and j.  That is omega_c * n on the diagonal, omega_a
     from S_n to |0>_n, and g * sqrt(n + 1) from S_n to D_(n+1), two slots on,
-    and from D_n to S_(n+1), one slot on.
+    and from D_n to S_(n+1), one slot on.  The corner entries past the last
+    vector are 0.  The band is scaled from ``sector_pattern``.
     """
-    s, z, d = sector_slices(odd)
-    n = np.arange(trunc.n_levels)
-    coupling = params.g * np.sqrt((n + 1) % trunc.n_levels)  # to level n + 1, none above n_max
-    paired, single = slice(1 - odd, None, 2), slice(odd, None, 2)  # levels with S or with D
-    band = np.zeros((3, sector_size(trunc, odd)))
-    band[0, s] = band[0, z] = params.omega_c * n[paired]
-    band[0, d] = params.omega_c * n[single]
-    band[1, s] = params.omega_a
-    band[1, d] = coupling[single]
-    band[2, s] = coupling[paired]
+    pattern = sector_pattern(trunc, odd)
+    band = np.empty((3, pattern.signs.size))
+    np.multiply(params.omega_c, pattern.numbers, out=band[0])
+    np.multiply(params.g, pattern.roots, out=band[1:])
+    band[1:, -2:] = 0.0  # a pattern built past n_max couples the top level on
+    band[1, sector_slices(odd)[0]] = params.omega_a  # the last S_n is at most second to last
     return band
 
 

@@ -256,6 +256,20 @@ class TestSweep:
         assert "g must be non-negative" in rows[0]["error"]
         assert rows[1]["error"] == ""
 
+    def test_huge_g_exact_row_is_not_converged(self, capsys):
+        # inverse iteration's solves divide by a shift offset near 1e192 here: the
+        # iterate's squares must not underflow in its norm (a RuntimeWarning,
+        # which pytest raises, would be the row's error instead)
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--g-min", "1e200", "--g-max", "1e200", "--steps", "1",
+             "--methods", "exact", "--outputs", "energy"],
+        )  # fmt: skip
+        rows = csv_rows(out)
+        assert code == 0 and len(rows) == 1 and err == ""
+        assert rows[0]["error"].startswith("RuntimeError: ground state not converged")
+        assert "n_max=4096" in rows[0]["error"]
+
     def test_bad_steps_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--steps", "0"])
         assert code == 3

@@ -234,10 +234,12 @@ def test_ground_state_at_matches_dense_solve():
     assert np.linalg.norm(rung.state.coefficients) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "omega_c,g,n_max",
-    [(1.0, 0.0, 16), (1.0, 0.6, 24), (2.0, 0.7, 8), (1.0, 3.0, 64), (0.5, 2.0, 64), (0.2, 2.0, 128)],
-)
+SPECTRUM_POINTS = [
+    (1.0, 0.0, 16), (1.0, 0.6, 24), (2.0, 0.7, 8), (1.0, 3.0, 64), (0.5, 2.0, 64), (0.2, 2.0, 128)
+]
+
+
+@pytest.mark.parametrize("omega_c,g,n_max", SPECTRUM_POINTS)
 def test_ground_state_at_matches_dense_spectrum(omega_c, g, n_max):
     # dense reference: H on the eigenspaces of the parity operator
     params = ModelParams(1.0, omega_c, g)
@@ -264,17 +266,49 @@ def test_ground_state_at_matches_dense_spectrum(omega_c, g, n_max):
         assert gap == pytest.approx(full[1] - full[0], abs=1e-10)
 
 
+@pytest.mark.parametrize("omega_c,g,n_max", SPECTRUM_POINTS)
+def test_even_sector_fields_equal_the_eager_eigenvalues(omega_c, g, n_max):
+    # read on demand, the splitting and the gap are the values both sectors'
+    # eigenvalues gave when they were solved with every solve, bit for bit
+    params, trunc = ModelParams(1.0, omega_c, g), FockTruncation(n_max)
+    energy, odd_1 = exact._lowest_eigenvalues(model.sector_hamiltonian(params, trunc, True), 2)
+    even_0 = exact._lowest_eigenvalues(model.sector_hamiltonian(params, trunc, False), 1)[0]
+    rung = ground_state_at(params, n_max)
+    assert rung.energy == float(energy)
+    assert rung.parity_splitting == float(even_0) - float(energy)
+    assert rung.excited_gap == max(0.0, min(float(odd_1), float(even_0)) - float(energy))
+
+
+def test_even_sector_certificate_agrees_with_its_eigenvalue():
+    # one Cholesky factorisation of the even band less E0 - 1e-12 (|E0| + 1)
+    # succeeds exactly where the even sector's lowest eigenvalue lies above
+    # that, from truncations far too small, where it can lie below E0, up to
+    # the sized one
+    below = 0
+    for omega_c in (0.2, 0.5, 1.0, 2.0):
+        for g in (0.0, 0.5, 1.0, 2.0, 3.0):
+            alpha = g / omega_c
+            sized = int(np.ceil(alpha * alpha + 8 * alpha + 16))
+            for n_max in sorted({4, 8, *np.geomspace(4, sized, 6).astype(int).tolist()}):
+                result = ground_state_at(ModelParams(1.0, omega_c, g), n_max)
+                floor = -1e-12 * (abs(result.energy) + 1.0)
+                certified = exact._even_sector_lies_above(result)
+                assert certified == (result.parity_splitting >= floor), (omega_c, g, n_max)
+                below += result.parity_splitting < 0.0
+    assert below >= 1
+
+
 def test_inverse_iteration_needs_the_lowest_eigenvalue():
     # H - shift is positive definite only below the spectrum: given the
     # second eigenvalue, the Cholesky factorisation fails instead of
     # returning that eigenvalue's vector
     band = model.sector_hamiltonian(ModelParams(1.0, 1.0, 0.4), FockTruncation(20), odd=True)
     lowest, second = exact._lowest_eigenvalues(band, 2)
-    start = np.ones(band.shape[1])
-    vec = exact._inverse_iteration(band, lowest, start, second - lowest)
+    start, scale = np.ones(band.shape[1]), np.abs(band).max()
+    vec = exact._inverse_iteration(band, lowest, start, second - lowest, scale)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(np.linalg.LinAlgError, match="not the lowest"):
-        exact._inverse_iteration(band, second, start, second - lowest)
+        exact._inverse_iteration(band, second, start, second - lowest, scale)
 
 
 @pytest.mark.parametrize("omega_c,g", [(1.0, 0.0), (1.0, 0.4), (1.0, 3.5), (0.5, 2.0), (0.2, 2.0)])
@@ -292,8 +326,10 @@ def test_ladder_equals_standalone_converged_rung(omega_c, g):
 
 
 def test_solve_work_counts(monkeypatch):
-    # one solve: both sectors' eigenvalues once and one inverse iteration
-    odd_bands, solves, iterations = set(), [], []
+    # one solve: the odd sector's eigenvalues once, no even-sector eigensolve,
+    # and one inverse iteration; the even sector is solved once, on the first
+    # read of the splitting, and never again
+    odd_bands, solves, iterations = [], [], []  # the bands themselves, so no id is reused
     real_sector, real_solve, real_iterate = (
         exact.sector_hamiltonian, exact._lowest_eigenvalues, exact._inverse_iteration
     )
@@ -301,11 +337,11 @@ def test_solve_work_counts(monkeypatch):
     def sector(params, trunc, odd):
         band = real_sector(params, trunc, odd)
         if odd:
-            odd_bands.add(id(band))
+            odd_bands.append(band)
         return band
 
     def solve(band, count):
-        solves.append(id(band) in odd_bands)
+        solves.append(any(band is odd_band for odd_band in odd_bands))
         return real_solve(band, count)
 
     def iterate(*args):
@@ -317,8 +353,13 @@ def test_solve_work_counts(monkeypatch):
     monkeypatch.setattr(exact, "_inverse_iteration", iterate)
     result = ground_state_at(ModelParams(1.0, 1.0, 0.4), 20)
     assert result.n_max_used == 20
-    assert solves.count(True) == 1
-    assert solves.count(False) == 1
+    assert solves == [True]
+    assert len(iterations) == 1
+    splitting = result.parity_splitting
+    assert solves == [True, False]
+    assert result.parity_splitting == splitting
+    assert result.excited_gap > 0.0
+    assert solves == [True, False]
     assert len(iterations) == 1
 
 

@@ -15,6 +15,8 @@ from rabi2q.model import (
     embed,
     parity_operator,
     sector_hamiltonian,
+    sector_size,
+    sector_slices,
     spin1_matrices,
 )
 
@@ -176,6 +178,33 @@ class TestSectorHamiltonian:
             ]
         )
         np.testing.assert_allclose(band, expected, atol=1e-15)
+
+    @staticmethod
+    def assembled(params, trunc, odd):
+        """The band written slot by slot from the photon numbers, as built before patterns."""
+        s, z, d = sector_slices(odd)
+        n = np.arange(trunc.n_levels)
+        coupling = params.g * np.sqrt((n + 1) % trunc.n_levels)  # none above n_max
+        paired, single = slice(1 - odd, None, 2), slice(odd, None, 2)
+        band = np.zeros((3, sector_size(trunc, odd)))
+        band[0, s] = band[0, z] = params.omega_c * n[paired]
+        band[0, d] = params.omega_c * n[single]
+        band[1, s] = params.omega_a
+        band[1, d] = coupling[single]
+        band[2, s] = coupling[paired]
+        return band
+
+    @pytest.mark.parametrize("omega_a,omega_c,g", [(1.0, 1.0, 0.0), (0.8, 0.3, 1.7), (1.0, 0.1, 4.6)])
+    def test_band_is_the_assembled_band_bit_for_bit(self, omega_a, omega_c, g):
+        # larger truncations first, so each smaller one is sliced from a
+        # pattern built past it and must still get its own zero corner
+        params = ModelParams(omega_a, omega_c, g)
+        for n_max in [4096, 1000, 517, *range(300, -1, -1), 301, 2, 1, 0]:
+            for odd in (True, False):
+                trunc = FockTruncation(n_max)
+                band, reference = sector_hamiltonian(params, trunc, odd), self.assembled(params, trunc, odd)
+                assert np.array_equal(band, reference), (n_max, odd)
+                assert band.tobytes() == reference.tobytes(), (n_max, odd)
 
 
 def assert_poisson_weights(v, amplitude):
