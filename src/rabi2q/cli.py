@@ -6,9 +6,9 @@ enters as the ratio omega_c / omega_a.  CSV output is deterministic:
 fixed column order, floats at 10 significant digits, newline-separated.
 
 Every command is a projection of ``evaluate``, which fills a table over a
-grid of g: the variational solution and its correction run once per grid
-and are read as whole arrays, a column at a time; the exact ground state
-runs row by row, and is dropped after its row.
+grid of g, a column at a time: the variational solution and its correction
+run once per grid, the exact ground state a chunk of rows at a time, and
+each column is read from them as whole arrays, the exact ones chunk by chunk.
 
 A command loads only the solvers it runs: ``rabi2q.exact``, and with it
 scipy.linalg, is imported with the first row that needs the exact stage,
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import entangle, transform, variational
-from .model import DEFAULT_TOL, FockTruncation, ModelParams, fidelity
+from .model import DEFAULT_TOL, ModelParams
 
 METHODS = ("exact", "variational", "transform", "corrected")
 OUTPUTS = ("energy", "alpha", "beta", "fidelity", "negativity_exact", "negativity_approx")
@@ -60,17 +60,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Grid:
-    """The stages of ``evaluate`` over a grid of g at one omega_c.  The
-    variational solution and its correction each run as one call over the
-    whole grid, the first time a column needs them, and report the rows where
-    they failed; a call that raises fails every row it was given.  The exact
-    ground state runs row by row, and only the last row's is kept."""
+    """The stages of ``evaluate`` over a grid of g at one omega_c, each run once,
+    when a column first needs it, and each reporting the rows where it failed.
+    The variational solution and its correction are one call over the grid,
+    the exact stage one chunk of rows at a time; a raise fails every row."""
 
-    def __init__(self, omega_c: float, g: np.ndarray, tol: float | None):
-        self.omega_c, self.g, self.tol = omega_c, g, tol
+    def __init__(self, omega_c, g: np.ndarray, tol, columns: tuple[str, ...], stop: bool):
+        self.omega_c, self.g, self.tol, self.stop = omega_c, g, tol, stop
+        self.reads = {stage for column in columns for stage in COLUMNS[column][0]}
         self._floats: dict[str, list[float]] = {}
         self._cells: dict[str, list | Exception] = {}
-        self._exact = (None, None)  # (row, its ground state)
+        self._exact = None  # (the values read off the exact stage, its errors per stage)
 
     @cached_property
     def solution(self) -> tuple[variational.VariationalSolution | None, dict[int, Exception]]:
@@ -109,20 +109,71 @@ class _Grid:
                 self._cells[column] = exc
         return self._cells[column]
 
-    def errors(self, stage: str) -> dict[int, Exception]:
-        """The rows where a grid stage ("var" or "delta_e") failed, with their exceptions."""
-        return (self.solution if stage == "var" else self.delta_e)[1]
+    def errors(self, stage: str, alive: list[int]) -> dict[int, Exception]:
+        """The rows where a stage failed, with their exceptions: "var", "delta_e",
+        or one of the exact stage, which runs at the rows ``alive`` if it has not."""
+        if stage in ("var", "delta_e"):
+            return (self.solution if stage == "var" else self.delta_e)[1]
+        return self.exact(alive)[1][stage]
 
-    def exact(self, row: int):
-        if self._exact[0] != row:
-            from .exact import ground_state  # scipy.linalg loads with the first exact row
+    def read(self, name: str) -> list:
+        """A value read off the exact stage, one per row (None where none was)."""
+        return self._exact[0][name]
 
-            params = ModelParams(1.0, self.omega_c, self.g.item(row))
-            self._exact = (row, ground_state(params, tol=self.tol))
-        return self._exact[1]
+    def exact(self, rows: list[int]) -> tuple[dict[str, list], dict[str, dict[int, Exception]]]:
+        """The exact stage at ``rows``: the ground state of each, a chunk of rows
+        at a time (``exact.ground_state_chunks``), and what the columns read off
+        it before the chunk is dropped: the energy, truncation and residual, the
+        negativity if "rho" is read, and the fidelity to the variational trial
+        state if "fidelity" is (at the rows where the solve did not fail, so
+        the variational stage runs first).  Errors of the solve are those of
+        "exact", of the fidelity those of "fidelity"; with ``stop``, no chunk
+        past the lowest failed row is solved."""
+        if self._exact is None:
+            from .exact import ground_state_chunks  # scipy.linalg loads with the first exact row
+
+            values = {name: [None] * self.g.size for name in _EXACT_READS}
+            errors = {"exact": {}, "rho": {}, "fidelity": {}}
+            g = self.g[rows].tolist()
+            chunks = ground_state_chunks(1.0, self.omega_c, g, self.tol, self.stop)
+            try:
+                for chunk in chunks:
+                    errors["exact"].update((rows[i], exc) for i, exc in chunk.errors.items())
+                    self._read(chunk, [rows[i] for i in chunk.rows], values, errors["fidelity"])
+                    del chunk  # before the next one is solved
+            except Exception as exc:  # fails the rows not settled yet
+                for row in rows:
+                    if values["energy"][row] is None:
+                        errors["exact"].setdefault(row, exc)
+            self._exact = values, errors
+        return self._exact
+
+    def _read(self, chunk, at: list[int], values: dict[str, list], failures: dict) -> None:
+        """Read the exact columns off a chunk whose accepted rows are ``at``."""
+        read = {"energy": chunk.energy, "n_max": chunk.n_max, "residual": chunk.residual}
+        if "rho" in self.reads:
+            read["negativity"] = entangle.negativity_stacked(
+                chunk.vectors, chunk.starts, chunk.n_max
+            )
+        if "fidelity" in self.reads:
+            solution, failed = self.solution
+            picked = [i for i, row in enumerate(at) if row not in failed]
+            alpha, beta = (self.floats(name) if picked else [] for name in ("alpha", "beta"))
+            fidelities, errors = variational.trial_fidelities(
+                [alpha[at[i]] for i in picked], [beta[at[i]] for i in picked], chunk.vectors,
+                [chunk.starts[i] for i in picked], [chunk.n_max[i] for i in picked],
+            )  # fmt: skip
+            read["fidelity"] = [None] * len(at)
+            for j, i in enumerate(picked):
+                read["fidelity"][i] = fidelities[j]
+            failures.update((at[picked[j]], exc) for j, exc in errors.items())
+        for name, field in read.items():
+            column = values[name]
+            for row, value in zip(at, field):
+                column[row] = value
 
 
-_GRID_STAGES = ("var", "delta_e")
+_EXACT_READS = ("energy", "n_max", "residual", "negativity", "fidelity")
 
 
 def _solution(name: str):
@@ -135,23 +186,18 @@ def _negativity_small_g(grid: _Grid) -> list[float]:
         return entangle.negativity_small_g(ModelParams(1.0, grid.omega_c, grid.g)).tolist()
 
 
-# Output column -> (the stages its value needs, its values).  A column of the
-# exact stage is computed row by row, value(grid, row); any other column is
-# computed for the whole grid at once, value(grid), one value per row.
+# Output column -> (the stages its value needs, its values for the whole grid,
+# value(grid), one per row).  A stage's failures end a row at the first column
+# that needs it; "exact", "rho" and "fidelity" are the exact stage's.
 COLUMNS = {
     "g": ((), lambda grid: grid.g.tolist()),
     "omega_c": ((), lambda grid: [grid.omega_c] * grid.g.size),
     "negativity_small_g": ((), _negativity_small_g),
     "error": ((), lambda grid: [""] * grid.g.size),
-    "energy_exact": (("exact",), lambda grid, row: grid.exact(row).energy),
-    "n_max_used": (("exact",), lambda grid, row: grid.exact(row).n_max_used),
-    "eig_residual": (("exact",), lambda grid, row: grid.exact(row).residual),
-    "negativity_exact": (
-        ("exact", "rho"),
-        lambda grid, row: entangle.negativity_x_state(
-            entangle.reduced_density_from_joint(grid.exact(row).state)
-        ),
-    ),
+    "energy_exact": (("exact",), lambda grid: grid.read("energy")),
+    "n_max_used": (("exact",), lambda grid: grid.read("n_max")),
+    "eig_residual": (("exact",), lambda grid: grid.read("residual")),
+    "negativity_exact": (("exact", "rho"), lambda grid: grid.read("negativity")),
     "energy_variational": _solution("energy"),
     "energy": _solution("energy"),  # the variational command's name
     "alpha": _solution("alpha"),
@@ -170,17 +216,7 @@ COLUMNS = {
             map(entangle.concurrence_approx, grid.floats("alpha"), grid.floats("beta"))
         ),
     ),
-    "fidelity": (
-        ("exact", "var"),
-        lambda grid, row: fidelity(
-            variational.trial_state(
-                grid.floats("alpha")[row],
-                grid.floats("beta")[row],
-                FockTruncation(grid.exact(row).state.n_max),
-            ),
-            grid.exact(row).state,
-        ),
-    ),
+    "fidelity": (("var", "exact", "fidelity"), lambda grid: grid.read("fidelity")),
     "energy_transform": _solution("levels.eps_minus"),
     **{
         name: _solution(f"levels.{name}")
@@ -192,13 +228,6 @@ COLUMNS = {
         ("var", "delta_e"),
         lambda grid: list(map(add, grid.floats("levels.eps_minus"), grid.delta_e[0])),
     ),
-}
-
-# Per column: the grid stages whose failures end a row there, whether it is
-# computed row by row, and its values.
-_SPECS = {
-    column: ([stage for stage in stages if stage in _GRID_STAGES], "exact" in stages, value)
-    for column, (stages, value) in COLUMNS.items()
 }
 
 # The single-point subcommands: help text and the columns of their one row.
@@ -232,18 +261,17 @@ def evaluate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
     Each stage runs at most once per grid, and only when a column needs it at
     a live row: the variational solution with its dressed levels and the
     perturbative correction as one call over the grid, the exact ground state
-    and its reduced density matrix row by row.  ``tol`` goes to the exact
-    solver.  Up to the first column of the exact stage, the table is filled
-    one column at a time, each column read from the grid stages' arrays at
-    once.  From that column on it is filled row by row, so that each row's
-    exact ground state is dropped after its row; a grid column there is
-    computed for the whole grid when the first row reaches it.
+    one chunk of rows at a time, with what its columns read off each chunk
+    before the chunk is dropped.  ``tol`` goes to the exact solver.  The table
+    is filled one column at a time, each column read from the stages' arrays
+    at once.
 
-    A row ends at the first column whose stage failed there or whose value
+    A row ends at the first column whose stage failed there, or whose values
     raised.  If ``columns`` holds "error", the failure is recorded there, the
     row keeps the columns before it, and the other rows go on; a negative g,
     for one, gives a row of g and the ValueError of ``ModelParams``.
-    Otherwise the failure of the lowest failing row is raised.
+    Otherwise the failure of the lowest failing row is raised, and the exact
+    stage solves no chunk after the one where a row failed.
     """
     g = np.asarray(g, dtype=float)
     coupling = (0.0 <= g) & (g < math.inf)
@@ -265,30 +293,12 @@ def evaluate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
         return [row for row in rows if row < limit and row not in ends]
 
     # the grid solves 0 in place of a g that is no coupling
-    grid = _Grid(omega_c, np.where(coupling, g, 0.0) if ends else g, tol)
-
-    def cell(column: str, row: int):
-        """A column's value at a row; raises the failure that ends the row there."""
-        grid_stages, per_row, value = _SPECS[column]
-        for stage in grid_stages:
-            errors = grid.errors(stage)
-            if row in errors:
-                raise errors[row]
-        if per_row:
-            return value(grid, row)
-        cells = grid.cells(column)
-        if isinstance(cells, Exception):
-            raise cells
-        return cells[row]
-
-    split = 0  # the position of the first column computed row by row
-    while split < len(columns) and not _SPECS[columns[split]][1]:
-        split += 1
+    grid = _Grid(omega_c, np.where(coupling, g, 0.0) if ends else g, tol, columns, not keep_going)
     alive = survivors(range(g.size))
     table = []
-    for position, column in enumerate(columns[:split]):
-        for stage in _SPECS[column][0]:
-            errors = grid.errors(stage) if alive else None
+    for position, column in enumerate(columns):
+        for stage in COLUMNS[column][0]:
+            errors = grid.errors(stage, alive) if alive else None
             if errors:
                 for row, exc in errors.items():
                     ends.setdefault(row, (position, exc))
@@ -298,17 +308,6 @@ def evaluate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
             ends.update(dict.fromkeys(alive, (position, cells)))
             alive, cells = [], None
         table.append(cells)
-    table += [[None] * g.size for _ in columns[split:]]
-    for row in alive:
-        for position in range(split, len(columns)):
-            try:
-                table[position][row] = cell(columns[position], row)
-            except Exception as exc:
-                ends[row] = (position, exc)
-                break
-        if row in ends and not keep_going:
-            break  # the rows after it no longer matter
-    alive = survivors(alive)
 
     if ends and not keep_going:
         raise ends[min(ends)][1]
@@ -354,15 +353,17 @@ def locate_negativity_zero(
     The exact negativity decays smoothly at large g without an exact sign
     change, so "zero" must mean "below a resolution"; ``find-zero``'s
     default threshold is half a unit in the fifth decimal place, the
-    precision of the benchmark table.  Brent's method on negativity minus
-    ``threshold`` finds g within ``g_tol / 2`` of the crossing, given a
-    bracket ``[g_lo, g_hi]`` that straddles it and a positive ``g_tol``;
-    otherwise this raises.  ``tol`` goes to the exact solver.
+    precision of the benchmark table.  Brent's method on
+    log(negativity / threshold), which is close to linear in g there, finds g
+    within ``g_tol / 2`` of the crossing, given a bracket ``[g_lo, g_hi]``
+    that straddles it and a positive ``g_tol``; otherwise this raises.  A
+    negativity of 0 counts as the smallest positive double, so the log stays
+    finite.  ``tol`` goes to the exact solver.
     """
     @cache  # brentq evaluates the bracket ends again
     def excess(g: float) -> float:
         (row,) = evaluate(omega_c, [g], ("negativity_exact",), tol)
-        return row["negativity_exact"] - threshold
+        return math.log(max(row["negativity_exact"], _TINIEST) / threshold)
 
     if not g_tol > 0:
         raise ValueError(f"g_tol must be positive, got {g_tol}")
@@ -382,6 +383,9 @@ def locate_negativity_zero(
     return brentq(excess, g_lo, g_hi, xtol=0.5 * g_tol)
 
 
+_TINIEST = math.ulp(0.0)  # the smallest positive double
+
+
 def _jsonable(value):
     if isinstance(value, float):  # JSON has no inf or NaN
         return float(f"{value:.10g}") if math.isfinite(value) else None
@@ -397,12 +401,21 @@ def _template(kinds: tuple[type, ...]) -> str:
     )
 
 
+def _quoted(text: str) -> str:
+    """A CSV cell as the csv module's minimal quoting writes it: quoted, with
+    its quotes doubled, if it holds a comma, a quote or a line break."""
+    if any(mark in text for mark in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
     """``rows`` as CSV (a header, then one line per row) or as a JSON list,
     with the values of ``columns``; floats at 10 significant digits.
 
     Each CSV row is formatted in one step, by the %-template of its value
-    types; a row that ended early leaves the columns it lacks empty.
+    types; a row that ended early leaves the columns it lacks empty, and a
+    str cell (an error) is quoted where it must be (``_quoted``).
     """
     if fmt == "json":
         payload = [{c: _jsonable(row.get(c)) for c in columns if c in row} for row in rows]
@@ -411,7 +424,7 @@ def render_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
     cells_of = (
         itemgetter(*columns) if len(columns) > 1 else lambda row: tuple(row[c] for c in columns)
     )
-    templates = {}
+    templates = {}  # value types -> (their template, the positions of their str cells)
     lines = [",".join(columns)]
     for row in rows:
         try:
@@ -420,8 +433,12 @@ def render_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
             cells = tuple(map(row.get, columns))
         kinds = tuple(map(type, cells))
         if kinds not in templates:
-            templates[kinds] = _template(kinds)
-        lines.append(templates[kinds] % cells)
+            templates[kinds] = _template(kinds), [i for i, kind in enumerate(kinds) if kind is str]
+        template, texts = templates[kinds]
+        for i in texts:
+            if cells[i]:
+                cells = (*cells[:i], _quoted(cells[i]), *cells[i + 1 :])
+        lines.append(template % cells)
     return "\n".join(lines) + "\n"
 
 

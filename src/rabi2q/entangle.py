@@ -27,17 +27,33 @@ def _x_shaped(r11: float, r14: float, r22: float, r44: float) -> np.ndarray:
     )
 
 
+def _sums(amplitudes: np.ndarray) -> tuple[float, float, float, float]:
+    """s = sum S_n^2, z = sum |0>_n^2, c = sum S_n |0>_n and d = sum D_n^2 of an
+    odd-sector vector, which holds S_n and |0>_n at even n and D_n at odd n."""
+    s_n, zero_n, d_n = (amplitudes[k] for k in sector_slices(odd=True))
+    return s_n.dot(s_n), zero_n.dot(zero_n), s_n.dot(zero_n), d_n.dot(d_n)
+
+
 def reduced_density_from_joint(state: JointState) -> np.ndarray:
-    """Trace out the field; the state holds S_n and |0>_n at even n and D_n
-    at odd n.  With s = sum S_n^2, z = sum |0>_n^2, c = sum S_n |0>_n and
-    d = sum D_n^2:  r11, r44 = (s + z)/2 +/- c,  r14 = (s - z)/2,  r22 = d/2.
+    """Trace out the field: with the sums s, z, c and d of ``_sums``,
+    r11, r44 = (s + z)/2 +/- c,  r14 = (s - z)/2,  r22 = d/2.
     """
-    s_n, zero_n, d_n = (state.amplitudes[k] for k in sector_slices(odd=True))
-    s, z, c, d = s_n @ s_n, zero_n @ zero_n, s_n @ zero_n, d_n @ d_n
+    s, z, c, d = _sums(state.amplitudes)
     norm_sq = float(s + z + d)
     if abs(norm_sq - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized: <v, v> = {norm_sq!r}")
     return _x_shaped(0.5 * (s + z) + c, 0.5 * (s - z), 0.5 * d, 0.5 * (s + z) - c)
+
+
+def negativity_stacked(vectors: np.ndarray, starts: list[int], n_max: list[int]) -> list[float]:
+    """``negativity_x_state(reduced_density_from_joint(state))`` of each odd-sector
+    unit vector in ``vectors`` (the one at ``starts[i]`` on the truncation
+    ``n_max[i]``), bit for bit, from the four sums of each."""
+    values = []
+    for start, n in zip(starts, n_max):
+        s, z, c, d = map(float, _sums(vectors[start : start + (3 * n + 4) // 2]))
+        values.append(_negativity_x(0.5 * (s + z) + c, 0.5 * (s - z), 0.5 * d, 0.5 * (s + z) - c))
+    return values
 
 
 def reduced_density_variational(alpha: float, beta: float) -> np.ndarray:
@@ -85,7 +101,10 @@ def negativity_x_state(rho: np.ndarray) -> float:
     lower one of each pair can be negative.  ``negativity_numerical`` takes
     any rho.
     """
-    r11, r14, r22, r44 = (float(rho[i, j]) for i, j in ((0, 0), (0, 3), (1, 1), (3, 3)))
+    return _negativity_x(*(float(rho[i, j]) for i, j in ((0, 0), (0, 3), (1, 1), (3, 3))))
+
+
+def _negativity_x(r11: float, r14: float, r22: float, r44: float) -> float:
     outer = math.hypot(0.5 * (r11 - r44), r22) - 0.5 * (r11 + r44)
     return max(0.0, outer) + max(0.0, abs(r14) - r22)
 

@@ -3,15 +3,15 @@
 H commutes with the parity ``model.parity_operator``, and the ground state
 lies in its odd sector (parity -1).  Each sector Hamiltonian is
 pentadiagonal and about half the size of the full space, and is read only
-in the LAPACK lower band storage ``model.sector_hamiltonian`` builds.  At
-one truncation the two lowest odd-sector eigenvalues come from LAPACK's
-banded eigenvalue solver dsbevx (eigenvalues only), and the ground vector
-from inverse iteration with banded Cholesky solves; nothing dense is
-assembled.  That one eigensolve is all an accepted solve needs: the premise
-that the even sector lies no lower is checked by one banded Cholesky
-factorisation of the even band shifted just below E0, which exists exactly
-when every even-sector eigenvalue lies above the shift.  The even sector's
-lowest eigenvalue, and with it the splitting and the excited gap
+in the LAPACK lower band storage ``model.sector_bands`` writes.  At one
+truncation the two lowest odd-sector eigenvalues come from LAPACK's banded
+eigenvalue solver dsbevx (eigenvalues only), and the ground vector from
+inverse iteration with banded Cholesky solves; nothing dense is assembled.
+That one eigensolve is all an accepted solve needs: the premise that the
+even sector lies no lower is checked by one banded Cholesky factorisation
+of the even band shifted just below E0, which exists exactly when every
+even-sector eigenvalue lies above the shift.  The even sector's lowest
+eigenvalue, and with it the splitting and the excited gap
 min(E1_odd, E0_even) - E0, is solved only when a result is asked for them.
 
 The Fock truncation is sized from alpha = g / omega_c, an upper bound on
@@ -20,6 +20,13 @@ truncation-error estimate: the residual of the zero-padded ground vector
 in the untruncated H, in Kato-Temple form (``ground_state_at``).  Only
 when the estimate exceeds the tolerance is the truncation grown, by a
 quarter, up to ``N_MAX_CAP``, and solved again.
+
+A grid of couplings is solved a chunk of rows at a time
+(``ground_state_chunks``): the rows' bands sit side by side in one band,
+block diagonal because each keeps its zero corner, so each Cholesky
+factorisation, solve and band product runs once per chunk and does each
+row's arithmetic as on that row alone.  Only dsbevx, the shift and the
+norms stay per row.  ``ground_state`` is the grid of one.
 
 This is the one module of the package that imports scipy (scipy.linalg),
 and nothing imports it eagerly: the package loads it on first access, and
@@ -30,10 +37,13 @@ approximate routes run without scipy.  The state type it returns,
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -43,14 +53,14 @@ from .model import (
     FockTruncation,
     JointState,
     ModelParams,
+    sector_bands,
     sector_hamiltonian,
-    sector_pattern,
-    sector_slices,
+    sector_size,
 )
 
-INVERSE_ITERATIONS = 2  # the fewest; a small gap takes more, see _inverse_iteration
+INVERSE_ITERATIONS = 2  # the fewest; a small gap takes more, see _solve_chunk
 LEFTOVER = 1e-8  # the largest share of the next eigenvector inverse iteration leaves
-N_MAX_CAP = 4096  # largest Fock truncation ground_state tries
+N_MAX_CAP = 4096  # largest Fock truncation ground_state tries; a chunk holds one such solve
 # The smallest shift offset of inverse iteration, relative to the largest band
 # entry: 16 rounding units, well above the eigenvalue's rounding error.
 SHIFT_FLOOR = 16.0 * sys.float_info.epsilon
@@ -141,48 +151,167 @@ def _unit(scale: float) -> float:
     return math.ldexp(1.0, max(0, math.frexp(SHIFT_FLOOR * scale)[1]))
 
 
-def _inverse_iteration(
-    band: np.ndarray, eigenvalue: float, start: np.ndarray, gap: float, scale: float
-) -> np.ndarray:
-    """Eigenvector of the lowest eigenvalue, by banded Cholesky solves of (H - shift) x = v.
+def _band_scale(omega_a: float, omega_c: float, g: float, n_max: int) -> float:
+    """The largest entry of the odd band at n_max, every entry being >= 0: the
+    largest of omega_c * n_max on the diagonal, omega_a, and g * sqrt(n_max)
+    on the coupling into the top level (the one out of it is the zero corner)."""
+    return max(omega_c * n_max, omega_a, g * math.sqrt(n_max))
 
-    ``scale`` is the largest band entry.  The shift sits 1e-10 of it below
-    the eigenvalue, or 1e-5 of the ``gap`` to the next eigenvalue where that
-    is less, but at least SHIFT_FLOOR of it, more than the eigenvalue's
-    rounding error.  So H - shift is positive definite and never exactly
-    singular (at g = 0 the eigenvalue -omega_a is exact).  Each solve damps
-    the next eigenvector, ``gap`` above, by offset / (gap + offset) against
-    the lowest; there are INVERSE_ITERATIONS solves, or more until that
-    leaves at most LEFTOVER of it.  Each right-hand side is taken in
-    ``_unit(scale)``.  If the Cholesky factorisation fails, the shift is not
-    below the spectrum, so ``eigenvalue`` is not the lowest: LinAlgError.
+
+def _cholesky(band: np.ndarray, bounds: list[int]) -> list[tuple[int, int]]:
+    """Factor a stacked band (``model.sector_bands``) in place by banded Cholesky.
+
+    The band is block diagonal, so dpbtrf factors each row's block as it
+    would that block alone.  Where a block is not positive definite, dpbtrf
+    stops in it: that block becomes the identity, so that later solves on the
+    stack stay finite, and the blocks after it, which dpbtrf has not touched,
+    are factored again.  Returns (row, info) for each failed row, info being
+    what dpbtrf reports on that row's band alone.
     """
-    offset = max(min(1e-10 * scale, 1e-5 * gap), SHIFT_FLOOR * scale)
-    shifted = band.copy(order="F")
-    shifted[0] -= eigenvalue - offset
-    factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
-    if info != 0:
-        msg = f"H - shift is not positive definite: {eigenvalue} is not the lowest eigenvalue"
-        raise np.linalg.LinAlgError(f"{msg} (dpbtrf info={info})")
-    unit = _unit(scale)
-    damping = math.log(offset / (gap + offset))
-    vec = start
-    for _ in range(max(INVERSE_ITERATIONS, math.ceil(math.log(LEFTOVER) / damping))):
-        vec = _PBTRS(factor, vec * unit, lower=1, overwrite_b=1)[0]
-        vec /= math.sqrt(vec.dot(vec))
-    return vec
+    failed, start = [], 0
+    while start < band.shape[1]:
+        info = _PBTRF(band[:, start:] if start else band, lower=1, overwrite_ab=1)[1]
+        if info <= 0:
+            break
+        column = start + info - 1
+        row = bisect.bisect_right(bounds, column) - 1
+        first, start = bounds[row], bounds[row + 1]
+        failed.append((row, column - first + 1))
+        band[0, first:start] = 1.0
+        band[1:, first:start] = 0.0
+    return failed
 
 
-def _even_sector_lies_above(result: GroundStateResult) -> bool:
-    """Whether every even-sector eigenvalue at n_max_used lies above
-    sigma = E0 - 1e-12 (|E0| + 1): the even band less sigma has a Cholesky factor."""
-    band = sector_hamiltonian(result.params, FockTruncation(result.n_max_used), odd=False)
-    band[0] -= result.energy - 1e-12 * (abs(result.energy) + 1.0)
-    return _PBTRF(band, lower=1, overwrite_ab=1)[1] == 0
+class _Solve(NamedTuple):
+    """Lowest odd-sector eigenpairs of several rows, each at its own truncation."""
+
+    energy: list[float]
+    odd_excited: list[float]
+    convergence_gap: list[float]  # the estimate r^2 / (E1_odd - E0), see ground_state_at
+    residual: list[float]
+    vectors: np.ndarray  # the ground vectors, each in its row's odd block of the stack
+    starts: list[int]  # where each row's vector starts in ``vectors``
+    even_below: dict[int, float]  # row -> E0_even, where that sector does not lie above E0
+    errors: dict[int, Exception]
+
+
+def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> _Solve:
+    """The lowest odd-sector eigenpair of each row (g[k], n_max[k]), on one stacked band.
+
+    Per row, dsbevx gives E0 and E1_odd on the row's odd block.  Inverse
+    iteration then shifts the block 1e-10 of its largest entry below E0, or
+    1e-5 of the gap E1_odd - E0 where that is less, but at least
+    SHIFT_FLOOR of it, more than E0's rounding error.  So H - shift is
+    positive definite and never exactly singular (at g = 0, E0 = -omega_a is
+    exact).  Each solve damps the next eigenvector against the lowest by
+    offset / (gap + offset); a row takes INVERSE_ITERATIONS solves, or more
+    until that leaves at most LEFTOVER of it, and then keeps its vector.
+    Each right-hand side is taken in ``_unit`` of the largest entry.  If
+    the Cholesky factorisation fails, the shift is not below the spectrum,
+    so E0 is not the lowest: LinAlgError.
+
+    Each row's even block sits after its odd block, shifted to
+    sigma = E0 - 1e-12 (|E0| + 1): the one dpbtrf of the stack that factors
+    the odd blocks for inverse iteration fails on an even block exactly when
+    that sector has an eigenvalue at or below sigma (``even_below``, with the
+    sector's lowest eigenvalue for the message).  The even blocks take zero
+    right-hand sides, so the solves leave them zero.
+
+    So the shifted copy of the band is factored once, each step is one
+    dpbtrs and the residuals are one dsbmv, all on the stack; only dsbevx,
+    the gap guard, the shift and the dot of each norm are per row.  The stack
+    is block diagonal, so each row gets the numbers it would get alone, bit
+    for bit, and a row that fails (``errors``) leaves its neighbours' alone.
+    """
+    stack = sector_bands(omega_a, omega_c, g, n_max, (True, False))
+    band, bounds, sizes = stack.band, stack.bounds, stack.sizes
+    rows = range(len(g))
+    errors: dict[int, Exception] = {}
+    energy, odd_1, shift, unit, steps = [], [], [], [], []  # shift and unit per block
+    for k in rows:
+        scale = _band_scale(omega_a, omega_c, g[k], n_max[k])
+        try:
+            e0, e1 = _lowest_eigenvalues(band[:, bounds[2 * k] : bounds[2 * k + 1]], 2).tolist()
+        except np.linalg.LinAlgError as exc:
+            errors[k], e0, e1 = exc, 0.0, math.inf
+        gap = e1 - e0
+        if k not in errors and gap <= (COUPLED_GAP if g[k] else DECOUPLED_GAP) * scale:
+            errors[k] = RuntimeError(
+                f"odd-sector gap {gap:.3e} is too small to resolve the ground vector "
+                f"at n_max={n_max[k]} (omega_a={omega_a}, omega_c={omega_c}, g={g[k]})"
+            )
+        if k in errors:  # both blocks become the identity below
+            e0 = 0.0
+            shift += (0.0, 0.0)
+            unit += (1.0, 1.0)
+            steps.append(0)
+        else:
+            offset = max(min(1e-10 * scale, 1e-5 * gap), SHIFT_FLOOR * scale)
+            shift += (e0 - offset, e0 - 1e-12 * (abs(e0) + 1.0))
+            unit += (_unit(scale), 1.0)
+            damping = math.log(offset / (gap + offset))
+            steps.append(max(INVERSE_ITERATIONS, math.ceil(math.log(LEFTOVER) / damping)))
+        energy.append(e0)
+        odd_1.append(e1)
+    factor = band.copy(order="F")
+    factor[0] -= np.array(shift).repeat(sizes)
+    for k in errors:  # the identity, factored as itself
+        factor[0, bounds[2 * k] : bounds[2 * k + 2]] = 1.0
+        factor[1:, bounds[2 * k] : bounds[2 * k + 2]] = 0.0
+    even_below = {}
+    for block, info in _cholesky(factor, bounds):
+        k = block // 2
+        if block % 2:
+            even = band[:, bounds[block] : bounds[block + 1]]
+            even_below[k] = float(_lowest_eigenvalues(even, 1)[0])
+        else:
+            msg = f"H - shift is not positive definite: {energy[k]} is not the lowest eigenvalue"
+            errors[k] = np.linalg.LinAlgError(f"{msg} (dpbtrf info={info})")
+            steps[k] = 0
+    # right-hand sides in _unit of each odd block (1 on the even blocks), from
+    # the Perron-Frobenius start (see ground_state_at), which is 0 on the even
+    # blocks: the solves leave those at 0
+    units = np.array(unit).repeat(sizes) if max(unit) > 1.0 else None
+    vec = stack.start
+    for step in range(max(steps)):
+        rhs = vec if units is None else vec * units
+        solved = _PBTRS(factor, rhs, lower=1, overwrite_b=rhs is not vec)[0]
+        norms = []
+        for k in rows:
+            part = solved[bounds[2 * k] : bounds[2 * k + 1]]
+            norms += (math.sqrt(part.dot(part)) if step < steps[k] else 1.0, 1.0)
+        solved /= np.array(norms).repeat(sizes)
+        if step and step >= min(steps):  # a row that has taken its own steps keeps its vector
+            np.copyto(solved, vec, where=(np.array(steps) <= step).repeat(2).repeat(sizes))
+        vec = solved
+    residue = _SBMV(2, 1.0, band, vec, lower=1)
+    residue -= np.array(energy).repeat(2).repeat(sizes) * vec  # the even blocks' vec is 0
+    if units is not None:
+        residue /= units
+    estimate, residual = [], []
+    for k in rows:
+        if k in errors:
+            estimate.append(math.inf)
+            residual.append(math.nan)
+            continue
+        top = vec[bounds[2 * k + 1] - 1 - (n_max[k] % 2 == 0)]  # the last S_n or D_n
+        leak = g[k] * math.sqrt(n_max[k] + 1) * abs(float(top))
+        estimate.append(leak * leak / (odd_1[k] - energy[k]))
+        part = residue[bounds[2 * k] : bounds[2 * k + 1]]
+        residual.append(unit[2 * k] * math.sqrt(part.dot(part)))
+    return _Solve(energy, odd_1, estimate, residual, vec, bounds[:-1:2], even_below, errors)
 
 
 def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
     """Lowest eigenpair at one truncation, solved in the odd parity sector.
+
+    The two lowest odd-sector eigenvalues come from dsbevx, the ground vector
+    from inverse iteration (``_solve_chunk``) started from the
+    Perron-Frobenius signs: the sector couplings form a tree (a chain of S/D
+    vectors with a |0> leaf on each S), and every coupling is >= 0.  Flipping
+    signs by depth in the tree makes them <= 0 (+1 on S_n, -1 on |0>_n and
+    D_n at odd n), so the ground vector's components carry exactly these
+    signs, and the start cannot be orthogonal to it, at g = 0 too.
 
     ``convergence_gap`` is the truncation-error estimate r^2 / (E1_odd - E0).
     The only coupling out of the truncated space is g * sqrt(N + 1) * Jz on
@@ -202,36 +331,114 @@ def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
     that entry (omega_c below about 2e-13), where the gap barely stands out
     from the rounding of the eigenvalues.
     """
-    trunc = FockTruncation(n_max)
-    band = sector_hamiltonian(params, trunc, odd=True)
-    energy, odd_1 = _lowest_eigenvalues(band, 2).tolist()
-    scale = float(band.max())  # = max|band|: every entry is >= 0
-    if odd_1 - energy <= (COUPLED_GAP if params.g else DECOUPLED_GAP) * scale:
-        raise RuntimeError(
-            f"odd-sector gap {odd_1 - energy:.3e} is too small to resolve the ground vector "
-            f"at n_max={n_max} (omega_a={params.omega_a}, omega_c={params.omega_c}, g={params.g})"
-        )
-    # The sector couplings form a tree (a chain of S/D vectors with a |0>
-    # leaf on each S), and every coupling is >= 0.  Flipping signs by depth
-    # in the tree makes them <= 0 (+1 on S_n, -1 on |0>_n and D_n at odd n),
-    # so the ground vector's components carry exactly these signs
-    # (Perron-Frobenius) and the start cannot be orthogonal to it, at g = 0 too.
-    start = sector_pattern(trunc, odd=True).signs
-    vec = _inverse_iteration(band, energy, start, odd_1 - energy, scale)
-    s, _, d = sector_slices(odd=True)
-    leak = params.g * math.sqrt(n_max + 1) * abs(float(vec[d if n_max % 2 else s][-1]))
-    unit = _unit(scale)
-    residue = _SBMV(2, 1.0, band, vec, lower=1)
-    residue -= energy * vec
-    residue /= unit
+    solve = _solve_chunk(params.omega_a, params.omega_c, [params.g], [n_max])
+    if solve.errors:
+        raise solve.errors[0]
     return GroundStateResult(
-        energy=energy,
-        state=JointState(vec),
-        convergence_gap=leak * leak / (odd_1 - energy),
-        residual=unit * math.sqrt(residue.dot(residue)),
-        odd_excited=odd_1,
-        params=params,
-    )
+        solve.energy[0], JointState(solve.vectors[: sector_size(FockTruncation(n_max), True)]),
+        solve.convergence_gap[0], solve.residual[0], solve.odd_excited[0], params,
+    )  # fmt: skip
+
+
+class GroundStateChunk(NamedTuple):
+    """The rows of a grid that one stacked solve settled (``ground_state_chunks``).
+
+    ``rows`` are the accepted rows, as indices into the grid, and the other
+    sequences hold their values in that order; row i's ground vector is
+    ``vectors[starts[i] : starts[i] + sector_size(n_max[i])]``.  ``errors``
+    holds the rows that failed for good in this solve, with their exceptions.
+    """
+
+    rows: Sequence[int]
+    energy: Sequence[float]
+    n_max: Sequence[int]
+    residual: Sequence[float]
+    convergence_gap: Sequence[float]
+    odd_excited: Sequence[float]
+    vectors: np.ndarray
+    starts: Sequence[int]
+    errors: dict[int, Exception]
+
+
+def ground_state_chunks(
+    omega_a: float, omega_c: float, g: list[float], tol: float, stop_at_failure: bool = False
+):
+    """The ground state at each coupling of the list ``g``, as ``ground_state``
+    finds it, one chunk of rows at a time: an iterator of ``GroundStateChunk``.
+
+    Each row starts at its own sized truncation.  A chunk is the pending
+    rows, lowest first, whose odd sectors fit together in one solve at
+    ``N_MAX_CAP``, so a chunk holds no more than one capped solve does.  Its
+    rows are solved at once (``_solve_chunk``), which also certifies their
+    even sectors.  A row whose estimate is not below ``tol`` goes back to the
+    pending rows at a quarter more levels, or fails at the cap.  Each chunk
+    is yielded with the rows it settled, and dropped before the next one is
+    solved.  If a chunk's solve raises (a numpy warning that a filter makes
+    an error), its rows are solved again one at a time, so that the
+    exception fails its own row alone.  With ``stop_at_failure``, no row
+    above the lowest failed one is solved after the chunk that failed it.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    limit = (3 * N_MAX_CAP + 4) // 2  # the odd sector_size at the cap
+    pending = []  # (row, n_max), lowest row first
+    for k, g_k in enumerate(g):
+        alpha = g_k / omega_c  # bounds the field displacement
+        pending.append((k, math.ceil(min(alpha * alpha + 8.0 * alpha + 16.0, N_MAX_CAP))))
+    alone = set()  # rows of a chunk that raised as a whole, solved one at a time
+    while pending:
+        count, total = 0, 0
+        for k, n in pending:
+            total += (3 * n + 4) // 2  # the odd sector_size
+            if count and (total > limit or k in alone):
+                break
+            count += 1
+            if k in alone:
+                break
+        rows, n_max = zip(*pending[:count])
+        del pending[:count]
+        try:
+            solve = _solve_chunk(omega_a, omega_c, [g[k] for k in rows], list(n_max))
+        except Exception as exc:  # a warning made an error, say: it is one row's
+            if count > 1:
+                alone.update(rows)
+                pending = sorted([*zip(rows, n_max), *pending])
+                continue
+            solve = _Solve([], [], [], [], np.empty(0), [], {}, {0: exc})
+        errors, accepted, retry = {}, [], []
+        for i, (k, n) in enumerate(zip(rows, n_max)):
+            if i in solve.errors:
+                errors[k] = solve.errors[i]
+            elif not solve.convergence_gap[i] < tol:
+                if n < N_MAX_CAP:
+                    retry.append((k, min(math.ceil(1.25 * n), N_MAX_CAP)))
+                else:
+                    errors[k] = RuntimeError(
+                        f"ground state not converged to {tol:g} by n_max={N_MAX_CAP} "
+                        f"(omega_a={omega_a}, omega_c={omega_c}, g={g[k]})"
+                    )
+            elif i in solve.even_below:
+                splitting = solve.even_below[i] - solve.energy[i]
+                errors[k] = RuntimeError(
+                    f"even-sector ground energy lies {-splitting:.3e} below "
+                    f"the odd-sector one at n_max={n} (omega_a={omega_a}, "
+                    f"omega_c={omega_c}, g={g[k]})"
+                )
+            else:
+                accepted.append(i)
+        if retry:
+            pending = sorted(retry + pending)
+        if errors and stop_at_failure:
+            first = min(errors)
+            pending = [entry for entry in pending if entry[0] < first]
+        if accepted or errors:
+            fields = (rows, solve.energy, n_max, solve.residual, solve.convergence_gap,
+                      solve.odd_excited, solve.starts)  # fmt: skip
+            if len(accepted) < len(rows):
+                fields = [[field[i] for i in accepted] for field in fields]
+            *values, starts = fields
+            yield GroundStateChunk(*values, solve.vectors, starts, errors)
+        del solve  # the chunk's vectors go with the chunk
 
 
 def ground_state(params: ModelParams, tol: float = DEFAULT_TOL) -> GroundStateResult:
@@ -245,27 +452,13 @@ def ground_state(params: ModelParams, tol: float = DEFAULT_TOL) -> GroundStateRe
     which signals pathological parameters rather than a tight tolerance,
     and if the accepted even-sector ground energy lies more than
     1e-12 (|E0| + 1) below the odd-sector one, which would break the premise
-    that the ground state is odd (``_even_sector_lies_above``).
+    that the ground state is odd.  It is ``ground_state_chunks`` of one row.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-
-    alpha = params.g / params.omega_c
-    n_max = math.ceil(min(alpha * alpha + 8.0 * alpha + 16.0, N_MAX_CAP))
-    while True:
-        result = ground_state_at(params, n_max)
-        if result.convergence_gap < tol:
-            break
-        if n_max >= N_MAX_CAP:
-            raise RuntimeError(
-                f"ground state not converged to {tol:g} by n_max={N_MAX_CAP} "
-                f"(omega_a={params.omega_a}, omega_c={params.omega_c}, g={params.g})"
-            )
-        n_max = min(math.ceil(1.25 * n_max), N_MAX_CAP)
-    if not _even_sector_lies_above(result):
-        raise RuntimeError(
-            f"even-sector ground energy lies {-result.parity_splitting:.3e} below "
-            f"the odd-sector one at n_max={n_max} (omega_a={params.omega_a}, "
-            f"omega_c={params.omega_c}, g={params.g})"
-        )
-    return result
+    (chunk,) = ground_state_chunks(params.omega_a, params.omega_c, [params.g], tol)
+    if chunk.errors:
+        raise chunk.errors[0]
+    size = (3 * chunk.n_max[0] + 4) // 2  # sector_size
+    return GroundStateResult(
+        chunk.energy[0], JointState(chunk.vectors[:size]), chunk.convergence_gap[0],
+        chunk.residual[0], chunk.odd_excited[0], params,
+    )  # fmt: skip

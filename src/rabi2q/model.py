@@ -27,6 +27,7 @@ tridiagonal in the photon number (total bandwidth 5).
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -191,45 +192,82 @@ def fidelity(a: JointState, b: JointState) -> float:
     return float(abs(a.amplitudes @ b.amplitudes))
 
 
-class SectorPattern(NamedTuple):
-    """The parameter-free parts of one parity sector's band, one entry per sector vector.
-
-    ``numbers`` is each vector's photon number n, the band's diagonal over
-    omega_c; ``roots`` its rows 1 and 2 over g, sqrt(n + 1) on the coupling
-    from S_n or D_n to level n + 1 and 0 elsewhere; ``signs`` is +1 on S_n
-    and -1 elsewhere, the signs of the odd sector's ground vector (``exact``).
-    """
-
-    numbers: np.ndarray
-    roots: np.ndarray
-    signs: np.ndarray
-
-
 # One pattern per parity, built up to the largest n_max asked for so far: a
-# smaller truncation is its leading slots, since the sector is ordered by n.
+# smaller truncation is its leading rows, since the sector is ordered by n.
 # It depends on nothing else, so every caller may share it.
-_PATTERNS: dict[bool, SectorPattern] = {}
+_PATTERNS: dict[bool, np.ndarray] = {}
 
 
-def sector_pattern(trunc: FockTruncation, odd: bool) -> SectorPattern:
-    """The pattern of the odd or the even sector of ``trunc`` (views of a shared pattern)."""
-    size = sector_size(trunc, odd)
+def sector_pattern(n_max: int, odd: bool) -> np.ndarray:
+    """The parameter-free parts of the odd or the even sector's band at ``n_max``,
+    one row per sector vector (a view of a shared pattern).
+
+    Column 0 is the vector's photon number n, the band's diagonal over
+    omega_c; columns 1 and 2 are its band rows 1 and 2 over g, sqrt(n + 1)
+    on the coupling from S_n or D_n to level n + 1 and 0 elsewhere; column 3
+    is 1 on S_n, where band row 1 is omega_a, and 0 elsewhere.  Column 4 is
+    the start of inverse iteration (``exact``): in the odd sector +1 on S_n
+    and -1 elsewhere, the signs of the ground vector, and 0 in the even one.
+    """
+    size = (3 * n_max + 3 + odd) // 2  # sector_size
     pattern = _PATTERNS.get(odd)
-    if pattern is None or pattern.signs.size < size:
+    if pattern is None or len(pattern) < size:
         s, z, d = sector_slices(odd)
-        n = np.arange(trunc.n_levels)
+        n = np.arange(n_max + 1)
         paired, single = slice(1 - odd, None, 2), slice(odd, None, 2)  # levels with S or with D
-        numbers = np.empty(size)
-        numbers[s] = numbers[z] = n[paired]
-        numbers[d] = n[single]
+        pattern = np.zeros((size, 5))
+        pattern[s, 0] = pattern[z, 0] = n[paired]
+        pattern[d, 0] = n[single]
         root = np.sqrt(n + 1.0)
-        roots = np.zeros((2, size))
-        roots[0, d] = root[single]
-        roots[1, s] = root[paired]
-        signs = np.full(size, -1.0)
-        signs[s] = 1.0
-        pattern = _PATTERNS[odd] = SectorPattern(numbers, roots, signs)
-    return SectorPattern(pattern.numbers[:size], pattern.roots[:, :size], pattern.signs[:size])
+        pattern[d, 1] = root[single]
+        pattern[s, 2] = root[paired]
+        pattern[s, 3] = 1.0
+        if odd:
+            pattern[:, 4] = 2.0 * pattern[:, 3] - 1.0
+        _PATTERNS[odd] = pattern
+    return pattern[:size]
+
+
+class SectorBands(NamedTuple):
+    """Sector bands of several rows side by side (``sector_bands``)."""
+
+    band: np.ndarray   # (3, total), Fortran order
+    bounds: list[int]  # block b holds the columns bounds[b]:bounds[b + 1]
+    sizes: np.ndarray  # the sector_size of each block
+    start: np.ndarray  # column 4 of each block's pattern, one after another
+
+
+def sector_bands(
+    omega_a: float, omega_c: float, g, n_max, parities: tuple[bool, ...]
+) -> SectorBands:
+    """The bands ``sector_hamiltonian`` writes for the couplings ``g[k]`` at the
+    truncations ``n_max[k]``, one block per row and parity in ``parities``
+    (odd is True), side by side in one band in that order, bit for bit.
+
+    Each block keeps its zero corner, so the stacked band is block diagonal:
+    the LAPACK band routines treat it one block at a time, with the
+    arithmetic they do on that block alone.
+    """
+    blocks = [(g_k, n, odd) for g_k, n in zip(g, n_max) for odd in parities]
+    sizes = [(3 * n + 3 + odd) // 2 for _, n, odd in blocks]  # sector_size
+    bounds = [0, *itertools.accumulate(sizes)]
+    counts = np.array(sizes)
+    top = max(n_max)
+    patterns = [sector_pattern(top, False), sector_pattern(top, True)]
+    unit = np.concatenate([patterns[odd][:size] for (_, _, odd), size in zip(blocks, sizes)])
+    band = np.empty((3, bounds[-1]), order="F")
+    scale = np.array([(omega_c, g_k, g_k) for g_k, _, _ in blocks], dtype=float)
+    np.multiply(unit[:, :3], scale.repeat(counts, axis=0), out=band.T)
+    # A pattern built past n_max couples each top level on: that corner is
+    # the last D_n's coupling one slot on, or else the last S_n's two slots on.
+    # band.T is C-ordered, so column j of row r is its element 3 j + r.
+    corners = [
+        3 * end - 2 if n % 2 == odd else 3 * end - 4
+        for end, (_, n, odd) in zip(bounds[1:], blocks)
+    ]  # fmt: skip
+    band.T.reshape(-1)[corners] = 0.0
+    np.copyto(band[1], omega_a, where=unit[:, 3] > 0.0)  # on every S_n
+    return SectorBands(band, bounds, counts, unit[:, 4])
 
 
 def sector_hamiltonian(params: ModelParams, trunc: FockTruncation, odd: bool) -> np.ndarray:
@@ -239,15 +277,10 @@ def sector_hamiltonian(params: ModelParams, trunc: FockTruncation, odd: bool) ->
     sector vectors j + k and j.  That is omega_c * n on the diagonal, omega_a
     from S_n to |0>_n, and g * sqrt(n + 1) from S_n to D_(n+1), two slots on,
     and from D_n to S_(n+1), one slot on.  The corner entries past the last
-    vector are 0.  The band is scaled from ``sector_pattern``.
+    vector are 0.  The band is scaled from ``sector_pattern``; it is
+    ``sector_bands`` of one row.
     """
-    pattern = sector_pattern(trunc, odd)
-    band = np.empty((3, pattern.signs.size))
-    np.multiply(params.omega_c, pattern.numbers, out=band[0])
-    np.multiply(params.g, pattern.roots, out=band[1:])
-    band[1:, -2:] = 0.0  # a pattern built past n_max couples the top level on
-    band[1, sector_slices(odd)[0]] = params.omega_a  # the last S_n is at most second to last
-    return band
+    return sector_bands(params.omega_a, params.omega_c, [params.g], [trunc.n_max], (odd,)).band
 
 
 def coherent_state_vector(amplitude: float, trunc: FockTruncation) -> np.ndarray:
@@ -255,9 +288,27 @@ def coherent_state_vector(amplitude: float, trunc: FockTruncation) -> np.ndarray
 
     The vector is deliberately not renormalized, so the truncation error is
     visible as a norm deficit 1 - <v, v>.  A FockTruncationWarning reporting
-    that deficit is emitted when it exceeds ``COHERENT_DEFICIT_TOL``.
+    that deficit is emitted when it exceeds ``COHERENT_DEFICIT_TOL``.  The
+    components are ``coherent_state_rows`` of one row.
+    """
+    v = coherent_state_rows(np.array([amplitude], dtype=float), np.array([trunc.n_max]))[0]
+    deficit = 1.0 - float(v @ v)
+    if deficit > COHERENT_DEFICIT_TOL:
+        message = lost_norm(amplitude, trunc.n_max, deficit)
+        warnings.warn(message, FockTruncationWarning, stacklevel=2)
+    return v
 
-    The magnitudes run from one anchor level n0 by the ratios
+
+def lost_norm(amplitude: float, n_max: int, deficit: float) -> str:
+    """The message of a coherent state's FockTruncationWarning."""
+    return f"coherent state amplitude={amplitude} loses norm {deficit:.3e} at n_max={n_max}"
+
+
+def coherent_state_rows(amplitudes: np.ndarray, n_max: np.ndarray) -> np.ndarray:
+    """The Fock components of coherent states, one row per amplitude, each up to
+    its own n_max and zero past it (``coherent_state_vector`` without its warning).
+
+    Each row's magnitudes run from one anchor level n0 by the ratios
     |amplitude| / sqrt(n) upwards and sqrt(n) / |amplitude| downwards, and
     the odd components are negated last when amplitude < 0.  The anchor is
     n0 = 0, v_0 = exp(-amplitude^2/2), while that is a normal float.  Past
@@ -271,33 +322,31 @@ def coherent_state_vector(amplitude: float, trunc: FockTruncation) -> np.ndarray
 
     The next term, 1/(2520 n0^5), is below rounding for n0 >= 1400, and
     where a short truncation puts n0 lower, v_n0 is many orders of
-    magnitude below the peak.
+    magnitude below the peak.  A row's ratios are 1 outside its own runs, so
+    the products along a row are those of that row alone, bit for bit.
     """
-    a = abs(amplitude)
-    a2 = a * a
-    v0 = math.exp(-a2 / 2.0)
-    n0 = 0 if v0 >= sys.float_info.min else min(round(a2), trunc.n_max)
-    v = np.empty(trunc.n_levels)
-    if n0 == 0:
-        v[0] = v0
-    else:
-        log_v = (
-            0.5 * (n0 - a2) - 0.5 * n0 * math.log1p((n0 - a2) / a2)
-            - 0.25 * math.log(2.0 * math.pi * n0) - 1.0 / (24.0 * n0) + 1.0 / (720.0 * n0**3)
-        )
-        v[n0] = math.exp(log_v)
-    v[n0 + 1:] = v[n0] * np.cumprod(a / np.sqrt(np.arange(n0 + 1, trunc.n_levels)))
-    v[:n0] = v[n0] * np.cumprod(np.sqrt(np.arange(n0, 0, -1)) / a)[::-1]
-    if amplitude < 0:
-        v[1::2] = -v[1::2]
-    deficit = 1.0 - float(v @ v)
-    if deficit > COHERENT_DEFICIT_TOL:
-        warnings.warn(
-            f"coherent state amplitude={amplitude} loses norm {deficit:.3e} "
-            f"at n_max={trunc.n_max}",
-            FockTruncationWarning,
-            stacklevel=2,
-        )
+    a = np.abs(amplitudes)
+    anchors, peaks = [], []
+    for amp, top in zip(a.tolist(), n_max.tolist()):
+        a2 = amp * amp
+        v0 = math.exp(-a2 / 2.0)
+        n0 = 0 if v0 >= sys.float_info.min else min(round(a2), top)
+        if n0:
+            v0 = math.exp(
+                0.5 * (n0 - a2) - 0.5 * n0 * math.log1p((n0 - a2) / a2)
+                - 0.25 * math.log(2.0 * math.pi * n0) - 1.0 / (24.0 * n0) + 1.0 / (720.0 * n0**3)
+            )
+        anchors.append(v0)
+        peaks.append(n0)
+    levels = np.arange(n_max.max() + 1)
+    peak, top, a = np.array(peaks)[:, None], n_max[:, None], a[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # at level 0 or amplitude 0, unused
+        up = np.where((peak < levels) & (levels <= top), a / np.sqrt(levels), 1.0)
+        down = np.where(levels < peak, np.sqrt(levels + 1) / a, 1.0)
+    v = np.array(anchors)[:, None] * np.cumprod(up, axis=1)
+    v *= np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+    v[top < levels] = 0.0
+    v[amplitudes < 0, 1::2] *= -1.0
     return v
 
 

@@ -35,16 +35,21 @@ Minimization without Derivatives, 1973, ch. 4).  ``solve`` is a grid of one.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
+    COHERENT_DEFICIT_TOL,
     SQRT2,
     FockTruncation,
+    FockTruncationWarning,
     JointState,
     ModelParams,
+    coherent_state_rows,
     coherent_state_vector,
+    lost_norm,
     make_state,
     sector_size,
     sector_slices,
@@ -319,3 +324,42 @@ def trial_state(alpha: float, beta: float, trunc: FockTruncation) -> JointState:
     vec[s], vec[d] = v[0::2], -v[1::2]  # sqrt2 <n|-alpha> = (-1)^n sqrt2 <n|alpha>
     vec[z][0] = beta
     return make_state(vec, trunc.n_max)
+
+
+def trial_fidelities(
+    alpha: list[float], beta: list[float], vectors: np.ndarray, starts: list[int], n_max: list[int]
+) -> tuple[list[float], dict[int, Warning]]:
+    """``fidelity(trial_state(alpha[i], beta[i], FockTruncation(n_max[i])), v_i)`` for
+    the odd-sector unit vectors v_i in ``vectors`` (the one at ``starts[i]``),
+    without building the trial states.
+
+    With c the coherent vector of alpha, the trial vector holds sqrt2 c_n on
+    S_n at even n, -sqrt2 c_n on D_n at odd n and beta on |0>_0, so its
+    overlap with v is sqrt2 sum_n (-1)^n c_n v_n + beta v(|0>_0), and its
+    squared norm is 2 <c, c> + beta^2.  The fidelity is the overlap over the
+    norm, equal to the renormalized trial state's to rounding.  Each row's
+    FockTruncationWarning is issued as ``coherent_state_vector`` issues it;
+    where a filter raises it instead, that row's fidelity is NaN and the
+    warning is its error.
+    """
+    if not alpha:
+        return [], {}
+    c = coherent_state_rows(np.array(alpha), np.array(n_max))  # zero past each n_max
+    c[:, 1::2] *= -1.0
+    levels = np.arange(c.shape[1])
+    # S_n (even n) is vector 3n/2 of the odd sector, D_n (odd n) vector (3n + 1)/2
+    slots = np.add.outer(starts, (3 * levels + levels % 2) // 2)
+    np.minimum(slots, vectors.size - 1, out=slots)  # past n_max, where c is 0
+    overlap = SQRT2 * np.einsum("ij,ij->i", c, vectors[slots])
+    overlap += np.array(beta) * vectors[np.array(starts) + 1]
+    weight = np.einsum("ij,ij->i", c, c)
+    fidelities = (np.abs(overlap) / np.sqrt(2.0 * weight + np.square(beta))).tolist()
+    errors = {}
+    for i in np.flatnonzero(1.0 - weight > COHERENT_DEFICIT_TOL).tolist():
+        try:
+            message = lost_norm(alpha[i], n_max[i], 1.0 - weight[i])
+            warnings.warn(message, FockTruncationWarning, stacklevel=2)
+        except Warning as exc:  # a filter that turns the warning into an error
+            errors[i] = exc
+            fidelities[i] = math.nan
+    return fidelities, errors

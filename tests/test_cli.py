@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -44,9 +46,7 @@ def exit_code(capsys, argv):
 
 
 def csv_rows(text):
-    lines = text.strip().split("\n")
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 class TestGround:
@@ -270,6 +270,23 @@ class TestSweep:
         assert rows[0]["error"].startswith("RuntimeError: ground state not converged")
         assert "n_max=4096" in rows[0]["error"]
 
+    def test_error_cell_with_commas_is_quoted(self, capsys):
+        # the huge-g row's error holds commas: quoted, it is one cell, and the
+        # row parses to exactly the header's cells
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--g-min", "1e200", "--g-max", "1e200", "--steps", "1",
+             "--methods", "exact", "--outputs", "energy"],
+        )  # fmt: skip
+        header, line = out.splitlines()
+        error = (
+            "RuntimeError: ground state not converged to 1e-10 by n_max=4096 "
+            "(omega_a=1.0, omega_c=1.0, g=1e+200)"
+        )
+        assert line == f'1e+200,,,,"{error}"'
+        (cells,) = list(csv.reader([line]))
+        assert len(cells) == len(header.split(",")) and cells[-1] == error
+
     def test_bad_steps_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--steps", "0"])
         assert code == 3
@@ -391,6 +408,19 @@ class TestFindZero:
         assert len(solved) < 13
         assert len(set(solved)) == len(solved)
 
+    @pytest.mark.parametrize("shift", [0.0, 0.0159916590017197, 0.087268682459301])
+    def test_log_search_takes_at_most_8_evaluations(self, monkeypatch, shift):
+        # log(negativity / threshold) is close to linear in g past the maximum
+        solved = []
+
+        def counted(omega_c, g, columns, tol):
+            solved.extend(g)
+            return evaluate(omega_c, g, columns, tol)
+
+        monkeypatch.setattr(cli, "evaluate", counted)
+        locate_negativity_zero(1.0, g_lo=1.5 + shift, g_hi=3.5 + shift, **self.SEARCH)
+        assert len(solved) <= 8
+
     @pytest.mark.parametrize("omega_c", [0.5, 1.0, 1.2])
     def test_within_half_g_tol_of_the_crossing(self, omega_c):
         def above(g):
@@ -483,6 +513,14 @@ class TestFlagsAndConfig:
     def test_render_rows_csv_formatting(self):
         text = render_rows(["g", "value"], [{"g": 0.1, "value": -1.0101523423}], "csv")
         assert text == "g,value\n0.1,-1.010152342\n"
+
+    def test_render_rows_quotes_as_the_csv_module_does(self):
+        texts = ("", "plain", "a, b", 'say "no"', "two\nlines")
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerows([["g", "error"], *([1, text] for text in texts)])
+        rows = [{"g": 1.0, "error": text} for text in texts]
+        assert render_rows(["g", "error"], rows, "csv") == buffer.getvalue()
 
     def test_render_rows_leaves_the_columns_a_row_lacks_empty(self):
         rows = [{"g": 0.4, "value": 1.0, "error": ""}, {"g": -1.0, "error": "ValueError: negative"}]
@@ -579,13 +617,15 @@ class TestEvaluate:
 
     @staticmethod
     def _count_stages(monkeypatch):
-        """Wrap the function behind each stage of evaluate with a call counter."""
+        """Wrap the function behind each stage of evaluate with a call counter;
+        those of the exact stage run once per chunk of rows."""
         calls = {}
         for stage, owner, name in [
-            ("exact", exact, "ground_state"),
+            ("exact", exact, "_solve_chunk"),
             ("var", variational, "solve_grid"),
             ("delta_e", transform, "perturbation_correction_grid"),
-            ("rho", entangle, "reduced_density_from_joint"),
+            ("rho", entangle, "negativity_stacked"),
+            ("fidelity", variational, "trial_fidelities"),
         ]:
             def counted(*args, _fn=getattr(owner, name), _stage=stage, **kwargs):
                 calls[_stage] = calls.get(_stage, 0) + 1
@@ -595,7 +635,8 @@ class TestEvaluate:
         return calls
 
     def test_full_sweep_row_runs_each_stage_once(self, monkeypatch, capsys):
-        # the variational solve and the correction once per grid, the exact stages once per row
+        # the variational solve and the correction once per grid, the exact stages
+        # once per chunk, and these four rows are one chunk
         calls = self._count_stages(monkeypatch)
         code, out, _ = run_cli(
             capsys,
@@ -603,7 +644,7 @@ class TestEvaluate:
              "--methods", ",".join(METHODS), "--outputs", ",".join(OUTPUTS)],
         )  # fmt: skip
         assert code == 0 and [row["error"] for row in csv_rows(out)] == [""] * 4
-        assert calls == {"exact": 4, "var": 1, "delta_e": 1, "rho": 4}
+        assert calls == {"exact": 1, "var": 1, "delta_e": 1, "rho": 1, "fidelity": 1}
 
     def test_approx_only_row_skips_the_exact_solver(self, monkeypatch, capsys):
         calls = self._count_stages(monkeypatch)
@@ -658,12 +699,7 @@ class TestEvaluate:
 
         # the exact stage fails at one row of a sweep: that row keeps its g and
         # its error, and every other row equals its own grid of one
-        def ground_state(params, tol, _fn=exact.ground_state):
-            if params.g in (0.5, 0.7):
-                raise RuntimeError(f"not converged at {params.g}")
-            return _fn(params, tol=tol)
-
-        monkeypatch.setattr(exact, "ground_state", ground_state)
+        self._fail_exact_at(monkeypatch, (0.5, 0.7))
         columns = ("g", "energy_exact", "energy_variational", "alpha", "n_max_used", "error")
         grid = [0.4, 0.5, 0.6, 0.7]
         rows = evaluate(1.0, grid, columns, 1e-10)
@@ -676,14 +712,12 @@ class TestEvaluate:
         with pytest.raises(RuntimeError, match="not converged at 0.5"):
             evaluate(1.0, grid, columns[:-1], 1e-10)
 
-        # a column that raises at one row ends that row there
-        def fidelity(a, b, _fn=cli.fidelity, _calls=[]):
-            _calls.append(b)
-            if len(_calls) == 2:
-                raise ValueError("no overlap")
-            return _fn(a, b)
+        # a column that fails at one row ends that row there
+        def fidelities(alpha, beta, vectors, starts, n_max, _fn=variational.trial_fidelities):
+            values, errors = _fn(alpha, beta, vectors, starts, n_max)
+            return values, {**errors, 1: ValueError("no overlap")}  # at the second row
 
-        monkeypatch.setattr(cli, "fidelity", fidelity)
+        monkeypatch.setattr(variational, "trial_fidelities", fidelities)
         rows = evaluate(1.0, [0.4, 0.6, 0.8], ("g", "fidelity", "alpha", "error"), 1e-10)
         assert rows[1] == {"g": 0.6, "error": "ValueError: no overlap"}
         assert [list(rows[i]) for i in (0, 2)] == [["g", "fidelity", "alpha", "error"]] * 2
@@ -743,13 +777,25 @@ class TestEvaluate:
 
     @staticmethod
     def _fail_fidelity_at(monkeypatch, n_max):
-        """Make the fidelity column raise at the rows whose exact state has ``n_max``."""
-        def fidelity(a, b, _fn=cli.fidelity):
-            if b.n_max == n_max:
-                raise ValueError("no overlap")
-            return _fn(a, b)
+        """Make the fidelity column fail at the rows whose exact state has ``n_max``."""
+        def fidelities(alpha, beta, vectors, starts, n_maxes, _fn=variational.trial_fidelities):
+            values, errors = _fn(alpha, beta, vectors, starts, n_maxes)
+            failed = {i: ValueError("no overlap") for i, n in enumerate(n_maxes) if n == n_max}
+            return values, {**errors, **failed}
 
-        monkeypatch.setattr(cli, "fidelity", fidelity)
+        monkeypatch.setattr(variational, "trial_fidelities", fidelities)
+
+    @staticmethod
+    def _fail_exact_at(monkeypatch, couplings):
+        """Make the exact stage fail the rows whose g is in ``couplings``."""
+        def solve(omega_a, omega_c, g, n_max, _fn=exact._solve_chunk):
+            result = _fn(omega_a, omega_c, g, n_max)
+            for k, g_k in enumerate(g):
+                if g_k in couplings:
+                    result.errors[k] = RuntimeError(f"not converged at {g_k}")
+            return result
+
+        monkeypatch.setattr(exact, "_solve_chunk", solve)
 
     @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -788,12 +834,7 @@ class TestEvaluate:
         with pytest.raises(OverflowError):
             evaluate(0.5, [0.4, 6e76, 1e200], columns, None)
 
-        def ground_state(params, tol, _fn=exact.ground_state):
-            if params.g == 1.2:
-                raise RuntimeError("not converged at 1.2")
-            return _fn(params, tol=tol)
-
-        monkeypatch.setattr(exact, "ground_state", ground_state)
+        self._fail_exact_at(monkeypatch, (1.2,))
         self._fail_fidelity_at(monkeypatch, 24)  # at g = 0.8
         columns = ("g", "energy_exact", "fidelity")
         rows = evaluate(1.0, [0.4, 0.8, 1.2], (*columns, "error"), 1e-10)
@@ -807,40 +848,38 @@ class TestEvaluate:
         calls = self._count_stages(monkeypatch)
         solved = []
 
-        def ground_state(params, tol, _fn=exact.ground_state):
-            solved.append(params.g)
-            return _fn(params, tol=tol)
+        def solve(omega_a, omega_c, g, n_max, _fn=exact._solve_chunk):
+            solved.extend(g)
+            return _fn(omega_a, omega_c, g, n_max)
 
-        monkeypatch.setattr(exact, "ground_state", ground_state)
+        monkeypatch.setattr(exact, "_solve_chunk", solve)
         columns = ("g", "energy_variational", "energy_exact", "negativity_exact", "error")
         rows = evaluate(1.0, [0.4, 1e200, -1.0, 0.8], columns, 1e-10)
         assert [row["error"] for row in rows[::3]] == ["", ""]
-        assert (calls, solved) == ({"var": 1, "exact": 2, "rho": 2}, [0.4, 0.8])
+        assert (calls, solved) == ({"var": 1, "exact": 1, "rho": 1}, [0.4, 0.8])  # one chunk
         # without an error column, the rows after the first failure do not matter
         calls.clear()
         solved.clear()
         with pytest.raises(RuntimeError, match="no well"):
             evaluate(1.0, [0.4, 1e200, 0.8], columns[:-1], 1e-10)
         assert (calls, solved) == ({"var": 1, "exact": 1, "rho": 1}, [0.4])
-        # nor do those after a row the exact stage fails
-        def fails_at_1p2(params, tol):
-            if params.g == 1.2:
-                solved.append(params.g)
-                raise RuntimeError("not converged")
-            return ground_state(params, tol)  # records g
-
-        monkeypatch.setattr(exact, "ground_state", fails_at_1p2)
+        # nor are the chunks after the chunk where the exact stage fails a row:
+        # at a cap of 24 levels each of these rows is a chunk of its own
+        monkeypatch.setattr(exact, "N_MAX_CAP", 24)
+        self._fail_exact_at(monkeypatch, (1.2,))  # around the recording solve
         solved.clear()
         with pytest.raises(RuntimeError, match="not converged"):
             evaluate(1.0, [0.4, 1.2, 0.8], ("g", "energy_exact", "alpha"), 1e-10)
         assert solved == [0.4, 1.2]
+        monkeypatch.setattr(exact, "N_MAX_CAP", 4096)
 
         # nor does a grid stage run once no row is alive: the correction,
         # with chi >= 1 at g = 1.6, neither runs nor warns
-        def unconverged(params, tol):
-            raise RuntimeError("not converged")
+        def unconverged(omega_a, omega_c, g, n_max):
+            failed = dict.fromkeys(range(len(g)), RuntimeError("not converged"))
+            return exact._Solve([], [], [], [], np.empty(0), [], {}, failed)
 
-        monkeypatch.setattr(exact, "ground_state", unconverged)
+        monkeypatch.setattr(exact, "_solve_chunk", unconverged)
         calls.clear()
         columns = ("g", "energy_exact", "energy_corrected", "error")
         rows = evaluate(1.0, [0.4, 1.6], columns, 1e-10)
@@ -858,16 +897,18 @@ class TestEvaluate:
 
     def test_each_rows_exact_state_is_dropped_after_its_row(self, monkeypatch):
         # the exact columns sit apart, with grid columns between them, yet a
-        # row's ground state is gone before the next row solves its own
+        # chunk's ground states are gone before the next chunk solves its own;
+        # at a cap of 24 levels each of these rows is a chunk of its own
+        monkeypatch.setattr(exact, "N_MAX_CAP", 24)
         results = []
 
-        def ground_state(params, tol, _fn=exact.ground_state):
-            assert [result() for result in results[:-1]] == [None] * (len(results) - 1)
-            result = _fn(params, tol=tol)
-            results.append(weakref.ref(result))
+        def solve(omega_a, omega_c, g, n_max, _fn=exact._solve_chunk):
+            assert [result() for result in results] == [None] * len(results)
+            result = _fn(omega_a, omega_c, g, n_max)
+            results.append(weakref.ref(result.vectors))
             return result
 
-        monkeypatch.setattr(exact, "ground_state", ground_state)
+        monkeypatch.setattr(exact, "_solve_chunk", solve)
         columns = ("g", "energy_exact", "alpha", "delta_e", "fidelity", "negativity_exact",
                    "n_max_used", "error")  # fmt: skip
         rows = evaluate(1.0, [0.2, 0.4, 0.6, 0.8], columns, 1e-10)

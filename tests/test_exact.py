@@ -10,7 +10,7 @@ from rabi2q import (
     ground_state,
     parity_operator,
 )
-from rabi2q import exact, model, variational
+from rabi2q import cli, exact, model, variational
 from rabi2q.exact import ground_state_at
 from rabi2q.model import make_state
 
@@ -85,8 +85,11 @@ def test_parity_splitting_field(exact_ground):
 
 def test_even_sector_below_odd_raises(monkeypatch):
     # swapping the sectors makes the "odd" solve land above the other one
-    swapped = lambda params, trunc, odd: model.sector_hamiltonian(params, trunc, not odd)
-    monkeypatch.setattr(exact, "sector_hamiltonian", swapped)
+    def swapped(omega_a, omega_c, g, n_max, parities):
+        stack = model.sector_bands(omega_a, omega_c, g, n_max, tuple(not odd for odd in parities))
+        return stack._replace(start=np.where(stack.start == 0.0, 1.0, stack.start))  # 0 nowhere
+
+    monkeypatch.setattr(exact, "sector_bands", swapped)
     with pytest.raises(RuntimeError, match="even-sector ground energy"):
         ground_state(ModelParams(1.0, 1.0, 0.5))
 
@@ -283,32 +286,48 @@ def test_even_sector_certificate_agrees_with_its_eigenvalue():
     # one Cholesky factorisation of the even band less E0 - 1e-12 (|E0| + 1)
     # succeeds exactly where the even sector's lowest eigenvalue lies above
     # that, from truncations far too small, where it can lie below E0, up to
-    # the sized one
+    # the sized one; all the truncations at one omega_c are one stacked solve
     below = 0
     for omega_c in (0.2, 0.5, 1.0, 2.0):
+        points = []
         for g in (0.0, 0.5, 1.0, 2.0, 3.0):
             alpha = g / omega_c
             sized = int(np.ceil(alpha * alpha + 8 * alpha + 16))
             for n_max in sorted({4, 8, *np.geomspace(4, sized, 6).astype(int).tolist()}):
-                result = ground_state_at(ModelParams(1.0, omega_c, g), n_max)
-                floor = -1e-12 * (abs(result.energy) + 1.0)
-                certified = exact._even_sector_lies_above(result)
-                assert certified == (result.parity_splitting >= floor), (omega_c, g, n_max)
-                below += result.parity_splitting < 0.0
+                points.append((g, n_max))
+        solve = exact._solve_chunk(1.0, omega_c, *map(list, zip(*points)))
+        for k, (g, n_max) in enumerate(points):
+            result = ground_state_at(ModelParams(1.0, omega_c, g), n_max)
+            floor = -1e-12 * (abs(result.energy) + 1.0)
+            certified = k not in solve.even_below
+            assert certified == (result.parity_splitting >= floor), (omega_c, g, n_max)
+            if not certified:
+                assert solve.even_below[k] == result.even_energy
+            below += result.parity_splitting < 0.0
     assert below >= 1
 
 
-def test_inverse_iteration_needs_the_lowest_eigenvalue():
+def test_inverse_iteration_needs_the_lowest_eigenvalue(monkeypatch):
     # H - shift is positive definite only below the spectrum: given the
     # second eigenvalue, the Cholesky factorisation fails instead of
     # returning that eigenvalue's vector
-    band = model.sector_hamiltonian(ModelParams(1.0, 1.0, 0.4), FockTruncation(20), odd=True)
-    lowest, second = exact._lowest_eigenvalues(band, 2)
-    start, scale = np.ones(band.shape[1]), np.abs(band).max()
-    vec = exact._inverse_iteration(band, lowest, start, second - lowest, scale)
+    params = ModelParams(1.0, 1.0, 0.4)
+    vec = ground_state_at(params, 20).state.amplitudes
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+    real = exact._lowest_eigenvalues
+    monkeypatch.setattr(exact, "_lowest_eigenvalues", lambda band, count: real(band, 3)[1:])
     with pytest.raises(np.linalg.LinAlgError, match="not the lowest"):
-        exact._inverse_iteration(band, second, start, second - lowest, scale)
+        ground_state_at(params, 20)
+
+
+def test_band_scale_is_the_largest_band_entry():
+    points = [(1.0, 1.0, 0.0), (1.0, 1.0, 0.4), (0.8, 0.3, 1.7), (1.0, 1e-10, 2e-10),
+              (1.0, 1.0, 1e200), (1.0, 1e-300, 1e5), (2.0, 0.1, 4.6)]  # fmt: skip
+    for omega_a, omega_c, g in points:
+        for n_max in (0, 1, 2, 7, 20, 45, 513, 4096):
+            trunc = FockTruncation(n_max)
+            band = model.sector_hamiltonian(ModelParams(omega_a, omega_c, g), trunc, True)
+            assert exact._band_scale(omega_a, omega_c, g, n_max) == band.max(), (omega_c, g, n_max)
 
 
 @pytest.mark.parametrize("omega_c,g", [(1.0, 0.0), (1.0, 0.4), (1.0, 3.5), (0.5, 2.0), (0.2, 2.0)])
@@ -326,52 +345,53 @@ def test_ladder_equals_standalone_converged_rung(omega_c, g):
 
 
 def test_solve_work_counts(monkeypatch):
-    # one solve: the odd sector's eigenvalues once, no even-sector eigensolve,
-    # and one inverse iteration; the even sector is solved once, on the first
-    # read of the splitting, and never again
-    odd_bands, solves, iterations = [], [], []  # the bands themselves, so no id is reused
-    real_sector, real_solve, real_iterate = (
-        exact.sector_hamiltonian, exact._lowest_eigenvalues, exact._inverse_iteration
+    # one solve: one stacked band of both sectors, the odd sector's
+    # eigenvalues once, no even-sector eigensolve, and one Cholesky
+    # factorisation for both inverse iteration and the even sector's
+    # certificate; the even sector is solved once, on the first read of the
+    # splitting, and never again
+    stacks, solves, factorisations = [], [], []
+    real_bands, real_solve, real_cholesky = (
+        exact.sector_bands, exact._lowest_eigenvalues, exact._cholesky
     )
 
-    def sector(params, trunc, odd):
-        band = real_sector(params, trunc, odd)
-        if odd:
-            odd_bands.append(band)
-        return band
+    def bands(*args):
+        stacks.append(real_bands(*args))
+        return stacks[-1]
 
     def solve(band, count):
-        solves.append(any(band is odd_band for odd_band in odd_bands))
+        solves.append(any(np.shares_memory(band, stack.band) for stack in stacks))
         return real_solve(band, count)
 
-    def iterate(*args):
-        iterations.append(args)
-        return real_iterate(*args)
+    def factor(*args):
+        factorisations.append(args)
+        return real_cholesky(*args)
 
-    monkeypatch.setattr(exact, "sector_hamiltonian", sector)
+    monkeypatch.setattr(exact, "sector_bands", bands)
     monkeypatch.setattr(exact, "_lowest_eigenvalues", solve)
-    monkeypatch.setattr(exact, "_inverse_iteration", iterate)
+    monkeypatch.setattr(exact, "_cholesky", factor)
     result = ground_state_at(ModelParams(1.0, 1.0, 0.4), 20)
     assert result.n_max_used == 20
+    assert len(stacks) == 1 and stacks[0].bounds == [0, 32, 63]  # the odd block, then the even
     assert solves == [True]
-    assert len(iterations) == 1
+    assert len(factorisations) == 1
     splitting = result.parity_splitting
     assert solves == [True, False]
     assert result.parity_splitting == splitting
     assert result.excited_gap > 0.0
     assert solves == [True, False]
-    assert len(iterations) == 1
+    assert len(factorisations) == 1
 
 
 def _record_sizes(monkeypatch):
-    """The n_max of every ground_state_at call ground_state makes."""
-    sizes, real = [], exact.ground_state_at
+    """The n_max of every solve ground_state makes."""
+    sizes, real = [], exact._solve_chunk
 
-    def solve(params, n_max):
-        sizes.append(n_max)
-        return real(params, n_max)
+    def solve(omega_a, omega_c, g, n_max):
+        sizes.extend(n_max)
+        return real(omega_a, omega_c, g, n_max)
 
-    monkeypatch.setattr(exact, "ground_state_at", solve)
+    monkeypatch.setattr(exact, "_solve_chunk", solve)
     return sizes
 
 
@@ -455,3 +475,128 @@ def test_lowest_eigenvalues_equal_eig_banded(omega_c, g, n_max, odd, count):
     assert np.array_equal(values, reference)
     # inverse iteration reuses the odd band after its eigenvalues are taken
     assert np.array_equal(band, before)
+
+
+class TestChunks:
+    """The exact stage of a grid: rows solved a chunk at a time on one stacked band."""
+
+    COLUMNS = ("g", "energy_exact", "n_max_used", "eig_residual", "negativity_exact", "fidelity",
+               "error")  # fmt: skip
+
+    @staticmethod
+    def _rows(omega_c, g, tol=1e-10):
+        """Each row of the grid as (energy, n_max, residual, estimate, vector bytes),
+        or its error."""
+        rows = {}
+        for chunk in exact.ground_state_chunks(1.0, omega_c, list(g), tol):
+            for i, k in enumerate(chunk.rows):
+                size = model.sector_size(FockTruncation(chunk.n_max[i]), odd=True)
+                vector = chunk.vectors[chunk.starts[i] : chunk.starts[i] + size]
+                rows[k] = (chunk.energy[i], chunk.n_max[i], chunk.residual[i],
+                           chunk.convergence_gap[i], vector.tobytes())  # fmt: skip
+            rows.update((k, str(exc)) for k, exc in chunk.errors.items())
+        return [rows[k] for k in range(len(g))]
+
+    @staticmethod
+    def _alone(omega_c, g, tol=1e-10):
+        try:
+            result = ground_state(ModelParams(1.0, omega_c, g), tol=tol)
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            return str(exc)
+        return (result.energy, result.n_max_used, result.residual, result.convergence_gap,
+                result.state.amplitudes.tobytes())  # fmt: skip
+
+    def test_grid_rows_equal_single_rows_across_chunk_boundaries(self, monkeypatch):
+        # at a cap of 40 levels a chunk holds 62 odd-sector entries: one or two
+        # of these rows, which all converge below the cap
+        monkeypatch.setattr(exact, "N_MAX_CAP", 40)
+        g = np.linspace(0.0, 1.0, 11).tolist()
+        assert self._rows(1.0, g) == [self._alone(1.0, g_k) for g_k in g]
+        rows = cli.evaluate(1.0, g, self.COLUMNS, 1e-10)
+        assert [row["error"] for row in rows] == [""] * len(g)
+        assert rows == [cli.evaluate(1.0, [g_k], self.COLUMNS, 1e-10)[0] for g_k in g]
+
+    def test_a_row_failing_in_mid_chunk_leaves_its_neighbours_alone(self, monkeypatch):
+        # at g = 0 the estimate is 0, so those rows meet any tolerance, while
+        # the row between them climbs to the cap and fails there
+        monkeypatch.setattr(exact, "N_MAX_CAP", 40)
+        g = [0.0, 0.4, 0.0]
+        rows = self._rows(1.0, g, tol=1e-300)
+        assert rows == [self._alone(1.0, g_k, tol=1e-300) for g_k in g]
+        assert rows[1].startswith("ground state not converged to 1e-300 by n_max=40")
+
+    def test_mixed_chunk_of_resolved_and_unresolved_gaps(self):
+        # omega_c = 1e-10: at g = 0 the decoupled state is resolved, at g > 0
+        # the odd-sector gap of 2e-10 is not; all three rows are one chunk
+        g = [0.0, 1e-10, 2e-10]
+        rows = cli.evaluate(1e-10, g, self.COLUMNS, 1e-10)
+        assert rows[0]["error"] == ""
+        assert rows[0] == cli.evaluate(1e-10, [0.0], self.COLUMNS, 1e-10)[0]
+        for row, n_max in zip(rows[1:], (25, 36)):
+            assert row == {"g": row["g"], "error": (
+                "RuntimeError: odd-sector gap 2.000e-10 is too small to resolve the ground vector "
+                f"at n_max={n_max} (omega_a=1.0, omega_c=1e-10, g={row['g']})"
+            )}  # fmt: skip
+        assert self._rows(1e-10, g) == [self._alone(1e-10, g_k) for g_k in g]
+
+    def test_huge_g_row_between_ordinary_rows(self):
+        g = [0.4, 1e200, 0.8]
+        rows = cli.evaluate(1.0, g, self.COLUMNS, 1e-10)
+        assert rows[1]["error"].startswith("RuntimeError: ground state not converged")
+        for k in (0, 2):
+            assert rows[k]["error"] == ""
+            assert rows[k] == cli.evaluate(1.0, [g[k]], self.COLUMNS, 1e-10)[0]
+        assert self._rows(1.0, g) == [self._alone(1.0, g_k) for g_k in g]
+
+    def test_even_band_failing_its_certificate_fails_that_row_alone(self, monkeypatch):
+        # the even band of the middle row is pushed 10 below, so its even
+        # sector lies below its odd one; the rows around it share its chunk
+        real = exact.sector_bands
+
+        def bands(omega_a, omega_c, g, n_max, parities):
+            stack = real(omega_a, omega_c, g, n_max, parities)
+            for k, g_k in enumerate(g):
+                if g_k == 0.6 and parities == (True, False):
+                    stack.band[0, stack.bounds[2 * k + 1] : stack.bounds[2 * k + 2]] -= 10.0
+            return stack
+
+        expected = self._rows(1.0, [0.4, 0.6, 0.8])
+        monkeypatch.setattr(exact, "sector_bands", bands)
+        rows = self._rows(1.0, [0.4, 0.6, 0.8])
+        assert rows[0::2] == expected[0::2]
+        assert rows[1].startswith("even-sector ground energy lies ")
+        assert rows[1].endswith(
+            "below the odd-sector one at n_max=22 (omega_a=1.0, omega_c=1.0, g=0.6)"
+        )
+
+    def test_a_chunk_that_raises_fails_the_row_that_raised(self, monkeypatch):
+        # a numpy warning made an error fails the whole solve of a chunk: its
+        # rows are solved again one at a time, and only that row fails
+        real = exact._solve_chunk
+
+        def solve(omega_a, omega_c, g, n_max):
+            if 0.6 in g:
+                raise RuntimeWarning("overflow encountered in multiply")
+            return real(omega_a, omega_c, g, n_max)
+
+        expected = self._rows(1.0, [0.4, 0.6, 0.8])
+        monkeypatch.setattr(exact, "_solve_chunk", solve)
+        rows = self._rows(1.0, [0.4, 0.6, 0.8])
+        assert rows[0::2] == expected[0::2]
+        assert rows[1] == "overflow encountered in multiply"
+
+    @pytest.mark.parametrize("cap", [40, 256, 4096])
+    def test_no_chunk_holds_more_than_one_capped_solve(self, monkeypatch, cap):
+        monkeypatch.setattr(exact, "N_MAX_CAP", cap)
+        limit = model.sector_size(FockTruncation(cap), odd=True)
+        chunks, real = [], exact._solve_chunk
+
+        def solve(omega_a, omega_c, g, n_max):
+            chunks.append([model.sector_size(FockTruncation(n), odd=True) for n in n_max])
+            return real(omega_a, omega_c, g, n_max)
+
+        monkeypatch.setattr(exact, "_solve_chunk", solve)
+        for omega_c, g in ((1.0, np.linspace(0.0, 1.2, 241)), (0.2, np.linspace(0.2, 2.0, 10))):
+            for _ in exact.ground_state_chunks(1.0, omega_c, g.tolist(), 1e-10):
+                pass
+        assert len(chunks) > 2 and max(map(sum, chunks)) <= limit
