@@ -5,10 +5,12 @@ All quantities are in units of the qubit splitting (omega_a = 1); detuning
 enters as the ratio omega_c / omega_a.  CSV output is deterministic:
 fixed column order, floats at 10 significant digits, newline-separated.
 
-Every command is a projection of ``evaluate``, which fills a table over a
-grid of g, a column at a time: the variational solution and its correction
+Every command is a projection of ``tabulate``, which fills a ``Table`` over
+a grid of g, a column at a time: the variational solution and its correction
 run once per grid, the exact ground state a chunk of rows at a time, and
 each column is read from them as whole arrays, the exact ones chunk by chunk.
+The table stays column-major until it is written: ``render_rows`` formats
+the CSV rows straight from its columns, and ``evaluate`` is its dict view.
 
 A command loads only the solvers it runs: ``rabi2q.exact``, and with it
 scipy.linalg, is imported with the first row that needs the exact stage,
@@ -23,8 +25,9 @@ import json
 import math
 import sys
 from functools import cache, cached_property
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,7 +92,9 @@ class _Grid:
     def delta_e(self) -> tuple[list[float], dict[int, Exception]]:
         """The correction at the rows the solve did not fail; it fails where that did."""
         solution, failed = self.solution
-        rows = np.setdiff1d(np.arange(self.g.size), list(failed))
+        solved = np.ones(self.g.size, dtype=bool)
+        solved[list(failed)] = False
+        rows = np.flatnonzero(solved)
         values = np.full(self.g.size, math.nan)
         try:
             values[rows], errors = transform.perturbation_correction_grid(
@@ -181,6 +186,16 @@ def _solution(name: str):
     return ("var",), lambda grid: grid.floats(name)
 
 
+def _trial(name: str):
+    """The column of the closed form ``entangle.<name>`` of the trial state, at
+    the solution's alpha and beta: one call over the grid."""
+    def cells(grid: _Grid) -> list[float]:
+        solution = grid.solution[0]
+        return getattr(entangle, name)(solution.alpha, solution.beta).tolist()
+
+    return ("var",), cells
+
+
 def _negativity_small_g(grid: _Grid) -> list[float]:
     with np.errstate(over="ignore"):  # g^2 past the float range is inf, as for a float
         return entangle.negativity_small_g(ModelParams(1.0, grid.omega_c, grid.g)).tolist()
@@ -204,18 +219,8 @@ COLUMNS = {
     "beta": _solution("beta"),
     "norm_sq": _solution("norm_sq"),
     "stat_residual": _solution("residual"),
-    "negativity_approx": (
-        ("var",),
-        lambda grid: list(
-            map(entangle.negativity_closed_form, grid.floats("alpha"), grid.floats("beta"))
-        ),
-    ),
-    "concurrence_approx": (
-        ("var",),
-        lambda grid: list(
-            map(entangle.concurrence_approx, grid.floats("alpha"), grid.floats("beta"))
-        ),
-    ),
+    "negativity_approx": _trial("negativity_closed_form"),
+    "concurrence_approx": _trial("concurrence_approx"),
     "fidelity": (("var", "exact", "fidelity"), lambda grid: grid.read("fidelity")),
     "energy_transform": _solution("levels.eps_minus"),
     **{
@@ -254,9 +259,42 @@ POINT_COMMANDS = {
 }  # fmt: skip
 
 
-def evaluate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> list[dict]:
+class Table(NamedTuple):
+    """A table over a grid of g, column-major: ``cells[k]`` holds the values of
+    ``columns[k]``, one per row, or is None where no row reached that column.
+    ``ends`` maps each row that ended to the position of the column it ended
+    at (-1 for a row that is no parameter point) and its exception; the cells
+    of an ended row from its position on are placeholders, not values.
+    ``g`` is the coupling of each row, which a row at -1 keeps."""
+
+    columns: tuple[str, ...]
+    cells: list[list | None]
+    ends: dict[int, tuple[int, Exception]]
+    g: list[float]
+
+    def dicts(self) -> list[dict]:
+        """The rows as dicts, ``evaluate``'s view: a row that ended holds the
+        columns before its position (or g alone, at -1) and its "error"."""
+        if self.cells and len(self.ends) < len(self.g):
+            rows = [dict(zip(self.columns, cells)) for cells in zip(*self.cells)]
+        else:  # every row ended, or there are no columns
+            rows = [{} for _ in self.g]
+        for row, (position, exc) in self.ends.items():
+            if position < 0:
+                rows[row] = {"g": self.g[row]}
+            else:
+                rows[row] = {c: cells[row] for c, cells in zip(self.columns[:position], self.cells)}
+            rows[row]["error"] = _message(exc)
+        return rows
+
+
+def _message(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def tabulate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> Table:
     """The values of ``columns`` (keys of COLUMNS) at each coupling of the grid
-    ``g`` at ``omega_c``: one row per coupling.
+    ``g`` at ``omega_c``, as a ``Table``: one row per coupling.
 
     Each stage runs at most once per grid, and only when a column needs it at
     a live row: the variational solution with its dressed levels and the
@@ -267,9 +305,9 @@ def evaluate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
     at once.
 
     A row ends at the first column whose stage failed there, or whose values
-    raised.  If ``columns`` holds "error", the failure is recorded there, the
-    row keeps the columns before it, and the other rows go on; a negative g,
-    for one, gives a row of g and the ValueError of ``ModelParams``.
+    raised.  If ``columns`` holds "error", the row is in ``ends`` with that
+    column's position and the failure, and the other rows go on; a negative
+    g, for one, ends its row at -1 with the ValueError of ``ModelParams``.
     Otherwise the failure of the lowest failing row is raised, and the exact
     stage solves no chunk after the one where a row failed.
     """
@@ -311,17 +349,16 @@ def evaluate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
 
     if ends and not keep_going:
         raise ends[min(ends)][1]
-    if table and alive:
-        rows = [dict(zip(columns, cells)) for cells in zip(*table)]
-    else:  # every row ended, or there are no columns
-        rows = [{} for _ in range(g.size)]
-    for row, (position, exc) in ends.items():
-        if position < 0:
-            rows[row] = {"g": g[row].item()}
-        else:
-            rows[row] = {column: table[k][row] for k, column in enumerate(columns[:position])}
-        rows[row]["error"] = f"{type(exc).__name__}: {exc}"
-    return rows
+    return Table(tuple(columns), table, ends, g.tolist())
+
+
+def evaluate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> list[dict]:
+    """``tabulate``'s table as one dict per row, each with its values of
+    ``columns``; a row that ended keeps the columns before the one it ended
+    at (or g alone, if it is no parameter point) and has its failure as
+    "error": a negative g gives a row of g and the ValueError of
+    ``ModelParams``."""
+    return tabulate(omega_c, g, columns, tol).dicts()
 
 
 def sweep_columns(methods: tuple[str, ...], outputs: tuple[str, ...]) -> tuple[str, ...]:
@@ -392,7 +429,7 @@ def _jsonable(value):
     return value
 
 
-def _template(kinds: tuple[type, ...]) -> str:
+def _template(kinds) -> str:
     """The %-template of a CSV row whose values have these types: floats at 10
     significant digits, None empty, anything else as ``str`` prints it."""
     return ",".join(
@@ -409,36 +446,54 @@ def _quoted(text: str) -> str:
     return text
 
 
-def render_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
-    """``rows`` as CSV (a header, then one line per row) or as a JSON list,
-    with the values of ``columns``; floats at 10 significant digits.
+def _ended_line(table: Table, row: int) -> str:
+    """The CSV line of a row that ended: its cells before the column it ended
+    at (g alone, at -1), the others empty, and its failure as the error."""
+    position, exc = table.ends[row]
+    if position < 0:
+        cells = [table.g[row] if column == "g" else None for column in table.columns]
+    else:
+        cells = [column[row] for column in table.cells[:position]]
+        cells += [None] * (len(table.columns) - position)
+    if "error" in table.columns:
+        cells[table.columns.index("error")] = _message(exc)
+    cells = [_quoted(cell) if isinstance(cell, str) else cell for cell in cells]
+    return _template(map(type, cells)) % tuple(cells)
 
-    Each CSV row is formatted in one step, by the %-template of its value
-    types; a row that ended early leaves the columns it lacks empty, and a
-    str cell (an error) is quoted where it must be (``_quoted``).
+
+def render_rows(table: Table, fmt: str) -> str:
+    """``table`` as CSV (a header, then one line per row) or as a JSON list of
+    its rows as dicts (``Table.dicts``); floats at 10 significant digits.
+
+    The CSV lines are written from the table's columns: the rows that did not
+    end are formatted by one %-template, made from the types of the columns,
+    and a str column (the error) is quoted where it must be (``_quoted``).  A
+    row that ended is written from its own cells, with the columns it lacks
+    empty (``_ended_line``).  No dict is built per row.
     """
     if fmt == "json":
-        payload = [{c: _jsonable(row.get(c)) for c in columns if c in row} for row in rows]
+        payload = [
+            {c: _jsonable(row[c]) for c in table.columns if c in row} for row in table.dicts()
+        ]
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    # the row's values in column order, or KeyError; itemgetter of one key gives no tuple
-    cells_of = (
-        itemgetter(*columns) if len(columns) > 1 else lambda row: tuple(row[c] for c in columns)
-    )
-    templates = {}  # value types -> (their template, the positions of their str cells)
-    lines = [",".join(columns)]
-    for row in rows:
-        try:
-            cells = cells_of(row)
-        except KeyError:  # a row that ended early: the columns it lacks print empty
-            cells = tuple(map(row.get, columns))
-        kinds = tuple(map(type, cells))
-        if kinds not in templates:
-            templates[kinds] = _template(kinds), [i for i, kind in enumerate(kinds) if kind is str]
-        template, texts = templates[kinds]
-        for i in texts:
-            if cells[i]:
-                cells = (*cells[:i], _quoted(cells[i]), *cells[i + 1 :])
-        lines.append(template % cells)
+    ends, count = table.ends, len(table.g)
+    lines = [",".join(table.columns)]
+    live = iter(())  # the lines of the rows that did not end, in grid order
+    if len(ends) < count:
+        first = next(row for row in range(count) if row not in ends)
+        kinds = [type(column[first]) for column in table.cells]
+        columns = [
+            [text and _quoted(text) for text in column] if kind is str and any(column) else column
+            for kind, column in zip(kinds, table.cells)
+        ]
+        rows = zip(*columns)
+        if ends:  # an ended row's cells from its position on are placeholders
+            rows = (cells for row, cells in enumerate(rows) if row not in ends)
+        live = map(_template(kinds).__mod__, rows)
+    if ends:
+        lines += [_ended_line(table, row) if row in ends else next(live) for row in range(count)]
+    else:
+        lines += live
     return "\n".join(lines) + "\n"
 
 
@@ -514,8 +569,8 @@ _nonnegative_float = _checked(float, lambda value: 0 <= value < math.inf, "a fin
 def cmd_point(opt: argparse.Namespace) -> int:
     """One parameter point, projected onto the subcommand's columns."""
     # without --tol the columns never run the exact stage
-    rows = evaluate(opt.omega_c, [opt.g], opt.columns, getattr(opt, "tol", None))
-    _write(render_rows(opt.columns, rows, opt.format), opt.output)
+    table = tabulate(opt.omega_c, [opt.g], opt.columns, getattr(opt, "tol", None))
+    _write(render_rows(table, opt.format), opt.output)
     return 0
 
 
@@ -529,21 +584,19 @@ def cmd_table1(opt: argparse.Namespace) -> int:
         "ref_transform",
         "ref_corrected",
     )
-    rows = []
+    grid, *refs = map(list, zip(*REFERENCE_ENERGIES))
+    computed = tabulate(1.0, grid, columns[1:4], opt.tol).cells
     mismatches = []
-    grid = [g for g, *_ in REFERENCE_ENERGIES]
-    for (g, *refs), computed in zip(REFERENCE_ENERGIES, evaluate(1.0, grid, columns[1:4], opt.tol)):
-        row = {"g": g, **dict(zip(columns[4:], refs))}
-        for name, want in zip(columns[1:4], refs):
-            have = computed[name]
+    for row, g in enumerate(grid):
+        for name, column, ref in zip(columns[1:4], computed, refs):
+            have, want = column[row], ref[row]
             if abs(have - want) > opt.ref_tol:
                 mismatches.append(
                     f"g={g}: {name} computed {have:.7f} vs reference {want:.5f} "
                     f"(|diff|={abs(have - want):.2e} > {opt.ref_tol:g})"
                 )
-            row[name] = round(have, 5)
-        rows.append(row)
-    _write(render_rows(columns, rows, opt.format), opt.output)
+    cells = [grid, *([round(have, 5) for have in column] for column in computed), *refs]
+    _write(render_rows(Table(columns, cells, {}, grid), opt.format), opt.output)
     if mismatches:
         for line in mismatches:
             print(line, file=sys.stderr)
@@ -555,8 +608,8 @@ def cmd_sweep(opt: argparse.Namespace) -> int:
     if opt.g_min > opt.g_max:
         raise UsageError(f"g_min={opt.g_min} exceeds g_max={opt.g_max}")
     columns = sweep_columns(opt.methods, opt.outputs)
-    rows = evaluate(opt.omega_c, np.linspace(opt.g_min, opt.g_max, opt.steps), columns, opt.tol)
-    _write(render_rows(columns, rows, opt.format), opt.output)
+    table = tabulate(opt.omega_c, np.linspace(opt.g_min, opt.g_max, opt.steps), columns, opt.tol)
+    _write(render_rows(table, opt.format), opt.output)
     return 0
 
 
@@ -571,14 +624,9 @@ def cmd_find_zero(opt: argparse.Namespace) -> int:
         g_tol=opt.g_tol,
         tol=opt.tol,
     )
-    row = {
-        "omega_c": opt.omega_c,
-        "g_lo": opt.g_min,
-        "g_hi": opt.g_max,
-        "threshold": opt.threshold,
-        "g_zero": crossing,
-    }
-    _write(render_rows(list(row), [row], opt.format), opt.output)
+    columns = ("omega_c", "g_lo", "g_hi", "threshold", "g_zero")
+    cells = [[opt.omega_c], [opt.g_min], [opt.g_max], [opt.threshold], [crossing]]
+    _write(render_rows(Table(columns, cells, {}, [crossing]), opt.format), opt.output)
     return 0
 
 

@@ -109,22 +109,38 @@ def _negativity_x(r11: float, r14: float, r22: float, r44: float) -> float:
     return max(0.0, outer) + max(0.0, abs(r14) - r22)
 
 
-def negativity_closed_form(alpha: float, beta: float) -> float:
-    """Negativity of the trial family:
+def negativity_closed_form(alpha, beta):
+    """Negativity of the trial family, at each (alpha, beta) of two arrays of
+    one shape, or at one pair of floats (a float comes back):
 
     max{ (2 e^(-2 alpha^2) - beta^2) / (2 (2 + beta^2)), 0 }.
 
     At small g both terms of the numerator are near 2, so there (where
     e^(-2 alpha^2) >= 1/2) it is taken as 2 expm1(-2 alpha^2) + (2 - beta^2),
     with 2 - beta^2 exact from beta's integer ratio: nothing cancels.
+
+    The exponentials are libm's, ``math.expm1`` and ``math.exp`` mapped over
+    the elements: numpy's vectorized exp and expm1 may differ from libm in
+    the last bit, which would change printed values.  The rest is numpy
+    arithmetic in the order of the formula, so each value is what the same
+    float operations give one pair at a time, signed zeros and NaNs included.
     """
-    e_minus_1 = math.expm1(-2.0 * alpha * alpha)
-    if e_minus_1 >= -0.5 and math.isfinite(beta):  # a NaN or infinite beta has no ratio
-        n, d = beta.as_integer_ratio()
-        numerator = 2.0 * e_minus_1 + (2 * d * d - n * n) / (d * d)
-    else:
-        numerator = 2.0 * math.exp(-2.0 * alpha * alpha) - beta * beta
-    return max(numerator / (2.0 * (2.0 + beta * beta)), 0.0)
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    with np.errstate(all="ignore"):  # inf and NaN pass as they do through floats
+        x = -2.0 * alpha * alpha
+        e_minus_1 = np.array(list(map(math.expm1, x.ravel().tolist()))).reshape(x.shape)
+        small = (e_minus_1 >= -0.5) & np.isfinite(beta)  # a NaN or infinite beta has no ratio
+        numerator = np.empty(x.shape)
+        numerator[small] = 2.0 * e_minus_1[small] + [
+            (2 * d * d - n * n) / (d * d)
+            for n, d in map(float.as_integer_ratio, beta[small].tolist())
+        ]
+        large = ~small
+        exp = np.array(list(map(math.exp, x[large].tolist())))
+        numerator[large] = 2.0 * exp - beta[large] * beta[large]
+        value = numerator / (2.0 * (2.0 + beta * beta))
+        value = np.where(value < 0.0, 0.0, value)  # max(value, 0.0), which keeps -0.0 and NaN
+    return value.item() if value.ndim == 0 else value
 
 
 def negativity_small_g(params: ModelParams) -> float:
@@ -133,6 +149,7 @@ def negativity_small_g(params: ModelParams) -> float:
     return wc * g * g / (4.0 * wa * (wa + wc) ** 2)
 
 
-def concurrence_approx(alpha: float, beta: float) -> float:
-    """Concurrence of the trial family; equals twice its negativity."""
+def concurrence_approx(alpha, beta):
+    """Concurrence of the trial family, at floats or arrays as
+    ``negativity_closed_form``; equals twice its negativity."""
     return 2.0 * negativity_closed_form(alpha, beta)

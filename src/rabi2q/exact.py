@@ -371,7 +371,10 @@ def ground_state_chunks(
     ``N_MAX_CAP``, so a chunk holds no more than one capped solve does.  Its
     rows are solved at once (``_solve_chunk``), which also certifies their
     even sectors.  A row whose estimate is not below ``tol`` goes back to the
-    pending rows at a quarter more levels, or fails at the cap.  Each chunk
+    pending rows at a quarter more levels, or fails at the cap; it fails at
+    once if the estimate on its grown truncation is not below half the one
+    before, because the estimate has met its rounding floor there and more
+    levels will not lower it (at omega_c = g = 1e40, say).  Each chunk
     is yielded with the rows it settled, and dropped before the next one is
     solved.  If a chunk's solve raises (a numpy warning that a filter makes
     an error), its rows are solved again one at a time, so that the
@@ -381,37 +384,46 @@ def ground_state_chunks(
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     limit = (3 * N_MAX_CAP + 4) // 2  # the odd sector_size at the cap
-    pending = []  # (row, n_max), lowest row first
+    pending = []  # (row, n_max, the estimate on its last truncation or None), lowest row first
     for k, g_k in enumerate(g):
         alpha = g_k / omega_c  # bounds the field displacement
-        pending.append((k, math.ceil(min(alpha * alpha + 8.0 * alpha + 16.0, N_MAX_CAP))))
+        pending.append((k, math.ceil(min(alpha * alpha + 8.0 * alpha + 16.0, N_MAX_CAP)), None))
     alone = set()  # rows of a chunk that raised as a whole, solved one at a time
     while pending:
         count, total = 0, 0
-        for k, n in pending:
+        for k, n, _ in pending:
             total += (3 * n + 4) // 2  # the odd sector_size
             if count and (total > limit or k in alone):
                 break
             count += 1
             if k in alone:
                 break
-        rows, n_max = zip(*pending[:count])
+        rows, n_max, previous = zip(*pending[:count])
         del pending[:count]
         try:
             solve = _solve_chunk(omega_a, omega_c, [g[k] for k in rows], list(n_max))
         except Exception as exc:  # a warning made an error, say: it is one row's
             if count > 1:
                 alone.update(rows)
-                pending = sorted([*zip(rows, n_max), *pending])
+                pending = sorted([*zip(rows, n_max, previous), *pending])
                 continue
             solve = _Solve([], [], [], [], np.empty(0), [], {}, {0: exc})
         errors, accepted, retry = {}, [], []
-        for i, (k, n) in enumerate(zip(rows, n_max)):
+        for i, (k, n, before) in enumerate(zip(rows, n_max, previous)):
             if i in solve.errors:
                 errors[k] = solve.errors[i]
             elif not solve.convergence_gap[i] < tol:
-                if n < N_MAX_CAP:
-                    retry.append((k, min(math.ceil(1.25 * n), N_MAX_CAP)))
+                estimate = solve.convergence_gap[i]
+                if before is not None and estimate >= 0.5 * before:
+                    errors[k] = RuntimeError(
+                        f"ground state error estimate stalls at n_max={n}: {estimate:.3e} is "
+                        f"not below half of {before:.3e} on the truncation before, a rounding "
+                        f"floor; the smallest --tol this point can meet is above "
+                        f"{min(estimate, before):.3e} (omega_a={omega_a}, omega_c={omega_c}, "
+                        f"g={g[k]})"
+                    )
+                elif n < N_MAX_CAP:
+                    retry.append((k, min(math.ceil(1.25 * n), N_MAX_CAP), estimate))
                 else:
                     errors[k] = RuntimeError(
                         f"ground state not converged to {tol:g} by n_max={N_MAX_CAP} "
@@ -450,6 +462,8 @@ def ground_state(params: ModelParams, tol: float = DEFAULT_TOL) -> GroundStateRe
     is below ``tol``, a positive absolute energy tolerance in the units of
     ``params``.  Raises RuntimeError if the cap is reached without that,
     which signals pathological parameters rather than a tight tolerance,
+    if a grown truncation does not halve the estimate (its rounding floor,
+    which the message gives as the smallest tolerance that can be met),
     and if the accepted even-sector ground energy lies more than
     1e-12 (|E0| + 1) below the odd-sector one, which would break the premise
     that the ground state is odd.  It is ``ground_state_chunks`` of one row.

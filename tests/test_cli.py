@@ -21,11 +21,13 @@ from rabi2q.cli import (
     METHODS,
     OUTPUTS,
     REFERENCE_ENERGIES,
+    Table,
     evaluate,
     locate_negativity_zero,
     main,
     render_rows,
     sweep_columns,
+    tabulate,
 )
 from rabi2q.transform import PerturbationValidityWarning
 
@@ -511,7 +513,7 @@ class TestFlagsAndConfig:
         assert exit_code(capsys, argv) == (3, "")
 
     def test_render_rows_csv_formatting(self):
-        text = render_rows(["g", "value"], [{"g": 0.1, "value": -1.0101523423}], "csv")
+        text = render_rows(Table(("g", "value"), [[0.1], [-1.0101523423]], {}, [0.1]), "csv")
         assert text == "g,value\n0.1,-1.010152342\n"
 
     def test_render_rows_quotes_as_the_csv_module_does(self):
@@ -519,13 +521,94 @@ class TestFlagsAndConfig:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerows([["g", "error"], *([1, text] for text in texts)])
-        rows = [{"g": 1.0, "error": text} for text in texts]
-        assert render_rows(["g", "error"], rows, "csv") == buffer.getvalue()
+        table = Table(("g", "error"), [[1.0] * len(texts), list(texts)], {}, [1.0] * len(texts))
+        assert render_rows(table, "csv") == buffer.getvalue()
 
     def test_render_rows_leaves_the_columns_a_row_lacks_empty(self):
-        rows = [{"g": 0.4, "value": 1.0, "error": ""}, {"g": -1.0, "error": "ValueError: negative"}]
-        text = render_rows(["g", "value", "error"], rows, "csv")
+        cells = [[0.4, 0.0], [1.0, None], ["", ""]]  # row 1 is no parameter point
+        ends = {1: (-1, ValueError("negative"))}
+        text = render_rows(Table(("g", "value", "error"), cells, ends, [0.4, -1.0]), "csv")
         assert text == "g,value,error\n0.4,1,\n-1,,ValueError: negative\n"
+
+    @staticmethod
+    def _reference_csv(table):
+        """``table`` through csv.writer, cell by cell: floats at %.10g, None
+        empty, anything else as str; an ended row as its dict view holds it."""
+        def text(value):
+            if value is None:
+                return ""
+            return "%.10g" % value if isinstance(value, float) else str(value)
+
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(table.columns)
+        for row in range(len(table.g)):
+            position, exc = table.ends.get(row, (len(table.columns), None))
+            if position < 0:
+                values = {"g": table.g[row]}
+            else:
+                values = {c: cells[row] for c, cells in zip(table.columns[:position], table.cells)}
+            if exc is not None:
+                values["error"] = f"{type(exc).__name__}: {exc}"
+            writer.writerow([text(values.get(column)) for column in table.columns])
+        return buffer.getvalue()
+
+    def test_render_rows_writes_an_ended_row_at_every_position(self):
+        columns = ("g", "omega_c", "energy_exact", "n_max_used", "value", "error")
+        errors = [ValueError(""), RuntimeError("a, b"), ValueError('say "no"'), OverflowError("x")]
+        # rows 0 and 8 live; rows 1 to 7 end at -1, then at each column in turn
+        count = 9
+        ends = {1 + k: (k - 1, errors[k % len(errors)]) for k in range(len(columns) + 1)}
+        g = [0.1 * row for row in range(count)]
+        cells = [
+            g,
+            [1] * count,  # an int omega_c, as the library may pass it
+            [math.nan, None, -1.5, -math.inf, None, None, None, None, math.inf],
+            [16, None, 20, 25, None, None, None, None, 4096],
+            [-0.0, None, 2.0, 1e-300, 3.0, None, None, None, 1e300],
+            [""] * count,
+        ]
+        table = Table(columns, cells, ends, g)
+        text = render_rows(table, "csv")
+        assert text == self._reference_csv(table)
+        lines = text.splitlines()
+        assert lines[1] == "0,1,nan,16,-0,"
+        assert lines[-1] == "0.8,1,inf,4096,1e+300,"
+        parsed = list(csv.reader(io.StringIO(text)))
+        assert all(len(line) == len(columns) for line in parsed)
+        messages = [f"{type(exc).__name__}: {exc}" for exc in errors]
+        assert [line[-1] for line in parsed[1:]] == ["", *messages, *messages[:3], ""]
+        assert parsed[2][0] == "0.1" and set(parsed[2][1:-1]) == {""}  # no parameter point: g alone
+
+    @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
+    def test_render_rows_of_a_computed_table_matches_csv_module(self):
+        # an int omega_c from the library, rows ending at three columns: a
+        # negative g, the correction's overflow (6e76 at omega_c = 0.5) and a
+        # variational failure (9e76), next to live rows
+        columns = ("g", "omega_c", "energy_variational", "energy_corrected", "alpha",
+                   "negativity_approx", "stat_residual", "error")  # fmt: skip
+        for omega_c in (1, 0.5):
+            table = tabulate(omega_c, np.linspace(-6e76, 1.2e77, 7), columns, None)
+            assert render_rows(table, "csv") == self._reference_csv(table)
+        assert {position for position, _ in table.ends.values()} == {-1, 2, 3}
+        assert render_rows(table, "csv").splitlines()[3].startswith("0,0.5,-1,-1,0,0,")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--methods", "variational,transform,corrected", "--steps", "201",
+          "--outputs", "energy,alpha,beta,negativity_approx"],
+         ["--steps", "5", "--outputs", "energy,fidelity,negativity_exact,negativity_approx"],
+         ["--g-min=-1", "--g-max", "1", "--steps", "5"]],
+    )  # fmt: skip
+    def test_csv_sweep_builds_no_dict_per_row(self, capsys, monkeypatch, argv):
+        def refuse(table):
+            raise AssertionError("a dict per row")
+
+        expected = run_cli(capsys, ["sweep", *argv])
+        monkeypatch.setattr(Table, "dicts", refuse)
+        code, out, err = run_cli(capsys, ["sweep", *argv])
+        assert code == 0 and (code, out, err) == expected
+        assert len(out.splitlines()) == 1 + int(argv[argv.index("--steps") + 1])
 
     def test_json_has_no_nonfinite_tokens(self, capsys):
         # mu and lambda_plus are infinite at g = 40; RFC 8259 has no Infinity or NaN
@@ -807,20 +890,21 @@ class TestEvaluate:
         columns = tuple(sorted(COLUMNS, key=lambda column: "exact" in COLUMNS[column][0]))
         self._fail_fidelity_at(monkeypatch, 32)
         grid = [0.4, -1.0, 6e76, 0.8, 1e200, 1.2]
-        rows = evaluate(0.5, grid, columns, 1e-10)
+        table = tabulate(0.5, grid, columns, 1e-10)
+        rows = table.dicts()
         assert [row["error"].split(":")[0] for row in rows] == [
             "", "ValueError", "OverflowError", "ValueError", "RuntimeError", ""
         ]
         assert rows[3]["error"] == "ValueError: no overlap"
         assert list(rows[0]) == list(columns)
-        ones = [render_rows(columns, evaluate(0.5, [g], columns, 1e-10), fmt) for g in grid]
+        ones = [render_rows(tabulate(0.5, [g], columns, 1e-10), fmt) for g in grid]
         if fmt == "csv":
             header = ",".join(columns) + "\n"
             assert all(one.startswith(header) for one in ones)
             expected = header + "".join(one[len(header):] for one in ones)
         else:  # each "[\n  {...}\n]\n" without its brackets
             expected = "[\n" + ",\n".join(one[2:-3] for one in ones) + "\n]\n"
-        assert render_rows(columns, rows, fmt) == expected
+        assert render_rows(table, fmt) == expected
 
     @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
     def test_the_lowest_failing_row_raises(self, monkeypatch):

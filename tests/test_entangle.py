@@ -236,6 +236,68 @@ class TestNegativityClosedForm:
             assert negativity_closed_form(alpha, beta) == 0.0
 
 
+def _closed_form_per_row(alpha: float, beta: float) -> float:
+    """The closed form one (alpha, beta) at a time, with libm's exp and expm1,
+    as ``negativity_closed_form`` computed it before it took arrays."""
+    e_minus_1 = math.expm1(-2.0 * alpha * alpha)
+    if e_minus_1 >= -0.5 and math.isfinite(beta):
+        n, d = beta.as_integer_ratio()
+        numerator = 2.0 * e_minus_1 + (2 * d * d - n * n) / (d * d)
+    else:
+        numerator = 2.0 * math.exp(-2.0 * alpha * alpha) - beta * beta
+    return max(numerator / (2.0 * (2.0 + beta * beta)), 0.0)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.dtype == np.float64
+        and np.array_equal(got, want, equal_nan=True)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+class TestNegativityClosedFormOverArrays:
+    """The array form against the per-row one, bit for bit, sign bits included."""
+
+    @pytest.mark.parametrize("omega_c", np.linspace(0.05, 5.0, 7).tolist())
+    def test_variational_grids(self, omega_c):
+        solution, _ = variational.solve_grid(ModelParams(1.0, omega_c, np.linspace(0.0, 5.0, 2001)))
+        alpha, beta = solution.alpha, solution.beta
+        want = list(map(_closed_form_per_row, alpha.tolist(), beta.tolist()))
+        value = negativity_closed_form(alpha, beta)
+        assert _same_bits(value, want)
+        assert _same_bits(concurrence_approx(alpha, beta), [2.0 * w for w in want])
+
+    def test_random_pairs(self):
+        # |alpha| below about 0.59 takes the exact 2 - beta^2: a fifth of these
+        rng = np.random.default_rng(2024)
+        alpha, beta = rng.uniform(-3.0, 3.0, (2, 200_000))
+        want = list(map(_closed_form_per_row, alpha.tolist(), beta.tolist()))
+        assert _same_bits(negativity_closed_form(alpha, beta), want)
+        assert np.count_nonzero(np.expm1(-2.0 * alpha * alpha) >= -0.5) > 30_000
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(0.0, -SQ2), (-0.0, 0.0), (0.0, 0.0), (0.0, -0.0), (0.1, math.nan), (0.1, -math.nan),
+         (2.0, math.nan), (0.0, math.inf), (0.0, -math.inf), (2.0, math.inf), (math.nan, 0.3),
+         (math.inf, -1.2), (0.3, 2.5), (1e-200, 1.0), (1e200, 1e-200)],
+    )  # fmt: skip
+    def test_edge_points_as_floats_and_as_arrays(self, alpha, beta):
+        want = _closed_form_per_row(alpha, beta)
+        value = negativity_closed_form(alpha, beta)
+        assert type(value) is float and _same_bits(value, want)
+        assert _same_bits(negativity_closed_form(np.array([alpha, 0.2]), np.array([beta, -1.3])),
+                          [want, _closed_form_per_row(0.2, -1.3)])  # fmt: skip
+
+    def test_integer_ratio_overflow_raises_as_before(self):
+        # 2 - beta^2 past the float range: the exact branch raises as the per-row form did
+        with pytest.raises(OverflowError, match="integer division result too large"):
+            _closed_form_per_row(0.0, 1e200)
+        with pytest.raises(OverflowError, match="integer division result too large"):
+            negativity_closed_form(np.array([0.1, 0.0]), np.array([-1.0, 1e200]))
+
+
 class TestNegativitySmallG:
     def test_zero_coupling(self):
         assert negativity_small_g(ModelParams(1.0, 1.0, 0.0)) == 0.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -404,12 +406,38 @@ def test_sized_first_truncation_is_accepted(monkeypatch):
 
 
 def test_truncation_grows_by_a_quarter_up_to_the_cap(monkeypatch):
-    # a tolerance no solve meets: 20, 25, 32, 40, then the cap, never above
+    # a tolerance no solve meets: 49, 62, then the cap, never above; at g = 3
+    # the estimate falls from 3e-18 to 2e-28 and on, and reaches its rounding
+    # floor near 3e-38 only at 78 levels, so it never stalls below the cap
     sizes = _record_sizes(monkeypatch)
-    monkeypatch.setattr(exact, "N_MAX_CAP", 45)
-    with pytest.raises(RuntimeError, match="not converged"):
-        ground_state(ModelParams(1.0, 1.0, 0.4), tol=1e-300)
-    assert sizes == [20, 25, 32, 40, 45]
+    monkeypatch.setattr(exact, "N_MAX_CAP", 70)
+    with pytest.raises(RuntimeError, match="not converged to 1e-300 by n_max=70"):
+        ground_state(ModelParams(1.0, 1.0, 3.0), tol=1e-300)
+    assert sizes == [49, 62, 70]
+
+
+@pytest.mark.parametrize("scale", [1e40, 1e150])
+def test_estimate_on_its_rounding_floor_ends_the_ladder(monkeypatch, scale):
+    # omega_c = g = s is the alpha = 1 problem scaled by s; the estimate falls
+    # at 25 and 32 levels, then sits on a floor about 2e-39 s: at 50 levels it
+    # is not below half of its value at 40, and the row ends there
+    sizes = _record_sizes(monkeypatch)
+    with pytest.raises(RuntimeError, match="estimate stalls at n_max=50") as error:
+        ground_state(ModelParams(1.0, scale, scale))
+    assert sizes == [25, 32, 40, 50]
+    floor = float(re.search(r"--tol this point can meet is above (\S+) ", str(error.value))[1])
+    assert 1e-39 * scale < floor < 1e-38 * scale
+    # a tolerance above the floor is met, on the truncation where it was read
+    assert ground_state(ModelParams(1.0, scale, scale), tol=1.01 * floor).n_max_used == 40
+
+
+@pytest.mark.parametrize("scale,n_max,energy", [(1.0, [25], -1.389855187), (1e20, [25, 32], -1e20)])
+def test_estimates_that_keep_falling_keep_their_ladder(monkeypatch, scale, n_max, energy):
+    # at s = 1e20 the qubit splitting is lost next to g^2 / omega_c = s
+    sizes = _record_sizes(monkeypatch)
+    result = ground_state(ModelParams(1.0, scale, scale))
+    assert sizes == n_max and result.n_max_used == n_max[-1]
+    assert result.energy == pytest.approx(energy, rel=1e-9)
 
 
 @pytest.mark.parametrize("omega_c,g,n_max", [(1.0, 1.0, 8), (0.5, 1.0, 10), (2.0, 0.7, 6), (0.2, 1.0, 40)])
@@ -518,12 +546,13 @@ class TestChunks:
 
     def test_a_row_failing_in_mid_chunk_leaves_its_neighbours_alone(self, monkeypatch):
         # at g = 0 the estimate is 0, so those rows meet any tolerance, while
-        # the row between them climbs to the cap and fails there
+        # the row between them climbs until its estimate stalls on its
+        # rounding floor (1e-40 at 25 levels), and fails there
         monkeypatch.setattr(exact, "N_MAX_CAP", 40)
         g = [0.0, 0.4, 0.0]
         rows = self._rows(1.0, g, tol=1e-300)
         assert rows == [self._alone(1.0, g_k, tol=1e-300) for g_k in g]
-        assert rows[1].startswith("ground state not converged to 1e-300 by n_max=40")
+        assert rows[1].startswith("ground state error estimate stalls at n_max=32")
 
     def test_mixed_chunk_of_resolved_and_unresolved_gaps(self):
         # omega_c = 1e-10: at g = 0 the decoupled state is resolved, at g > 0
