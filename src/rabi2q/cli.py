@@ -61,6 +61,15 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(3)
 
+    def _parse_optional(self, arg_string):
+        # argparse takes only -N and -N.N for negative numbers, and -1e-3 for a
+        # flag; no flag here starts with a digit or a dot, so a number is a value
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 class _Grid:
     """The stages of ``evaluate`` over a grid of g at one omega_c, each run once,

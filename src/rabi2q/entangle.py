@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .model import SQRT2, JointState, ModelParams, sector_slices
+from .model import SQRT2, JointState, ModelParams, runs, sector_slices
 
 
 def _x_shaped(r11: float, r14: float, r22: float, r44: float) -> np.ndarray:
@@ -48,12 +48,30 @@ def reduced_density_from_joint(state: JointState) -> np.ndarray:
 def negativity_stacked(vectors: np.ndarray, starts: list[int], n_max: list[int]) -> list[float]:
     """``negativity_x_state(reduced_density_from_joint(state))`` of each odd-sector
     unit vector in ``vectors`` (the one at ``starts[i]`` on the truncation
-    ``n_max[i]``), bit for bit, from the four sums of each."""
-    values = []
-    for start, n in zip(starts, n_max):
-        s, z, c, d = map(float, _sums(vectors[start : start + (3 * n + 4) // 2]))
-        values.append(_negativity_x(0.5 * (s + z) + c, 0.5 * (s - z), 0.5 * d, 0.5 * (s + z) - c))
-    return values
+    ``n_max[i]``), bit for bit, from the four sums of each.
+
+    The vectors of a run of rows (``model.runs``) are one (rows, size) view
+    of the stack, and each of the four sums over a run is one stacked
+    matmul of its strided S, |0> and D columns, which numpy takes as each
+    row's own ddot (einsum or add.reduceat would sum in another order)."""
+    s_at, zero_at, d_at = sector_slices(odd=True)
+    sums = []  # (s, z, c, d) of each row, as _sums
+    for first, stop in runs(n_max, starts):
+        size = (3 * n_max[first] + 4) // 2
+        rows = vectors[starts[first] : starts[first] + (stop - first) * size]
+        flat, tall = rows.reshape(-1, 1, size), rows.reshape(-1, size, 1)  # each row, and as a column
+        s_n, zero_n, d_n = flat[..., s_at], flat[..., zero_at], flat[..., d_at]
+        zero_t = tall[:, zero_at]
+        sums += zip(
+            np.matmul(s_n, tall[:, s_at]).ravel().tolist(),
+            np.matmul(zero_n, zero_t).ravel().tolist(),
+            np.matmul(s_n, zero_t).ravel().tolist(),
+            np.matmul(d_n, tall[:, d_at]).ravel().tolist(),
+        )
+    return [
+        _negativity_x(0.5 * (s + z) + c, 0.5 * (s - z), 0.5 * d, 0.5 * (s + z) - c)
+        for s, z, c, d in sums
+    ]
 
 
 def reduced_density_variational(alpha: float, beta: float) -> np.ndarray:

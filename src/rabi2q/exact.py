@@ -23,10 +23,15 @@ quarter, up to ``N_MAX_CAP``, and solved again.
 
 A grid of couplings is solved a chunk of rows at a time
 (``ground_state_chunks``): the rows' bands sit side by side in one band,
-block diagonal because each keeps its zero corner, so each Cholesky
-factorisation, solve and band product runs once per chunk and does each
-row's arithmetic as on that row alone.  Only dsbevx, the shift and the
-norms stay per row.  ``ground_state`` is the grid of one.
+block diagonal because each keeps its zero corner, and parity-major, every
+row's odd block before every row's even block (``model.sector_bands``).
+The one Cholesky factorisation runs on the whole stack; each solve and the
+band product run on the odd prefix alone, once per chunk, and do each row's
+arithmetic as on that row alone.  A run of rows with one truncation is a
+(rows, size) view of the prefix, so each norm over a run is one stacked
+matmul, which numpy takes as each row's own ddot.  dsbevx is the one LAPACK
+call per row, and the shift and its step count the one scalar arithmetic.
+``ground_state`` is the grid of one.
 
 This is the one module of the package that imports scipy (scipy.linalg),
 and nothing imports it eagerly: the package loads it on first access, and
@@ -165,8 +170,8 @@ def _cholesky(band: np.ndarray, bounds: list[int]) -> list[tuple[int, int]]:
     would that block alone.  Where a block is not positive definite, dpbtrf
     stops in it: that block becomes the identity, so that later solves on the
     stack stay finite, and the blocks after it, which dpbtrf has not touched,
-    are factored again.  Returns (row, info) for each failed row, info being
-    what dpbtrf reports on that row's band alone.
+    are factored again.  Returns (block, info) for each failed block, info
+    being what dpbtrf reports on that block alone.
     """
     failed, start = [], 0
     while start < band.shape[1]:
@@ -174,9 +179,9 @@ def _cholesky(band: np.ndarray, bounds: list[int]) -> list[tuple[int, int]]:
         if info <= 0:
             break
         column = start + info - 1
-        row = bisect.bisect_right(bounds, column) - 1
-        first, start = bounds[row], bounds[row + 1]
-        failed.append((row, column - first + 1))
+        block = bisect.bisect_right(bounds, column) - 1
+        first, start = bounds[block], bounds[block + 1]
+        failed.append((block, column - first + 1))
         band[0, first:start] = 1.0
         band[1:, first:start] = 0.0
     return failed
@@ -189,7 +194,7 @@ class _Solve(NamedTuple):
     odd_excited: list[float]
     convergence_gap: list[float]  # the estimate r^2 / (E1_odd - E0), see ground_state_at
     residual: list[float]
-    vectors: np.ndarray  # the ground vectors, each in its row's odd block of the stack
+    vectors: np.ndarray  # the odd prefix of the stack: each row's ground vector in its block
     starts: list[int]  # where each row's vector starts in ``vectors``
     even_below: dict[int, float]  # row -> E0_even, where that sector does not lie above E0
     errors: dict[int, Exception]
@@ -210,28 +215,34 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> _
     the Cholesky factorisation fails, the shift is not below the spectrum,
     so E0 is not the lowest: LinAlgError.
 
-    Each row's even block sits after its odd block, shifted to
-    sigma = E0 - 1e-12 (|E0| + 1): the one dpbtrf of the stack that factors
-    the odd blocks for inverse iteration fails on an even block exactly when
-    that sector has an eigenvalue at or below sigma (``even_below``, with the
-    sector's lowest eigenvalue for the message).  The even blocks take zero
-    right-hand sides, so the solves leave them zero.
+    The stack is parity-major: block k is row k's odd block and block
+    count + k its even one, shifted to sigma = E0 - 1e-12 (|E0| + 1).  The
+    one dpbtrf of the stack that factors the odd blocks for inverse
+    iteration fails on an even block exactly when that sector has an
+    eigenvalue at or below sigma (``even_below``, with the sector's lowest
+    eigenvalue for the message).  The even blocks are factored for that
+    certificate alone and never solved.
 
-    So the shifted copy of the band is factored once, each step is one
-    dpbtrs and the residuals are one dsbmv, all on the stack; only dsbevx,
-    the gap guard, the shift and the dot of each norm are per row.  The stack
-    is block diagonal, so each row gets the numbers it would get alone, bit
-    for bit, and a row that fails (``errors``) leaves its neighbours' alone.
+    So the shifted copy of the band is factored once, and each step is one
+    dpbtrs and the residuals one dsbmv, on the odd prefix; dsbevx is the one
+    LAPACK call per row, and the gap guard and the shift the one scalar
+    arithmetic.  Each run of rows with one n_max (``SectorBands.runs``) is a
+    (rows, size) view of the prefix, and its norms, of each step's vectors
+    and of the residuals, are one stacked matmul each, which numpy takes as
+    each row's own ddot.  The stack is block diagonal, so each row gets the
+    numbers it would get alone, bit for bit, and a row that fails
+    (``errors``) leaves its neighbours' alone.
     """
+    count = len(g)
     stack = sector_bands(omega_a, omega_c, g, n_max, (True, False))
     band, bounds, sizes = stack.band, stack.bounds, stack.sizes
-    rows = range(len(g))
+    odd, odd_sizes = bounds[count], sizes[:count]  # the odd prefix, its blocks' sizes
     errors: dict[int, Exception] = {}
-    energy, odd_1, shift, unit, steps = [], [], [], [], []  # shift and unit per block
-    for k in rows:
+    energy, odd_1, shift, sigma, unit, steps = [], [], [], [], [], []  # per row
+    for k in range(count):
         scale = _band_scale(omega_a, omega_c, g[k], n_max[k])
         try:
-            e0, e1 = _lowest_eigenvalues(band[:, bounds[2 * k] : bounds[2 * k + 1]], 2).tolist()
+            e0, e1 = _lowest_eigenvalues(band[:, bounds[k] : bounds[k + 1]], 2).tolist()
         except np.linalg.LinAlgError as exc:
             errors[k], e0, e1 = exc, 0.0, math.inf
         gap = e1 - e0
@@ -242,64 +253,73 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> _
             )
         if k in errors:  # both blocks become the identity below
             e0 = 0.0
-            shift += (0.0, 0.0)
-            unit += (1.0, 1.0)
+            shift.append(0.0)
+            sigma.append(0.0)
+            unit.append(1.0)
             steps.append(0)
         else:
             offset = max(min(1e-10 * scale, 1e-5 * gap), SHIFT_FLOOR * scale)
-            shift += (e0 - offset, e0 - 1e-12 * (abs(e0) + 1.0))
-            unit += (_unit(scale), 1.0)
+            shift.append(e0 - offset)
+            sigma.append(e0 - 1e-12 * (abs(e0) + 1.0))
+            unit.append(_unit(scale))
             damping = math.log(offset / (gap + offset))
             steps.append(max(INVERSE_ITERATIONS, math.ceil(math.log(LEFTOVER) / damping)))
         energy.append(e0)
         odd_1.append(e1)
     factor = band.copy(order="F")
-    factor[0] -= np.array(shift).repeat(sizes)
+    factor[0] -= np.array(shift + sigma).repeat(sizes)
     for k in errors:  # the identity, factored as itself
-        factor[0, bounds[2 * k] : bounds[2 * k + 2]] = 1.0
-        factor[1:, bounds[2 * k] : bounds[2 * k + 2]] = 0.0
+        for block in (k, count + k):
+            factor[0, bounds[block] : bounds[block + 1]] = 1.0
+            factor[1:, bounds[block] : bounds[block + 1]] = 0.0
     even_below = {}
     for block, info in _cholesky(factor, bounds):
-        k = block // 2
-        if block % 2:
-            even = band[:, bounds[block] : bounds[block + 1]]
-            even_below[k] = float(_lowest_eigenvalues(even, 1)[0])
+        even, k = divmod(block, count)  # block k is row k's odd block, count + k its even one
+        if even:
+            lowest = _lowest_eigenvalues(band[:, bounds[block] : bounds[block + 1]], 1)
+            even_below[k] = float(lowest[0])
         else:
             msg = f"H - shift is not positive definite: {energy[k]} is not the lowest eigenvalue"
             errors[k] = np.linalg.LinAlgError(f"{msg} (dpbtrf info={info})")
             steps[k] = 0
-    # right-hand sides in _unit of each odd block (1 on the even blocks), from
-    # the Perron-Frobenius start (see ground_state_at), which is 0 on the even
-    # blocks: the solves leave those at 0
-    units = np.array(unit).repeat(sizes) if max(unit) > 1.0 else None
-    vec = stack.start
+    # the solves need only the odd prefix, factored by the one dpbtrf above;
+    # right-hand sides in _unit of each block, from the Perron-Frobenius start
+    # (see ground_state_at)
+    factor, band = factor[:, :odd], band[:, :odd]
+    units = np.array(unit).repeat(odd_sizes) if max(unit) > 1.0 else None
+    spans = [(bounds[first], bounds[stop], stop - first) for first, stop in stack.runs]
+    vec = stack.start[:odd]
     for step in range(max(steps)):
         rhs = vec if units is None else vec * units
         solved = _PBTRS(factor, rhs, lower=1, overwrite_b=rhs is not vec)[0]
-        norms = []
-        for k in rows:
-            part = solved[bounds[2 * k] : bounds[2 * k + 1]]
-            norms += (math.sqrt(part.dot(part)) if step < steps[k] else 1.0, 1.0)
-        solved /= np.array(norms).repeat(sizes)
+        for a, b, rows in spans:  # rows past their own steps are restored below
+            part = solved[a:b].reshape(rows, 1, -1)
+            norm = np.matmul(part, part.transpose(0, 2, 1))
+            part /= np.sqrt(norm, out=norm)
         if step and step >= min(steps):  # a row that has taken its own steps keeps its vector
-            np.copyto(solved, vec, where=(np.array(steps) <= step).repeat(2).repeat(sizes))
+            np.copyto(solved, vec, where=(np.array(steps) <= step).repeat(odd_sizes))
         vec = solved
     residue = _SBMV(2, 1.0, band, vec, lower=1)
-    residue -= np.array(energy).repeat(2).repeat(sizes) * vec  # the even blocks' vec is 0
+    residue -= np.array(energy).repeat(odd_sizes) * vec
     if units is not None:
         residue /= units
+    for k in errors:  # no residual, and no square to overflow in its run's sums
+        residue[bounds[k] : bounds[k + 1]] = 0.0
+    squares = []  # ||residue||^2 of each row
+    for a, b, rows in spans:
+        part = residue[a:b].reshape(rows, 1, -1)
+        squares += np.matmul(part, part.transpose(0, 2, 1)).ravel().tolist()
     estimate, residual = [], []
-    for k in rows:
+    for k in range(count):
         if k in errors:
             estimate.append(math.inf)
             residual.append(math.nan)
             continue
-        top = vec[bounds[2 * k + 1] - 1 - (n_max[k] % 2 == 0)]  # the last S_n or D_n
+        top = vec[bounds[k + 1] - 1 - (n_max[k] % 2 == 0)]  # the last S_n or D_n
         leak = g[k] * math.sqrt(n_max[k] + 1) * abs(float(top))
         estimate.append(leak * leak / (odd_1[k] - energy[k]))
-        part = residue[bounds[2 * k] : bounds[2 * k + 1]]
-        residual.append(unit[2 * k] * math.sqrt(part.dot(part)))
-    return _Solve(energy, odd_1, estimate, residual, vec, bounds[:-1:2], even_below, errors)
+        residual.append(unit[k] * math.sqrt(squares[k]))
+    return _Solve(energy, odd_1, estimate, residual, vec, bounds[:count], even_below, errors)
 
 
 def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
@@ -345,8 +365,10 @@ class GroundStateChunk(NamedTuple):
 
     ``rows`` are the accepted rows, as indices into the grid, and the other
     sequences hold their values in that order; row i's ground vector is
-    ``vectors[starts[i] : starts[i] + sector_size(n_max[i])]``.  ``errors``
-    holds the rows that failed for good in this solve, with their exceptions.
+    ``vectors[starts[i] : starts[i] + sector_size(n_max[i])]``.  ``vectors``
+    is the odd prefix of the chunk's stack, the ground vector of every row
+    it solved, accepted or not.  ``errors`` holds the rows that failed for
+    good in this solve, with their exceptions.
     """
 
     rows: Sequence[int]

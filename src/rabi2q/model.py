@@ -192,40 +192,63 @@ def fidelity(a: JointState, b: JointState) -> float:
     return float(abs(a.amplitudes @ b.amplitudes))
 
 
+class SectorPattern(NamedTuple):
+    """The parameter-free parts of a sector's band (``sector_pattern``)."""
+
+    band: np.ndarray   # (size, 3), C order: n, then band rows 1 and 2 over g
+    start: np.ndarray  # the start of inverse iteration
+
+
 # One pattern per parity, built up to the largest n_max asked for so far: a
 # smaller truncation is its leading rows, since the sector is ordered by n.
 # It depends on nothing else, so every caller may share it.
-_PATTERNS: dict[bool, np.ndarray] = {}
+_PATTERNS: dict[bool, SectorPattern] = {}
 
 
-def sector_pattern(n_max: int, odd: bool) -> np.ndarray:
-    """The parameter-free parts of the odd or the even sector's band at ``n_max``,
-    one row per sector vector (a view of a shared pattern).
+def sector_pattern(n_max: int, odd: bool) -> SectorPattern:
+    """The parameter-free parts of the odd or the even sector's band, one row
+    per sector vector: the shared pattern, built up to at least ``n_max``,
+    whose leading sector_size rows are those of the truncation n_max.
 
-    Column 0 is the vector's photon number n, the band's diagonal over
-    omega_c; columns 1 and 2 are its band rows 1 and 2 over g, sqrt(n + 1)
-    on the coupling from S_n or D_n to level n + 1 and 0 elsewhere; column 3
-    is 1 on S_n, where band row 1 is omega_a, and 0 elsewhere.  Column 4 is
-    the start of inverse iteration (``exact``): in the odd sector +1 on S_n
-    and -1 elsewhere, the signs of the ground vector, and 0 in the even one.
+    Column 0 of ``band`` is the vector's photon number n, the band's
+    diagonal over omega_c; columns 1 and 2 are its band rows 1 and 2 over g,
+    sqrt(n + 1) on the coupling from S_n or D_n to level n + 1 and 0
+    elsewhere (band row 1 is omega_a on S_n, which the pattern leaves 0).
+    ``start`` is the start of inverse iteration (``exact``): in the odd
+    sector +1 on S_n and -1 elsewhere, the signs of the ground vector, and 0
+    in the even one.
     """
     size = (3 * n_max + 3 + odd) // 2  # sector_size
     pattern = _PATTERNS.get(odd)
-    if pattern is None or len(pattern) < size:
+    if pattern is None or len(pattern.start) < size:
         s, z, d = sector_slices(odd)
         n = np.arange(n_max + 1)
         paired, single = slice(1 - odd, None, 2), slice(odd, None, 2)  # levels with S or with D
-        pattern = np.zeros((size, 5))
-        pattern[s, 0] = pattern[z, 0] = n[paired]
-        pattern[d, 0] = n[single]
+        band = np.zeros((size, 3))
+        band[s, 0] = band[z, 0] = n[paired]
+        band[d, 0] = n[single]
         root = np.sqrt(n + 1.0)
-        pattern[d, 1] = root[single]
-        pattern[s, 2] = root[paired]
-        pattern[s, 3] = 1.0
+        band[d, 1] = root[single]
+        band[s, 2] = root[paired]
+        start = np.zeros(size)
         if odd:
-            pattern[:, 4] = 2.0 * pattern[:, 3] - 1.0
-        _PATTERNS[odd] = pattern
-    return pattern[:size]
+            start[:] = -1.0
+            start[s] = 1.0
+        pattern = _PATTERNS[odd] = SectorPattern(band, start)
+    return pattern
+
+
+def runs(n_max, starts=None) -> list[tuple[int, int]]:
+    """(first, stop) of each run of consecutive rows with one n_max, and, given
+    ``starts``, whose odd-sector vectors lie end to end in a stack (row i's
+    at ``starts[i]``): the vectors of rows first to stop - 1 are then one
+    (stop - first, sector_size) array."""
+    count = len(n_max)
+    edges = [
+        i for i in range(1, count) if n_max[i] != n_max[i - 1] or starts is not None
+        and starts[i] - starts[i - 1] != (3 * n_max[i - 1] + 4) // 2
+    ]  # fmt: skip
+    return list(zip([0, *edges], [*edges, count])) if count else []
 
 
 class SectorBands(NamedTuple):
@@ -234,7 +257,8 @@ class SectorBands(NamedTuple):
     band: np.ndarray   # (3, total), Fortran order
     bounds: list[int]  # block b holds the columns bounds[b]:bounds[b + 1]
     sizes: np.ndarray  # the sector_size of each block
-    start: np.ndarray  # column 4 of each block's pattern, one after another
+    start: np.ndarray  # each block's start of inverse iteration (sector_pattern), one after another
+    runs: list[tuple[int, int]]  # the runs of rows with one n_max (``runs``)
 
 
 def sector_bands(
@@ -242,32 +266,48 @@ def sector_bands(
 ) -> SectorBands:
     """The bands ``sector_hamiltonian`` writes for the couplings ``g[k]`` at the
     truncations ``n_max[k]``, one block per row and parity in ``parities``
-    (odd is True), side by side in one band in that order, bit for bit.
+    (odd is True), side by side in one band, bit for bit.
 
-    Each block keeps its zero corner, so the stacked band is block diagonal:
-    the LAPACK band routines treat it one block at a time, with the
-    arithmetic they do on that block alone.
+    The stack is parity-major: the blocks of ``parities[0]``, one per row,
+    then those of the next parity.  With rows k < count, block
+    ``p * count + k`` is row k's block of ``parities[p]``, so the blocks of
+    one parity are a prefix or a suffix of the band.  Each run of rows with
+    one n_max (``runs``) is written at once, a (rows, size, 3) view of the
+    band scaled from the same slice of ``sector_pattern``.  Each block keeps
+    its zero corner, so the stacked band is block diagonal: the LAPACK band
+    routines treat it one block at a time, with the arithmetic they do on
+    that block alone.
     """
-    blocks = [(g_k, n, odd) for g_k, n in zip(g, n_max) for odd in parities]
-    sizes = [(3 * n + 3 + odd) // 2 for _, n, odd in blocks]  # sector_size
+    count = len(g)
+    sizes = [(3 * n + 3 + odd) // 2 for odd in parities for n in n_max]  # sector_size
     bounds = [0, *itertools.accumulate(sizes)]
-    counts = np.array(sizes)
-    top = max(n_max)
-    patterns = [sector_pattern(top, False), sector_pattern(top, True)]
-    unit = np.concatenate([patterns[odd][:size] for (_, _, odd), size in zip(blocks, sizes)])
     band = np.empty((3, bounds[-1]), order="F")
-    scale = np.array([(omega_c, g_k, g_k) for g_k, _, _ in blocks], dtype=float)
-    np.multiply(unit[:, :3], scale.repeat(counts, axis=0), out=band.T)
-    # A pattern built past n_max couples each top level on: that corner is
-    # the last D_n's coupling one slot on, or else the last S_n's two slots on.
-    # band.T is C-ordered, so column j of row r is its element 3 j + r.
-    corners = [
-        3 * end - 2 if n % 2 == odd else 3 * end - 4
-        for end, (_, n, odd) in zip(bounds[1:], blocks)
-    ]  # fmt: skip
-    band.T.reshape(-1)[corners] = 0.0
-    np.copyto(band[1], omega_a, where=unit[:, 3] > 0.0)  # on every S_n
-    return SectorBands(band, bounds, counts, unit[:, 4])
+    columns = band.T  # C order: (columns, 3), and a run's blocks are (rows, size, 3)
+    start = np.zeros(bounds[-1])
+    scale = np.empty((count, 1, 3))  # (omega_c, g, g) per row, over the pattern's columns
+    scale[:, 0, 0] = omega_c
+    scale[:, 0, 1] = g
+    scale[:, 0, 2] = scale[:, 0, 1]
+    top = max(n_max)
+    row_runs = runs(n_max)
+    for p, odd in enumerate(parities):
+        pattern = sector_pattern(top, odd)
+        for first, stop in row_runs:
+            n = n_max[first]
+            size = (3 * n + 3 + odd) // 2
+            at = slice(bounds[p * count + first], bounds[p * count + stop])
+            blocks = columns[at].reshape(stop - first, size, 3)
+            np.multiply(pattern.band[:size], scale[first:stop], out=blocks)
+            # A pattern built past n_max couples each top level on: that corner is
+            # the last D_n's coupling one slot on, or else the last S_n's two slots on.
+            if n % 2 == odd:
+                blocks[:, -1, 1] = 0.0
+            else:
+                blocks[:, -2, 2] = 0.0
+            blocks[:, 1 - odd :: 3, 1] = omega_a  # on every S_n (sector_slices)
+            if odd:  # the even start is 0
+                start[at].reshape(stop - first, size)[:] = pattern.start[:size]
+    return SectorBands(band, bounds, np.array(sizes), start, row_runs)
 
 
 def sector_hamiltonian(params: ModelParams, trunc: FockTruncation, odd: bool) -> np.ndarray:
@@ -326,24 +366,23 @@ def coherent_state_rows(amplitudes: np.ndarray, n_max: np.ndarray) -> np.ndarray
     the products along a row are those of that row alone, bit for bit.
     """
     a = np.abs(amplitudes)
-    anchors, peaks = [], []
-    for amp, top in zip(a.tolist(), n_max.tolist()):
-        a2 = amp * amp
-        v0 = math.exp(-a2 / 2.0)
-        n0 = 0 if v0 >= sys.float_info.min else min(round(a2), top)
+    a2 = a * a
+    anchors = np.array(list(map(math.exp, (-a2 / 2.0).tolist())))  # libm's exp, as for a float
+    peaks = np.zeros(a.shape, dtype=int)
+    for i in np.flatnonzero(~(anchors >= sys.float_info.min)).tolist():  # |amplitude| > ~37.6
+        amp2 = a2[i].item()
+        n0 = peaks[i] = min(round(amp2), n_max[i].item())
         if n0:
-            v0 = math.exp(
-                0.5 * (n0 - a2) - 0.5 * n0 * math.log1p((n0 - a2) / a2)
+            anchors[i] = math.exp(
+                0.5 * (n0 - amp2) - 0.5 * n0 * math.log1p((n0 - amp2) / amp2)
                 - 0.25 * math.log(2.0 * math.pi * n0) - 1.0 / (24.0 * n0) + 1.0 / (720.0 * n0**3)
             )
-        anchors.append(v0)
-        peaks.append(n0)
     levels = np.arange(n_max.max() + 1)
-    peak, top, a = np.array(peaks)[:, None], n_max[:, None], a[:, None]
+    peak, top, a = peaks[:, None], n_max[:, None], a[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # at level 0 or amplitude 0, unused
         up = np.where((peak < levels) & (levels <= top), a / np.sqrt(levels), 1.0)
         down = np.where(levels < peak, np.sqrt(levels + 1) / a, 1.0)
-    v = np.array(anchors)[:, None] * np.cumprod(up, axis=1)
+    v = anchors[:, None] * np.cumprod(up, axis=1)
     v *= np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
     v[top < levels] = 0.0
     v[amplitudes < 0, 1::2] *= -1.0

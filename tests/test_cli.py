@@ -512,6 +512,36 @@ class TestFlagsAndConfig:
     def test_bad_values_are_usage_errors_before_any_row(self, capsys, argv):
         assert exit_code(capsys, argv) == (3, "")
 
+    NEGATIVE_END = ["--g-max", "0.1", "--steps", "2", "--methods", "variational"]
+
+    @pytest.mark.parametrize("end", ["-1e-3", "-1e76", "-2E-1"])
+    def test_negative_grid_end_in_exponent_form_is_a_value(self, capsys, end):
+        # argparse alone reads only -N and -N.N as numbers, and -1e-3 as a flag
+        spaced = run_cli(capsys, ["sweep", "--g-min", end, *self.NEGATIVE_END])
+        assert spaced == run_cli(capsys, ["sweep", f"--g-min={end}", *self.NEGATIVE_END])
+        code, out, _ = spaced
+        assert code == 0 and float(csv_rows(out)[0]["g"]) == float(end)
+        assert csv_rows(out)[0]["error"].startswith("ValueError: g must be non-negative")
+
+    def test_negative_grid_end_in_exponent_form_from_a_config_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g-min = -1e-3\n")
+        expected = run_cli(capsys, ["sweep", "--g-min=-1e-3", *self.NEGATIVE_END])
+        assert run_cli(capsys, ["sweep", "--config", str(cfg), *self.NEGATIVE_END]) == expected
+        assert expected[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv,requirement",
+        [(["ground", "--g", "-1e-3"], "must be a finite number >= 0, got '-1e-3'"),
+         (["ground", "--g", "0.4", "--omega-c", "-1e-3"],
+          "must be a positive finite number, got '-1e-3'")],
+        ids=["g", "omega-c"],
+    )  # fmt: skip
+    def test_negative_exponent_form_values_meet_their_checks(self, capsys, argv, requirement):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert requirement in err and "expected one argument" not in err
+
     def test_render_rows_csv_formatting(self):
         text = render_rows(Table(("g", "value"), [[0.1], [-1.0101523423]], {}, [0.1]), "csv")
         assert text == "g,value\n0.1,-1.010152342\n"

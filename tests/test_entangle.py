@@ -10,6 +10,7 @@ from rabi2q.entangle import (
     negativity_closed_form,
     negativity_numerical,
     negativity_small_g,
+    negativity_stacked,
     negativity_x_state,
     partial_transpose,
     reduced_density_from_joint,
@@ -17,6 +18,8 @@ from rabi2q.entangle import (
 )
 from rabi2q import variational
 from rabi2q.cli import evaluate
+from rabi2q.exact import ground_state_at
+from rabi2q.model import JointState, runs, sector_size
 
 SQ2 = math.sqrt(2.0)
 
@@ -183,6 +186,51 @@ class TestNegativityXState:
     def test_bell_state(self):
         psi = np.array([1.0, 0.0, 0.0, 1.0]) / SQ2
         assert negativity_x_state(np.outer(psi, psi)) == pytest.approx(0.5, abs=1e-15)
+
+
+class TestNegativityStacked:
+    @staticmethod
+    def per_row(vectors, starts, n_max):
+        """The reference: each vector's negativity through its own reduced density matrix."""
+        return [
+            negativity_x_state(reduced_density_from_joint(JointState(
+                vectors[start : start + sector_size(FockTruncation(n), odd=True)]
+            )))
+            for start, n in zip(starts, n_max)
+        ]  # fmt: skip
+
+    def test_runs_broken_by_a_dropped_row_and_a_new_n_max_keep_their_bits(self):
+        # rows 0-2 and 4-6 share n_max = 20, rows 7-9 have 26; row 3 is dropped
+        g = [0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 1.0, 1.1, 1.2]
+        n_max = [20] * 7 + [26] * 3
+        vectors = np.concatenate([
+            ground_state_at(ModelParams(1.0, 1.0, g_k), n).state.amplitudes
+            for g_k, n in zip(g, n_max)
+        ])  # fmt: skip
+        sizes = [sector_size(FockTruncation(n), odd=True) for n in n_max]
+        starts = [sum(sizes[:k]) for k in range(len(g))]
+        kept = [0, 1, 2, 4, 5, 6, 7, 8, 9]
+        starts, n_max = [starts[k] for k in kept], [n_max[k] for k in kept]
+        assert runs(n_max, starts) == [(0, 3), (3, 6), (6, 9)]
+        values = negativity_stacked(vectors, starts, n_max)
+        reference = self.per_row(vectors, starts, n_max)
+        assert np.array(values).tobytes() == np.array(reference).tobytes()
+        assert min(values) > 0.0
+
+    def test_unit_vectors_of_every_small_truncation_keep_their_bits(self):
+        # runs of three at each n_max from 0 to 60, with strided S, |0> and D
+        # slices of every length, and one row alone at 61
+        rng = np.random.default_rng(25)
+        n_max = [n for n in range(61) for _ in range(3)] + [61]
+        parts = []
+        for n in n_max:
+            v = rng.standard_normal(sector_size(FockTruncation(n), odd=True))
+            parts.append(v / np.linalg.norm(v))
+        starts = np.cumsum([0] + [part.size for part in parts[:-1]]).tolist()
+        vectors = np.concatenate(parts)
+        values = negativity_stacked(vectors, starts, n_max)
+        reference = self.per_row(vectors, starts, n_max)
+        assert np.array(values).tobytes() == np.array(reference).tobytes()
 
 
 class TestNegativityClosedForm:

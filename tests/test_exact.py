@@ -385,6 +385,42 @@ def test_solve_work_counts(monkeypatch):
     assert len(factorisations) == 1
 
 
+def test_chunk_of_several_runs_work_counts(monkeypatch):
+    # one chunk of runs of one n_max broken by single rows: dsbevx once per
+    # row, one dpbtrf of the whole stack, and each step one dpbtrs and the
+    # residuals one dsbmv on the odd prefix, whose length the vectors keep
+    eigensolves, factorisations, solves, products = [], [], [], []
+
+    def recorded(calls, real, length):
+        def call(*args, **kwargs):
+            calls.append(length(*args))
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(exact, "_lowest_eigenvalues", recorded(
+        eigensolves, exact._lowest_eigenvalues, lambda band, count: (band.shape[1], count)))
+    monkeypatch.setattr(exact, "_PBTRF", recorded(
+        factorisations, exact._PBTRF, lambda band, **_: band.shape[1]))
+    monkeypatch.setattr(exact, "_PBTRS", recorded(
+        solves, exact._PBTRS, lambda band, rhs, **_: (band.shape[1], rhs.size)))
+    monkeypatch.setattr(exact, "_SBMV", recorded(
+        products, exact._SBMV, lambda k, alpha, band, vec, **_: (band.shape[1], vec.size)))
+    g = [0.0, 0.05, 0.2, 0.4, 0.41, 0.42, 0.8, 1.01, 1.02]
+    (chunk,) = exact.ground_state_chunks(1.0, 1.0, g, 1e-10)
+    assert list(chunk.rows) == list(range(len(g))) and not chunk.errors
+    assert model.runs(chunk.n_max) == [(0, 1), (1, 2), (2, 3), (3, 6), (6, 7), (7, 9)]
+    odd = [model.sector_size(FockTruncation(n), odd=True) for n in chunk.n_max]
+    even = [model.sector_size(FockTruncation(n), odd=False) for n in chunk.n_max]
+    assert eigensolves == [(size, 2) for size in odd]
+    assert factorisations == [sum(odd) + sum(even)]
+    # every row's gap is wide, so each takes the fewest steps
+    assert solves == [(sum(odd), sum(odd))] * exact.INVERSE_ITERATIONS
+    assert products == [(sum(odd), sum(odd))]
+    assert chunk.vectors.shape == (sum(odd),)
+    assert list(chunk.starts) == [sum(odd[:k]) for k in range(len(g))]
+
+
 def _record_sizes(monkeypatch):
     """The n_max of every solve ground_state makes."""
     sizes, real = [], exact._solve_chunk
@@ -586,7 +622,8 @@ class TestChunks:
             stack = real(omega_a, omega_c, g, n_max, parities)
             for k, g_k in enumerate(g):
                 if g_k == 0.6 and parities == (True, False):
-                    stack.band[0, stack.bounds[2 * k + 1] : stack.bounds[2 * k + 2]] -= 10.0
+                    even = len(g) + k  # the even blocks follow the odd ones
+                    stack.band[0, stack.bounds[even] : stack.bounds[even + 1]] -= 10.0
             return stack
 
         expected = self._rows(1.0, [0.4, 0.6, 0.8])

@@ -14,6 +14,8 @@ from rabi2q.model import (
     coherent_state_vector,
     embed,
     parity_operator,
+    runs,
+    sector_bands,
     sector_hamiltonian,
     sector_size,
     sector_slices,
@@ -205,6 +207,42 @@ class TestSectorHamiltonian:
                 band, reference = sector_hamiltonian(params, trunc, odd), self.assembled(params, trunc, odd)
                 assert np.array_equal(band, reference), (n_max, odd)
                 assert band.tobytes() == reference.tobytes(), (n_max, odd)
+
+
+class TestSectorBands:
+    """Several rows' sector bands side by side, parity-major (``sector_bands``)."""
+
+    # runs of one n_max broken by single rows, n_max 0 and 1 among them
+    N_MAX = [0, 0, 1, 4, 4, 4, 1, 7, 7, 0, 20, 3, 3]
+    RUNS = [(0, 2), (2, 3), (3, 6), (6, 7), (7, 9), (9, 10), (10, 11), (11, 13)]
+
+    @pytest.mark.parametrize("parities", [(True, False), (False, True), (True,), (False,)])
+    def test_each_block_is_its_rows_one_block_stack(self, parities):
+        count = len(self.N_MAX)
+        g = np.linspace(0.0, 2.4, count).tolist()
+        stack = sector_bands(0.9, 0.7, g, self.N_MAX, parities)
+        assert stack.runs == runs(self.N_MAX) == self.RUNS
+        assert len(stack.bounds) == len(parities) * count + 1 == len(stack.sizes) + 1
+        for p, odd in enumerate(parities):  # every block of parities[0] first
+            for k, (g_k, n) in enumerate(zip(g, self.N_MAX)):
+                block = p * count + k
+                columns = slice(stack.bounds[block], stack.bounds[block + 1])
+                alone = sector_bands(0.9, 0.7, [g_k], [n], (odd,))
+                band = sector_hamiltonian(ModelParams(0.9, 0.7, g_k), FockTruncation(n), odd)
+                assert stack.band[:, columns].tobytes() == alone.band.tobytes() == band.tobytes()
+                assert alone.bounds == [0, stack.sizes[block]]
+                assert stack.sizes[block] == sector_size(FockTruncation(n), odd)
+                assert stack.start[columns].tobytes() == alone.start.tobytes()
+                signs = np.where(np.arange(alone.sizes[0]) % 3 == 0, 1.0, -1.0)
+                assert np.array_equal(alone.start, signs if odd else np.zeros_like(signs))
+
+    def test_runs_break_at_a_new_n_max_and_at_a_gap(self):
+        n_max = [2, 2, 2, 5, 5]
+        size = [sector_size(FockTruncation(n), odd=True) for n in n_max]
+        starts = [0, size[0], 2 * size[0] + 7, 3 * size[0] + 7, 3 * size[0] + 7 + size[3]]
+        assert runs(n_max) == [(0, 3), (3, 5)]
+        assert runs(n_max, starts) == [(0, 2), (2, 3), (3, 5)]
+        assert runs([]) == runs([], []) == []
 
 
 def assert_poisson_weights(v, amplitude):
