@@ -81,7 +81,6 @@ class _Grid:
         self.omega_c, self.g, self.tol, self.stop = omega_c, g, tol, stop
         self.reads = {stage for column in columns for stage in COLUMNS[column][0]}
         self._floats: dict[str, list[float]] = {}
-        self._cells: dict[str, list | Exception] = {}
         self._exact = None  # (the values read off the exact stage, its errors per stage)
 
     @cached_property
@@ -113,41 +112,33 @@ class _Grid:
             errors = dict.fromkeys(range(rows.size), exc)
         return values.tolist(), {**failed, **{rows[k].item(): exc for k, exc in errors.items()}}
 
-    def cells(self, column: str) -> list | Exception:
-        """A column of COLUMNS computed for the whole grid: its values, one per
-        row, or the exception it raised as a whole."""
-        if column not in self._cells:
-            try:
-                self._cells[column] = COLUMNS[column][1](self)
-            except Exception as exc:
-                self._cells[column] = exc
-        return self._cells[column]
-
     def errors(self, stage: str, alive: list[int]) -> dict[int, Exception]:
         """The rows where a stage failed, with their exceptions: "var", "delta_e",
         or one of the exact stage, which runs at the rows ``alive`` if it has not."""
         if stage in ("var", "delta_e"):
             return (self.solution if stage == "var" else self.delta_e)[1]
-        return self.exact(alive)[1][stage]
+        return self.exact(alive)[1].get(stage, {})
 
     def read(self, name: str) -> list:
-        """A value read off the exact stage, one per row (None where none was)."""
+        """A value read off the exact stage, one per row (None where none was): a
+        per-row value of ``exact.GroundStateChunk``, "negativity" or "fidelity"."""
         return self._exact[0][name]
 
     def exact(self, rows: list[int]) -> tuple[dict[str, list], dict[str, dict[int, Exception]]]:
         """The exact stage at ``rows``: the ground state of each, a chunk of rows
         at a time (``exact.ground_state_chunks``), and what the columns read off
-        it before the chunk is dropped: the energy, truncation and residual, the
-        negativity if "rho" is read, and the fidelity to the variational trial
-        state if "fidelity" is (at the rows where the solve did not fail, so
-        the variational stage runs first).  Errors of the solve are those of
+        it before the chunk is dropped: its per-row values, the negativity if
+        "rho" is read, and the fidelity to the variational trial state if
+        "fidelity" is (at the rows where the solve did not fail, so the
+        variational stage runs first).  Errors of the solve are those of
         "exact", of the fidelity those of "fidelity"; with ``stop``, no chunk
         past the lowest failed row is solved."""
         if self._exact is None:
-            from .exact import ground_state_chunks  # scipy.linalg loads with the first exact row
+            from .exact import GroundStateChunk, ground_state_chunks  # loads scipy.linalg
 
-            values = {name: [None] * self.g.size for name in _EXACT_READS}
-            errors = {"exact": {}, "rho": {}, "fidelity": {}}
+            reads = (*GroundStateChunk.ROW_VALUES, "negativity", "fidelity")
+            values = {name: [None] * self.g.size for name in reads}
+            errors = {"exact": {}, "fidelity": {}}
             g = self.g[rows].tolist()
             chunks = ground_state_chunks(1.0, self.omega_c, g, self.tol, self.stop)
             try:
@@ -164,7 +155,7 @@ class _Grid:
 
     def _read(self, chunk, at: list[int], values: dict[str, list], failures: dict) -> None:
         """Read the exact columns off a chunk whose accepted rows are ``at``."""
-        read = {"energy": chunk.energy, "n_max": chunk.n_max, "residual": chunk.residual}
+        read = {name: getattr(chunk, name) for name in chunk.ROW_VALUES}
         if "rho" in self.reads:
             read["negativity"] = entangle.negativity_stacked(
                 chunk.vectors, chunk.starts, chunk.n_max
@@ -185,9 +176,6 @@ class _Grid:
             column = values[name]
             for row, value in zip(at, field):
                 column[row] = value
-
-
-_EXACT_READS = ("energy", "n_max", "residual", "negativity", "fidelity")
 
 
 def _solution(name: str):
@@ -350,10 +338,13 @@ def tabulate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
                 for row, exc in errors.items():
                     ends.setdefault(row, (position, exc))
                 alive = survivors(alive)
-        cells = grid.cells(column) if alive else None
-        if isinstance(cells, Exception):  # at every live row
-            ends.update(dict.fromkeys(alive, (position, cells)))
-            alive, cells = [], None
+        cells = None
+        if alive:
+            try:
+                cells = COLUMNS[column][1](grid)
+            except Exception as exc:  # at every live row
+                ends.update(dict.fromkeys(alive, (position, exc)))
+                alive = []
         table.append(cells)
 
     if ends and not keep_going:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .model import SQRT2, JointState, ModelParams, runs, sector_slices
+from .model import SQRT2, JointState, ModelParams, row_dots, runs, sector_size, sector_slices
 
 
 def _x_shaped(r11: float, r14: float, r22: float, r44: float) -> np.ndarray:
@@ -51,22 +51,18 @@ def negativity_stacked(vectors: np.ndarray, starts: list[int], n_max: list[int])
     ``n_max[i]``), bit for bit, from the four sums of each.
 
     The vectors of a run of rows (``model.runs``) are one (rows, size) view
-    of the stack, and each of the four sums over a run is one stacked
-    matmul of its strided S, |0> and D columns, which numpy takes as each
-    row's own ddot (einsum or add.reduceat would sum in another order)."""
-    s_at, zero_at, d_at = sector_slices(odd=True)
+    of the stack, and each of the four sums over a run is one ``row_dots``
+    of its strided S, |0> and D columns."""
     sums = []  # (s, z, c, d) of each row, as _sums
     for first, stop in runs(n_max, starts):
-        size = (3 * n_max[first] + 4) // 2
-        rows = vectors[starts[first] : starts[first] + (stop - first) * size]
-        flat, tall = rows.reshape(-1, 1, size), rows.reshape(-1, size, 1)  # each row, and as a column
-        s_n, zero_n, d_n = flat[..., s_at], flat[..., zero_at], flat[..., d_at]
-        zero_t = tall[:, zero_at]
+        size = sector_size(n_max[first], True)
+        rows = vectors[starts[first] : starts[first] + (stop - first) * size].reshape(-1, size)
+        s_n, zero_n, d_n = (rows[:, k] for k in sector_slices(odd=True))
         sums += zip(
-            np.matmul(s_n, tall[:, s_at]).ravel().tolist(),
-            np.matmul(zero_n, zero_t).ravel().tolist(),
-            np.matmul(s_n, zero_t).ravel().tolist(),
-            np.matmul(d_n, tall[:, d_at]).ravel().tolist(),
+            row_dots(s_n, s_n).tolist(),
+            row_dots(zero_n, zero_n).tolist(),
+            row_dots(s_n, zero_n).tolist(),
+            row_dots(d_n, d_n).tolist(),
         )
     return [
         _negativity_x(0.5 * (s + z) + c, 0.5 * (s - z), 0.5 * d, 0.5 * (s + z) - c)

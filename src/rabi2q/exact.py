@@ -28,10 +28,10 @@ row's odd block before every row's even block (``model.sector_bands``).
 The one Cholesky factorisation runs on the whole stack; each solve and the
 band product run on the odd prefix alone, once per chunk, and do each row's
 arithmetic as on that row alone.  A run of rows with one truncation is a
-(rows, size) view of the prefix, so each norm over a run is one stacked
-matmul, which numpy takes as each row's own ddot.  dsbevx is the one LAPACK
-call per row, and the shift and its step count the one scalar arithmetic.
-``ground_state`` is the grid of one.
+(rows, size) view of the prefix, so each norm over a run is one
+``model.row_dots``.  dsbevx is the one LAPACK call per row, and the shift
+and its step count the one scalar arithmetic.  A solve's rows reach the
+caller as one record, ``GroundStateChunk``.  ``ground_state`` is the grid of one.
 
 This is the one module of the package that imports scipy (scipy.linalg),
 and nothing imports it eagerly: the package loads it on first access, and
@@ -58,6 +58,8 @@ from .model import (
     FockTruncation,
     JointState,
     ModelParams,
+    row_dots,
+    sd_slot,
     sector_bands,
     sector_hamiltonian,
     sector_size,
@@ -163,6 +165,12 @@ def _band_scale(omega_a: float, omega_c: float, g: float, n_max: int) -> float:
     return max(omega_c * n_max, omega_a, g * math.sqrt(n_max))
 
 
+def _identity(band: np.ndarray, first: int, stop: int) -> None:
+    """Overwrite the block of columns first:stop of a band in lower storage with the identity."""
+    band[0, first:stop] = 1.0
+    band[1:, first:stop] = 0.0
+
+
 def _cholesky(band: np.ndarray, bounds: list[int]) -> list[tuple[int, int]]:
     """Factor a stacked band (``model.sector_bands``) in place by banded Cholesky.
 
@@ -182,26 +190,49 @@ def _cholesky(band: np.ndarray, bounds: list[int]) -> list[tuple[int, int]]:
         block = bisect.bisect_right(bounds, column) - 1
         first, start = bounds[block], bounds[block + 1]
         failed.append((block, column - first + 1))
-        band[0, first:start] = 1.0
-        band[1:, first:start] = 0.0
+        _identity(band, first, start)
     return failed
 
 
-class _Solve(NamedTuple):
-    """Lowest odd-sector eigenpairs of several rows, each at its own truncation."""
+class GroundStateChunk(NamedTuple):
+    """The rows of one stacked solve: the exact stage's one row record.
 
-    energy: list[float]
-    odd_excited: list[float]
-    convergence_gap: list[float]  # the estimate r^2 / (E1_odd - E0), see ground_state_at
-    residual: list[float]
-    vectors: np.ndarray  # the odd prefix of the stack: each row's ground vector in its block
-    starts: list[int]  # where each row's vector starts in ``vectors``
-    even_below: dict[int, float]  # row -> E0_even, where that sector does not lie above E0
+    ``_solve_chunk`` returns it with every row it solved, ``rows`` being
+    their positions in its lists; ``ground_state_chunks`` yields it with the
+    rows it accepted, ``rows`` being their grid indices, and the per-row
+    sequences hold the values at ``rows`` in that order.  ``ROW_VALUES``
+    names the values of a row, which a caller copies by name.  Row i's ground
+    vector starts at ``vectors[starts[i]]``; ``vectors`` is the odd prefix of
+    the chunk's stack.  ``errors`` (the rows that failed for good) and
+    ``even_below`` (the rows whose even sector does not lie above E0, with
+    its lowest eigenvalue) are keyed as ``rows`` are.  A solve that raised
+    leaves the record of its one row's error, with no rows.
+    """
+
     errors: dict[int, Exception]
+    even_below: dict[int, float]
+    rows: Sequence[int] = ()
+    energy: Sequence[float] = ()
+    n_max: Sequence[int] = ()
+    residual: Sequence[float] = ()         # ||H v - E v||_2 at n_max
+    convergence_gap: Sequence[float] = ()  # r^2 / (E1_odd - E0), see ground_state_at
+    odd_excited: Sequence[float] = ()      # E1_odd
+    starts: Sequence[int] = ()             # where each row's vector starts in ``vectors``
+    vectors: np.ndarray = np.empty(0)
+
+    ROW_VALUES = ("energy", "n_max", "residual", "convergence_gap", "odd_excited")
+
+    def result(self, params: ModelParams) -> GroundStateResult:
+        """The ``GroundStateResult`` of a chunk of the one row ``params``; its error is raised."""
+        if self.errors:
+            raise self.errors[0]
+        state = JointState(self.vectors[: sector_size(self.n_max[0], True)])
+        return GroundStateResult(self.energy[0], state, self.convergence_gap[0], self.residual[0],
+                                 self.odd_excited[0], params)  # fmt: skip
 
 
-def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> _Solve:
-    """The lowest odd-sector eigenpair of each row (g[k], n_max[k]), on one stacked band.
+def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> GroundStateChunk:
+    """The lowest odd-sector eigenpair of each row (g[k], n_max[k]), as one ``GroundStateChunk``.
 
     Per row, dsbevx gives E0 and E1_odd on the row's odd block.  Inverse
     iteration then shifts the block 1e-10 of its largest entry below E0, or
@@ -228,10 +259,9 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> _
     LAPACK call per row, and the gap guard and the shift the one scalar
     arithmetic.  Each run of rows with one n_max (``SectorBands.runs``) is a
     (rows, size) view of the prefix, and its norms, of each step's vectors
-    and of the residuals, are one stacked matmul each, which numpy takes as
-    each row's own ddot.  The stack is block diagonal, so each row gets the
-    numbers it would get alone, bit for bit, and a row that fails
-    (``errors``) leaves its neighbours' alone.
+    and of the residuals, are one ``row_dots`` each.  The stack is block
+    diagonal, so each row gets the numbers it would get alone, bit for bit,
+    and a row that fails (``errors``) leaves its neighbours' alone.
     """
     count = len(g)
     stack = sector_bands(omega_a, omega_c, g, n_max, (True, False))
@@ -270,8 +300,7 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> _
     factor[0] -= np.array(shift + sigma).repeat(sizes)
     for k in errors:  # the identity, factored as itself
         for block in (k, count + k):
-            factor[0, bounds[block] : bounds[block + 1]] = 1.0
-            factor[1:, bounds[block] : bounds[block + 1]] = 0.0
+            _identity(factor, bounds[block], bounds[block + 1])
     even_below = {}
     for block, info in _cholesky(factor, bounds):
         even, k = divmod(block, count)  # block k is row k's odd block, count + k its even one
@@ -286,40 +315,38 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> _
     # right-hand sides in _unit of each block, from the Perron-Frobenius start
     # (see ground_state_at)
     factor, band = factor[:, :odd], band[:, :odd]
-    units = np.array(unit).repeat(odd_sizes) if max(unit) > 1.0 else None
+    units = np.array(unit).repeat(odd_sizes)
     spans = [(bounds[first], bounds[stop], stop - first) for first, stop in stack.runs]
     vec = stack.start[:odd]
     for step in range(max(steps)):
-        rhs = vec if units is None else vec * units
-        solved = _PBTRS(factor, rhs, lower=1, overwrite_b=rhs is not vec)[0]
+        solved = _PBTRS(factor, vec * units, lower=1, overwrite_b=1)[0]
         for a, b, rows in spans:  # rows past their own steps are restored below
-            part = solved[a:b].reshape(rows, 1, -1)
-            norm = np.matmul(part, part.transpose(0, 2, 1))
-            part /= np.sqrt(norm, out=norm)
+            part = solved[a:b].reshape(rows, -1)
+            norm = row_dots(part, part)
+            part /= np.sqrt(norm, out=norm)[:, None]
         if step and step >= min(steps):  # a row that has taken its own steps keeps its vector
             np.copyto(solved, vec, where=(np.array(steps) <= step).repeat(odd_sizes))
         vec = solved
     residue = _SBMV(2, 1.0, band, vec, lower=1)
     residue -= np.array(energy).repeat(odd_sizes) * vec
-    if units is not None:
-        residue /= units
+    residue /= units
     for k in errors:  # no residual, and no square to overflow in its run's sums
         residue[bounds[k] : bounds[k + 1]] = 0.0
     squares = []  # ||residue||^2 of each row
     for a, b, rows in spans:
-        part = residue[a:b].reshape(rows, 1, -1)
-        squares += np.matmul(part, part.transpose(0, 2, 1)).ravel().tolist()
+        part = residue[a:b].reshape(rows, -1)
+        squares += row_dots(part, part).tolist()
     estimate, residual = [], []
     for k in range(count):
         if k in errors:
             estimate.append(math.inf)
             residual.append(math.nan)
             continue
-        top = vec[bounds[k + 1] - 1 - (n_max[k] % 2 == 0)]  # the last S_n or D_n
-        leak = g[k] * math.sqrt(n_max[k] + 1) * abs(float(top))
+        leak = g[k] * math.sqrt(n_max[k] + 1) * abs(float(vec[bounds[k] + sd_slot(n_max[k])]))
         estimate.append(leak * leak / (odd_1[k] - energy[k]))
         residual.append(unit[k] * math.sqrt(squares[k]))
-    return _Solve(energy, odd_1, estimate, residual, vec, bounds[:count], even_below, errors)
+    return GroundStateChunk(errors, even_below, range(count), energy, n_max, residual, estimate,
+                            odd_1, bounds[:count], vec)  # fmt: skip
 
 
 def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
@@ -351,35 +378,7 @@ def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
     that entry (omega_c below about 2e-13), where the gap barely stands out
     from the rounding of the eigenvalues.
     """
-    solve = _solve_chunk(params.omega_a, params.omega_c, [params.g], [n_max])
-    if solve.errors:
-        raise solve.errors[0]
-    return GroundStateResult(
-        solve.energy[0], JointState(solve.vectors[: sector_size(FockTruncation(n_max), True)]),
-        solve.convergence_gap[0], solve.residual[0], solve.odd_excited[0], params,
-    )  # fmt: skip
-
-
-class GroundStateChunk(NamedTuple):
-    """The rows of a grid that one stacked solve settled (``ground_state_chunks``).
-
-    ``rows`` are the accepted rows, as indices into the grid, and the other
-    sequences hold their values in that order; row i's ground vector is
-    ``vectors[starts[i] : starts[i] + sector_size(n_max[i])]``.  ``vectors``
-    is the odd prefix of the chunk's stack, the ground vector of every row
-    it solved, accepted or not.  ``errors`` holds the rows that failed for
-    good in this solve, with their exceptions.
-    """
-
-    rows: Sequence[int]
-    energy: Sequence[float]
-    n_max: Sequence[int]
-    residual: Sequence[float]
-    convergence_gap: Sequence[float]
-    odd_excited: Sequence[float]
-    vectors: np.ndarray
-    starts: Sequence[int]
-    errors: dict[int, Exception]
+    return _solve_chunk(params.omega_a, params.omega_c, [params.g], [n_max]).result(params)
 
 
 def ground_state_chunks(
@@ -405,7 +404,7 @@ def ground_state_chunks(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    limit = (3 * N_MAX_CAP + 4) // 2  # the odd sector_size at the cap
+    limit = sector_size(N_MAX_CAP, True)
     pending = []  # (row, n_max, the estimate on its last truncation or None), lowest row first
     for k, g_k in enumerate(g):
         alpha = g_k / omega_c  # bounds the field displacement
@@ -414,7 +413,7 @@ def ground_state_chunks(
     while pending:
         count, total = 0, 0
         for k, n, _ in pending:
-            total += (3 * n + 4) // 2  # the odd sector_size
+            total += sector_size(n, True)
             if count and (total > limit or k in alone):
                 break
             count += 1
@@ -429,7 +428,7 @@ def ground_state_chunks(
                 alone.update(rows)
                 pending = sorted([*zip(rows, n_max, previous), *pending])
                 continue
-            solve = _Solve([], [], [], [], np.empty(0), [], {}, {0: exc})
+            solve = GroundStateChunk({0: exc}, {})
         errors, accepted, retry = {}, [], []
         for i, (k, n, before) in enumerate(zip(rows, n_max, previous)):
             if i in solve.errors:
@@ -465,13 +464,15 @@ def ground_state_chunks(
         if errors and stop_at_failure:
             first = min(errors)
             pending = [entry for entry in pending if entry[0] < first]
-        if accepted or errors:
-            fields = (rows, solve.energy, n_max, solve.residual, solve.convergence_gap,
-                      solve.odd_excited, solve.starts)  # fmt: skip
-            if len(accepted) < len(rows):
-                fields = [[field[i] for i in accepted] for field in fields]
-            *values, starts = fields
-            yield GroundStateChunk(*values, solve.vectors, starts, errors)
+        if accepted or errors:  # the settled rows, by their grid rows
+            subset = {} if len(accepted) == count else {
+                name: [getattr(solve, name)[i] for i in accepted]
+                for name in (*solve.ROW_VALUES, "starts")
+            }  # fmt: skip
+            yield solve._replace(
+                errors=errors, even_below={rows[i]: e for i, e in solve.even_below.items()},
+                rows=[rows[i] for i in accepted], **subset,
+            )  # fmt: skip
         del solve  # the chunk's vectors go with the chunk
 
 
@@ -491,10 +492,4 @@ def ground_state(params: ModelParams, tol: float = DEFAULT_TOL) -> GroundStateRe
     that the ground state is odd.  It is ``ground_state_chunks`` of one row.
     """
     (chunk,) = ground_state_chunks(params.omega_a, params.omega_c, [params.g], tol)
-    if chunk.errors:
-        raise chunk.errors[0]
-    size = (3 * chunk.n_max[0] + 4) // 2  # sector_size
-    return GroundStateResult(
-        chunk.energy[0], JointState(chunk.vectors[:size]), chunk.convergence_gap[0],
-        chunk.residual[0], chunk.odd_excited[0], params,
-    )  # fmt: skip
+    return chunk.result(params)

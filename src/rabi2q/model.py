@@ -138,9 +138,22 @@ def sector_slices(odd: bool) -> tuple[slice, slice, slice]:
     return slice(1 - odd, None, 3), slice(2 - odd, None, 3), slice(2 * odd, None, 3)
 
 
-def sector_size(trunc: FockTruncation, odd: bool) -> int:
-    """Dimension of the odd (parity -1) or the even sector of ``trunc``."""
-    return (3 * trunc.n_max + 3 + odd) // 2
+def sector_size(n_max: int, odd: bool) -> int:
+    """Dimension of the odd (parity -1) or the even sector of the truncation ``n_max``."""
+    return (3 * n_max + 3 + odd) // 2
+
+
+def sd_slot(n):
+    """Where level n's S_n (even n) or D_n (odd n) amplitude sits in an odd-sector
+    vector (``sector_slices``), for an int or an int array n."""
+    return (3 * n + n % 2) // 2
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i].dot(b[i]) for each row i of two (rows, size) arrays, strided or not,
+    bit for bit: one stacked matmul, which numpy takes as each row's own ddot
+    (einsum or add.reduceat would sum in another order)."""
+    return np.matmul(a[:, None, :], b[:, :, None]).ravel()
 
 
 def embed(vec: np.ndarray, n_max: int, odd: bool) -> np.ndarray:
@@ -175,7 +188,7 @@ class JointState:
 
 def make_state(amplitudes: np.ndarray, n_max: int) -> JointState:
     """Normalize odd-sector amplitudes and wrap them as a JointState."""
-    size = sector_size(FockTruncation(n_max), odd=True)
+    size = sector_size(n_max, odd=True)
     vec = np.asarray(amplitudes, dtype=float)
     if vec.shape != (size,):
         raise ValueError(f"expected length {size} for n_max={n_max}, got {vec.shape}")
@@ -218,7 +231,7 @@ def sector_pattern(n_max: int, odd: bool) -> SectorPattern:
     sector +1 on S_n and -1 elsewhere, the signs of the ground vector, and 0
     in the even one.
     """
-    size = (3 * n_max + 3 + odd) // 2  # sector_size
+    size = sector_size(n_max, odd)
     pattern = _PATTERNS.get(odd)
     if pattern is None or len(pattern.start) < size:
         s, z, d = sector_slices(odd)
@@ -246,7 +259,7 @@ def runs(n_max, starts=None) -> list[tuple[int, int]]:
     count = len(n_max)
     edges = [
         i for i in range(1, count) if n_max[i] != n_max[i - 1] or starts is not None
-        and starts[i] - starts[i - 1] != (3 * n_max[i - 1] + 4) // 2
+        and starts[i] - starts[i - 1] != sector_size(n_max[i - 1], True)
     ]  # fmt: skip
     return list(zip([0, *edges], [*edges, count])) if count else []
 
@@ -279,7 +292,7 @@ def sector_bands(
     that block alone.
     """
     count = len(g)
-    sizes = [(3 * n + 3 + odd) // 2 for odd in parities for n in n_max]  # sector_size
+    sizes = [sector_size(n, odd) for odd in parities for n in n_max]
     bounds = [0, *itertools.accumulate(sizes)]
     band = np.empty((3, bounds[-1]), order="F")
     columns = band.T  # C order: (columns, 3), and a run's blocks are (rows, size, 3)
@@ -294,7 +307,7 @@ def sector_bands(
         pattern = sector_pattern(top, odd)
         for first, stop in row_runs:
             n = n_max[first]
-            size = (3 * n + 3 + odd) // 2
+            size = sector_size(n, odd)
             at = slice(bounds[p * count + first], bounds[p * count + stop])
             blocks = columns[at].reshape(stop - first, size, 3)
             np.multiply(pattern.band[:size], scale[first:stop], out=blocks)
@@ -379,7 +392,8 @@ def coherent_state_rows(amplitudes: np.ndarray, n_max: np.ndarray) -> np.ndarray
             )
     levels = np.arange(n_max.max() + 1)
     peak, top, a = peaks[:, None], n_max[:, None], a[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # at level 0 or amplitude 0, unused
+    # at level 0, or at an amplitude of 0 or so small that it overflows: unused
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         up = np.where((peak < levels) & (levels <= top), a / np.sqrt(levels), 1.0)
         down = np.where(levels < peak, np.sqrt(levels + 1) / a, 1.0)
     v = anchors[:, None] * np.cumprod(up, axis=1)

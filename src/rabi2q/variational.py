@@ -51,6 +51,7 @@ from .model import (
     coherent_state_vector,
     lost_norm,
     make_state,
+    sd_slot,
     sector_size,
     sector_slices,
 )
@@ -320,7 +321,7 @@ def trial_state(alpha: float, beta: float, trunc: FockTruncation) -> JointState:
     """
     v = SQRT2 * coherent_state_vector(alpha, trunc)
     s, z, d = sector_slices(odd=True)
-    vec = np.zeros(sector_size(trunc, odd=True))
+    vec = np.zeros(sector_size(trunc.n_max, odd=True))
     vec[s], vec[d] = v[0::2], -v[1::2]  # sqrt2 <n|-alpha> = (-1)^n sqrt2 <n|alpha>
     vec[z][0] = beta
     return make_state(vec, trunc.n_max)
@@ -346,9 +347,7 @@ def trial_fidelities(
         return [], {}
     c = coherent_state_rows(np.array(alpha), np.array(n_max))  # zero past each n_max
     c[:, 1::2] *= -1.0
-    levels = np.arange(c.shape[1])
-    # S_n (even n) is vector 3n/2 of the odd sector, D_n (odd n) vector (3n + 1)/2
-    slots = np.add.outer(starts, (3 * levels + levels % 2) // 2)
+    slots = np.add.outer(starts, sd_slot(np.arange(c.shape[1])))
     np.minimum(slots, vectors.size - 1, out=slots)  # past n_max, where c is 0
     overlap = SQRT2 * np.einsum("ij,ij->i", c, vectors[slots])
     overlap += np.array(beta) * vectors[np.array(starts) + 1]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabi2q import ModelParams, entangle, exact, transform, variational
+from rabi2q import FockTruncation, ModelParams, entangle, exact, transform, variational
 from rabi2q import cli
 from rabi2q.cli import (
     COLUMNS,
@@ -60,6 +60,16 @@ class TestGround:
         assert float(row["energy_variational"]) == pytest.approx(-1.0, abs=1e-9)
         assert float(row["negativity_exact"]) < 1e-10
         assert float(row["negativity_approx"]) == 0.0
+
+    def test_subnormal_coupling_raises_no_warning(self):
+        # the coherent state's downward ratios sqrt(n + 1) / amplitude overflow
+        # at an amplitude below about 2.3e-308, and are not taken there; the
+        # suite's filter makes a RuntimeWarning an error, which would end the
+        # row at its first exact column and fail the trial state
+        table = tabulate(1.0, [1e-320], ("g", "energy_exact", "fidelity", "error"), 1e-10)
+        assert table.ends == {} and table.cells[2] == [1.0]
+        state = variational.trial_state(5e-321, -math.sqrt(2.0), FockTruncation(16))
+        assert state.n_max == 16
 
     def test_benchmark_point(self, capsys):
         code, out, _ = run_cli(capsys, ["ground", "--omega-c", "1", "--g", "0.4"])
@@ -991,7 +1001,7 @@ class TestEvaluate:
         # with chi >= 1 at g = 1.6, neither runs nor warns
         def unconverged(omega_a, omega_c, g, n_max):
             failed = dict.fromkeys(range(len(g)), RuntimeError("not converged"))
-            return exact._Solve([], [], [], [], np.empty(0), [], {}, failed)
+            return exact.GroundStateChunk(failed, {})
 
         monkeypatch.setattr(exact, "_solve_chunk", unconverged)
         calls.clear()

@@ -194,7 +194,7 @@ class TestNegativityStacked:
         """The reference: each vector's negativity through its own reduced density matrix."""
         return [
             negativity_x_state(reduced_density_from_joint(JointState(
-                vectors[start : start + sector_size(FockTruncation(n), odd=True)]
+                vectors[start : start + sector_size(n, odd=True)]
             )))
             for start, n in zip(starts, n_max)
         ]  # fmt: skip
@@ -207,7 +207,7 @@ class TestNegativityStacked:
             ground_state_at(ModelParams(1.0, 1.0, g_k), n).state.amplitudes
             for g_k, n in zip(g, n_max)
         ])  # fmt: skip
-        sizes = [sector_size(FockTruncation(n), odd=True) for n in n_max]
+        sizes = [sector_size(n, odd=True) for n in n_max]
         starts = [sum(sizes[:k]) for k in range(len(g))]
         kept = [0, 1, 2, 4, 5, 6, 7, 8, 9]
         starts, n_max = [starts[k] for k in kept], [n_max[k] for k in kept]
@@ -224,7 +224,7 @@ class TestNegativityStacked:
         n_max = [n for n in range(61) for _ in range(3)] + [61]
         parts = []
         for n in n_max:
-            v = rng.standard_normal(sector_size(FockTruncation(n), odd=True))
+            v = rng.standard_normal(sector_size(n, odd=True))
             parts.append(v / np.linalg.norm(v))
         starts = np.cumsum([0] + [part.size for part in parts[:-1]]).tolist()
         vectors = np.concatenate(parts)

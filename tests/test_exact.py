@@ -175,7 +175,7 @@ def test_coupled_tiny_gap_is_refused(omega_c, g):
 
 @pytest.mark.parametrize("n_max", range(13))
 def test_joint_state_n_max_round_trips(n_max):
-    size = model.sector_size(FockTruncation(n_max), odd=True)
+    size = model.sector_size(n_max, odd=True)
     assert model.JointState(np.ones(size)).n_max == n_max
 
 
@@ -410,8 +410,8 @@ def test_chunk_of_several_runs_work_counts(monkeypatch):
     (chunk,) = exact.ground_state_chunks(1.0, 1.0, g, 1e-10)
     assert list(chunk.rows) == list(range(len(g))) and not chunk.errors
     assert model.runs(chunk.n_max) == [(0, 1), (1, 2), (2, 3), (3, 6), (6, 7), (7, 9)]
-    odd = [model.sector_size(FockTruncation(n), odd=True) for n in chunk.n_max]
-    even = [model.sector_size(FockTruncation(n), odd=False) for n in chunk.n_max]
+    odd = [model.sector_size(n, odd=True) for n in chunk.n_max]
+    even = [model.sector_size(n, odd=False) for n in chunk.n_max]
     assert eigensolves == [(size, 2) for size in odd]
     assert factorisations == [sum(odd) + sum(even)]
     # every row's gap is wide, so each takes the fewest steps
@@ -554,7 +554,7 @@ class TestChunks:
         rows = {}
         for chunk in exact.ground_state_chunks(1.0, omega_c, list(g), tol):
             for i, k in enumerate(chunk.rows):
-                size = model.sector_size(FockTruncation(chunk.n_max[i]), odd=True)
+                size = model.sector_size(chunk.n_max[i], odd=True)
                 vector = chunk.vectors[chunk.starts[i] : chunk.starts[i] + size]
                 rows[k] = (chunk.energy[i], chunk.n_max[i], chunk.residual[i],
                            chunk.convergence_gap[i], vector.tobytes())  # fmt: skip
@@ -654,11 +654,11 @@ class TestChunks:
     @pytest.mark.parametrize("cap", [40, 256, 4096])
     def test_no_chunk_holds_more_than_one_capped_solve(self, monkeypatch, cap):
         monkeypatch.setattr(exact, "N_MAX_CAP", cap)
-        limit = model.sector_size(FockTruncation(cap), odd=True)
+        limit = model.sector_size(cap, odd=True)
         chunks, real = [], exact._solve_chunk
 
         def solve(omega_a, omega_c, g, n_max):
-            chunks.append([model.sector_size(FockTruncation(n), odd=True) for n in n_max])
+            chunks.append([model.sector_size(n, odd=True) for n in n_max])
             return real(omega_a, omega_c, g, n_max)
 
         monkeypatch.setattr(exact, "_solve_chunk", solve)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -14,7 +15,9 @@ from rabi2q.model import (
     coherent_state_vector,
     embed,
     parity_operator,
+    row_dots,
     runs,
+    sd_slot,
     sector_bands,
     sector_hamiltonian,
     sector_size,
@@ -188,7 +191,7 @@ class TestSectorHamiltonian:
         n = np.arange(trunc.n_levels)
         coupling = params.g * np.sqrt((n + 1) % trunc.n_levels)  # none above n_max
         paired, single = slice(1 - odd, None, 2), slice(odd, None, 2)
-        band = np.zeros((3, sector_size(trunc, odd)))
+        band = np.zeros((3, sector_size(trunc.n_max, odd)))
         band[0, s] = band[0, z] = params.omega_c * n[paired]
         band[0, d] = params.omega_c * n[single]
         band[1, s] = params.omega_a
@@ -231,18 +234,49 @@ class TestSectorBands:
                 band = sector_hamiltonian(ModelParams(0.9, 0.7, g_k), FockTruncation(n), odd)
                 assert stack.band[:, columns].tobytes() == alone.band.tobytes() == band.tobytes()
                 assert alone.bounds == [0, stack.sizes[block]]
-                assert stack.sizes[block] == sector_size(FockTruncation(n), odd)
+                assert stack.sizes[block] == sector_size(n, odd)
                 assert stack.start[columns].tobytes() == alone.start.tobytes()
                 signs = np.where(np.arange(alone.sizes[0]) % 3 == 0, 1.0, -1.0)
                 assert np.array_equal(alone.start, signs if odd else np.zeros_like(signs))
 
     def test_runs_break_at_a_new_n_max_and_at_a_gap(self):
         n_max = [2, 2, 2, 5, 5]
-        size = [sector_size(FockTruncation(n), odd=True) for n in n_max]
+        size = [sector_size(n, odd=True) for n in n_max]
         starts = [0, size[0], 2 * size[0] + 7, 3 * size[0] + 7, 3 * size[0] + 7 + size[3]]
         assert runs(n_max) == [(0, 3), (3, 5)]
         assert runs(n_max, starts) == [(0, 2), (2, 3), (3, 5)]
         assert runs([]) == runs([], []) == []
+
+
+class TestSectorLayout:
+    """The one home of each piece of the odd sector's layout."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 17])
+    def test_row_dots_are_each_rows_dot_bit_for_bit(self, rows):
+        # contiguous rows, as inverse iteration's norms take them, and the
+        # strided S, |0> and D columns of the rows that negativity_stacked reads
+        rng = np.random.default_rng(rows)
+        for n_max in (0, 1, 7, 40):
+            size = sector_size(n_max, True)
+            a = rng.standard_normal((rows, size)) * rng.uniform(0.1, 10.0, (rows, 1))
+            b = rng.standard_normal((rows, size))
+            pairs = [(a, a), (a, b)]
+            for k, j in itertools.product(sector_slices(odd=True), repeat=2):
+                if a[:, k].shape == a[:, j].shape:
+                    pairs.append((a[:, k], a[:, j]))
+            for x, y in pairs:
+                dots = row_dots(x, y)
+                assert dots.shape == (rows,)
+                assert dots.tobytes() == b"".join(x[i].dot(y[i]).tobytes() for i in range(rows))
+
+    @pytest.mark.parametrize("n_max", range(41))
+    def test_sd_slot_is_each_levels_s_or_d_amplitude(self, n_max):
+        vec = np.arange(float(sector_size(n_max, True)))
+        s, _, d = sector_slices(odd=True)
+        levels = np.arange(n_max + 1)
+        expected = [vec[s][n // 2] if n % 2 == 0 else vec[d][n // 2] for n in levels]
+        assert vec[sd_slot(levels)].tolist() == expected
+        assert [vec[sd_slot(n)] for n in range(n_max + 1)] == expected
 
 
 def assert_poisson_weights(v, amplitude):
