@@ -77,8 +77,8 @@ class _Grid:
     The variational solution and its correction are one call over the grid,
     the exact stage one chunk of rows at a time; a raise fails every row."""
 
-    def __init__(self, omega_c, g: np.ndarray, tol, columns: tuple[str, ...], stop: bool):
-        self.omega_c, self.g, self.tol, self.stop = omega_c, g, tol, stop
+    def __init__(self, omega_c, g: np.ndarray, tol, columns: tuple[str, ...]):
+        self.omega_c, self.g, self.tol = omega_c, g, tol
         self.reads = {stage for column in columns for stage in COLUMNS[column][0]}
         self._floats: dict[str, list[float]] = {}
         self._exact = None  # (the values read off the exact stage, its errors per stage)
@@ -131,8 +131,8 @@ class _Grid:
         "rho" is read, and the fidelity to the variational trial state if
         "fidelity" is (at the rows where the solve did not fail, so the
         variational stage runs first).  Errors of the solve are those of
-        "exact", of the fidelity those of "fidelity"; with ``stop``, no chunk
-        past the lowest failed row is solved."""
+        "exact", of the fidelity those of "fidelity".  Every row of ``rows``
+        is solved, and each gets what it would get alone."""
         if self._exact is None:
             from .exact import GroundStateChunk, ground_state_chunks  # loads scipy.linalg
 
@@ -140,7 +140,7 @@ class _Grid:
             values = {name: [None] * self.g.size for name in reads}
             errors = {"exact": {}, "fidelity": {}}
             g = self.g[rows].tolist()
-            chunks = ground_state_chunks(1.0, self.omega_c, g, self.tol, self.stop)
+            chunks = ground_state_chunks(1.0, self.omega_c, g, self.tol)
             try:
                 for chunk in chunks:
                     errors["exact"].update((rows[i], exc) for i, exc in chunk.errors.items())
@@ -269,19 +269,25 @@ class Table(NamedTuple):
     ends: dict[int, tuple[int, Exception]]
     g: list[float]
 
+    def ended(self, row: int) -> dict:
+        """A row that ended, as a dict: the columns before its position (or g
+        alone, at -1) and its failure as "error"."""
+        position, exc = self.ends[row]
+        if position < 0:
+            view = {"g": self.g[row]}
+        else:
+            view = {c: cells[row] for c, cells in zip(self.columns[:position], self.cells)}
+        view["error"] = _message(exc)
+        return view
+
     def dicts(self) -> list[dict]:
-        """The rows as dicts, ``evaluate``'s view: a row that ended holds the
-        columns before its position (or g alone, at -1) and its "error"."""
+        """The rows as dicts, ``evaluate``'s view; a row that ended is ``ended``'s."""
         if self.cells and len(self.ends) < len(self.g):
             rows = [dict(zip(self.columns, cells)) for cells in zip(*self.cells)]
         else:  # every row ended, or there are no columns
             rows = [{} for _ in self.g]
-        for row, (position, exc) in self.ends.items():
-            if position < 0:
-                rows[row] = {"g": self.g[row]}
-            else:
-                rows[row] = {c: cells[row] for c, cells in zip(self.columns[:position], self.cells)}
-            rows[row]["error"] = _message(exc)
+        for row in self.ends:
+            rows[row] = self.ended(row)
         return rows
 
 
@@ -302,11 +308,12 @@ def tabulate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
     at once.
 
     A row ends at the first column whose stage failed there, or whose values
-    raised.  If ``columns`` holds "error", the row is in ``ends`` with that
-    column's position and the failure, and the other rows go on; a negative
-    g, for one, ends its row at -1 with the ValueError of ``ModelParams``.
-    Otherwise the failure of the lowest failing row is raised, and the exact
-    stage solves no chunk after the one where a row failed.
+    raised, and the other rows go on: a row's values and its failure are
+    those of its grid of one.  A negative g, for one, ends its row at -1 with
+    the ValueError of ``ModelParams``.  If ``columns`` holds "error", each
+    ended row is in ``ends`` with its column's position and its failure;
+    otherwise, once the table is filled, the failure of the lowest failing
+    row is raised.
     """
     g = np.asarray(g, dtype=float)
     coupling = (0.0 <= g) & (g < math.inf)
@@ -318,18 +325,9 @@ def tabulate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
                 ModelParams(1.0, omega_c, g_row)
             except ValueError as exc:
                 ends[row] = (-1, exc)
-    keep_going = "error" in columns
-
-    def survivors(rows) -> list[int]:
-        if not ends:
-            return list(rows)
-        # without an error column, only the rows before the first failure matter
-        limit = g.size if keep_going else min(ends)
-        return [row for row in rows if row < limit and row not in ends]
-
     # the grid solves 0 in place of a g that is no coupling
-    grid = _Grid(omega_c, np.where(coupling, g, 0.0) if ends else g, tol, columns, not keep_going)
-    alive = survivors(range(g.size))
+    grid = _Grid(omega_c, np.where(coupling, g, 0.0) if ends else g, tol, columns)
+    alive = [row for row in range(g.size) if row not in ends]
     table = []
     for position, column in enumerate(columns):
         for stage in COLUMNS[column][0]:
@@ -337,7 +335,7 @@ def tabulate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
             if errors:
                 for row, exc in errors.items():
                     ends.setdefault(row, (position, exc))
-                alive = survivors(alive)
+                alive = [row for row in alive if row not in ends]
         cells = None
         if alive:
             try:
@@ -347,7 +345,7 @@ def tabulate(omega_c: float, g, columns: tuple[str, ...], tol: float | None) -> 
                 alive = []
         table.append(cells)
 
-    if ends and not keep_going:
+    if ends and "error" not in columns:
         raise ends[min(ends)][1]
     return Table(tuple(columns), table, ends, g.tolist())
 
@@ -447,16 +445,9 @@ def _quoted(text: str) -> str:
 
 
 def _ended_line(table: Table, row: int) -> str:
-    """The CSV line of a row that ended: its cells before the column it ended
-    at (g alone, at -1), the others empty, and its failure as the error."""
-    position, exc = table.ends[row]
-    if position < 0:
-        cells = [table.g[row] if column == "g" else None for column in table.columns]
-    else:
-        cells = [column[row] for column in table.cells[:position]]
-        cells += [None] * (len(table.columns) - position)
-    if "error" in table.columns:
-        cells[table.columns.index("error")] = _message(exc)
+    """The CSV line of a row that ended: its cells of ``Table.ended``, the others empty."""
+    view = table.ended(row)
+    cells = [view.get(column) for column in table.columns]
     cells = [_quoted(cell) if isinstance(cell, str) else cell for cell in cells]
     return _template(map(type, cells)) % tuple(cells)
 

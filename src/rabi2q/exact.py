@@ -261,9 +261,17 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> G
     (rows, size) view of the prefix, and its norms, of each step's vectors
     and of the residuals, are one ``row_dots`` each.  The stack is block
     diagonal, so each row gets the numbers it would get alone, bit for bit,
-    and a row that fails (``errors``) leaves its neighbours' alone.
+    and a row that fails (``errors``) leaves its neighbours' alone.  Where
+    omega_c * n_max or g * sqrt(n_max + 1), the coupling out of the top level,
+    would overflow at a row, RuntimeError is raised before the band is
+    written, so under any warning filter; the error of a chunk of one names its row.
     """
-    count = len(g)
+    count, top, strongest = len(g), max(n_max), max(g)
+    if not math.isfinite(max(omega_c * top, strongest * math.sqrt(top + 1))):
+        raise RuntimeError(
+            f"Hamiltonian band overflows at n_max={top}: omega_c * n_max or g * sqrt(n_max + 1) "
+            f"exceeds the float range (omega_a={omega_a}, omega_c={omega_c}, g={strongest})"
+        )
     stack = sector_bands(omega_a, omega_c, g, n_max, (True, False))
     band, bounds, sizes = stack.band, stack.bounds, stack.sizes
     odd, odd_sizes = bounds[count], sizes[:count]  # the odd prefix, its blocks' sizes
@@ -381,9 +389,7 @@ def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
     return _solve_chunk(params.omega_a, params.omega_c, [params.g], [n_max]).result(params)
 
 
-def ground_state_chunks(
-    omega_a: float, omega_c: float, g: list[float], tol: float, stop_at_failure: bool = False
-):
+def ground_state_chunks(omega_a: float, omega_c: float, g: list[float], tol: float):
     """The ground state at each coupling of the list ``g``, as ``ground_state``
     finds it, one chunk of rows at a time: an iterator of ``GroundStateChunk``.
 
@@ -397,10 +403,10 @@ def ground_state_chunks(
     before, because the estimate has met its rounding floor there and more
     levels will not lower it (at omega_c = g = 1e40, say).  Each chunk
     is yielded with the rows it settled, and dropped before the next one is
-    solved.  If a chunk's solve raises (a numpy warning that a filter makes
-    an error), its rows are solved again one at a time, so that the
-    exception fails its own row alone.  With ``stop_at_failure``, no row
-    above the lowest failed one is solved after the chunk that failed it.
+    solved.  If a chunk's solve raises (a band that would overflow, or a
+    numpy warning that a filter makes an error), its rows are solved again
+    one at a time, so that the exception fails its own row alone.  So each
+    row is settled as in a grid of its own, whatever the other rows do.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -461,9 +467,6 @@ def ground_state_chunks(
                 accepted.append(i)
         if retry:
             pending = sorted(retry + pending)
-        if errors and stop_at_failure:
-            first = min(errors)
-            pending = [entry for entry in pending if entry[0] < first]
         if accepted or errors:  # the settled rows, by their grid rows
             subset = {} if len(accepted) == count else {
                 name: [getattr(solve, name)[i] for i in accepted]

@@ -227,56 +227,57 @@ def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, Runt
     the residual exceeds RESIDUAL_TOL, where eps_- departs from <H> by more
     than EQUIVALENCE_TOL relative (the two are different formulas for one
     energy), or where no well of finite energy is found, which happens once
-    g/w_c overflows the profile.
+    g/w_c overflows the profile.  No overflow, division by zero or invalid
+    value is warned of: it leaves its row's values non-finite, and that row's
+    checks report it, so a row's outcome depends on no other row and on no
+    warning filter.
     """
     wa, wc = params.omega_a, params.omega_c
     g = np.asarray(params.g, dtype=float)
-    top = g / wc
-    values = np.empty((g.size, _SCAN.size))  # f at alpha = top * _SCAN
-    for chunk in range(0, g.size, _SCAN_ROWS):  # bounds the temporaries of long grids
-        rows = slice(chunk, chunk + _SCAN_ROWS)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow: no finite well, raised below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        top = g / wc
+        values = np.empty((g.size, _SCAN.size))  # f at alpha = top * _SCAN
+        for chunk in range(0, g.size, _SCAN_ROWS):  # bounds the temporaries of long grids
+            rows = slice(chunk, chunk + _SCAN_ROWS)
             values[rows] = _stationarity(top[rows, None] * _SCAN, wa, wc, g[rows, None])
-    last = values[:, -1]
-    last[last < 0.0] = 0.0
-    row, col = np.nonzero((values[:, :-1] < 0.0) & (values[:, 1:] >= 0.0))
+        last = values[:, -1]
+        last[last < 0.0] = 0.0
+        row, col = np.nonzero((values[:, :-1] < 0.0) & (values[:, 1:] >= 0.0))
 
-    # The brackets' roots, in row order; where f is 0 at the upper end, that end.
-    # masked_brentq works in units of 2**ka in alpha and 2**kf in f, rescalings
-    # that are exact.  f(alpha) <= 2 (alpha (w_a + w_c) - g), so every root is at
-    # least g/(w_a + w_c) ~ 2**ka and xtol = 1e-15 is relative at any root; and
-    # its products of f and alpha steps cannot underflow at tiny g.
-    roots = top[row] * _SCAN[col + 1]
-    open_ = np.flatnonzero(values[row, col + 1] != 0.0)
-    g_open = g[row[open_]]
-    ka, kf = np.frexp(g_open / (wa + wc))[1], np.frexp(g_open)[1]
+        # The brackets' roots, in row order; where f is 0 at the upper end, that end.
+        # masked_brentq works in units of 2**ka in alpha and 2**kf in f, rescalings
+        # that are exact.  f(alpha) <= 2 (alpha (w_a + w_c) - g), so every root is at
+        # least g/(w_a + w_c) ~ 2**ka and xtol = 1e-15 is relative at any root; and
+        # its products of f and alpha steps cannot underflow at tiny g.
+        roots = top[row] * _SCAN[col + 1]
+        open_ = np.flatnonzero(values[row, col + 1] != 0.0)
+        g_open = g[row[open_]]
+        ka, kf = np.frexp(g_open / (wa + wc))[1], np.frexp(g_open)[1]
 
-    def scaled(u, k):
-        return np.ldexp(_stationarity(np.ldexp(u, ka[k]), wa, wc, g_open[k]), -kf[k])
+        def scaled(u, k):
+            return np.ldexp(_stationarity(np.ldexp(u, ka[k]), wa, wc, g_open[k]), -kf[k])
 
-    lo = np.ldexp(top[row[open_]] * _SCAN[col[open_]], -ka)
-    roots[open_] = np.ldexp(masked_brentq(scaled, lo, np.ldexp(roots[open_], -ka)), ka)
+        lo = np.ldexp(top[row[open_]] * _SCAN[col[open_]], -ka)
+        roots[open_] = np.ldexp(masked_brentq(scaled, lo, np.ldexp(roots[open_], -ka)), ka)
 
-    # Candidates: the roots, then alpha = 0 once per coupling.  That one's
-    # <H> is -w_a at g = 0, which has no bracket, and NaN elsewhere, so it is
-    # kept only by a coupling without a well, and then fails the finite check.
-    n, m = g.size, row.size
-    alpha = np.concatenate((roots, np.zeros(n)))
-    on = ModelParams(wa, wc, np.concatenate((g[row], g)))
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow: no finite well, raised below
+        # Candidates: the roots, then alpha = 0 once per coupling.  That one's
+        # <H> is -w_a at g = 0, which has no bracket, and NaN elsewhere, so it is
+        # kept only by a coupling without a well, and then fails the finite check.
+        n, m = g.size, row.size
+        alpha = np.concatenate((roots, np.zeros(n)))
+        on = ModelParams(wa, wc, np.concatenate((g[row], g)))
         levels = dressed_levels(alpha, on)
         energy = energy_expectation(alpha, levels.lambda_minus, on)
-    energy[m:] = np.where(g == 0.0, -wa, math.nan)
+        energy[m:] = np.where(g == 0.0, -wa, math.nan)
 
-    # per coupling, its first well, replaced by each later one of lower <H>
-    pick = np.arange(m, m + n)
-    rank = np.arange(m) - np.searchsorted(row, row)
-    for r in range(rank.max() + 1 if m else 0):
-        k = np.flatnonzero(rank == r)
-        better = (pick[row[k]] >= m) | (energy[k] < energy[pick[row[k]]])
-        pick[row[k[better]]] = k[better]
-    alpha, energy, levels = alpha[pick], energy[pick], levels.at(pick)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # rows without a well
+        # per coupling, its first well, replaced by each later one of lower <H>
+        pick = np.arange(m, m + n)
+        rank = np.arange(m) - np.searchsorted(row, row)
+        for r in range(rank.max() + 1 if m else 0):
+            k = np.flatnonzero(rank == r)
+            better = (pick[row[k]] >= m) | (energy[k] < energy[pick[row[k]]])
+            pick[row[k[better]]] = k[better]
+        alpha, energy, levels = alpha[pick], energy[pick], levels.at(pick)
         residual = stationarity_residual(alpha, levels.lambda_minus, params)
         unequal = np.abs(levels.eps_minus - energy) > EQUIVALENCE_TOL * np.abs(energy)
 

@@ -862,6 +862,40 @@ class TestEvaluate:
         for g, row in zip(grid, rows):
             assert row == evaluate(0.5, [g], columns, None)[0]
 
+    def test_variational_overflow_fails_its_row_only(self):
+        # the suite makes a RuntimeWarning an error: an overflow in the scan
+        # (g / omega_c at 1e-300) or in the masked Brent (at omega_c = 1e20,
+        # g = 1e154) once failed every row of the grid, g = 0 included
+        columns = ("g", "energy_exact", "energy_variational", "error")
+        rows = evaluate(1e20, [1e19, 1e20, 1e154], columns, 1e-10)
+        assert rows[:2] == evaluate(1e20, [1e19, 1e20], columns, 1e-10)
+        assert [row["error"] for row in rows[:2]] == ["", ""]
+        assert rows[2]["error"].startswith("RuntimeError: ground state not converged")
+        rows = evaluate(1e-300, [0.0, 5e29, 1e30], ("g", "energy_variational", "error"), None)
+        assert rows[0] == {"g": 0.0, "energy_variational": -1.0, "error": ""}
+        for row in rows[1:]:
+            assert row["error"].startswith("RuntimeError: no well of finite energy")
+
+    def test_an_overflowing_band_fails_its_row_alone(self):
+        # g sqrt(n_max + 1) passes the float range at g = 1.7e308 and n_max = 4096,
+        # and omega_c n_max at omega_c = 6e306 once n_max grows from 25 to 32: each
+        # row ends before its band is written, with the same error whatever the
+        # warning filter, and the other rows are what their grids of one are
+        columns = ("g", "energy_exact", "error")
+        overflow = "RuntimeError: Hamiltonian band overflows at n_max={}: omega_c * n_max or g * "
+        for filter_ in ("error", "always"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(filter_, RuntimeWarning)
+                rows = evaluate(1.0, [0.4, 1.7e308], columns, 1e-10)
+                assert rows[0] == evaluate(1.0, [0.4], columns, 1e-10)[0]
+                assert rows[0]["error"] == "" and list(rows[1]) == ["g", "error"]
+                assert rows[1]["error"].startswith(overflow.format(4096))
+                (row,) = evaluate(6e306, [6e306], columns, 1e-10)
+                assert row["error"].startswith(overflow.format(32))
+            assert caught == []
+        with pytest.raises(RuntimeError, match="band overflows"):
+            exact.ground_state(ModelParams(1.0, 1.0, 1.7e308))
+
     def test_warnings_as_errors_fail_the_rows_outside_only(self):
         # chi >= 1 from g ~ 1.22 at resonance: those rows fail at the correction
         columns = ("g", "energy_transform", "energy_corrected", "error")
@@ -981,20 +1015,21 @@ class TestEvaluate:
         rows = evaluate(1.0, [0.4, 1e200, -1.0, 0.8], columns, 1e-10)
         assert [row["error"] for row in rows[::3]] == ["", ""]
         assert (calls, solved) == ({"var": 1, "exact": 1, "rho": 1}, [0.4, 0.8])  # one chunk
-        # without an error column, the rows after the first failure do not matter
+        # without an error column, every live row is still solved, and the
+        # lowest failing row's failure is raised once the table is filled
         calls.clear()
         solved.clear()
         with pytest.raises(RuntimeError, match="no well"):
             evaluate(1.0, [0.4, 1e200, 0.8], columns[:-1], 1e-10)
-        assert (calls, solved) == ({"var": 1, "exact": 1, "rho": 1}, [0.4])
-        # nor are the chunks after the chunk where the exact stage fails a row:
+        assert (calls, solved) == ({"var": 1, "exact": 1, "rho": 1}, [0.4, 0.8])
+        # so are the chunks after the chunk where the exact stage fails a row:
         # at a cap of 24 levels each of these rows is a chunk of its own
         monkeypatch.setattr(exact, "N_MAX_CAP", 24)
-        self._fail_exact_at(monkeypatch, (1.2,))  # around the recording solve
+        self._fail_exact_at(monkeypatch, (1.2, 0.8))  # around the recording solve
         solved.clear()
-        with pytest.raises(RuntimeError, match="not converged"):
+        with pytest.raises(RuntimeError, match="not converged at 1.2"):
             evaluate(1.0, [0.4, 1.2, 0.8], ("g", "energy_exact", "alpha"), 1e-10)
-        assert solved == [0.4, 1.2]
+        assert solved == [0.4, 1.2, 0.8]
         monkeypatch.setattr(exact, "N_MAX_CAP", 4096)
 
         # nor does a grid stage run once no row is alive: the correction,
@@ -1038,6 +1073,71 @@ class TestEvaluate:
         rows = evaluate(1.0, [0.2, 0.4, 0.6, 0.8], columns, 1e-10)
         assert [row["error"] for row in rows] == [""] * 4 and len(results) == 4
         assert rows == [evaluate(1.0, [g], columns, 1e-10)[0] for g in (0.2, 0.4, 0.6, 0.8)]
+
+
+# The errors a row of the whole-plane test may end with, by region: each text is
+# what the row ends with today, whatever the warning filter.
+_GAP = "RuntimeError: odd-sector gap"
+_CAP = "RuntimeError: ground state not converged"
+_STALL = "RuntimeError: ground state error estimate stalls"
+_NO_WELL = "RuntimeError: no well of finite energy"
+_UNEQUAL = "RuntimeError: dressed-level/variational equivalence violated: eps_-=-inf"
+_RANGE = "OverflowError: (34, 'Numerical result out of range')"
+
+
+def _pinned(omega_c: float, ratio: float) -> tuple[str, ...]:
+    """The errors pinned for the row at omega_c and g / omega_c = ``ratio``."""
+    if omega_c > 1e154:  # (omega_a + omega_c)^2 of negativity_small_g
+        return (_RANGE,)
+    if ratio > 1e100:  # the profile's alpha^2, or d^2 in dressed_levels, overflows
+        return (_NO_WELL, _UNEQUAL)
+    pinned = ()
+    if omega_c < 1e-6 or (omega_c > 1e9 and ratio <= 1e-3):  # the gap is rounding
+        pinned += (_GAP,)
+    if ratio >= 100:  # the truncation reaches its cap
+        pinned += (_CAP,)
+    if omega_c > 1e40:  # the estimate meets its rounding floor
+        pinned += (_STALL,)
+    return pinned
+
+
+class TestWholePlane:
+    @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
+    def test_every_row_meets_the_invariants_or_ends_with_its_pinned_error(self):
+        # a log grid of the (omega_c, g) plane, every column, those of the exact
+        # stage last, so that a variational failure shows; g / omega_c of 100 and
+        # 1e3 climb to the cap at about 150 ms a row, so they are at two omega_c
+        named = (column for column in COLUMNS if column != "error")
+        columns = (*sorted(named, key=lambda column: "exact" in COLUMNS[column][0]), "error")
+        ratios = (0.0, 1e-3, 0.1, 1.0, 3.0, 10.0)
+        plane = {omega_c: [r * omega_c for r in ratios] for omega_c in
+                 (1e-300, 1e-20, 1e-10, 1e-5, 1e-2, 1.0, 1e2, 1e5, 1e10, 1e20, 1e50, 1e100, 1e200)}  # fmt: skip
+        for omega_c in (1.0, 1e5):
+            plane[omega_c] += [100.0 * omega_c, 1e3 * omega_c]
+        plane[1e-300].append(1e30)
+        plane[1e20].append(1e154)
+        plane[1.0] += [1e200, 1.7e308]
+
+        def printed(value: float) -> float:  # half a unit in the 10th significant digit
+            return 5e-10 * abs(value)
+
+        ended = set()
+        for omega_c, grid in plane.items():
+            rows = evaluate(omega_c, grid, columns, 1e-10)
+            for g, row in zip(grid, rows):
+                assert row == evaluate(omega_c, [g], columns, 1e-10)[0], (omega_c, g)
+                if row["error"]:
+                    pinned = _pinned(omega_c, g / omega_c if g else 0.0)
+                    assert row["error"].startswith(pinned), (omega_c, g, row["error"])
+                    ended.update(text for text in pinned if row["error"].startswith(text))
+                    continue
+                e, e_var = row["energy_exact"], row["energy_variational"]
+                lower = -1.0 - g * g / omega_c
+                assert lower - printed(lower) <= e <= e_var + printed(e_var), (omega_c, g)
+                for name in ("negativity_exact", "negativity_approx"):
+                    assert 0.0 <= row[name] <= 0.5, (omega_c, g, name)
+                assert row["fidelity"] <= 1.0 + printed(1.0), (omega_c, g)
+        assert ended == {_GAP, _CAP, _STALL, _NO_WELL, _UNEQUAL, _RANGE}
 
 
 class TestConfigErrors:
