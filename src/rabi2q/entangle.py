@@ -160,7 +160,8 @@ def negativity_closed_form(alpha, beta):
 def negativity_small_g(params: ModelParams) -> float:
     """Quadratic small-coupling law: w_c g^2 / (4 w_a (w_a + w_c)^2)."""
     wa, wc, g = params.omega_a, params.omega_c, params.g
-    return wc * g * g / (4.0 * wa * (wa + wc) ** 2)
+    x = g / (wa + wc)  # (w_a + w_c)^2 itself overflows past w_c ~ 1.3e154
+    return wc * x * x / (4.0 * wa)
 
 
 def concurrence_approx(alpha, beta):

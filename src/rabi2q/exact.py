@@ -15,11 +15,15 @@ eigenvalue, and with it the splitting and the excited gap
 min(E1_odd, E0_even) - E0, is solved only when a result is asked for them.
 
 The Fock truncation is sized from alpha = g / omega_c, an upper bound on
-the field displacement, and one solve there is accepted on its own
-truncation-error estimate: the residual of the zero-padded ground vector
-in the untruncated H, in Kato-Temple form (``ground_state_at``).  Only
-when the estimate exceeds the tolerance is the truncation grown, by a
-quarter, up to ``N_MAX_CAP``, and solved again.
+the field displacement, and from the tolerance: n_max = alpha^2 +
+8 sqrt(ell) alpha + 5 ell with ell = ln(tol) / ln(DEFAULT_TOL), at least 1,
+so alpha^2 + 8 alpha + 5 at the default tol and at any looser one, and never
+above alpha^2 + 8 alpha + 16 (``ground_state_chunks`` gives the reasons).
+One solve there is accepted on its own truncation-error estimate: the
+residual of the zero-padded ground vector in the untruncated H, in
+Kato-Temple form (``ground_state_at``).  Only when the estimate exceeds the
+tolerance is the truncation grown, by a quarter, up to ``N_MAX_CAP``, and
+solved again.
 
 A grid of couplings is solved a chunk of rows at a time
 (``ground_state_chunks``): the rows' bands sit side by side in one band,
@@ -265,6 +269,9 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> G
     omega_c * n_max or g * sqrt(n_max + 1), the coupling out of the top level,
     would overflow at a row, RuntimeError is raised before the band is
     written, so under any warning filter; the error of a chunk of one names its row.
+    A row whose E0 or E1_odd is not finite, or whose largest entry would
+    overflow in the copy shifted to E0, fails alone with a RuntimeError,
+    before that copy is written.
     """
     count, top, strongest = len(g), max(n_max), max(g)
     if not math.isfinite(max(omega_c * top, strongest * math.sqrt(top + 1))):
@@ -283,12 +290,28 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> G
             e0, e1 = _lowest_eigenvalues(band[:, bounds[k] : bounds[k + 1]], 2).tolist()
         except np.linalg.LinAlgError as exc:
             errors[k], e0, e1 = exc, 0.0, math.inf
-        gap = e1 - e0
-        if k not in errors and gap <= (COUPLED_GAP if g[k] else DECOUPLED_GAP) * scale:
-            errors[k] = RuntimeError(
-                f"odd-sector gap {gap:.3e} is too small to resolve the ground vector "
-                f"at n_max={n_max[k]} (omega_a={omega_a}, omega_c={omega_c}, g={g[k]})"
-            )
+        else:
+            gap = e1 - e0
+            where = f"(omega_a={omega_a}, omega_c={omega_c}, g={g[k]})"
+            if not math.isfinite(gap):  # E0 or E1_odd past the float range
+                errors[k] = RuntimeError(
+                    f"odd-sector spectrum overflows at n_max={n_max[k]}: E0 = {e0:.3e}, "
+                    f"E1_odd = {e1:.3e} {where}"
+                )
+            elif gap <= (COUPLED_GAP if g[k] else DECOUPLED_GAP) * scale:
+                errors[k] = RuntimeError(
+                    f"odd-sector gap {gap:.3e} is too small to resolve the ground vector "
+                    f"at n_max={n_max[k]} {where}"
+                )
+            else:
+                offset = max(min(1e-10 * scale, 1e-5 * gap), SHIFT_FLOOR * scale)
+                row_shift, row_sigma = e0 - offset, e0 - 1e-12 * (abs(e0) + 1.0)
+                if not math.isfinite(scale - min(row_shift, row_sigma)):  # the shifted diagonal
+                    errors[k] = RuntimeError(
+                        f"Hamiltonian band overflows at n_max={n_max[k]}: omega_c * n_max or "
+                        f"g * sqrt(n_max + 1), shifted by E0 = {e0:.3e}, exceeds the float "
+                        f"range {where}"
+                    )
         if k in errors:  # both blocks become the identity below
             e0 = 0.0
             shift.append(0.0)
@@ -296,9 +319,8 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> G
             unit.append(1.0)
             steps.append(0)
         else:
-            offset = max(min(1e-10 * scale, 1e-5 * gap), SHIFT_FLOOR * scale)
-            shift.append(e0 - offset)
-            sigma.append(e0 - 1e-12 * (abs(e0) + 1.0))
+            shift.append(row_shift)
+            sigma.append(row_sigma)
             unit.append(_unit(scale))
             damping = math.log(offset / (gap + offset))
             steps.append(max(INVERSE_ITERATIONS, math.ceil(math.log(LEFTOVER) / damping)))
@@ -351,7 +373,7 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> G
             residual.append(math.nan)
             continue
         leak = g[k] * math.sqrt(n_max[k] + 1) * abs(float(vec[bounds[k] + sd_slot(n_max[k])]))
-        estimate.append(leak * leak / (odd_1[k] - energy[k]))
+        estimate.append(leak * (leak / (odd_1[k] - energy[k])))
         residual.append(unit[k] * math.sqrt(squares[k]))
     return GroundStateChunk(errors, even_below, range(count), energy, n_max, residual, estimate,
                             odd_1, bounds[:count], vec)  # fmt: skip
@@ -411,10 +433,21 @@ def ground_state_chunks(omega_a: float, omega_c: float, g: list[float], tol: flo
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     limit = sector_size(N_MAX_CAP, True)
+    # The estimate is g^2 (N + 1) v_N^2 / gap, and v_N^2 follows the
+    # Poisson(alpha^2) weight at N, whose normal tail falls to tol at
+    # 1.18 alpha sqrt(2 ln(1/tol)) = 8 sqrt(ell) alpha levels past alpha^2, with
+    # ell = ln(tol) / ln(DEFAULT_TOL).  The constant covers small alpha and keeps
+    # n_max >= 5: the level -omega_a + 2 omega_c stays in the odd band, so the
+    # gap guard and the estimate see the true E1_odd.  A looser tol is sized as
+    # the default: the even-sector certificate's margin, 1e-12 (|E0| + 1), does
+    # not grow with tol, and a smaller truncation could fail it falsely.
+    ell = math.log(min(tol, DEFAULT_TOL)) / math.log(DEFAULT_TOL)  # 1 at the default tol
+    slope, constant = 8.0 * math.sqrt(ell), 5.0 * ell
     pending = []  # (row, n_max, the estimate on its last truncation or None), lowest row first
     for k, g_k in enumerate(g):
         alpha = g_k / omega_c  # bounds the field displacement
-        pending.append((k, math.ceil(min(alpha * alpha + 8.0 * alpha + 16.0, N_MAX_CAP)), None))
+        tail = min(slope * alpha + constant, 8.0 * alpha + 16.0)
+        pending.append((k, math.ceil(min(alpha * alpha + tail, N_MAX_CAP)), None))
     alone = set()  # rows of a chunk that raised as a whole, solved one at a time
     while pending:
         count, total = 0, 0
@@ -483,16 +516,19 @@ def ground_state(params: ModelParams, tol: float = DEFAULT_TOL) -> GroundStateRe
     """Ground state on a truncation sized from g/omega_c, accepted on its own error estimate.
 
     alpha = g / omega_c bounds the field displacement, so the first solve
-    is at n_max = alpha^2 + 8 alpha + 16, at most ``N_MAX_CAP``.  The
-    truncation grows by a quarter until the estimate of ``ground_state_at``
-    is below ``tol``, a positive absolute energy tolerance in the units of
-    ``params``.  Raises RuntimeError if the cap is reached without that,
-    which signals pathological parameters rather than a tight tolerance,
-    if a grown truncation does not halve the estimate (its rounding floor,
-    which the message gives as the smallest tolerance that can be met),
-    and if the accepted even-sector ground energy lies more than
-    1e-12 (|E0| + 1) below the odd-sector one, which would break the premise
-    that the ground state is odd.  It is ``ground_state_chunks`` of one row.
+    is at n_max = alpha^2 + 8 sqrt(ell) alpha + 5 ell, ell being
+    ln(tol) / ln(DEFAULT_TOL) and at least 1: alpha^2 + 8 alpha + 5 at the
+    default tol and any looser one, at most alpha^2 + 8 alpha + 16 and
+    ``N_MAX_CAP``.  The truncation grows by a quarter until
+    the estimate of ``ground_state_at`` is below ``tol``, a positive absolute
+    energy tolerance in the units of ``params``.  Raises RuntimeError if the
+    cap is reached without that, which signals pathological parameters
+    rather than a tight tolerance, if a grown truncation does not halve the
+    estimate (its rounding floor, which the message gives as the smallest
+    tolerance that can be met), and if the accepted even-sector ground
+    energy lies more than 1e-12 (|E0| + 1) below the odd-sector one, which
+    would break the premise that the ground state is odd.  It is
+    ``ground_state_chunks`` of one row.
     """
     (chunk,) = ground_state_chunks(params.omega_a, params.omega_c, [params.g], tol)
     return chunk.result(params)

@@ -51,6 +51,8 @@ from .model import (
     coherent_state_vector,
     lost_norm,
     make_state,
+    row_dots,
+    runs,
     sd_slot,
     sector_size,
     sector_slices,
@@ -339,7 +341,9 @@ def trial_fidelities(
     S_n at even n, -sqrt2 c_n on D_n at odd n and beta on |0>_0, so its
     overlap with v is sqrt2 sum_n (-1)^n c_n v_n + beta v(|0>_0), and its
     squared norm is 2 <c, c> + beta^2.  The fidelity is the overlap over the
-    norm, equal to the renormalized trial state's to rounding.  Each row's
+    norm, equal to the renormalized trial state's to rounding.  Both sums run
+    over the row's own levels, one ``row_dots`` per run of rows with one
+    n_max, so each row's fidelity is that of its grid of one.  Each row's
     FockTruncationWarning is issued as ``coherent_state_vector`` issues it;
     where a filter raises it instead, that row's fidelity is NaN and the
     warning is its error.
@@ -348,11 +352,15 @@ def trial_fidelities(
         return [], {}
     c = coherent_state_rows(np.array(alpha), np.array(n_max))  # zero past each n_max
     c[:, 1::2] *= -1.0
-    slots = np.add.outer(starts, sd_slot(np.arange(c.shape[1])))
-    np.minimum(slots, vectors.size - 1, out=slots)  # past n_max, where c is 0
-    overlap = SQRT2 * np.einsum("ij,ij->i", c, vectors[slots])
-    overlap += np.array(beta) * vectors[np.array(starts) + 1]
-    weight = np.einsum("ij,ij->i", c, c)
+    overlap, weight = [], []
+    for first, stop in runs(n_max):  # on each row's own levels, as in a grid of one
+        levels = n_max[first] + 1
+        part = c[first:stop, :levels]
+        amplitudes = vectors[np.add.outer(starts[first:stop], sd_slot(np.arange(levels)))]
+        overlap += row_dots(part, amplitudes).tolist()
+        weight += row_dots(part, part).tolist()
+    overlap = SQRT2 * np.array(overlap) + np.array(beta) * vectors[np.array(starts) + 1]
+    weight = np.array(weight)
     fidelities = (np.abs(overlap) / np.sqrt(2.0 * weight + np.square(beta))).tolist()
     errors = {}
     for i in np.flatnonzero(1.0 - weight > COHERENT_DEFICIT_TOL).tolist():

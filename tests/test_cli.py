@@ -878,9 +878,10 @@ class TestEvaluate:
 
     def test_an_overflowing_band_fails_its_row_alone(self):
         # g sqrt(n_max + 1) passes the float range at g = 1.7e308 and n_max = 4096,
-        # and omega_c n_max at omega_c = 6e306 once n_max grows from 25 to 32: each
-        # row ends before its band is written, with the same error whatever the
-        # warning filter, and the other rows are what their grids of one are
+        # and omega_c n_max, shifted by E0 = -6e306, at omega_c = 6e306 once n_max
+        # grows from 23 to 29: each row ends before the band or its shifted copy
+        # overflows, with the same error whatever the warning filter, and the
+        # other rows are what their grids of one are
         columns = ("g", "energy_exact", "error")
         overflow = "RuntimeError: Hamiltonian band overflows at n_max={}: omega_c * n_max or g * "
         for filter_ in ("error", "always"):
@@ -891,7 +892,13 @@ class TestEvaluate:
                 assert rows[0]["error"] == "" and list(rows[1]) == ["g", "error"]
                 assert rows[1]["error"].startswith(overflow.format(4096))
                 (row,) = evaluate(6e306, [6e306], columns, 1e-10)
-                assert row["error"].startswith(overflow.format(32))
+                assert row["error"].startswith(overflow.format(29))
+                # at g = 2e306 the band is finite, its eigenvalues are not
+                rows = evaluate(1.0, [0.4, 2e306], columns, 1e-10)
+                assert rows[0] == evaluate(1.0, [0.4], columns, 1e-10)[0]
+                assert rows[1]["error"].startswith(
+                    "RuntimeError: odd-sector spectrum overflows at n_max=4096: E0 = -inf"
+                )
             assert caught == []
         with pytest.raises(RuntimeError, match="band overflows"):
             exact.ground_state(ModelParams(1.0, 1.0, 1.7e308))
@@ -960,9 +967,9 @@ class TestEvaluate:
         # every column, those of the exact stage last, so that each kind of
         # failure ends its row before it: a negative g, the correction's
         # overflow (6e76 at omega_c = 0.5), no finite well (1e200), and a
-        # raise in the fidelity column (at g = 0.8, where n_max is 32)
+        # raise in the fidelity column (at g = 0.8, where n_max is 21)
         columns = tuple(sorted(COLUMNS, key=lambda column: "exact" in COLUMNS[column][0]))
-        self._fail_fidelity_at(monkeypatch, 32)
+        self._fail_fidelity_at(monkeypatch, 21)
         grid = [0.4, -1.0, 6e76, 0.8, 1e200, 1.2]
         table = tabulate(0.5, grid, columns, 1e-10)
         rows = table.dicts()
@@ -993,7 +1000,7 @@ class TestEvaluate:
             evaluate(0.5, [0.4, 6e76, 1e200], columns, None)
 
         self._fail_exact_at(monkeypatch, (1.2,))
-        self._fail_fidelity_at(monkeypatch, 24)  # at g = 0.8
+        self._fail_fidelity_at(monkeypatch, 13)  # at g = 0.8
         columns = ("g", "energy_exact", "fidelity")
         rows = evaluate(1.0, [0.4, 0.8, 1.2], (*columns, "error"), 1e-10)
         assert rows[1] == {"g": 0.8, "energy_exact": rows[1]["energy_exact"],
@@ -1023,8 +1030,8 @@ class TestEvaluate:
             evaluate(1.0, [0.4, 1e200, 0.8], columns[:-1], 1e-10)
         assert (calls, solved) == ({"var": 1, "exact": 1, "rho": 1}, [0.4, 0.8])
         # so are the chunks after the chunk where the exact stage fails a row:
-        # at a cap of 24 levels each of these rows is a chunk of its own
-        monkeypatch.setattr(exact, "N_MAX_CAP", 24)
+        # at a cap of 13 levels each of these rows is a chunk of its own
+        monkeypatch.setattr(exact, "N_MAX_CAP", 13)
         self._fail_exact_at(monkeypatch, (1.2, 0.8))  # around the recording solve
         solved.clear()
         with pytest.raises(RuntimeError, match="not converged at 1.2"):
@@ -1057,8 +1064,8 @@ class TestEvaluate:
     def test_each_rows_exact_state_is_dropped_after_its_row(self, monkeypatch):
         # the exact columns sit apart, with grid columns between them, yet a
         # chunk's ground states are gone before the next chunk solves its own;
-        # at a cap of 24 levels each of these rows is a chunk of its own
-        monkeypatch.setattr(exact, "N_MAX_CAP", 24)
+        # at a cap of 13 levels each of these rows is a chunk of its own
+        monkeypatch.setattr(exact, "N_MAX_CAP", 13)
         results = []
 
         def solve(omega_a, omega_c, g, n_max, _fn=exact._solve_chunk):
@@ -1082,15 +1089,14 @@ _CAP = "RuntimeError: ground state not converged"
 _STALL = "RuntimeError: ground state error estimate stalls"
 _NO_WELL = "RuntimeError: no well of finite energy"
 _UNEQUAL = "RuntimeError: dressed-level/variational equivalence violated: eps_-=-inf"
-_RANGE = "OverflowError: (34, 'Numerical result out of range')"
 
 
 def _pinned(omega_c: float, ratio: float) -> tuple[str, ...]:
     """The errors pinned for the row at omega_c and g / omega_c = ``ratio``."""
-    if omega_c > 1e154:  # (omega_a + omega_c)^2 of negativity_small_g
-        return (_RANGE,)
     if ratio > 1e100:  # the profile's alpha^2, or d^2 in dressed_levels, overflows
         return (_NO_WELL, _UNEQUAL)
+    if omega_c * ratio * ratio > 1e154:  # d ~ omega_c alpha^2 of dressed_levels: d^2 overflows
+        return (_UNEQUAL,)
     pinned = ()
     if omega_c < 1e-6 or (omega_c > 1e9 and ratio <= 1e-3):  # the gap is rounding
         pinned += (_GAP,)
@@ -1137,7 +1143,7 @@ class TestWholePlane:
                 for name in ("negativity_exact", "negativity_approx"):
                     assert 0.0 <= row[name] <= 0.5, (omega_c, g, name)
                 assert row["fidelity"] <= 1.0 + printed(1.0), (omega_c, g)
-        assert ended == {_GAP, _CAP, _STALL, _NO_WELL, _UNEQUAL, _RANGE}
+        assert ended == {_GAP, _CAP, _STALL, _NO_WELL, _UNEQUAL}
 
 
 class TestConfigErrors:

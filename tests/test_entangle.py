@@ -355,6 +355,11 @@ class TestNegativitySmallG:
             0.0025, abs=1e-15
         )
 
+    def test_huge_omega_c_keeps_the_law(self):
+        # (omega_a + omega_c)^2 alone overflows past omega_c ~ 1.3e154
+        value = negativity_small_g(ModelParams(1.0, 1e200, np.array([0.0, 1e100, 1e200])))
+        assert value.tolist() == pytest.approx([0.0, 0.25, 2.5e199], rel=1e-15)
+
     def test_detuned_value(self):
         assert negativity_small_g(ModelParams(1.0, 1.2, 0.1)) == pytest.approx(
             1.2 * 0.01 / (4.0 * 4.84), abs=1e-15

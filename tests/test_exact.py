@@ -126,7 +126,7 @@ def test_hard_cap_raises(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("omega_c,g", [(1e-300, 1e5), (1.0, 1e200)])
 def test_overflowing_size_reaches_the_cap(monkeypatch, omega_c, g):
-    # alpha^2 + 8 alpha + 16 is inf here, so the size is capped before it is rounded
+    # alpha^2 is inf here, so the size is capped before it is rounded
     monkeypatch.setattr(exact, "N_MAX_CAP", 64)
     with pytest.raises(RuntimeError, match="not converged"):
         ground_state(ModelParams(1.0, omega_c, g), tol=1e-10)
@@ -288,7 +288,8 @@ def test_even_sector_certificate_agrees_with_its_eigenvalue():
     # one Cholesky factorisation of the even band less E0 - 1e-12 (|E0| + 1)
     # succeeds exactly where the even sector's lowest eigenvalue lies above
     # that, from truncations far too small, where it can lie below E0, up to
-    # the sized one; all the truncations at one omega_c are one stacked solve
+    # alpha^2 + 8 alpha + 16, past the sized one; all the truncations at one
+    # omega_c are one stacked solve
     below = 0
     for omega_c in (0.2, 0.5, 1.0, 2.0):
         points = []
@@ -434,11 +435,65 @@ def _record_sizes(monkeypatch):
 
 
 def test_sized_first_truncation_is_accepted(monkeypatch):
-    # alpha = 0.4: ceil(0.16 + 3.2 + 16) = 20 levels, certified at once
+    # alpha = 0.4: ceil(0.16 + 3.2 + 5) = 9 levels, certified at once
     sizes = _record_sizes(monkeypatch)
     result = ground_state(ModelParams(1.0, 1.0, 0.4))
-    assert sizes == [20] and result.n_max_used == 20
+    assert sizes == [9] and result.n_max_used == 9
     assert result.convergence_gap < 1e-10
+
+
+@pytest.mark.parametrize(
+    "tol,n_max", [(1e-2, 9), (1e-10, 9), (1e-13, 11), (1e-36, 20)]
+)
+def test_first_truncation_follows_the_tolerance(monkeypatch, tol, n_max):
+    # alpha = 0.4 and ell = ln(tol) / ln(1e-10), at least 1: ceil(alpha^2 +
+    # 8 sqrt(ell) alpha + 5 ell), never above alpha^2 + 8 alpha + 16 (20 levels)
+    sizes = _record_sizes(monkeypatch)
+    assert ground_state(ModelParams(1.0, 1.0, 0.4), tol=tol).n_max_used == n_max
+    assert sizes == [n_max]
+
+
+def _cut_certifies(params: ModelParams, n_max: int, sigma: float) -> bool:
+    """Whether the cut between levels n_max and n_max + 1 puts the untruncated
+    E0 above ``sigma``.  With c = g sqrt(N + 1), alpha = g / omega_c and
+    m = omega_c (sqrt(N + 1) - alpha)^2 - g alpha - omega_a - sigma > 0,
+    Cauchy-Schwarz bounds the coupling across the cut by c^2 / m on the top
+    S_N or D_N and by m above the cut, where H - sigma >= m; so if the
+    truncated odd band with c^2 / m off that entry, shifted by sigma, is
+    positive definite (dpbtrf), so is the untruncated H - sigma."""
+    wa, wc, g = params.omega_a, params.omega_c, params.g
+    c, alpha = g * np.sqrt(n_max + 1.0), g / wc
+    m = wc * (np.sqrt(n_max + 1.0) - alpha) ** 2 - g * alpha - wa - sigma
+    assert np.sqrt(n_max + 1.0) >= alpha and m > 0.0, (params, n_max)
+    band = model.sector_hamiltonian(params, FockTruncation(n_max), odd=True)
+    band[0, model.sd_slot(n_max)] -= c * c / m
+    band[0] -= sigma
+    return scipy.linalg.lapack.dpbtrf(band, lower=1)[1] == 0
+
+
+def test_first_truncation_is_certified_in_the_paper_window():
+    # each of paper-sweep's 241 rows, solved on its first truncation, has its
+    # untruncated E0 within tol of E0_N: the cut bound certifies E0_N - tol
+    # from below, and E0_N lies above E0 (Rayleigh-Ritz)
+    g = np.linspace(0.0, 1.2, 241).tolist()
+    certified = 0
+    for chunk in exact.ground_state_chunks(1.0, 1.0, g, 1e-10):
+        assert chunk.errors == {}
+        for k, n_max, energy in zip(chunk.rows, chunk.n_max, chunk.energy):
+            assert n_max == int(np.ceil(g[k] ** 2 + 8.0 * g[k] + 5.0))
+            certified += _cut_certifies(ModelParams(1.0, 1.0, g[k]), n_max, energy - 1e-10)
+    assert certified == 241
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("omega_c", [0.2, 0.5, 1.0, 2.0])
+def test_energy_is_within_tol_of_a_much_larger_truncation(omega_c, tol):
+    # E0 at the accepted N against E0 at 2 N + 20, from weak to deep coupling
+    for alpha in (0.1, 0.6, 1.5, 3.0, 6.0):
+        params = ModelParams(1.0, omega_c, alpha * omega_c)
+        result = ground_state(params, tol=tol)
+        reference = ground_state_at(params, 2 * result.n_max_used + 20).energy
+        assert abs(result.energy - reference) < tol, (alpha, result.n_max_used)
 
 
 def test_truncation_grows_by_a_quarter_up_to_the_cap(monkeypatch):
@@ -452,22 +507,24 @@ def test_truncation_grows_by_a_quarter_up_to_the_cap(monkeypatch):
     assert sizes == [49, 62, 70]
 
 
-@pytest.mark.parametrize("scale", [1e40, 1e150])
+@pytest.mark.parametrize("scale", [1e40, 1e150, 1e306])
 def test_estimate_on_its_rounding_floor_ends_the_ladder(monkeypatch, scale):
     # omega_c = g = s is the alpha = 1 problem scaled by s; the estimate falls
-    # at 25 and 32 levels, then sits on a floor about 2e-39 s: at 50 levels it
-    # is not below half of its value at 40, and the row ends there
+    # from 14 to 37 levels, then sits on a floor about 2e-39 s: at 47 levels it
+    # is not below half of its value at 37, and the row ends there
     sizes = _record_sizes(monkeypatch)
-    with pytest.raises(RuntimeError, match="estimate stalls at n_max=50") as error:
+    with pytest.raises(RuntimeError, match="estimate stalls at n_max=47") as error:
         ground_state(ModelParams(1.0, scale, scale))
-    assert sizes == [25, 32, 40, 50]
+    assert sizes == [14, 18, 23, 29, 37, 47]
     floor = float(re.search(r"--tol this point can meet is above (\S+) ", str(error.value))[1])
     assert 1e-39 * scale < floor < 1e-38 * scale
     # a tolerance above the floor is met, on the truncation where it was read
-    assert ground_state(ModelParams(1.0, scale, scale), tol=1.01 * floor).n_max_used == 40
+    assert ground_state(ModelParams(1.0, scale, scale), tol=1.01 * floor).n_max_used == 37
 
 
-@pytest.mark.parametrize("scale,n_max,energy", [(1.0, [25], -1.389855187), (1e20, [25, 32], -1e20)])
+@pytest.mark.parametrize(
+    "scale,n_max,energy", [(1.0, [14], -1.389855187), (1e20, [14, 18, 23, 29, 37], -1e20)]
+)
 def test_estimates_that_keep_falling_keep_their_ladder(monkeypatch, scale, n_max, energy):
     # at s = 1e20 the qubit splitting is lost next to g^2 / omega_c = s
     sizes = _record_sizes(monkeypatch)
@@ -494,7 +551,8 @@ def test_error_estimate_is_the_padded_residual(omega_c, g, n_max):
 
 def test_error_estimate_certifies_the_truncation():
     # Kato-Temple estimate against the error to a much larger truncation,
-    # over truncations from far too small up to the sized one (alpha <= 40)
+    # over truncations from far too small up to alpha^2 + 8 alpha + 16, past
+    # the sized one (alpha <= 40)
     tol, compared = 1e-10, 0
     for omega_c in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
         for g in np.linspace(0.0, min(5.0, 40.0 * omega_c), 7)[1:]:
@@ -597,7 +655,7 @@ class TestChunks:
         rows = cli.evaluate(1e-10, g, self.COLUMNS, 1e-10)
         assert rows[0]["error"] == ""
         assert rows[0] == cli.evaluate(1e-10, [0.0], self.COLUMNS, 1e-10)[0]
-        for row, n_max in zip(rows[1:], (25, 36)):
+        for row, n_max in zip(rows[1:], (14, 25)):
             assert row == {"g": row["g"], "error": (
                 "RuntimeError: odd-sector gap 2.000e-10 is too small to resolve the ground vector "
                 f"at n_max={n_max} (omega_a=1.0, omega_c=1e-10, g={row['g']})"
@@ -632,7 +690,7 @@ class TestChunks:
         assert rows[0::2] == expected[0::2]
         assert rows[1].startswith("even-sector ground energy lies ")
         assert rows[1].endswith(
-            "below the odd-sector one at n_max=22 (omega_a=1.0, omega_c=1.0, g=0.6)"
+            "below the odd-sector one at n_max=11 (omega_a=1.0, omega_c=1.0, g=0.6)"
         )
 
     def test_a_chunk_that_raises_fails_the_row_that_raised(self, monkeypatch):
@@ -662,7 +720,7 @@ class TestChunks:
             return real(omega_a, omega_c, g, n_max)
 
         monkeypatch.setattr(exact, "_solve_chunk", solve)
-        for omega_c, g in ((1.0, np.linspace(0.0, 1.2, 241)), (0.2, np.linspace(0.2, 2.0, 10))):
+        for omega_c, g in ((1.0, np.linspace(0.0, 2.4, 241)), (0.2, np.linspace(0.2, 2.0, 10))):
             for _ in exact.ground_state_chunks(1.0, omega_c, g.tolist(), 1e-10):
                 pass
         assert len(chunks) > 2 and max(map(sum, chunks)) <= limit
