@@ -3,8 +3,10 @@ rotating-wave approximation: exact diagonalization, a coherent-state
 variational ansatz, a displacement-transformation method with a
 perturbative correction, and qubit-qubit entanglement negativity.
 
-Only the exact solver needs scipy (scipy.linalg), so ``exact`` and the
-names taken from it load on first access, not with the package.
+Only the exact solver needs scipy, and of it only the LAPACK and BLAS
+extension modules, which it loads without importing the scipy package;
+``exact`` and the names taken from it load on first access, not with the
+package.
 """
 
 import importlib

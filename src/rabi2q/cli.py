@@ -13,9 +13,10 @@ The table stays column-major until it is written: ``render_rows`` formats
 the CSV rows straight from its columns, and ``evaluate`` is its dict view.
 
 A command loads only the solvers it runs: ``rabi2q.exact``, and with it
-scipy.linalg, is imported with the first row that needs the exact stage,
-and scipy.optimize only by ``find-zero``.  So ``variational``, ``transform``
-and an approximate ``sweep`` run on numpy alone.
+scipy's LAPACK and BLAS extension modules (not the scipy package), is
+imported with the first row that needs the exact stage, and scipy.optimize
+only by ``find-zero``.  So ``variational``, ``transform`` and an
+approximate ``sweep`` run on numpy alone.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ class _Parser(argparse.ArgumentParser):
 class _Grid:
     """The stages of ``evaluate`` over a grid of g at one omega_c, each run once,
     when a column first needs it, and each reporting the rows where it failed.
-    The variational solution and its correction are one call over the grid,
-    the exact stage one chunk of rows at a time; a raise fails every row."""
+    The variational solution and its correction are one call over the grid, and
+    a raise there fails every row; the exact stage runs one chunk of rows at a
+    time, and a raise in what is read off a chunk fails that chunk's rows."""
 
     def __init__(self, omega_c, g: np.ndarray, tol, columns: tuple[str, ...]):
         self.omega_c, self.g, self.tol = omega_c, g, tol
@@ -131,20 +133,22 @@ class _Grid:
         "rho" is read, and the fidelity to the variational trial state if
         "fidelity" is (at the rows where the solve did not fail, so the
         variational stage runs first).  Errors of the solve are those of
-        "exact", of the fidelity those of "fidelity".  Every row of ``rows``
-        is solved, and each gets what it would get alone."""
+        "exact", of the negativity those of "rho" and of the fidelity those
+        of "fidelity"; a read-off that raises fails that chunk's rows at its
+        stage alone.  Every row of ``rows`` is solved, and each gets what it
+        would get alone."""
         if self._exact is None:
-            from .exact import GroundStateChunk, ground_state_chunks  # loads scipy.linalg
+            from .exact import GroundStateChunk, ground_state_chunks  # loads scipy's LAPACK
 
             reads = (*GroundStateChunk.ROW_VALUES, "negativity", "fidelity")
             values = {name: [None] * self.g.size for name in reads}
-            errors = {"exact": {}, "fidelity": {}}
+            errors = {"exact": {}, "rho": {}, "fidelity": {}}
             g = self.g[rows].tolist()
             chunks = ground_state_chunks(1.0, self.omega_c, g, self.tol)
             try:
                 for chunk in chunks:
                     errors["exact"].update((rows[i], exc) for i, exc in chunk.errors.items())
-                    self._read(chunk, [rows[i] for i in chunk.rows], values, errors["fidelity"])
+                    self._read(chunk, [rows[i] for i in chunk.rows], values, errors)
                     del chunk  # before the next one is solved
             except Exception as exc:  # fails the rows not settled yet
                 for row in rows:
@@ -153,29 +157,42 @@ class _Grid:
             self._exact = values, errors
         return self._exact
 
-    def _read(self, chunk, at: list[int], values: dict[str, list], failures: dict) -> None:
-        """Read the exact columns off a chunk whose accepted rows are ``at``."""
-        read = {name: getattr(chunk, name) for name in chunk.ROW_VALUES}
-        if "rho" in self.reads:
-            read["negativity"] = entangle.negativity_stacked(
-                chunk.vectors, chunk.starts, chunk.n_max
-            )
-        if "fidelity" in self.reads:
-            solution, failed = self.solution
-            picked = [i for i, row in enumerate(at) if row not in failed]
-            alpha, beta = (self.floats(name) if picked else [] for name in ("alpha", "beta"))
-            fidelities, errors = variational.trial_fidelities(
-                [alpha[at[i]] for i in picked], [beta[at[i]] for i in picked], chunk.vectors,
-                [chunk.starts[i] for i in picked], [chunk.n_max[i] for i in picked],
-            )  # fmt: skip
-            read["fidelity"] = [None] * len(at)
-            for j, i in enumerate(picked):
-                read["fidelity"][i] = fidelities[j]
-            failures.update((at[picked[j]], exc) for j, exc in errors.items())
-        for name, field in read.items():
+    def _read(self, chunk, at: list[int], values: dict[str, list], errors: dict) -> None:
+        """Read the exact columns off a chunk whose accepted rows are ``at``: its
+        own values first, so that a read-off that raises fails these rows at
+        its own stage ("rho" or "fidelity") alone."""
+        def store(name: str, field) -> None:
             column = values[name]
             for row, value in zip(at, field):
                 column[row] = value
+
+        for name in chunk.ROW_VALUES:
+            store(name, getattr(chunk, name))
+        if "rho" in self.reads:
+            try:
+                negativity = entangle.negativity_stacked(chunk.vectors, chunk.starts, chunk.n_max)
+            except Exception as exc:
+                errors["rho"].update(dict.fromkeys(at, exc))
+            else:
+                store("negativity", negativity)
+        if "fidelity" in self.reads:
+            failed = self.solution[1]
+            picked = [i for i, row in enumerate(at) if row not in failed]
+            alpha, beta = (self.floats(name) if picked else [] for name in ("alpha", "beta"))
+            try:
+                fidelities, raised = variational.trial_fidelities(
+                    [alpha[at[i]] for i in picked], [beta[at[i]] for i in picked],
+                    chunk.vectors, [chunk.starts[i] for i in picked],
+                    [chunk.n_max[i] for i in picked],
+                )  # fmt: skip
+            except Exception as exc:
+                errors["fidelity"].update((at[i], exc) for i in picked)
+            else:
+                field = [None] * len(at)
+                for i, value in zip(picked, fidelities):
+                    field[i] = value
+                store("fidelity", field)
+                errors["fidelity"].update((at[picked[j]], exc) for j, exc in raised.items())
 
 
 def _solution(name: str):

@@ -37,17 +37,22 @@ arithmetic as on that row alone.  A run of rows with one truncation is a
 and its step count the one scalar arithmetic.  A solve's rows reach the
 caller as one record, ``GroundStateChunk``.  ``ground_state`` is the grid of one.
 
-This is the one module of the package that imports scipy (scipy.linalg),
-and nothing imports it eagerly: the package loads it on first access, and
-the command line with the first row that needs the exact stage, so the
-approximate routes run without scipy.  The state type it returns,
-``JointState``, and ``DEFAULT_TOL`` live in ``model``, which needs no scipy.
+This is the one module of the package that uses scipy, and of scipy only
+its LAPACK and BLAS extension modules, which it loads from their files
+without running the scipy package's code (``_linalg_extension``).  Nothing
+imports it eagerly: the package loads it on first access, and the command
+line with the first row that needs the exact stage, so the approximate
+routes run without scipy.  The state type it returns, ``JointState``, and
+``DEFAULT_TOL`` live in ``model``, which needs no scipy.
 """
 
 from __future__ import annotations
 
 import bisect
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -55,7 +60,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     DEFAULT_TOL,
@@ -84,14 +88,59 @@ SHIFT_FLOOR = 16.0 * sys.float_info.epsilon
 COUPLED_GAP = 1e-6
 DECOUPLED_GAP = 100.0 * SHIFT_FLOOR
 
+
+def _linalg_extension_file(name: str) -> str | None:
+    """The file of scipy.linalg's extension module ``name``, or None if it is not
+    in the scipy package's directories.  ``find_spec`` runs no package code."""
+    spec = importlib.util.find_spec("scipy")
+    for location in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(location, "linalg", name + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _linalg_extension(name: str):
+    """scipy.linalg's extension module ``name`` (``_flapack`` or ``_fblas``).
+
+    It is loaded from its file under its own name, ``scipy.linalg.<name>``,
+    without running ``scipy/__init__`` or ``scipy/linalg/__init__``, which
+    together take some 27 MB and most of a short command's start-up.  A later
+    ``import scipy.linalg`` finds it in ``sys.modules`` and binds the same
+    module.  Where the file is not found (an editable scipy keeps its
+    extensions in a build directory) or does not load on its own (a shared
+    library that scipy's package code puts on the search path), the module
+    is taken from ``import scipy.linalg``: the same routines either way.
+    """
+    qualified = f"scipy.linalg.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    path = _linalg_extension_file(name)
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader(qualified, path)
+        spec = importlib.util.spec_from_file_location(qualified, path, loader=loader)
+        try:
+            module = importlib.util.module_from_spec(spec)
+        except ImportError:
+            pass
+        else:
+            loader.exec_module(module)
+            sys.modules[qualified] = module
+            return module
+    return importlib.import_module(qualified)  # runs scipy's package code
+
+
 # The LAPACK routine and tolerance scipy.linalg.eig_banded uses for
 # selected eigenvalues, bound once: its Python-side checks add about 25 us
 # a call, some 40% of a solve on the small bands of the paper's window.
-# The Cholesky routines and the band product are bound once too.
-_SBEVX = scipy.linalg.get_lapack_funcs("sbevx", dtype=np.float64)
-_ABSTOL = 2.0 * scipy.linalg.lapack.dlamch("s")
-_PBTRF, _PBTRS = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
-_SBMV = scipy.linalg.get_blas_funcs("sbmv", dtype=np.float64)
+# The Cholesky routines and the band product are bound once too.  They are
+# the objects scipy.linalg.get_lapack_funcs and get_blas_funcs return.
+_flapack, _fblas = _linalg_extension("_flapack"), _linalg_extension("_fblas")
+_SBEVX = _flapack.dsbevx
+_ABSTOL = 2.0 * _flapack.dlamch("s")
+_PBTRF, _PBTRS = _flapack.dpbtrf, _flapack.dpbtrs
+_SBMV = _fblas.dsbmv
 
 
 @dataclass(frozen=True, eq=False)

@@ -1081,6 +1081,33 @@ class TestEvaluate:
         assert [row["error"] for row in rows] == [""] * 4 and len(results) == 4
         assert rows == [evaluate(1.0, [g], columns, 1e-10)[0] for g in (0.2, 0.4, 0.6, 0.8)]
 
+    @pytest.mark.parametrize("owner,name,column", [
+        (entangle, "negativity_stacked", "negativity_exact"),
+        (variational, "trial_fidelities", "fidelity"),
+    ], ids=["negativity", "fidelity"])  # fmt: skip
+    def test_a_raising_read_off_fails_its_chunks_rows_at_its_column(
+        self, monkeypatch, owner, name, column
+    ):
+        # at a cap of 13 levels g = 0.2 (n_max 7) and 0.4 (n_max 9) are two
+        # chunks; what is read off the first raises. Its row keeps the values of
+        # the solve and ends at that column, and the later chunk is still
+        # solved, and read, as alone
+        monkeypatch.setattr(exact, "N_MAX_CAP", 13)
+        columns = ("g", "energy_exact", "n_max_used", "negativity_exact", "fidelity", "error")
+        alone = evaluate(1.0, [0.2, 0.4], columns, 1e-10)
+
+        def read_off(*args, _fn=getattr(owner, name)):
+            if 7 in args[-1]:  # the chunk's n_max
+                raise FloatingPointError("read-off")
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, read_off)
+        rows = evaluate(1.0, [0.2, 0.4], columns, 1e-10)
+        kept = columns[: columns.index(column)]
+        assert rows[0] == {**{c: alone[0][c] for c in kept}, "error": "FloatingPointError: read-off"}
+        assert rows[0]["n_max_used"] == 7
+        assert rows[1] == alone[1] and rows[1]["error"] == ""
+
 
 # The errors a row of the whole-plane test may end with, by region: each text is
 # what the row ends with today, whatever the warning filter.
