@@ -4,9 +4,9 @@ variational ansatz, a displacement-transformation method with a
 perturbative correction, and qubit-qubit entanglement negativity.
 
 Only the exact solver needs scipy, and of it only the LAPACK and BLAS
-extension modules, which it loads without importing the scipy package;
-``exact`` and the names taken from it load on first access, not with the
-package.
+extension modules and, for the negativity zero search, scipy.optimize's
+``_zeros``, which it loads without importing the scipy package; ``exact``
+and the names taken from it load on first access, not with the package.
 """
 
 import importlib

@@ -14,9 +14,10 @@ the CSV rows straight from its columns, and ``evaluate`` is its dict view.
 
 A command loads only the solvers it runs: ``rabi2q.exact``, and with it
 scipy's LAPACK and BLAS extension modules (not the scipy package), is
-imported with the first row that needs the exact stage, and scipy.optimize
-only by ``find-zero``.  So ``variational``, ``transform`` and an
-approximate ``sweep`` run on numpy alone.
+imported with the first row that needs the exact stage, and scipy.optimize's
+``_zeros`` extension module (not scipy.optimize) only by ``find-zero``.  So
+``variational``, ``transform`` and an approximate ``sweep`` run on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -430,9 +431,9 @@ def locate_negativity_zero(
             f"negativity is still above {threshold:g} at g={g_hi}; "
             "no crossing inside the bracket"
         )
-    from scipy.optimize import brentq  # the one use of scipy.optimize
+    from .exact import brentq  # loads scipy.optimize's _zeros, not the package
 
-    return brentq(excess, g_lo, g_hi, xtol=0.5 * g_tol)
+    return brentq(excess, g_lo, g_hi, 0.5 * g_tol)
 
 
 _TINIEST = math.ulp(0.0)  # the smallest positive double

@@ -38,12 +38,13 @@ and its step count the one scalar arithmetic.  A solve's rows reach the
 caller as one record, ``GroundStateChunk``.  ``ground_state`` is the grid of one.
 
 This is the one module of the package that uses scipy, and of scipy only
-its LAPACK and BLAS extension modules, which it loads from their files
-without running the scipy package's code (``_linalg_extension``).  Nothing
-imports it eagerly: the package loads it on first access, and the command
-line with the first row that needs the exact stage, so the approximate
-routes run without scipy.  The state type it returns, ``JointState``, and
-``DEFAULT_TOL`` live in ``model``, which needs no scipy.
+its LAPACK and BLAS extension modules and, for ``brentq``, scipy.optimize's
+``_zeros``, which it loads from their files without running the scipy
+package's code (``_scipy_extension``).  Nothing imports it eagerly: the
+package loads it on first access, and the command line with the first row
+that needs the exact stage, so the approximate routes run without scipy.
+The state type it returns, ``JointState``, and ``DEFAULT_TOL`` live in
+``model``, which needs no scipy.
 """
 
 from __future__ import annotations
@@ -89,34 +90,38 @@ COUPLED_GAP = 1e-6
 DECOUPLED_GAP = 100.0 * SHIFT_FLOOR
 
 
-def _linalg_extension_file(name: str) -> str | None:
-    """The file of scipy.linalg's extension module ``name``, or None if it is not
-    in the scipy package's directories.  ``find_spec`` runs no package code."""
+def _scipy_extension_file(subpackage: str, name: str) -> str | None:
+    """The file of the extension module ``name`` of ``scipy.<subpackage>``, or
+    None if it is not in the scipy package's directories.  ``find_spec`` runs
+    no package code."""
     spec = importlib.util.find_spec("scipy")
     for location in (spec and spec.submodule_search_locations) or ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(location, "linalg", name + suffix)
+            path = os.path.join(location, subpackage, name + suffix)
             if os.path.isfile(path):
                 return path
     return None
 
 
-def _linalg_extension(name: str):
-    """scipy.linalg's extension module ``name`` (``_flapack`` or ``_fblas``).
+def _scipy_extension(subpackage: str, name: str):
+    """The extension module ``name`` of ``scipy.<subpackage>``: ``_flapack`` and
+    ``_fblas`` of ``linalg``, ``_zeros`` of ``optimize``.
 
-    It is loaded from its file under its own name, ``scipy.linalg.<name>``,
-    without running ``scipy/__init__`` or ``scipy/linalg/__init__``, which
-    together take some 27 MB and most of a short command's start-up.  A later
-    ``import scipy.linalg`` finds it in ``sys.modules`` and binds the same
-    module.  Where the file is not found (an editable scipy keeps its
-    extensions in a build directory) or does not load on its own (a shared
-    library that scipy's package code puts on the search path), the module
-    is taken from ``import scipy.linalg``: the same routines either way.
+    It is loaded from its file under its own name,
+    ``scipy.<subpackage>.<name>``, without running ``scipy/__init__`` or the
+    subpackage's ``__init__``, which take some 28 MB for ``linalg`` and 49 MB
+    for ``optimize`` (it imports ``linalg``), and most of a short command's
+    start-up.  A later ``import scipy.<subpackage>`` finds it in
+    ``sys.modules`` and binds the same module.  Where the file is not found
+    (an editable scipy keeps its extensions in a build directory) or does not
+    load on its own (a shared library that scipy's package code puts on the
+    search path), the module is taken from ``import scipy.<subpackage>``: the
+    same routines either way.
     """
-    qualified = f"scipy.linalg.{name}"
+    qualified = f"scipy.{subpackage}.{name}"
     if qualified in sys.modules:
         return sys.modules[qualified]
-    path = _linalg_extension_file(name)
+    path = _scipy_extension_file(subpackage, name)
     if path is not None:
         loader = importlib.machinery.ExtensionFileLoader(qualified, path)
         spec = importlib.util.spec_from_file_location(qualified, path, loader=loader)
@@ -136,11 +141,29 @@ def _linalg_extension(name: str):
 # a call, some 40% of a solve on the small bands of the paper's window.
 # The Cholesky routines and the band product are bound once too.  They are
 # the objects scipy.linalg.get_lapack_funcs and get_blas_funcs return.
-_flapack, _fblas = _linalg_extension("_flapack"), _linalg_extension("_fblas")
+_flapack, _fblas = _scipy_extension("linalg", "_flapack"), _scipy_extension("linalg", "_fblas")
 _SBEVX = _flapack.dsbevx
 _ABSTOL = 2.0 * _flapack.dlamch("s")
 _PBTRF, _PBTRS = _flapack.dpbtrf, _flapack.dpbtrs
 _SBMV = _fblas.dsbmv
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """``scipy.optimize.brentq(f, a, b, xtol=xtol)``, bit for bit, without
+    loading scipy.optimize: its C routine ``_zeros._brentq`` at the wrapper's
+    defaults, rtol 4 eps and 100 iterations.  As with the wrapper, a NaN
+    value of ``f`` raises ValueError, ends of one sign raise ValueError, and a
+    search not converged in 100 iterations raises RuntimeError.  ``xtol``
+    must be positive; this does not check it."""
+
+    def checked(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    zeros = _scipy_extension("optimize", "_zeros")
+    return zeros._brentq(checked, a, b, xtol, 4.0 * sys.float_info.epsilon, 100, (), False, True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from rabi2q import FockTruncation, ModelParams, entangle, exact, transform, variational
 from rabi2q import cli
@@ -432,6 +433,25 @@ class TestFindZero:
         monkeypatch.setattr(cli, "evaluate", counted)
         locate_negativity_zero(1.0, g_lo=1.5 + shift, g_hi=3.5 + shift, **self.SEARCH)
         assert len(solved) <= 8
+
+    @pytest.mark.parametrize("g_tol", [1e-3, 1e-6, 1e-10])
+    @pytest.mark.parametrize(
+        "omega_c,g_lo,g_hi",
+        [(1.0, 1.5, 3.5), (1.0, 1.587268682459301, 3.587268682459301), (0.5, 0.8, 3.0)],
+    )
+    def test_root_is_scipys_bit_for_bit(self, monkeypatch, omega_c, g_lo, g_hi, g_tol):
+        # exact.brentq calls scipy.optimize.brentq's C routine at its defaults
+        searches, real = [], exact.brentq
+
+        def spy(f, a, b, xtol):
+            searches.append((f, a, b, xtol))
+            return real(f, a, b, xtol)
+
+        monkeypatch.setattr(exact, "brentq", spy)
+        search = {**self.SEARCH, "g_tol": g_tol}
+        g = locate_negativity_zero(omega_c, g_lo=g_lo, g_hi=g_hi, **search)
+        ((excess, a, b, xtol),) = searches
+        assert g.hex() == scipy.optimize.brentq(excess, a, b, xtol=xtol).hex()
 
     @pytest.mark.parametrize("omega_c", [0.5, 1.0, 1.2])
     def test_within_half_g_tol_of_the_crossing(self, omega_c):

@@ -1,8 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from rabi2q import (
     FockTruncation,
@@ -724,3 +726,40 @@ class TestChunks:
             for _ in exact.ground_state_chunks(1.0, omega_c, g.tolist(), 1e-10):
                 pass
         assert len(chunks) > 2 and max(map(sum, chunks)) <= limit
+
+
+class TestBrentq:
+    """``exact.brentq`` returns ``scipy.optimize.brentq``'s root bit for bit
+    and raises where it does.  test_cli checks it on find-zero's own search."""
+
+    @pytest.mark.parametrize(
+        "f,a,b",
+        [(lambda x: math.exp(x) - 2.0, 0.0, 2.0),
+         (lambda x: math.cos(x) - x, 0.0, 1.0),
+         (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+         (lambda x: math.copysign(1.0, x - 1.6), 1.0, 2.0)],
+        ids=["log 2", "cos", "cubic", "step"],
+    )  # fmt: skip
+    def test_tolerance_is_scipys_default(self, f, a, b):
+        # at the smallest xtol the relative tolerance, rtol = 4 eps, ends the
+        # search; at a step, where Brent bisects, it sets the last bisection
+        tiny = math.ulp(0.0)
+        assert exact.brentq(f, a, b, tiny).hex() == scipy.optimize.brentq(f, a, b, xtol=tiny).hex()
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: math.nan, lambda x: math.nan if -1.0 < x < 2.0 else x - 0.3],
+        ids=["at an end", "inside the bracket"],
+    )
+    def test_nan_value_raises(self, f):
+        with pytest.raises(ValueError, match="is NaN"):
+            exact.brentq(f, -1.0, 2.0, 1e-3)
+
+    def test_ends_of_one_sign_raise(self):
+        with pytest.raises(ValueError, match="different signs"):
+            exact.brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-3)
+
+    def test_running_out_of_iterations_raises(self):
+        # a step at 0: 100 steps cannot halve [-1, 2] down to 1e-300
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            exact.brentq(lambda x: -1.0 if x <= 0.0 else 1.0, -1.0, 2.0, 1e-300)

@@ -59,9 +59,9 @@ class TestPublicNames:
 
 
 class TestImports:
-    """Each command loads only what it runs: scipy's LAPACK and BLAS extension
-    modules, and no scipy package module, with the exact stage, and
-    scipy.optimize, with the scipy package, with find-zero."""
+    """Each command loads only what it runs, and no scipy package module:
+    scipy's LAPACK and BLAS extension modules with the exact stage, and with
+    find-zero also scipy.optimize's ``_zeros``, for its Brent search."""
 
     @pytest.mark.parametrize("module", ["rabi2q", "rabi2q.cli"])
     def test_import_loads_no_scipy(self, module):
@@ -77,16 +77,14 @@ class TestImports:
          (["sweep", "--steps", "5", "--methods", "variational,transform,corrected",
            "--outputs", "energy,alpha,beta,negativity_approx"], set()),
          (["ground", "--g", "0.4"], LAPACK),
-         (["table1"], LAPACK)],
-        ids=lambda v: " ".join(v) if isinstance(v, list) else "lapack" if v else "no scipy",
+         (["table1"], LAPACK),
+         (["find-zero"], LAPACK | {"scipy.optimize._zeros"})],
+        ids=lambda v: " ".join(v) if isinstance(v, list)
+        else "+".join(["lapack", *sorted(v - LAPACK)]) if v else "no scipy",
     )  # fmt: skip
     def test_command_loads_what_it_runs(self, argv, loaded):
         code = "import sys\nfrom rabi2q.cli import main\nassert main(sys.argv[1:]) == 0"
         assert scipy_loaded_by(code, *argv) == loaded
-
-    def test_find_zero_loads_scipy_optimize(self):
-        code = "from rabi2q.cli import main\nassert main(['find-zero']) == 0"
-        assert {"scipy", "scipy.linalg", "scipy.optimize", *LAPACK} <= scipy_loaded_by(code)
 
 
 # The exact stage's results on one point and on the 241 rows of the paper's
@@ -107,20 +105,24 @@ print(json.dumps({
     "vectors": hashlib.sha256(b"".join(vectors)).hexdigest(),
 }))
 """
-# Run before _RESULTS: the lookup of scipy's package directory finds nothing,
-# as where scipy is installed with its extensions in a build directory
+# Run before _RESULTS or _FIND_ZERO: the lookup of scipy's package directory
+# finds nothing, as where scipy is installed with its extensions in a build
+# directory
 _NO_FILE = """
 import importlib.util
 find_spec = importlib.util.find_spec
 importlib.util.find_spec = lambda name, *rest: None if name == "scipy" else find_spec(name, *rest)
 """
-# Run before _RESULTS: the files are found but do not load on their own (a
-# shared library they need is put on the search path by scipy's package code)
+# Run before _RESULTS or _FIND_ZERO: the files are found but do not load on
+# their own (a shared library they need is put on the search path by scipy's
+# package code), which holds for the extension module of any scipy subpackage
+# not yet imported
 _NO_LOAD = """
 import importlib.machinery, sys
 create = importlib.machinery.ExtensionFileLoader.create_module
 def create_in_package(loader, spec):
-    if spec.name.startswith("scipy.linalg.") and "scipy.linalg" not in sys.modules:
+    package = spec.name.rpartition(".")[0]
+    if package.startswith("scipy.") and package not in sys.modules:
         raise ImportError(f"{spec.name} needs scipy's package code")
     return create(loader, spec)
 importlib.machinery.ExtensionFileLoader.create_module = create_in_package
@@ -161,3 +163,33 @@ print(all(a is b for a, b in zip(later, bound, strict=True)),
       2.0 * scipy.linalg.lapack.dlamch("s") == exact._ABSTOL)
 """
         assert run_fresh(code) == "True True True"
+
+
+# find-zero's stdout, and the scipy modules loaded on the way
+_FIND_ZERO = """
+import contextlib, io, json, sys
+from rabi2q.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["find-zero"]) == 0
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "stdout": out.getvalue(),
+}))
+"""
+
+
+class TestZerosBinding:
+    """``exact.brentq`` loads scipy.optimize's ``_zeros`` from its file, and
+    takes it from ``import scipy.optimize`` where it cannot: the same Brent
+    search, so the same find-zero output, either way."""
+
+    @pytest.fixture(scope="class")
+    def direct(self):
+        return json.loads(run_fresh(_FIND_ZERO))
+
+    @pytest.mark.parametrize("miss", [_NO_FILE, _NO_LOAD], ids=["no file", "file does not load"])
+    def test_fallback_takes_scipy_optimizes_module_to_the_same_output(self, direct, miss):
+        fallback = json.loads(run_fresh(miss + _FIND_ZERO))
+        assert {"scipy", "scipy.optimize", "scipy.optimize._zeros"} <= set(fallback["scipy"])
+        assert fallback["stdout"] == direct["stdout"]
