@@ -142,8 +142,11 @@ def negativity_closed_form(alpha, beta):
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
     with np.errstate(all="ignore"):  # inf and NaN pass as they do through floats
         x = -2.0 * alpha * alpha
-        e_minus_1 = np.array(list(map(math.expm1, x.ravel().tolist()))).reshape(x.shape)
-        small = (e_minus_1 >= -0.5) & np.isfinite(beta)  # a NaN or infinite beta has no ratio
+        # expm1(x) < -0.63 below x = -1, and a NaN or infinite beta has no ratio
+        near = (x >= -1.0) & np.isfinite(beta)
+        e_minus_1 = np.full(x.shape, -1.0)
+        e_minus_1[near] = list(map(math.expm1, x[near].tolist()))
+        small = e_minus_1 >= -0.5
         numerator = np.empty(x.shape)
         numerator[small] = 2.0 * e_minus_1[small] + [
             (2 * d * d - n * n) / (d * d)

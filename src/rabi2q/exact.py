@@ -356,6 +356,10 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> G
     odd, odd_sizes = bounds[count], sizes[:count]  # the odd prefix, its blocks' sizes
     errors: dict[int, Exception] = {}
     energy, odd_1, shift, sigma, unit, steps = [], [], [], [], [], []  # per row
+
+    def where(k):  # row k's point, formatted only for an error
+        return f"(omega_a={omega_a}, omega_c={omega_c}, g={g[k]})"
+
     for k in range(count):
         scale = _band_scale(omega_a, omega_c, g[k], n_max[k])
         try:
@@ -364,16 +368,15 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> G
             errors[k], e0, e1 = exc, 0.0, math.inf
         else:
             gap = e1 - e0
-            where = f"(omega_a={omega_a}, omega_c={omega_c}, g={g[k]})"
             if not math.isfinite(gap):  # E0 or E1_odd past the float range
                 errors[k] = RuntimeError(
                     f"odd-sector spectrum overflows at n_max={n_max[k]}: E0 = {e0:.3e}, "
-                    f"E1_odd = {e1:.3e} {where}"
+                    f"E1_odd = {e1:.3e} {where(k)}"
                 )
             elif gap <= (COUPLED_GAP if g[k] else DECOUPLED_GAP) * scale:
                 errors[k] = RuntimeError(
                     f"odd-sector gap {gap:.3e} is too small to resolve the ground vector "
-                    f"at n_max={n_max[k]} {where}"
+                    f"at n_max={n_max[k]} {where(k)}"
                 )
             else:
                 offset = max(min(1e-10 * scale, 1e-5 * gap), SHIFT_FLOOR * scale)
@@ -382,7 +385,7 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> G
                     errors[k] = RuntimeError(
                         f"Hamiltonian band overflows at n_max={n_max[k]}: omega_c * n_max or "
                         f"g * sqrt(n_max + 1), shifted by E0 = {e0:.3e}, exceeds the float "
-                        f"range {where}"
+                        f"range {where(k)}"
                     )
         if k in errors:  # both blocks become the identity below
             e0 = 0.0

@@ -152,7 +152,10 @@ def sd_slot(n):
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i].dot(b[i]) for each row i of two (rows, size) arrays, strided or not,
     bit for bit: one stacked matmul, which numpy takes as each row's own ddot
-    (einsum or add.reduceat would sum in another order)."""
+    (einsum or add.reduceat would sum in another order).  One row is that
+    ddot itself, without the stacked matmul's setup."""
+    if len(a) == 1:
+        return a[0].dot(b[0])[None]
     return np.matmul(a[:, None, :], b[:, :, None]).ravel()
 
 

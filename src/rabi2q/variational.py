@@ -22,11 +22,14 @@ the positive factor 2R/(R - A), reads
 
     f(alpha) = 2 (alpha w_c - g) + 2 alpha B^2 / (R - A) = 0,
 
-which does not cancel, with f(0) = -2g < 0 and f(g/w_c) >= 0.  For
-w_c below about 0.3 and a window of g, f has three zeros (two wells and the
-barrier between them), so ``solve_grid`` samples f on a fixed grid,
-root-finds every - to + sign change and keeps the root of lowest energy.
-It does so for a whole grid of g at once: the scans form one array, and
+which does not cancel, with f(0) = -2g < 0 and f(g/w_c) >= 0.  Above
+w_c = 2 w_a / e, f is strictly increasing on [0, g/w_c], so the profile has one well,
+whose root lies in [g/(w_a + w_c), g/w_c]; ``solve_grid`` brackets it in
+closed form.  For w_c below about 0.3 and a window of g, f has three zeros
+(two wells and the barrier between them), so at w_c <= 2 w_a / e, and at the
+couplings whose closed-form bracket fails in floating point, ``solve_grid``
+samples f on a fixed grid, root-finds every - to + sign change and keeps the
+root of lowest energy.  It does so for a whole grid of g at once, and
 ``masked_brentq`` resolves every bracket of every coupling together, step for
 step as scipy's ``brentq`` would one at a time (R. P. Brent, Algorithms for
 Minimization without Derivatives, 1973, ch. 4).  ``solve`` is a grid of one.
@@ -65,6 +68,8 @@ EQUIVALENCE_TOL = 1e-9  # relative, between eps_- and <H> at the returned point
 # Where f is sampled, as fractions of g/omega_c.
 _SCAN = np.linspace(0.0, 1.0, 33)
 _SCAN_ROWS = 256  # couplings scanned per block
+_ONE_WELL = 2.0 / math.e  # above this omega_c / omega_a the profile has one well
+_SIDE = np.array([[1.0], [-1.0]])  # f * _SIDE < 0: f < 0 at a left end, f > 0 at a right one
 
 # the brentq settings transcribed: the xtol and rtol that ``solve`` gave it,
 # and its default maxiter
@@ -142,20 +147,65 @@ def _stationarity(alpha, wa: float, wc: float, g):
     return 2.0 * (alpha * wc - g) + 2.0 * alpha * b_sq / (np.sqrt(a * a + 2.0 * b_sq) - a)
 
 
-def masked_brentq(f, xa, xb):
+def _scan_brackets(wa: float, wc: float, g: np.ndarray, top: np.ndarray):
+    """The - to + sign changes of f sampled at alpha = top * _SCAN, top = g/w_c,
+    over a 1-d array of g: each bracket's index into g, and its ends and f
+    there as rows xa, xb, fa, fb.  f at top is clamped to >= 0."""
+    values = np.empty((g.size, _SCAN.size))
+    for chunk in range(0, g.size, _SCAN_ROWS):  # bounds the temporaries of long grids
+        rows = slice(chunk, chunk + _SCAN_ROWS)
+        values[rows] = _stationarity(top[rows, None] * _SCAN, wa, wc, g[rows, None])
+    last = values[:, -1]
+    last[last < 0.0] = 0.0
+    row, col = np.nonzero((values[:, :-1] < 0.0) & (values[:, 1:] >= 0.0))
+    xa, xb = top[row] * _SCAN[col], top[row] * _SCAN[col + 1]
+    return row, np.stack((xa, xb, values[row, col], values[row, col + 1]))
+
+
+def _one_well_brackets(wa: float, wc: float, g: np.ndarray, top: np.ndarray):
+    """The brackets where w_c > 2 w_a / e, in the form ``_scan_brackets``
+    returns them: one per coupling, [g/(w_a + w_c), top] with each end moved
+    two steps toward the root (see ``solve_grid``).  The couplings whose
+    computed ends are not a finite pair of f < 0 and f >= 0 are scanned."""
+    ends = np.empty((4, g.size))
+    ends[0], ends[1] = g / (wa + wc), top
+    ends[2:] = _stationarity(ends[:2], wa, wc, g)
+    ends[3, ends[3] < 0.0] = 0.0
+    one = (ends[2] < 0.0) & np.isfinite(ends[2]) & np.isfinite(ends[3])
+    if not one.any():
+        return _scan_brackets(wa, wc, g, top)
+    two_g = 2.0 * g
+    for _ in range(2):
+        inner = ends[:2] / (1.0 + ends[2:] / two_g)
+        f_inner = _stationarity(inner, wa, wc, g)
+        take = (f_inner * _SIDE < 0.0) & one  # a new end that still brackets the root
+        np.copyto(ends[:2], inner, where=take)
+        np.copyto(ends[2:], f_inner, where=take)
+    if one.all():
+        return np.arange(g.size), ends
+    rest = np.flatnonzero(~one)
+    i, scanned = _scan_brackets(wa, wc, g[rest], top[rest])
+    row = np.concatenate((np.flatnonzero(one), rest[i]))
+    order = np.argsort(row, kind="stable")
+    return row[order], np.concatenate((ends[:, one], scanned), axis=1)[:, order]
+
+
+def masked_brentq(f, xa, xb, fa=None, fb=None):
     """scipy's ``brentq`` (zeros/brentq.c) on many brackets at once.
 
     ``f(x, k)`` evaluates the functions of brackets ``k`` (an index array) at
     the points ``x``.  Each bracket [xa[k], xb[k]] takes its own interpolate,
     extrapolate or bisect steps, so its root is the one ``brentq`` returns
     with the same ``f`` and ``xtol = rtol = 1e-15``, bit for bit; a bracket
-    leaves the iteration when it converges.  ValueError and RuntimeError are
-    raised where ``brentq`` raises them: f of the same sign at both ends, a
-    NaN value of f, or no convergence in ``_MAXITER`` steps.
+    leaves the iteration when it converges.  ``fa`` and ``fb``, where given,
+    are f at the ends, which are then not evaluated again.  ValueError and
+    RuntimeError are raised where ``brentq`` raises them: f of the same sign
+    at both ends, a NaN value of f, or no convergence in ``_MAXITER`` steps.
     """
     xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
     k = np.arange(xpre.size)
-    fpre, fcur = f(xpre, k), f(xcur, k)
+    fpre = f(xpre, k) if fa is None else np.array(fa, dtype=float)
+    fcur = f(xcur, k) if fb is None else np.array(fb, dtype=float)
     if np.isnan(fpre).any() or np.isnan(fcur).any():
         raise ValueError("f is NaN at a bracket end; solver cannot continue")
     root = np.where(fpre == 0.0, xpre, xcur)  # f = 0 at an end: that end
@@ -214,15 +264,38 @@ def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, Runt
     """Minimize <H> over (alpha, beta) at each coupling of ``params.g``, a 1-d
     array; alpha lands in (0, g/w_c].
 
-    f is sampled at 33 evenly spaced points of [0, g/w_c] per coupling.  Each
-    - to + sign change brackets a minimum of the profile; ``masked_brentq``
-    resolves them all to a relative 1e-15, however small alpha is, and one
-    ``dressed_levels`` call gives beta and the dressed levels at every root.
-    The well of lowest <H> is kept per coupling.  The sample at g/w_c is
-    clamped to >= 0: once exp(-alpha^2) underflows the root is g/w_c to
-    rounding, and f there is rounding noise.  g = 0 is solved analytically
-    because the alpha condition degenerates there.  Each solution carries its
-    ``stationarity_residual``.
+    Above w_c = 2 w_a / e (``_ONE_WELL``) the profile has one well, and
+    [g/(w_a + w_c), g/w_c] brackets its root.  With s = R + A = 2B^2/(R - A)
+    and w = g - w_c alpha >= 0 on [0, g/w_c], f = alpha s - 2w.  There A <= 0,
+    so s <= 2B^2/R <= sqrt2 B <= 2 w_a, and f <= 2 (alpha (w_a + w_c) - g),
+    which is 0 at the left end; at the right end w = 0 and f = alpha s >= 0.
+    The root is the only one:
+
+        f' = 2 w_c + s (1 - 2 alpha w / R) - 4 alpha^2 w_a^2 exp(-alpha^2) / R,
+
+    and R >= |A| = alpha (2w + alpha w_c) >= 2 alpha w, while R >= sqrt2 B =
+    2 w_a exp(-alpha^2/2) bounds the last term by 2 w_a alpha^2
+    exp(-alpha^2/2) <= 4 w_a / e, so f' >= 2 w_c - 4 w_a / e > 0.  Since
+    s' = -2 (w s + alpha B^2) / R <= 0 and f = alpha (2 w_c + s) - 2g, the map
+    alpha -> 2g alpha / (2g + f) = 2g / (2 w_c + s) moves each end toward the
+    root and not past it; ``_one_well_brackets`` takes two such steps, and
+    keeps an end where rounding would put its f on the wrong side.  A coupling
+    is scanned instead, as below, where the two end values it computes are
+    not a finite pair of f < 0 at the left and f >= 0 at the right: at g = 0,
+    at tiny g, where f at the left end rounds to >= 0, and where the profile
+    overflows.
+
+    Elsewhere, and at every coupling of a grid with w_c <= 2 w_a / e, f is
+    sampled at 33 evenly spaced points of [0, g/w_c] (``_scan_brackets``).
+    Each - to + sign change brackets a minimum of the profile.
+    ``masked_brentq`` resolves all brackets of both kinds together, to a
+    relative 1e-15 however small alpha is, from the values of f at their ends
+    already at hand, and one ``dressed_levels`` call gives beta and the
+    dressed levels at every root.  The well of lowest <H> is kept per
+    coupling.  f at g/w_c is clamped to >= 0: once exp(-alpha^2) underflows
+    the root is g/w_c to rounding, and f there is rounding noise.  g = 0 is
+    solved analytically because the alpha condition degenerates there.  Each
+    solution carries its ``stationarity_residual``.
 
     Returns the solutions as arrays over the grid, and a RuntimeError for
     each index where the solve fails (its array entries mean nothing): where
@@ -238,29 +311,25 @@ def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, Runt
     g = np.asarray(params.g, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         top = g / wc
-        values = np.empty((g.size, _SCAN.size))  # f at alpha = top * _SCAN
-        for chunk in range(0, g.size, _SCAN_ROWS):  # bounds the temporaries of long grids
-            rows = slice(chunk, chunk + _SCAN_ROWS)
-            values[rows] = _stationarity(top[rows, None] * _SCAN, wa, wc, g[rows, None])
-        last = values[:, -1]
-        last[last < 0.0] = 0.0
-        row, col = np.nonzero((values[:, :-1] < 0.0) & (values[:, 1:] >= 0.0))
+        # each bracket's coupling, in order, and its ends and f there as rows xa, xb, fa, fb
+        brackets = _one_well_brackets if wc > _ONE_WELL * wa else _scan_brackets
+        row, ends = brackets(wa, wc, g, top)
 
         # The brackets' roots, in row order; where f is 0 at the upper end, that end.
         # masked_brentq works in units of 2**ka in alpha and 2**kf in f, rescalings
         # that are exact.  f(alpha) <= 2 (alpha (w_a + w_c) - g), so every root is at
         # least g/(w_a + w_c) ~ 2**ka and xtol = 1e-15 is relative at any root; and
         # its products of f and alpha steps cannot underflow at tiny g.
-        roots = top[row] * _SCAN[col + 1]
-        open_ = np.flatnonzero(values[row, col + 1] != 0.0)
+        roots = ends[1].copy()
+        open_ = np.flatnonzero(ends[3] != 0.0)
         g_open = g[row[open_]]
         ka, kf = np.frexp(g_open / (wa + wc))[1], np.frexp(g_open)[1]
 
         def scaled(u, k):
             return np.ldexp(_stationarity(np.ldexp(u, ka[k]), wa, wc, g_open[k]), -kf[k])
 
-        lo = np.ldexp(top[row[open_]] * _SCAN[col[open_]], -ka)
-        roots[open_] = np.ldexp(masked_brentq(scaled, lo, np.ldexp(roots[open_], -ka)), ka)
+        x, fx = np.ldexp(ends[:2, open_], -ka), np.ldexp(ends[2:, open_], -kf)
+        roots[open_] = np.ldexp(masked_brentq(scaled, *x, *fx), ka)
 
         # Candidates: the roots, then alpha = 0 once per coupling.  That one's
         # <H> is -w_a at g = 0, which has no bracket, and NaN elsewhere, so it is

@@ -325,6 +325,16 @@ class TestNegativityClosedFormOverArrays:
         assert _same_bits(negativity_closed_form(alpha, beta), want)
         assert np.count_nonzero(np.expm1(-2.0 * alpha * alpha) >= -0.5) > 30_000
 
+    def test_across_the_end_of_expm1(self):
+        # expm1 is called only where -2 alpha^2 >= -1, at |alpha| <= sqrt(1/2)
+        # to rounding: past it the exp branch is taken either way
+        edge = np.sqrt(0.5)
+        alpha = np.concatenate([edge + np.spacing(edge) * np.arange(-40, 41), [-edge, 0.7, 0.71]])
+        beta = np.resize([-1.3, -0.2, 0.0, 1.1], alpha.size)
+        assert math.expm1(-1.0) < -0.5
+        want = list(map(_closed_form_per_row, alpha.tolist(), beta.tolist()))
+        assert _same_bits(negativity_closed_form(alpha, beta), want)
+
     @pytest.mark.parametrize(
         "alpha,beta",
         [(0.0, -SQ2), (-0.0, 0.0), (0.0, 0.0), (0.0, -0.0), (0.1, math.nan), (0.1, -math.nan),

@@ -269,6 +269,16 @@ class TestSectorLayout:
                 assert dots.shape == (rows,)
                 assert dots.tobytes() == b"".join(x[i].dot(y[i]).tobytes() for i in range(rows))
 
+    def test_one_row_is_the_stacked_matmuls_row(self):
+        # a run of one row takes its ddot directly: the bits of the stacked matmul
+        rng = np.random.default_rng(5)
+        for size in range(202):
+            for step_a, step_b in itertools.product((1, 2, 3), repeat=2):
+                a = rng.standard_normal((1, size * step_a))[:, ::step_a]
+                b = rng.standard_normal((1, size * step_b))[:, ::step_b]
+                stacked = np.matmul(a[:, None, :], b[:, :, None]).ravel()
+                assert row_dots(a, b).tobytes() == stacked.tobytes(), (size, step_a, step_b)
+
     @pytest.mark.parametrize("n_max", range(41))
     def test_sd_slot_is_each_levels_s_or_d_amplitude(self, n_max):
         vec = np.arange(float(sector_size(n_max, True)))

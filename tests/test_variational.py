@@ -229,9 +229,9 @@ class TestSolveGrid:
         g = np.linspace(0.25, 0.45, 201)
         calls = []
 
-        def counted(f, xa, xb, _fn=masked_brentq):
+        def counted(f, xa, xb, *ends, _fn=masked_brentq):
             calls.append(np.size(xa))
-            return _fn(f, xa, xb)
+            return _fn(f, xa, xb, *ends)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(variational, "masked_brentq", counted)
@@ -247,6 +247,92 @@ class TestSolveGrid:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out == "False\n"
+
+
+def stationarity_slope(alpha, wa, wc, g):
+    """f'(alpha) in the form ``solve_grid``'s docstring bounds:
+    2 w_c + s (1 - 2 alpha w / R) - 4 alpha^2 w_a^2 exp(-alpha^2) / R."""
+    a = alpha * alpha * wc - 2.0 * alpha * g
+    r = np.sqrt(a * a + 4.0 * wa * wa * np.exp(-alpha * alpha))
+    w = g - wc * alpha
+    return 2.0 * wc + (r + a) * (1.0 - 2.0 * alpha * w / r) - 4.0 * alpha**2 * wa**2 * np.exp(
+        -alpha * alpha
+    ) / r
+
+
+class TestOneWell:
+    """Above omega_c = 2 omega_a / e the profile has one well, bracketed in closed form."""
+
+    RATIOS = (2.0 / math.e + 1e-6, 1.0, 2.0, 10.0)
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("omega_a", [1.0, 0.3])
+    def test_f_increases_from_below_zero_to_above(self, ratio, omega_a):
+        wc = ratio * omega_a
+        for g in np.geomspace(1e-3, 50.0, 40).tolist():
+            alpha = np.linspace(0.0, g / wc, 4001)
+            f = variational._stationarity(alpha, omega_a, wc, g)
+            assert (np.diff(f) > 0.0).all(), g
+            # s = 2B^2 / (R - A) does not increase: the premise of the bracket's steps
+            a = alpha * alpha * wc - 2.0 * alpha * g
+            b_sq = 2.0 * omega_a**2 * np.exp(-alpha * alpha)
+            assert (np.diff(2.0 * b_sq / (np.sqrt(a * a + 2.0 * b_sq) - a)) <= 0.0).all(), g
+            assert variational._stationarity(g / (omega_a + wc), omega_a, wc, g) <= 0.0
+            # f(g/w_c) = alpha s >= 0, up to the rounding of 2 (alpha w_c - g) that
+            # solve_grid clamps
+            assert variational._stationarity(g / wc, omega_a, wc, g) >= -4.0 * np.spacing(g)
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_brackets_hold_the_root_inside_the_closed_form_one(self, ratio):
+        # two steps of alpha -> 2g alpha / (2g + f) keep f < 0 at the left end and
+        # f >= 0 at the right, inside [g/(w_a + w_c), g/w_c]; g = 0 and tiny g
+        # are scanned
+        g = np.concatenate(([0.0, 1e-300, 1e-12], np.geomspace(1e-3, 50.0, 400)))
+        top = g / ratio
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row, (xa, xb, fa, fb) = variational._one_well_brackets(1.0, ratio, g, top)
+        assert row.tolist() == list(range(1, g.size))  # g = 0 has no bracket
+        g, top = g[row], top[row]
+        assert (fa < 0.0).all() and (fb >= 0.0).all() and (xa <= xb).all()
+        one = g > 1e-6
+        assert (xa[one] >= g[one] / (1.0 + ratio)).all() and (xb[one] <= top[one]).all()
+        assert fa.tolist() == variational._stationarity(xa, 1.0, ratio, g).tolist()
+        f_right = variational._stationarity(xb, 1.0, ratio, g)
+        assert fb.tolist() == np.where(f_right < 0.0, 0.0, f_right).tolist()
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_slope_is_f_prime_and_above_its_bound(self, ratio):
+        rng = np.random.default_rng(11)
+        g = rng.uniform(1e-3, 50.0, 2000)
+        alpha = rng.uniform(0.0, 1.0, 2000) * g / ratio
+        slope = stationarity_slope(alpha, 1.0, ratio, g)
+        h = 1e-6 * np.maximum(alpha, 1e-3)
+        f_plus, f_minus = (variational._stationarity(alpha + d, 1.0, ratio, g) for d in (h, -h))
+        np.testing.assert_allclose((f_plus - f_minus) / (2.0 * h), slope, rtol=1e-6, atol=1e-9)
+        assert (slope >= 2.0 * ratio - 4.0 / math.e).all()
+
+    @pytest.mark.parametrize("omega_c", [0.74, 1.0, 5.0])
+    def test_roots_are_the_scans_to_a_few_ulps(self, omega_c, monkeypatch):
+        tiny = [1e-300, 1e-200, 1e-155, 1e-100, 1e-20, 1e-8]
+        g = np.concatenate((tiny, np.linspace(0.0, 50.0, 2001), [1e150, 1e154]))
+        params = ModelParams(1.0, omega_c, g)
+        grid, errors = solve_grid(params)
+        monkeypatch.setattr(variational, "_ONE_WELL", math.inf)  # every coupling scanned
+        scanned, scan_errors = solve_grid(params)
+        with np.errstate(all="ignore"):  # the scan finds no second well either
+            row, _ = variational._scan_brackets(1.0, omega_c, g, g / omega_c)
+        assert np.bincount(row).max() == 1
+        assert {i: str(e) for i, e in errors.items()} == {
+            i: str(e) for i, e in scan_errors.items()
+        }
+        # eps_- overflows at 1e150, so its row fails the equivalence check at a
+        # root all the same; 1e154 has no well of finite energy
+        assert list(errors) == [g.size - 2, g.size - 1]
+        alpha, scan_alpha = grid.alpha[:-1], scanned.alpha[:-1]
+        # each search stops within xtol = rtol = 1e-15 relative, some 4.5 ulps
+        ulps = np.abs(alpha - scan_alpha) / np.spacing(scan_alpha)
+        assert ulps.max() <= 8
+        assert (ulps > 0).any()  # the two brackets are not the same search
 
 
 class TestMaskedBrentq:
@@ -292,6 +378,17 @@ class TestMaskedBrentq:
             steps.append(len(calls))
         assert len(set(steps)) > 10  # brackets converge after different numbers of steps
         assert min(steps) == 2  # an end that is a root
+        # given f at the ends, it evaluates f only inside the brackets, to the same roots
+        k = np.arange(n)
+        inside = []
+
+        def spied(x, k):
+            inside.append(x.size)
+            return f(x, k)
+
+        given = masked_brentq(spied, lo, hi, f(lo, k), f(hi, k))
+        assert given.tobytes() == roots.tobytes()
+        assert sum(inside) == sum(steps) - 2 * n
 
     def test_raises_where_brentq_raises(self, monkeypatch):
         def f(x, k):
