@@ -26,13 +26,14 @@ which does not cancel, with f(0) = -2g < 0 and f(g/w_c) >= 0.  Above
 w_c = 2 w_a / e, f is strictly increasing on [0, g/w_c], so the profile has one well,
 whose root lies in [g/(w_a + w_c), g/w_c]; ``solve_grid`` brackets it in
 closed form.  For w_c below about 0.3 and a window of g, f has three zeros
-(two wells and the barrier between them), so at w_c <= 2 w_a / e, and at the
-couplings whose closed-form bracket fails in floating point, ``solve_grid``
-samples f on a fixed grid, root-finds every - to + sign change and keeps the
-root of lowest energy.  It does so for a whole grid of g at once, and
-``masked_brentq`` resolves every bracket of every coupling together, step for
-step as scipy's ``brentq`` would one at a time (R. P. Brent, Algorithms for
-Minimization without Derivatives, 1973, ch. 4).  ``solve`` is a grid of one.
+(two wells and the barrier between them), so at w_c <= 2 w_a / e
+``solve_grid`` samples f on a fixed grid, root-finds every - to + sign change
+and keeps the root of lowest energy.  It does so for a whole grid of g at
+once: ``bracketed_newton`` resolves every bracket of every coupling together
+by Newton steps on f and its closed-form slope, each kept inside its bracket
+and replaced by bisection where it would leave it (the safeguarded Newton
+method; W. H. Press et al., Numerical Recipes, 3rd ed., 2007, sec. 9.4).
+``solve`` is a grid of one.
 """
 
 from __future__ import annotations
@@ -69,13 +70,8 @@ EQUIVALENCE_TOL = 1e-9  # relative, between eps_- and <H> at the returned point
 _SCAN = np.linspace(0.0, 1.0, 33)
 _SCAN_ROWS = 256  # couplings scanned per block
 _ONE_WELL = 2.0 / math.e  # above this omega_c / omega_a the profile has one well
-_SIDE = np.array([[1.0], [-1.0]])  # f * _SIDE < 0: f < 0 at a left end, f > 0 at a right one
-
-# the brentq settings transcribed: the xtol and rtol that ``solve`` gave it,
-# and its default maxiter
-_XTOL = _RTOL = 1e-15
+_RTOL = 1e-15  # a Newton step at most this fraction of alpha ends a bracket
 _MAXITER = 100
-_SWAP = np.array([1, 2, 1, 4, 5, 4])  # xpre, xcur, xblk = xcur, xblk, xcur, and so for f
 
 
 @dataclass(frozen=True)
@@ -140,11 +136,18 @@ def small_g_approx(params: ModelParams) -> tuple[float, float]:
     return alpha, beta
 
 
-def _stationarity(alpha, wa: float, wc: float, g):
-    """f(alpha) of the module docstring, over arrays of alpha and g."""
+def _stationarity(alpha, wa: float, wc: float, g, slope: bool = False):
+    """f(alpha) of the module docstring, over arrays of alpha and g; with
+    ``slope``, the pair f, f' (f' as in ``solve_grid``), from one evaluation
+    of A, B^2 and R."""
     a = alpha * alpha * wc - 2.0 * alpha * g
     b_sq = 2.0 * wa * wa * np.exp(-alpha * alpha)
-    return 2.0 * (alpha * wc - g) + 2.0 * alpha * b_sq / (np.sqrt(a * a + 2.0 * b_sq) - a)
+    r = np.sqrt(a * a + 2.0 * b_sq)
+    f = 2.0 * (alpha * wc - g) + 2.0 * alpha * b_sq / (r - a)
+    if not slope:
+        return f
+    s, w = 2.0 * b_sq / (r - a), g - wc * alpha
+    return f, 2.0 * wc + s * (1.0 - 2.0 * alpha * w / r) - 2.0 * alpha * alpha * b_sq / r
 
 
 def _scan_brackets(wa: float, wc: float, g: np.ndarray, top: np.ndarray):
@@ -164,100 +167,64 @@ def _scan_brackets(wa: float, wc: float, g: np.ndarray, top: np.ndarray):
 
 def _one_well_brackets(wa: float, wc: float, g: np.ndarray, top: np.ndarray):
     """The brackets where w_c > 2 w_a / e, in the form ``_scan_brackets``
-    returns them: one per coupling, [g/(w_a + w_c), top] with each end moved
-    two steps toward the root (see ``solve_grid``).  The couplings whose
-    computed ends are not a finite pair of f < 0 and f >= 0 are scanned."""
+    returns them: one per coupling, [g/(w_a + w_c), top], or [0, top] where f
+    at the left end rounds to >= 0 (tiny g; f(0) = -2g).  g = 0 has no
+    bracket, nor has a coupling whose end values are not finite: there the
+    profile overflows."""
     ends = np.empty((4, g.size))
     ends[0], ends[1] = g / (wa + wc), top
     ends[2:] = _stationarity(ends[:2], wa, wc, g)
     ends[3, ends[3] < 0.0] = 0.0
-    one = (ends[2] < 0.0) & np.isfinite(ends[2]) & np.isfinite(ends[3])
-    if not one.any():
-        return _scan_brackets(wa, wc, g, top)
-    two_g = 2.0 * g
-    for _ in range(2):
-        inner = ends[:2] / (1.0 + ends[2:] / two_g)
-        f_inner = _stationarity(inner, wa, wc, g)
-        take = (f_inner * _SIDE < 0.0) & one  # a new end that still brackets the root
-        np.copyto(ends[:2], inner, where=take)
-        np.copyto(ends[2:], f_inner, where=take)
-    if one.all():
-        return np.arange(g.size), ends
-    rest = np.flatnonzero(~one)
-    i, scanned = _scan_brackets(wa, wc, g[rest], top[rest])
-    row = np.concatenate((np.flatnonzero(one), rest[i]))
-    order = np.argsort(row, kind="stable")
-    return row[order], np.concatenate((ends[:, one], scanned), axis=1)[:, order]
+    finite = np.isfinite(ends[2]) & np.isfinite(ends[3])
+    tiny = finite & (ends[2] >= 0.0)
+    ends[0, tiny], ends[2, tiny] = 0.0, -2.0 * g[tiny]
+    one = finite & (ends[2] < 0.0)  # not at g = 0, where -2g is -0.0
+    return np.flatnonzero(one), ends[:, one]
 
 
-def masked_brentq(f, xa, xb, fa=None, fb=None):
-    """scipy's ``brentq`` (zeros/brentq.c) on many brackets at once.
+def _inside(x, lo, hi):
+    """x in the closed bracket [lo, hi], moved onto its end where it lies past
+    it by rounding (at most ``_RTOL`` |x|); the bracket's midpoint where x
+    lies further out, or is infinite or NaN."""
+    near = np.minimum(np.maximum(x, lo), hi)
+    rounded = np.isfinite(x) & (np.abs(x - near) <= _RTOL * np.abs(x))
+    return np.where(rounded, near, lo + (hi - lo) / 2.0)
 
-    ``f(x, k)`` evaluates the functions of brackets ``k`` (an index array) at
-    the points ``x``.  Each bracket [xa[k], xb[k]] takes its own interpolate,
-    extrapolate or bisect steps, so its root is the one ``brentq`` returns
-    with the same ``f`` and ``xtol = rtol = 1e-15``, bit for bit; a bracket
-    leaves the iteration when it converges.  ``fa`` and ``fb``, where given,
-    are f at the ends, which are then not evaluated again.  ValueError and
-    RuntimeError are raised where ``brentq`` raises them: f of the same sign
-    at both ends, a NaN value of f, or no convergence in ``_MAXITER`` steps.
+
+def bracketed_newton(f, xa, xb, fa, fb):
+    """Roots of many functions at once, each in its bracket [xa[k], xb[k]],
+    where ``fa`` < 0 < ``fb`` are its values at the ends.
+
+    ``f(x, k)`` returns the values and slopes of the functions of brackets
+    ``k`` (an index array) at the points ``x``.  The first iterate is the
+    secant point of the ends, whose values are taken as given.  Each
+    iteration evaluates f and f' at every open bracket's iterate, moves the
+    end of f's sign there, and steps to the Newton point where it lies in the
+    closed bracket (see ``_inside``), to the bracket's midpoint elsewhere.  A
+    bracket ends at that step where the Newton step, read before any
+    midpoint replaces it, is at most ``_RTOL`` |x|, or where the iterate does
+    not move; where it returns to the one before, the bracket is those two
+    points, and its upper end is the root.  Its root is NaN where f turns
+    NaN, or where it has not ended in ``_MAXITER`` iterations.
     """
-    xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
-    k = np.arange(xpre.size)
-    fpre = f(xpre, k) if fa is None else np.array(fa, dtype=float)
-    fcur = f(xcur, k) if fb is None else np.array(fb, dtype=float)
-    if np.isnan(fpre).any() or np.isnan(fcur).any():
-        raise ValueError("f is NaN at a bracket end; solver cannot continue")
-    root = np.where(fpre == 0.0, xpre, xcur)  # f = 0 at an end: that end
-    open_ = (fpre != 0.0) & (fcur != 0.0)
-    if (np.signbit(fpre) == np.signbit(fcur))[open_].any():
-        raise ValueError("f(a) and f(b) must have different signs")
-    # the rows xpre, xcur, xblk, fpre, fcur, fblk and spre, scur of the open brackets
-    k, state, steps = k[open_], np.zeros((6, open_.sum())), np.zeros((2, open_.sum()))
-    state[[0, 1, 3, 4]] = xpre[open_], xcur[open_], fpre[open_], fcur[open_]
+    lo, hi = np.array(xa, dtype=float), np.array(xb, dtype=float)
+    x = _inside(lo + (hi - lo) * (fa / (fa - fb)), lo, hi)  # a ratio: no underflow at tiny g
+    k, roots, before = np.arange(lo.size), np.full(lo.size, math.nan), np.full(lo.size, math.nan)
     for _ in range(_MAXITER):
-        xpre, xcur, xblk, fpre, fcur, fblk = state
-        # f is 0 at no open bracket's xpre; where it is 0 at xcur, the bracket ends below
-        flip = np.signbit(fpre) != np.signbit(fcur)
-        np.copyto(state[2::3], state[0::3], where=flip)  # xblk, fblk = xpre, fpre
-        np.copyto(steps, xcur - xpre, where=flip)
-        # the end of smaller |f| becomes xcur: xpre, xcur, xblk = xcur, xblk, xcur
-        state = np.where(np.abs(fblk) < np.abs(fcur), state[_SWAP], state)
-        xpre, xcur, xblk, fpre, fcur, fblk = state
-
-        delta = (_XTOL + _RTOL * np.abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        if done.any():
-            root[k[done]] = xcur[done]
-            going = ~done
-            k, delta, sbis = k[going], delta[going], sbis[going]
-            state, steps = state[:, going], steps[:, going]
-            xpre, xcur, xblk, fpre, fcur, fblk = state
+        fx, slope = f(x, k)
+        np.copyto(lo, x, where=fx < 0.0)
+        np.copyto(hi, x, where=fx > 0.0)
+        step = fx / slope
+        new = np.where(fx == 0.0, x, _inside(x - step, lo, hi))
+        live = ~np.isnan(fx)
+        cycle = new == before  # back to the other end of a bracket of two points
+        stop = live & ((np.abs(step) <= _RTOL * np.abs(x)) | (new == x) | cycle)
+        roots[k[stop]] = np.where(cycle, hi, new)[stop]
+        going = live & ~stop
+        k, lo, hi, before, x = k[going], lo[going], hi[going], x[going], new[going]
         if not k.size:
-            return root
-
-        # both candidate steps everywhere; each bracket keeps the one brentq takes
-        spre, scur = steps
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        stry = np.where(xpre == xblk, interpolate, extrapolate)
-        limit = np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)  # C's MIN; neither is NaN
-        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-        short &= 2.0 * np.abs(stry) < limit
-        steps = np.where(short, (scur, stry), sbis)
-        scur = steps[1]
-
-        # sbis is not 0 (the bracket would have ended): copysign is C's sbis > 0 ? delta : -delta
-        state[0], state[3] = xcur, fcur
-        state[1] += np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
-        state[4] = f(state[1], k)
-        if np.isnan(state[4]).any():
-            raise ValueError("f is NaN inside a bracket; solver cannot continue")
-    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
+            break
+    return roots
 
 
 def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, RuntimeError]]:
@@ -275,23 +242,21 @@ def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, Runt
 
     and R >= |A| = alpha (2w + alpha w_c) >= 2 alpha w, while R >= sqrt2 B =
     2 w_a exp(-alpha^2/2) bounds the last term by 2 w_a alpha^2
-    exp(-alpha^2/2) <= 4 w_a / e, so f' >= 2 w_c - 4 w_a / e > 0.  Since
-    s' = -2 (w s + alpha B^2) / R <= 0 and f = alpha (2 w_c + s) - 2g, the map
-    alpha -> 2g alpha / (2g + f) = 2g / (2 w_c + s) moves each end toward the
-    root and not past it; ``_one_well_brackets`` takes two such steps, and
-    keeps an end where rounding would put its f on the wrong side.  A coupling
-    is scanned instead, as below, where the two end values it computes are
-    not a finite pair of f < 0 at the left and f >= 0 at the right: at g = 0,
-    at tiny g, where f at the left end rounds to >= 0, and where the profile
-    overflows.
+    exp(-alpha^2/2) <= 4 w_a / e, so f' >= 2 w_c - 4 w_a / e > 0.  Where f
+    at the left end rounds to >= 0 (tiny g), the bracket is [0, g/w_c]
+    instead, with f(0) = -2g.  g = 0 has none, nor has a coupling whose end
+    values are not finite: there the profile overflows, and the coupling
+    fails as one without a well of finite energy.
 
-    Elsewhere, and at every coupling of a grid with w_c <= 2 w_a / e, f is
-    sampled at 33 evenly spaced points of [0, g/w_c] (``_scan_brackets``).
-    Each - to + sign change brackets a minimum of the profile.
-    ``masked_brentq`` resolves all brackets of both kinds together, to a
-    relative 1e-15 however small alpha is, from the values of f at their ends
-    already at hand, and one ``dressed_levels`` call gives beta and the
-    dressed levels at every root.  The well of lowest <H> is kept per
+    At every coupling of a grid with w_c <= 2 w_a / e, f is sampled at 33
+    evenly spaced points of [0, g/w_c] (``_scan_brackets``).  Each - to +
+    sign change brackets a minimum of the profile.
+
+    ``bracketed_newton`` resolves all brackets of a grid together, from the
+    values of f at their ends already at hand and with f' above, which holds
+    at every alpha; each stops where its Newton step is at most 1e-15
+    of alpha, however small alpha is.  One ``dressed_levels`` call gives beta
+    and the dressed levels at every root.  The well of lowest <H> is kept per
     coupling.  f at g/w_c is clamped to >= 0: once exp(-alpha^2) underflows
     the root is g/w_c to rounding, and f there is rounding noise.  g = 0 is
     solved analytically because the alpha condition degenerates there.  Each
@@ -301,8 +266,9 @@ def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, Runt
     each index where the solve fails (its array entries mean nothing): where
     the residual exceeds RESIDUAL_TOL, where eps_- departs from <H> by more
     than EQUIVALENCE_TOL relative (the two are different formulas for one
-    energy), or where no well of finite energy is found, which happens once
-    g/w_c overflows the profile.  No overflow, division by zero or invalid
+    energy), where no well of finite energy is found, which happens once
+    g/w_c overflows the profile, or where a bracket's iteration ends without
+    a root.  No overflow, division by zero or invalid
     value is warned of: it leaves its row's values non-finite, and that row's
     checks report it, so a row's outcome depends on no other row and on no
     warning filter.
@@ -316,20 +282,15 @@ def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, Runt
         row, ends = brackets(wa, wc, g, top)
 
         # The brackets' roots, in row order; where f is 0 at the upper end, that end.
-        # masked_brentq works in units of 2**ka in alpha and 2**kf in f, rescalings
-        # that are exact.  f(alpha) <= 2 (alpha (w_a + w_c) - g), so every root is at
-        # least g/(w_a + w_c) ~ 2**ka and xtol = 1e-15 is relative at any root; and
-        # its products of f and alpha steps cannot underflow at tiny g.
         roots = ends[1].copy()
         open_ = np.flatnonzero(ends[3] != 0.0)
         g_open = g[row[open_]]
-        ka, kf = np.frexp(g_open / (wa + wc))[1], np.frexp(g_open)[1]
 
-        def scaled(u, k):
-            return np.ldexp(_stationarity(np.ldexp(u, ka[k]), wa, wc, g_open[k]), -kf[k])
+        def f(x, k):
+            return _stationarity(x, wa, wc, g_open[k], slope=True)
 
-        x, fx = np.ldexp(ends[:2, open_], -ka), np.ldexp(ends[2:, open_], -kf)
-        roots[open_] = np.ldexp(masked_brentq(scaled, *x, *fx), ka)
+        roots[open_] = bracketed_newton(f, *ends[:, open_])
+        lost = np.bincount(row[np.isnan(roots)], minlength=g.size) > 0  # a bracket of no root
 
         # Candidates: the roots, then alpha = 0 once per coupling.  That one's
         # <H> is -w_a at g = 0, which has no bracket, and NaN elsewhere, so it is
@@ -355,9 +316,15 @@ def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, Runt
     errors = {}
     found = np.isfinite(energy)
     checked = found & (g != 0.0)
-    for i in np.flatnonzero(~found | (checked & ((residual > RESIDUAL_TOL) | unequal))).tolist():
+    bad = lost | ~found | (checked & ((residual > RESIDUAL_TOL) | unequal))
+    for i in np.flatnonzero(bad).tolist():
         at = f"at alpha={alpha[i].item()!r}"
-        if not found[i]:
+        if lost[i]:
+            errors[i] = RuntimeError(
+                f"no root of the stationarity condition found in a bracket (omega_c={wc}, "
+                f"g={g[i].item()})"
+            )
+        elif not found[i]:
             errors[i] = RuntimeError(
                 f"no well of finite energy found (omega_c={wc}, g={g[i].item()})"
             )
@@ -376,7 +343,7 @@ def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, Runt
 def solve(params: ModelParams) -> VariationalSolution:
     """``solve_grid`` at the one coupling of ``params``, as floats; its
     RuntimeError is raised.  Many couplings are cheaper as one grid: the
-    masked Brent costs about as much per step on one bracket as on a
+    Newton iteration costs about as much per step on one bracket as on a
     thousand."""
     grid, errors = solve_grid(ModelParams(params.omega_a, params.omega_c, np.array([params.g])))
     if errors:

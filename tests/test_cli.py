@@ -884,7 +884,7 @@ class TestEvaluate:
 
     def test_variational_overflow_fails_its_row_only(self):
         # the suite makes a RuntimeWarning an error: an overflow in the scan
-        # (g / omega_c at 1e-300) or in the masked Brent (at omega_c = 1e20,
+        # (g / omega_c at 1e-300) or in the root search (at omega_c = 1e20,
         # g = 1e154) once failed every row of the grid, g = 0 included
         columns = ("g", "energy_exact", "energy_variational", "error")
         rows = evaluate(1e20, [1e19, 1e20, 1e154], columns, 1e-10)

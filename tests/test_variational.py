@@ -1,6 +1,5 @@
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +14,6 @@ from rabi2q import FockTruncation, FockTruncationWarning, ModelParams, build_ham
 from rabi2q import variational
 from rabi2q.variational import (
     energy_expectation,
-    masked_brentq,
     small_g_approx,
     solve,
     solve_grid,
@@ -225,16 +223,16 @@ class TestSolveGrid:
             assert _bits(grid, i) == _bits(solve(ModelParams(1.0, 1.0, float(g[i]))))
 
     def test_two_wells_per_row(self):
-        # every coupling of this window has two wells, resolved in one masked Brent
+        # every coupling of this window has two wells, resolved in one bracketed_newton call
         g = np.linspace(0.25, 0.45, 201)
         calls = []
 
-        def counted(f, xa, xb, *ends, _fn=masked_brentq):
+        def counted(f, xa, *ends, _fn=variational.bracketed_newton):
             calls.append(np.size(xa))
-            return _fn(f, xa, xb, *ends)
+            return _fn(f, xa, *ends)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(variational, "masked_brentq", counted)
+            mp.setattr(variational, "bracketed_newton", counted)
             solve_grid(ModelParams(1.0, 0.1, g))
         assert len(calls) == 1 and calls[0] >= 2 * g.size
 
@@ -273,7 +271,7 @@ class TestOneWell:
             alpha = np.linspace(0.0, g / wc, 4001)
             f = variational._stationarity(alpha, omega_a, wc, g)
             assert (np.diff(f) > 0.0).all(), g
-            # s = 2B^2 / (R - A) does not increase: the premise of the bracket's steps
+            # s = 2B^2 / (R - A) does not increase
             a = alpha * alpha * wc - 2.0 * alpha * g
             b_sq = 2.0 * omega_a**2 * np.exp(-alpha * alpha)
             assert (np.diff(2.0 * b_sq / (np.sqrt(a * a + 2.0 * b_sq) - a)) <= 0.0).all(), g
@@ -283,22 +281,64 @@ class TestOneWell:
             assert variational._stationarity(g / wc, omega_a, wc, g) >= -4.0 * np.spacing(g)
 
     @pytest.mark.parametrize("ratio", RATIOS)
-    def test_brackets_hold_the_root_inside_the_closed_form_one(self, ratio):
-        # two steps of alpha -> 2g alpha / (2g + f) keep f < 0 at the left end and
-        # f >= 0 at the right, inside [g/(w_a + w_c), g/w_c]; g = 0 and tiny g
-        # are scanned
-        g = np.concatenate(([0.0, 1e-300, 1e-12], np.geomspace(1e-3, 50.0, 400)))
+    def test_brackets_are_the_closed_form_one(self, ratio):
+        # [g/(w_a + w_c), g/w_c] holds f < 0 at the left end and f >= 0 at the
+        # right; at tiny g, where f at the left end rounds to >= 0, the bracket
+        # is [0, g/w_c], with f(0) = -2g; g = 0 has none
+        g = np.concatenate(([0.0, 1e-300, 1e-12, 1e-8, 1e-7], np.geomspace(1e-3, 50.0, 400)))
         top = g / ratio
         with np.errstate(divide="ignore", invalid="ignore"):
             row, (xa, xb, fa, fb) = variational._one_well_brackets(1.0, ratio, g, top)
-        assert row.tolist() == list(range(1, g.size))  # g = 0 has no bracket
+        assert row.tolist() == list(range(1, g.size))
         g, top = g[row], top[row]
         assert (fa < 0.0).all() and (fb >= 0.0).all() and (xa <= xb).all()
-        one = g > 1e-6
-        assert (xa[one] >= g[one] / (1.0 + ratio)).all() and (xb[one] <= top[one]).all()
+        assert xb.tolist() == top.tolist()
+        tiny = xa == 0.0
+        assert tiny.any() and (g[tiny] < 1e-6).all()
+        assert xa[~tiny].tolist() == (g[~tiny] / (1.0 + ratio)).tolist()
+        assert fa[tiny].tolist() == (-2.0 * g[tiny]).tolist()
         assert fa.tolist() == variational._stationarity(xa, 1.0, ratio, g).tolist()
         f_right = variational._stationarity(xb, 1.0, ratio, g)
         assert fb.tolist() == np.where(f_right < 0.0, 0.0, f_right).tolist()
+
+    @pytest.mark.parametrize("omega_c", [0.74, 1.0, 5.0, 1e20, 1e77])
+    def test_an_overflowing_profile_has_no_bracket(self, omega_c):
+        # where f at an end of [g/(w_a + w_c), g/w_c] is not finite, the 33-point
+        # scan finds no sign change either, and the coupling has no finite well
+        with np.errstate(all="ignore"):
+            g = np.array([1e160, 1e200, 1e300, 1.7e308]) * max(1.0, omega_c)
+            g = g[np.isfinite(g)]
+            ends = variational._stationarity(np.stack((g / (1.0 + omega_c), g / omega_c)),
+                                             1.0, omega_c, g)  # fmt: skip
+            assert not np.isfinite(ends).all(axis=0).any()
+            row, _ = variational._one_well_brackets(1.0, omega_c, g, g / omega_c)
+            scan_row, _ = variational._scan_brackets(1.0, omega_c, g, g / omega_c)
+        assert row.size == scan_row.size == 0
+        _, errors = solve_grid(ModelParams(1.0, omega_c, g))
+        assert sorted(errors) == list(range(g.size))
+        assert all("no well of finite energy" in str(e) for e in errors.values())
+
+    @pytest.mark.parametrize("omega_c", [0.74, 1.0, 5.0])
+    def test_tiny_g_is_not_scanned(self, omega_c, monkeypatch):
+        # each row is the one the 33-point scan solves, to an ulp of alpha; at
+        # tiny g, alpha is g/(w_a + w_c) to an ulp
+        g = np.array([0.0, 5e-324, 1e-300, 1e-200, 1e-12, 1e-8, 0.4])
+        params = ModelParams(1.0, omega_c, g)
+        with monkeypatch.context() as mp:
+            mp.setattr(variational, "_ONE_WELL", math.inf)  # every coupling scanned
+            scanned, scan_errors = solve_grid(params)
+
+        def no_scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(variational, "_scan_brackets", no_scan)
+        grid, errors = solve_grid(params)
+        assert errors == scan_errors == {}
+        assert grid.energy.tolist() == scanned.energy.tolist()
+        assert (np.abs(grid.alpha - scanned.alpha) <= np.spacing(scanned.alpha)).all()
+        assert (grid.alpha[0], grid.energy[0]) == (0.0, -1.0)
+        small = g[1:-1] / (1.0 + omega_c)
+        assert (np.abs(grid.alpha[1:-1] - small) <= np.spacing(small)).all()
 
     @pytest.mark.parametrize("ratio", RATIOS)
     def test_slope_is_f_prime_and_above_its_bound(self, ratio):
@@ -335,71 +375,142 @@ class TestOneWell:
         assert (ulps > 0).any()  # the two brackets are not the same search
 
 
-class TestMaskedBrentq:
-    """``masked_brentq`` against ``scipy.optimize.brentq``, one bracket at a time."""
+def _brackets(omega_c, g):
+    """``solve_grid``'s open brackets on a grid: each one's g, and its ends and
+    f there as rows xa, xb, fa, fb."""
+    with np.errstate(all="ignore"):
+        one = omega_c > variational._ONE_WELL
+        find = variational._one_well_brackets if one else variational._scan_brackets
+        row, ends = find(1.0, omega_c, g, g / omega_c)
+    open_ = ends[3] != 0.0
+    return g[row[open_]], ends[:, open_]
 
-    @staticmethod
-    def _functions(n, rng):
-        # f_k(x) = h_k((x - c_k) / s_k) from five shapes, written with + - * / and
-        # sqrt only, so f is the same float whether evaluated on an array or alone
-        scale = 10.0 ** rng.integers(-300, 300, n)
-        centre = rng.uniform(-1.0, 1.0, n) * scale
-        shape = rng.integers(0, 5, n)
 
-        def f(x, k):
-            u = (x - centre[k]) / scale[k]
-            return np.select(
-                [shape[k] == 0, shape[k] == 1, shape[k] == 2, shape[k] == 3],
-                [u, u / (1.0 + np.abs(u)) + u * u * u / 6.0, np.sign(u) * np.sqrt(np.abs(u)),
-                 u * u * u + 0.1 * u],
-                np.floor(8.0 * u) / 8.0,  # exactly 0 on [0, 1/8): hit mid-iteration
-            )  # fmt: skip
+def _newton_calls(omega_c, g):
+    """``solve_grid`` on a grid, with the points of each iteration of its one
+    ``bracketed_newton`` call, the brackets' indices and the ends it was given."""
+    calls, real = [], variational.bracketed_newton
 
-        lo = centre - rng.uniform(0.01, 2.0, n) * scale
-        hi = centre + rng.uniform(0.01, 2.0, n) * scale
-        # f = 0 exactly at a bracket end
-        lo[:20] = np.where(shape[:20] == 0, centre[:20], lo[:20])
-        hi[20:40] = np.where(shape[20:40] == 0, centre[20:40], hi[20:40])
-        return f, lo, hi
-
-    def test_roots_equal_brentq_bit_for_bit(self):
-        n = 1000
-        f, lo, hi = self._functions(n, np.random.default_rng(7))
-        roots = masked_brentq(f, lo, hi)
-        steps = []
-        for k in range(n):
-            calls = []
-
-            def one(x, k=k):
-                calls.append(x)
-                return float(f(np.array([x]), np.array([k]))[0])
-
-            assert roots[k] == brentq(one, lo[k], hi[k], xtol=1e-15, rtol=1e-15), k
-            steps.append(len(calls))
-        assert len(set(steps)) > 10  # brackets converge after different numbers of steps
-        assert min(steps) == 2  # an end that is a root
-        # given f at the ends, it evaluates f only inside the brackets, to the same roots
-        k = np.arange(n)
-        inside = []
-
-        def spied(x, k):
-            inside.append(x.size)
+    def spy(f, xa, xb, fa, fb):
+        def counted(x, k):
+            calls.append((x.copy(), k.copy()))
             return f(x, k)
 
-        given = masked_brentq(spied, lo, hi, f(lo, k), f(hi, k))
-        assert given.tobytes() == roots.tobytes()
-        assert sum(inside) == sum(steps) - 2 * n
+        calls.append((xa, xb))
+        return real(counted, xa, xb, fa, fb)
 
-    def test_raises_where_brentq_raises(self, monkeypatch):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variational, "bracketed_newton", spy)
+        solution = solve_grid(ModelParams(1.0, omega_c, g))
+    return solution, calls[0], calls[1:]
+
+
+# the bench grids (approx-sweep, paper-sweep, deep-coupling) and CI's two-well sweep
+NEWTON_GRIDS = [
+    (1.0, np.linspace(0.0, 5.0, 2001)),
+    (1.0, np.linspace(0.0, 1.2, 241)),
+    (0.2, np.linspace(0.2, 2.0, 10)),
+    (0.1, np.linspace(0.01, 0.6, 3001)),
+]
+
+
+class TestBracketedNewton:
+    """``bracketed_newton`` on the stationarity function, against
+    ``scipy.optimize.brentq`` one bracket at a time."""
+
+    @staticmethod
+    def _roots(omega_c, g_open, ends):
         def f(x, k):
-            return x * x * x - 2.0
+            return variational._stationarity(x, 1.0, omega_c, g_open[k], slope=True)
 
-        for a, b, maxiter in [(3.0, 5.0, 100), (0.0, 4.1, 3)]:
-            with pytest.raises((ValueError, RuntimeError)) as expected:
-                brentq(lambda x: f(x, 0), a, b, xtol=1e-15, rtol=1e-15, maxiter=maxiter)
-            monkeypatch.setattr(variational, "_MAXITER", maxiter)
-            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-                masked_brentq(f, np.array([0.0, a]), np.array([4.0, b]))
+        return variational.bracketed_newton(f, *ends)
+
+    @pytest.mark.parametrize("omega_c,g", NEWTON_GRIDS)
+    def test_roots_are_brentqs_to_a_few_ulps(self, omega_c, g):
+        g_open, ends = _brackets(omega_c, g)
+        roots = self._roots(omega_c, g_open, ends)
+        checked = 0
+        for root, g_k, (xa, xb, _, _) in zip(roots.tolist(), g_open.tolist(), ends.T.tolist()):
+            if root < 1e-10:
+                continue
+            reference = brentq(
+                lambda x: float(variational._stationarity(x, 1.0, omega_c, g_k)),
+                xa, xb, xtol=1e-300, rtol=1e-15,
+            )  # fmt: skip
+            assert abs(root - reference) <= 8 * math.ulp(reference), (g_k, root, reference)
+            checked += 1
+        assert checked >= 0.9 * g_open.size
+
+    @pytest.mark.parametrize("omega_c,g", NEWTON_GRIDS)
+    def test_f_at_the_roots_is_rounding(self, omega_c, g):
+        # f's terms 2 alpha w_c, 2g and alpha s are at most about 2g in size
+        g_open, ends = _brackets(omega_c, g)
+        roots = self._roots(omega_c, g_open, ends)
+        f = variational._stationarity(roots, 1.0, omega_c, g_open)
+        assert (np.abs(f) <= 4.0 * np.finfo(float).eps * 2.0 * g_open).all()
+
+    @pytest.mark.parametrize("omega_c,g", [NEWTON_GRIDS[0], NEWTON_GRIDS[1], NEWTON_GRIDS[3]])
+    def test_given_end_values_are_not_evaluated_again(self, omega_c, g):
+        _, (xa, xb), iterations = _newton_calls(omega_c, g)
+        assert iterations
+        for x, k in iterations:
+            assert not ((x == xa[k]) | (x == xb[k])).any()
+
+    @pytest.mark.parametrize(
+        "omega_c,g,most",
+        [
+            (1.0, np.linspace(0.0, 5.0, 2001), 6),  # approx-sweep: 5
+            (0.74, np.linspace(0.0, 50.0, 2001), 6),  # CI's one-well sweeps: 5 and 3
+            (5.0, np.linspace(0.0, 50.0, 2001), 6),
+            (0.1, np.linspace(0.01, 0.6, 3001), 10),  # CI's two-well sweep: 8
+        ],
+    )
+    def test_iterations(self, omega_c, g, most):
+        # each iteration is one evaluation of f and f' on the open brackets
+        _, _, iterations = _newton_calls(omega_c, g)
+        assert 1 <= len(iterations) <= most
+
+    def test_a_point_outside_the_bracket(self):
+        # past an end by rounding it goes onto that end; further out, infinite
+        # or NaN it goes to the midpoint
+        x = np.array([1.25, 1.0 - 2**-53, 2.0 + 2**-51, 3.0, math.inf, -math.inf, math.nan])
+        inside = variational._inside(x, np.ones(x.size), np.full(x.size, 2.0))
+        assert inside.tolist() == [1.25, 1.0, 2.0, 1.5, 1.5, 1.5, 1.5]
+
+    def test_a_bracket_that_does_not_converge_fails_its_row_alone(self, monkeypatch):
+        # g = 0 has no bracket; at g = 30 f is 0 at g/w_c, whose root needs no
+        # iteration; every other row needs more than one
+        g = np.array([0.0, 0.4, 30.0, 1.2])
+        grid, errors = solve_grid(ModelParams(1.0, 1.0, g))
+        monkeypatch.setattr(variational, "_MAXITER", 1)
+        capped, capped_errors = solve_grid(ModelParams(1.0, 1.0, g))
+        assert errors == {} and list(capped_errors) == [1, 3]
+        for i in (1, 3):
+            assert str(capped_errors[i]) == (
+                "no root of the stationarity condition found in a bracket "
+                f"(omega_c=1.0, g={g[i].item()!r})"
+            )
+        for i in (0, 2):
+            assert _bits(capped, i) == _bits(grid, i)
+
+    def test_a_bracket_where_f_turns_nan_fails_its_row_alone(self, monkeypatch):
+        # f is NaN inside one bracket, of the deeper well (alpha near 4.5) of
+        # g = 0.45; the other well's root is found, but the row fails all the same
+        g = np.linspace(0.25, 0.45, 21)
+        grid, errors = solve_grid(ModelParams(1.0, 0.1, g))
+
+        def poisoned(alpha, wa, wc, g_k, slope=False, _fn=variational._stationarity):
+            out = _fn(alpha, wa, wc, g_k, slope)
+            if slope:
+                out[0][(alpha > 2.0) & (g_k == g[-1])] = math.nan
+            return out
+
+        monkeypatch.setattr(variational, "_stationarity", poisoned)
+        spoiled, spoiled_errors = solve_grid(ModelParams(1.0, 0.1, g))
+        assert errors == {} and list(spoiled_errors) == [g.size - 1]
+        assert "no root of the stationarity condition" in str(spoiled_errors[g.size - 1])
+        for i in range(g.size - 1):
+            assert _bits(spoiled, i) == _bits(grid, i)
 
 
 class TestSmallG:
