@@ -279,10 +279,11 @@ class GroundStateChunk(NamedTuple):
     sequences hold the values at ``rows`` in that order.  ``ROW_VALUES``
     names the values of a row, which a caller copies by name.  Row i's ground
     vector starts at ``vectors[starts[i]]``; ``vectors`` is the odd prefix of
-    the chunk's stack.  ``errors`` (the rows that failed for good) and
-    ``even_below`` (the rows whose even sector does not lie above E0, with
-    its lowest eigenvalue) are keyed as ``rows`` are.  A solve that raised
-    leaves the record of its one row's error, with no rows.
+    the chunk's stack.  ``errors`` (the rows that failed for good) is keyed
+    as ``rows`` are, and so is ``even_below`` (the rows whose even sector does
+    not lie above E0, with its lowest eigenvalue), which only ``_solve_chunk``'s
+    record carries: ``ground_state_chunks`` yields it empty.  A solve that
+    raised leaves the record of its one row's error, with no rows.
     """
 
     errors: dict[int, Exception]
@@ -581,9 +582,8 @@ def ground_state_chunks(omega_a: float, omega_c: float, g: list[float], tol: flo
                 for name in (*solve.ROW_VALUES, "starts")
             }  # fmt: skip
             yield solve._replace(
-                errors=errors, even_below={rows[i]: e for i, e in solve.even_below.items()},
-                rows=[rows[i] for i in accepted], **subset,
-            )  # fmt: skip
+                errors=errors, even_below={}, rows=[rows[i] for i in accepted], **subset
+            )
         del solve  # the chunk's vectors go with the chunk
 
 

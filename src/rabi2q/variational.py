@@ -28,7 +28,7 @@ whose root lies in [g/(w_a + w_c), g/w_c]; ``solve_grid`` brackets it in
 closed form.  For w_c below about 0.3 and a window of g, f has three zeros
 (two wells and the barrier between them), so at w_c <= 2 w_a / e
 ``solve_grid`` samples f on a fixed grid, root-finds every - to + sign change
-and keeps the root of lowest energy.  It does so for a whole grid of g at
+and keeps the root of lowest profile E.  It does so for a whole grid of g at
 once: ``bracketed_newton`` resolves every bracket of every coupling together
 by Newton steps on f and its closed-form slope, each kept inside its bracket
 and replaced by bisection where it would leave it (the safeguarded Newton
@@ -255,12 +255,12 @@ def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, Runt
     ``bracketed_newton`` resolves all brackets of a grid together, from the
     values of f at their ends already at hand and with f' above, which holds
     at every alpha; each stops where its Newton step is at most 1e-15
-    of alpha, however small alpha is.  One ``dressed_levels`` call gives beta
-    and the dressed levels at every root.  The well of lowest <H> is kept per
-    coupling.  f at g/w_c is clamped to >= 0: once exp(-alpha^2) underflows
-    the root is g/w_c to rounding, and f there is rounding noise.  g = 0 is
-    solved analytically because the alpha condition degenerates there.  Each
-    solution carries its ``stationarity_residual``.
+    of alpha, however small alpha is.  f at g/w_c is clamped to >= 0: once
+    exp(-alpha^2) underflows the root is g/w_c to rounding, and f there is
+    rounding noise.  Each coupling keeps its root of lowest profile E, the
+    lower of two equal, or alpha = 0 where it has none; at g = 0, where the
+    alpha condition degenerates, <H> = -w_a there.  ``dressed_levels`` (beta
+    and the levels), <H> and ``stationarity_residual`` run once over the grid.
 
     Returns the solutions as arrays over the grid, and a RuntimeError for
     each index where the solve fails (its array entries mean nothing): where
@@ -292,24 +292,20 @@ def solve_grid(params: ModelParams) -> tuple[VariationalSolution, dict[int, Runt
         roots[open_] = bracketed_newton(f, *ends[:, open_])
         lost = np.bincount(row[np.isnan(roots)], minlength=g.size) > 0  # a bracket of no root
 
-        # Candidates: the roots, then alpha = 0 once per coupling.  That one's
-        # <H> is -w_a at g = 0, which has no bracket, and NaN elsewhere, so it is
-        # kept only by a coupling without a well, and then fails the finite check.
-        n, m = g.size, row.size
-        alpha = np.concatenate((roots, np.zeros(n)))
-        on = ModelParams(wa, wc, np.concatenate((g[row], g)))
-        levels = dressed_levels(alpha, on)
-        energy = energy_expectation(alpha, levels.lambda_minus, on)
-        energy[m:] = np.where(g == 0.0, -wa, math.nan)
-
-        # per coupling, its first well, replaced by each later one of lower <H>
-        pick = np.arange(m, m + n)
-        rank = np.arange(m) - np.searchsorted(row, row)
-        for r in range(rank.max() + 1 if m else 0):
-            k = np.flatnonzero(rank == r)
-            better = (pick[row[k]] >= m) | (energy[k] < energy[pick[row[k]]])
-            pick[row[k[better]]] = k[better]
-        alpha, energy, levels = alpha[pick], energy[pick], levels.at(pick)
+        # Per coupling, the root of lowest profile E = (A - R)/2: a stable sort by
+        # coupling, then E, puts it first, and the lower alpha of two equal E.
+        a = roots * roots * wc - 2.0 * roots * g[row]
+        profile = (a - np.sqrt(a * a + 4.0 * wa * wa * np.exp(-roots * roots))) / 2.0
+        order = np.lexsort((profile, row))
+        first = order[np.diff(row, prepend=-1) != 0]  # row is sorted, so row[order] is row
+        well = np.bincount(row, minlength=g.size) > 0
+        alpha = np.zeros(g.size)
+        alpha[row[first]] = roots[first]
+        levels = dressed_levels(alpha, params)
+        # <H> is -w_a at g = 0, which has no bracket, and NaN at every other
+        # coupling without a well, which then fails the finite check
+        energy = np.where(well, energy_expectation(alpha, levels.lambda_minus, params),
+                          np.where(g == 0.0, -wa, math.nan))  # fmt: skip
         residual = stationarity_residual(alpha, levels.lambda_minus, params)
         unequal = np.abs(levels.eps_minus - energy) > EQUIVALENCE_TOL * np.abs(energy)
 

@@ -810,22 +810,27 @@ class TestEvaluate:
     @pytest.mark.filterwarnings("ignore::rabi2q.transform.PerturbationValidityWarning")
     @pytest.mark.parametrize("omega_c,g,wells", [(1.0, 0.4, 1), (0.1, 0.4, 2)])
     def test_dressed_levels_run_once_per_well(self, monkeypatch, omega_c, g, wells):
-        # inside the variational solve only, at every well of every row and at
-        # alpha = 0 once per row; no later stage recomputes them
-        calls = []
+        # inside the variational solve only, once per row at the kept well,
+        # however many wells each row's brackets hold; no later stage
+        # recomputes them
+        calls, brackets = [], []
 
         def counted(*args, _fn=transform.dressed_levels):
             calls.append(args)
             return _fn(*args)
 
+        def newton(f, xa, *ends, _fn=variational.bracketed_newton):
+            brackets.append(np.size(xa))
+            return _fn(f, xa, *ends)
+
         monkeypatch.setattr(transform, "dressed_levels", counted)
         monkeypatch.setattr(variational, "dressed_levels", counted)
+        monkeypatch.setattr(variational, "bracketed_newton", newton)
         rows = evaluate(omega_c, [g] * 3, tuple(COLUMNS), 1e-10)
         assert [row["error"] for row in rows] == [""] * 3
+        assert brackets == [3 * wells]
         assert len(calls) == 1
-        chi = calls[0][0]
-        assert chi.size == 3 * (wells + 1)
-        assert all(row["chi"] in chi for row in rows)
+        assert calls[0][0].tolist() == [row["chi"] for row in rows]
 
     def test_failure_keeps_earlier_values(self, monkeypatch):
         def fail(params):

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 
 from rabi2q import FockTruncation, FockTruncationWarning, ModelParams, build_hamiltonian
 from rabi2q import variational
+from rabi2q.transform import dressed_levels
 from rabi2q.variational import (
     energy_expectation,
     small_g_approx,
@@ -235,6 +236,29 @@ class TestSolveGrid:
             mp.setattr(variational, "bracketed_newton", counted)
             solve_grid(ModelParams(1.0, 0.1, g))
         assert len(calls) == 1 and calls[0] >= 2 * g.size
+
+    # CI's two-well sweep, and the deep-coupling bench grid, of one well per row
+    @pytest.mark.parametrize("omega_c,g,two_well_rows", [
+        (0.1, np.linspace(0.01, 0.6, 3001), 1036),
+        (0.2, np.linspace(0.2, 2.0, 10), 0),
+    ])  # fmt: skip
+    def test_kept_root_is_the_one_of_lowest_energy(self, omega_c, g, two_well_rows):
+        # solve_grid orders each coupling's roots by the profile; here every root
+        # is found again and ordered by <H>, the lower alpha first among equals
+        grid, errors = solve_grid(ModelParams(1.0, omega_c, g))
+        assert not errors
+        with np.errstate(all="ignore"):
+            row, ends = variational._scan_brackets(1.0, omega_c, g, g / omega_c)
+        roots = ends[1].copy()
+        open_ = ends[3] != 0.0
+        roots[open_] = TestBracketedNewton._roots(omega_c, g[row[open_]], ends[:, open_])
+        on = ModelParams(1.0, omega_c, g[row])
+        energy = energy_expectation(roots, dressed_levels(roots, on).lambda_minus, on)
+        counts = np.bincount(row, minlength=g.size)
+        assert counts.min() >= 1 and (counts >= 2).sum() == two_well_rows
+        for i in range(g.size):
+            alphas, energies = roots[row == i], energy[row == i]
+            assert grid.alpha[i] == alphas[energies == energies.min()].min(), g[i]
 
     def test_does_not_import_scipy_optimize(self):
         src = str(Path(variational.__file__).resolve().parents[1])
