@@ -616,6 +616,8 @@ def cmd_table1(opt: argparse.Namespace) -> int:
 def cmd_sweep(opt: argparse.Namespace) -> int:
     if opt.g_min > opt.g_max:
         raise UsageError(f"g_min={opt.g_min} exceeds g_max={opt.g_max}")
+    if opt.steps == 1 and opt.g_min != opt.g_max:  # a grid of one point is g_min alone
+        raise UsageError(f"--steps 1 needs g_min={opt.g_min} equal to g_max={opt.g_max}")
     columns = sweep_columns(opt.methods, opt.outputs)
     table = tabulate(opt.omega_c, np.linspace(opt.g_min, opt.g_max, opt.steps), columns, opt.tol)
     _write(render_rows(table, opt.format), opt.output)

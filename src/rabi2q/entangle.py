@@ -37,6 +37,13 @@ def _sums(amplitudes: np.ndarray) -> tuple[float, float, float, float]:
 def reduced_density_from_joint(state: JointState) -> np.ndarray:
     """Trace out the field: with the sums s, z, c and d of ``_sums``,
     r11, r44 = (s + z)/2 +/- c,  r14 = (s - z)/2,  r22 = d/2.
+
+    A reference form, one state at a time: the sweep reads its negativities
+    from ``negativity_stacked``, and ``TestNegativityStacked.per_row`` in
+    tests/test_entangle.py holds those to this form bit for bit.  So the
+    stacked code does not share ``_sums``: the test would then compare that
+    code with itself.  The other exact-state tests of tests/test_entangle.py
+    and tests/test_acceptance.py read rho from it.
     """
     s, z, c, d = _sums(state.amplitudes)
     norm_sq = float(s + z + d)
@@ -73,6 +80,15 @@ def negativity_stacked(vectors: np.ndarray, starts: list[int], n_max: list[int])
 def reduced_density_variational(alpha: float, beta: float) -> np.ndarray:
     """Closed form of the reduced density matrix for the coherent-state
     trial family.
+
+    A reference form with no caller in the solve path, kept for the tests
+    that compare against it in tests/test_entangle.py
+    (``TestReducedFromJoint.test_path_equivalence_with_closed_form``,
+    ``TestReducedVariational``, ``TestPartialTranspose``,
+    ``TestNegativityXState.test_both_channels_on_the_trial_family``,
+    ``TestNegativityClosedForm`` and the concurrence oracle
+    ``test_against_wootters_oracle``) and in tests/test_acceptance.py
+    (``test_criterion_8_oracle_suites``).
 
     Up to the overall 1/(2 N^2) = 1/(2 (2 + beta^2)):
         r11 = 1 + beta^2 + 2 sqrt2 beta e^(-alpha^2/2) + e^(-2 alpha^2)

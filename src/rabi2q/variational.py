@@ -129,6 +129,10 @@ def small_g_approx(params: ModelParams) -> tuple[float, float]:
 
     alpha ~ g/(w_a + w_c) and beta ~ -sqrt2 + g^2 (2 w_a + w_c) /
     (sqrt2 w_a (w_a + w_c)^2), valid for g < w_a + w_c.
+
+    A reference form with no caller in the solve path, kept for ``TestSmallG``
+    in tests/test_variational.py, whose ``test_tiny_alpha_is_resolved_relatively``
+    checks the small-g root of ``solve`` against it.
     """
     wa, wc, g = params.omega_a, params.omega_c, params.g
     alpha = g / (wa + wc)

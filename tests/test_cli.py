@@ -218,29 +218,69 @@ class TestSweep:
             assert row["negativity_exact"] >= 0.0
             assert row["negativity_approx"] >= 0.0
 
-    def test_small_omega_c_sweep_has_no_error_row(self, capsys):
+    @pytest.mark.parametrize("g_max,steps", [("4", 40), ("4.6", 25)])
+    def test_small_omega_c_sweep_has_no_error_row(self, capsys, g_max, steps):
+        # alpha = g / omega_c up to 46: large Fock truncations and coherent
+        # states whose exp(-alpha^2 / 2) underflows
         with pytest.warns(PerturbationValidityWarning):  # chi >= 1 in deep coupling
             code, out, _ = run_cli(
                 capsys,
-                ["sweep", "--omega-c", "0.1", "--g-min", "0.2", "--g-max", "4", "--steps", "40",
-                 "--methods", ",".join(METHODS), "--outputs", ",".join(OUTPUTS)],
+                ["sweep", "--omega-c", "0.1", "--g-min", "0.2", "--g-max", g_max,
+                 "--steps", str(steps), "--methods", ",".join(METHODS),
+                 "--outputs", ",".join(OUTPUTS)],
             )  # fmt: skip
         rows = csv_rows(out)
-        assert code == 0 and len(rows) == 40
+        assert code == 0 and len(rows) == steps
         assert [row["g"] for row in rows if row["error"]] == []
 
-    def test_tiny_omega_c_approximate_sweep_has_no_error_row(self, capsys):
-        # eps_- and <H> differ by an ulp at |E| ~ 1e7; an absolute check rejected 9 rows
-        with pytest.warns(PerturbationValidityWarning):  # chi >= 1
-            code, out, _ = run_cli(
-                capsys,
-                ["sweep", "--omega-c", "1e-5", "--g-min", "1", "--g-max", "30", "--steps", "30",
-                 "--methods", "variational,transform,corrected"],
-            )  # fmt: skip
-        rows = csv_rows(out)
-        assert code == 0 and len(rows) == 30
-        assert [row["g"] for row in rows if row["error"]] == []
-        for row in rows:
+    @pytest.mark.parametrize(
+        "omega_c,g_min,g_max,steps,outputs,ended",
+        [("1e-5", "1", "30", 30, "energy", {}),
+         ("0.1", "0.01", "0.6", 3001, "energy,alpha,beta,negativity_approx", {}),
+         ("0.74", "0", "50", 2001, "energy", {}),
+         ("1", "0", "50", 2001, "energy", {}),
+         ("5", "0", "50", 2001, "energy", {}),
+         ("0.5", "-6e76", "1.2e77", 7, "energy,alpha,beta,negativity_approx",
+          {0: "ValueError", 1: "ValueError", 4: "OverflowError", 5: "RuntimeError",
+           6: "RuntimeError"})],
+        ids=["omega_c 1e-5", "two-well", "one-well 0.74", "one-well 1", "one-well 5",
+             "ended rows"],
+    )  # fmt: skip
+    def test_approximate_sweep_prints_the_same_rows_as_csv_and_as_json(
+        self, capsys, omega_c, g_min, g_max, steps, outputs, ended
+    ):
+        # at omega_c = 1e-5 |E| reaches 9e7, and each root is g / omega_c, the
+        # scan's top end, where f is clamped to >= 0; 1036 rows of the two-well
+        # window have two or more brackets; 0.74 is just above omega_c =
+        # 2 omega_a / e, where one well is bracketed in closed form; at
+        # omega_c = 0.5 rows end at three columns next to live rows: a negative
+        # g, the correction's overflow at 6e76, and the variational failure at
+        # 9e76 and 1.2e77. CSV writes the live rows by one template and each
+        # ended row from its own cells, JSON value by value, with null for inf
+        # and NaN and no key for a column a row lacks
+        def same(text, value):
+            try:
+                number = float(text)
+            except ValueError:  # the error column, or a column the row lacks
+                return text == ("" if value is None else value)
+            return value == number if math.isfinite(number) else value is None
+
+        argv = ["sweep", "--omega-c", omega_c, f"--g-min={g_min}", "--g-max", g_max,
+                "--steps", str(steps), "--methods", "variational,transform,corrected",
+                "--outputs", outputs, "--format"]  # fmt: skip
+        printed = {}
+        for fmt in ("csv", "json"):
+            with pytest.warns(PerturbationValidityWarning):  # chi >= 1
+                code, printed[fmt], _ = run_cli(capsys, [*argv, fmt])
+            assert code == 0
+        rows, objects = csv_rows(printed["csv"]), json.loads(printed["json"])
+        assert len(rows) == len(objects) == steps
+        kinds = {i: row["error"].split(":")[0] for i, row in enumerate(rows) if row["error"]}
+        assert kinds == ended
+        assert len({len(line) for line in csv.reader(io.StringIO(printed["csv"]))}) == 1
+        for row, obj in zip(rows, objects):
+            assert all(same(text, obj.get(key)) for key, text in row.items()), row["g"]
+        for row in filter(lambda row: not row["error"], rows):
             e_var, e_transform = float(row["energy_variational"]), float(row["energy_transform"])
             assert abs(e_transform - e_var) <= 1e-9 * abs(e_var)
 
@@ -282,6 +322,11 @@ class TestSweep:
         assert code == 0 and len(rows) == 1 and err == ""
         assert rows[0]["error"].startswith("RuntimeError: ground state not converged")
         assert "n_max=4096" in rows[0]["error"]
+        # a point command raises the row's error, whatever warning it meets as an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["ground", "--g", "1e200"])
+        assert (code, out) == (1, "") and "ground state not converged" in err
 
     def test_error_cell_with_commas_is_quoted(self, capsys):
         # the huge-g row's error holds commas: quoted, it is one cell, and the
@@ -408,19 +453,6 @@ class TestFindZero:
         g = locate_negativity_zero(1.2, g_lo=1.5, g_hi=3.5, **self.SEARCH)
         assert 2.9 < g < 3.3
 
-    def test_fewer_evaluations_than_bisection_none_repeated(self, monkeypatch):
-        solved = []
-
-        def counted(omega_c, g, columns, tol):
-            solved.extend(g)
-            return evaluate(omega_c, g, columns, tol)
-
-        monkeypatch.setattr(cli, "evaluate", counted)
-        locate_negativity_zero(1.0, g_lo=1.5, g_hi=3.5, **self.SEARCH)
-        # bisection of [1.5, 3.5] to 1e-3: the 2 ends and 11 midpoints
-        assert len(solved) < 13
-        assert len(set(solved)) == len(solved)
-
     @pytest.mark.parametrize("shift", [0.0, 0.0159916590017197, 0.087268682459301])
     def test_log_search_takes_at_most_8_evaluations(self, monkeypatch, shift):
         # log(negativity / threshold) is close to linear in g past the maximum
@@ -433,6 +465,7 @@ class TestFindZero:
         monkeypatch.setattr(cli, "evaluate", counted)
         locate_negativity_zero(1.0, g_lo=1.5 + shift, g_hi=3.5 + shift, **self.SEARCH)
         assert len(solved) <= 8
+        assert len(set(solved)) == len(solved)  # no g evaluated twice
 
     @pytest.mark.parametrize("g_tol", [1e-3, 1e-6, 1e-10])
     @pytest.mark.parametrize(
@@ -522,6 +555,7 @@ class TestFlagsAndConfig:
          ["table1", "--ref-tol", "nan"],
          ["sweep", "--g-min", "nan", "--g-max", "1", "--steps", "3"],
          ["sweep", "--g-max", "inf"],
+         ["sweep", "--steps", "1", "--g-min", "0.5", "--g-max", "0.7"],
          ["sweep", "--g-min=-inf", "--g-max", "0"],
          ["find-zero", "--threshold", "0"],
          ["find-zero", "--threshold", "nan"],
@@ -550,8 +584,10 @@ class TestFlagsAndConfig:
         spaced = run_cli(capsys, ["sweep", "--g-min", end, *self.NEGATIVE_END])
         assert spaced == run_cli(capsys, ["sweep", f"--g-min={end}", *self.NEGATIVE_END])
         code, out, _ = spaced
-        assert code == 0 and float(csv_rows(out)[0]["g"]) == float(end)
-        assert csv_rows(out)[0]["error"].startswith("ValueError: g must be non-negative")
+        rows = csv_rows(out)
+        assert code == 0 and len(rows) == 2 and float(rows[0]["g"]) == float(end)
+        assert rows[0]["error"].startswith("ValueError: g must be non-negative")
+        assert rows[1]["error"] == ""
 
     def test_negative_grid_end_in_exponent_form_from_a_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -901,7 +937,7 @@ class TestEvaluate:
         for row in rows[1:]:
             assert row["error"].startswith("RuntimeError: no well of finite energy")
 
-    def test_an_overflowing_band_fails_its_row_alone(self):
+    def test_an_overflowing_band_fails_its_row_alone(self, capsys):
         # g sqrt(n_max + 1) passes the float range at g = 1.7e308 and n_max = 4096,
         # and omega_c n_max, shifted by E0 = -6e306, at omega_c = 6e306 once n_max
         # grows from 23 to 29: each row ends before the band or its shifted copy
@@ -916,6 +952,8 @@ class TestEvaluate:
                 assert rows[0] == evaluate(1.0, [0.4], columns, 1e-10)[0]
                 assert rows[0]["error"] == "" and list(rows[1]) == ["g", "error"]
                 assert rows[1]["error"].startswith(overflow.format(4096))
+                code, out, err = run_cli(capsys, ["ground", "--g", "1.7e308"])
+                assert (code, out) == (1, "") and "Hamiltonian band overflows" in err
                 (row,) = evaluate(6e306, [6e306], columns, 1e-10)
                 assert row["error"].startswith(overflow.format(29))
                 # at g = 2e306 the band is finite, its eigenvalues are not

@@ -474,17 +474,19 @@ def _cut_certifies(params: ModelParams, n_max: int, sigma: float) -> bool:
 
 
 def test_first_truncation_is_certified_in_the_paper_window():
-    # each of paper-sweep's 241 rows, solved on its first truncation, has its
+    # each of paper-sweep's 241 rows is solved on its first truncation, with
+    # its fidelity printed at most 1 and its negativity read off, and has its
     # untruncated E0 within tol of E0_N: the cut bound certifies E0_N - tol
     # from below, and E0_N lies above E0 (Rayleigh-Ritz)
     g = np.linspace(0.0, 1.2, 241).tolist()
-    certified = 0
-    for chunk in exact.ground_state_chunks(1.0, 1.0, g, 1e-10):
-        assert chunk.errors == {}
-        for k, n_max, energy in zip(chunk.rows, chunk.n_max, chunk.energy):
-            assert n_max == int(np.ceil(g[k] ** 2 + 8.0 * g[k] + 5.0))
-            certified += _cut_certifies(ModelParams(1.0, 1.0, g[k]), n_max, energy - 1e-10)
-    assert certified == 241
+    columns = cli.sweep_columns(("exact",), ("energy", "fidelity", "negativity_exact"))
+    rows = cli.evaluate(1.0, g, columns, 1e-10)
+    assert [row["error"] for row in rows] == [""] * 241
+    for g_k, row in zip(g, rows):
+        assert row["n_max_used"] == int(np.ceil(g_k**2 + 8.0 * g_k + 5.0))
+        assert float("%.10g" % row["fidelity"]) <= 1.0
+        sigma = row["energy_exact"] - 1e-10
+        assert _cut_certifies(ModelParams(1.0, 1.0, g_k), row["n_max_used"], sigma), g_k
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])

@@ -61,7 +61,10 @@ class TestPublicNames:
 class TestImports:
     """Each command loads only what it runs, and no scipy package module:
     scipy's LAPACK and BLAS extension modules with the exact stage, and with
-    find-zero also scipy.optimize's ``_zeros``, for its Brent search."""
+    find-zero also scipy.optimize's ``_zeros``, for its Brent search.  Every
+    warning is an error in the commands' probe, as under ``python -W error``:
+    a numpy or scipy deprecation raised while those modules load, or in the
+    solve, fails the command."""
 
     @pytest.mark.parametrize("module", ["rabi2q", "rabi2q.cli"])
     def test_import_loads_no_scipy(self, module):
@@ -77,13 +80,20 @@ class TestImports:
          (["sweep", "--steps", "5", "--methods", "variational,transform,corrected",
            "--outputs", "energy,alpha,beta,negativity_approx"], set()),
          (["ground", "--g", "0.4"], LAPACK),
+         # at omega_c = 1e-10 the odd-sector gap is 2e-10: inverse iteration
+         # shifts by 1e-5 of it, and must resolve the decoupled state
+         (["ground", "--omega-c", "1e-10", "--g", "0"], LAPACK),
+         (["ground", "--g", "1e-320"], LAPACK),
          (["table1"], LAPACK),
          (["find-zero"], LAPACK | {"scipy.optimize._zeros"})],
         ids=lambda v: " ".join(v) if isinstance(v, list)
         else "+".join(["lapack", *sorted(v - LAPACK)]) if v else "no scipy",
     )  # fmt: skip
     def test_command_loads_what_it_runs(self, argv, loaded):
-        code = "import sys\nfrom rabi2q.cli import main\nassert main(sys.argv[1:]) == 0"
+        code = (
+            "import sys, warnings\nwarnings.simplefilter('error')\n"
+            "from rabi2q.cli import main\nassert main(sys.argv[1:]) == 0"
+        )
         assert scipy_loaded_by(code, *argv) == loaded
 
 

@@ -237,7 +237,9 @@ class TestSolveGrid:
             solve_grid(ModelParams(1.0, 0.1, g))
         assert len(calls) == 1 and calls[0] >= 2 * g.size
 
-    # CI's two-well sweep, and the deep-coupling bench grid, of one well per row
+    # the two-well grid of test_cli's
+    # test_approximate_sweep_prints_the_same_rows_as_csv_and_as_json, and the
+    # deep-coupling bench grid, of one well per row
     @pytest.mark.parametrize("omega_c,g,two_well_rows", [
         (0.1, np.linspace(0.01, 0.6, 3001), 1036),
         (0.2, np.linspace(0.2, 2.0, 10), 0),
@@ -345,8 +347,11 @@ class TestOneWell:
     @pytest.mark.parametrize("omega_c", [0.74, 1.0, 5.0])
     def test_tiny_g_is_not_scanned(self, omega_c, monkeypatch):
         # each row is the one the 33-point scan solves, to an ulp of alpha; at
-        # tiny g, alpha is g/(w_a + w_c) to an ulp
-        g = np.array([0.0, 5e-324, 1e-300, 1e-200, 1e-12, 1e-8, 0.4])
+        # tiny g, alpha is g/(w_a + w_c) to an ulp, and E prints as -1 at 10
+        # digits; the tiny g include the sweeps of 4 points to 1e-300 and of 9
+        # points to 1e-8
+        g = np.concatenate(([0.0, 5e-324], np.linspace(0.0, 1e-300, 4)[1:], [1e-200, 1e-12],
+                            np.linspace(0.0, 1e-8, 9)[1:], [0.4]))  # fmt: skip
         params = ModelParams(1.0, omega_c, g)
         with monkeypatch.context() as mp:
             mp.setattr(variational, "_ONE_WELL", math.inf)  # every coupling scanned
@@ -363,6 +368,7 @@ class TestOneWell:
         assert (grid.alpha[0], grid.energy[0]) == (0.0, -1.0)
         small = g[1:-1] / (1.0 + omega_c)
         assert (np.abs(grid.alpha[1:-1] - small) <= np.spacing(small)).all()
+        assert {float("%.10g" % energy) for energy in grid.energy[:-1]} == {-1.0}
 
     @pytest.mark.parametrize("ratio", RATIOS)
     def test_slope_is_f_prime_and_above_its_bound(self, ratio):
@@ -429,7 +435,8 @@ def _newton_calls(omega_c, g):
     return solution, calls[0], calls[1:]
 
 
-# the bench grids (approx-sweep, paper-sweep, deep-coupling) and CI's two-well sweep
+# the bench grids (approx-sweep, paper-sweep, deep-coupling) and the two-well grid
+# of test_cli's test_approximate_sweep_prints_the_same_rows_as_csv_and_as_json
 NEWTON_GRIDS = [
     (1.0, np.linspace(0.0, 5.0, 2001)),
     (1.0, np.linspace(0.0, 1.2, 241)),
@@ -484,9 +491,11 @@ class TestBracketedNewton:
         "omega_c,g,most",
         [
             (1.0, np.linspace(0.0, 5.0, 2001), 6),  # approx-sweep: 5
-            (0.74, np.linspace(0.0, 50.0, 2001), 6),  # CI's one-well sweeps: 5 and 3
-            (5.0, np.linspace(0.0, 50.0, 2001), 6),
-            (0.1, np.linspace(0.01, 0.6, 3001), 10),  # CI's two-well sweep: 8
+            # the one-well and two-well grids of test_cli's
+            # test_approximate_sweep_prints_the_same_rows_as_csv_and_as_json
+            (0.74, np.linspace(0.0, 50.0, 2001), 6),  # 5
+            (5.0, np.linspace(0.0, 50.0, 2001), 6),  # 3
+            (0.1, np.linspace(0.01, 0.6, 3001), 10),  # 8
         ],
     )
     def test_iterations(self, omega_c, g, most):
