@@ -57,13 +57,13 @@ def negativity_stacked(vectors: np.ndarray, starts: list[int], n_max: list[int])
     unit vector in ``vectors`` (the one at ``starts[i]`` on the truncation
     ``n_max[i]``), bit for bit, from the four sums of each.
 
-    The vectors of a run of rows (``model.runs``) are one (rows, size) view
-    of the stack, and each of the four sums over a run is one ``row_dots``
-    of its strided S, |0> and D columns."""
+    The vectors of a run of rows with one n_max (``model.runs``) are gathered
+    at their starts into one (rows, size) array, as ``variational.trial_fidelities``
+    reads them, and each of the four sums over a run is one ``row_dots`` of
+    its strided S, |0> and D columns."""
     sums = []  # (s, z, c, d) of each row, as _sums
-    for first, stop in runs(n_max, starts):
-        size = sector_size(n_max[first], True)
-        rows = vectors[starts[first] : starts[first] + (stop - first) * size].reshape(-1, size)
+    for first, stop in runs(n_max):
+        rows = vectors[np.add.outer(starts[first:stop], np.arange(sector_size(n_max[first], True)))]
         s_n, zero_n, d_n = (rows[:, k] for k in sector_slices(odd=True))
         sums += zip(
             row_dots(s_n, s_n).tolist(),

@@ -34,8 +34,11 @@ band product run on the odd prefix alone, once per chunk, and do each row's
 arithmetic as on that row alone.  A run of rows with one truncation is a
 (rows, size) view of the prefix, so each norm over a run is one
 ``model.row_dots``.  dsbevx is the one LAPACK call per row, and the shift
-and its step count the one scalar arithmetic.  A solve's rows reach the
-caller as one record, ``GroundStateChunk``.  ``ground_state`` is the grid of one.
+and its step count the one scalar arithmetic.  Inverse iteration's start,
+the ground vector's signs, is ``_solve_chunk``'s own; ``model`` writes the
+bands alone.  A solve's rows reach the caller as one record,
+``GroundStateChunk``, whose readers gather a run's vectors at their
+``starts``.  ``ground_state`` is the grid of one.
 
 This is the one module of the package that uses scipy, and of scipy only
 its LAPACK and BLAS extension modules and, for ``brentq``, scipy.optimize's
@@ -419,11 +422,13 @@ def _solve_chunk(omega_a: float, omega_c: float, g: list, n_max: list[int]) -> G
             steps[k] = 0
     # the solves need only the odd prefix, factored by the one dpbtrf above;
     # right-hand sides in _unit of each block, from the Perron-Frobenius start
-    # (see ground_state_at)
+    # (see ground_state_at): -1, and +1 on each S_n (sector_slices(odd=True))
     factor, band = factor[:, :odd], band[:, :odd]
     units = np.array(unit).repeat(odd_sizes)
     spans = [(bounds[first], bounds[stop], stop - first) for first, stop in stack.runs]
-    vec = stack.start[:odd]
+    vec = np.full(odd, -1.0)
+    for a, b, rows in spans:
+        vec[a:b].reshape(rows, -1)[:, ::3] = 1.0
     for step in range(max(steps)):
         solved = _PBTRS(factor, vec * units, lower=1, overwrite_b=1)[0]
         for a, b, rows in spans:  # rows past their own steps are restored below
@@ -465,6 +470,7 @@ def ground_state_at(params: ModelParams, n_max: int) -> GroundStateResult:
     signs by depth in the tree makes them <= 0 (+1 on S_n, -1 on |0>_n and
     D_n at odd n), so the ground vector's components carry exactly these
     signs, and the start cannot be orthogonal to it, at g = 0 too.
+    ``_solve_chunk`` writes that start itself, -1 with +1 on each S_n slot.
 
     ``convergence_gap`` is the truncation-error estimate r^2 / (E1_odd - E0).
     The only coupling out of the truncated space is g * sqrt(N + 1) * Jz on

@@ -208,62 +208,48 @@ def fidelity(a: JointState, b: JointState) -> float:
     return float(abs(a.amplitudes @ b.amplitudes))
 
 
-class SectorPattern(NamedTuple):
-    """The parameter-free parts of a sector's band (``sector_pattern``)."""
-
-    band: np.ndarray   # (size, 3), C order: n, then band rows 1 and 2 over g
-    start: np.ndarray  # the start of inverse iteration
-
-
 # One pattern per parity, built up to the largest n_max asked for so far: a
 # smaller truncation is its leading rows, since the sector is ordered by n.
 # It depends on nothing else, so every caller may share it.
-_PATTERNS: dict[bool, SectorPattern] = {}
+_PATTERNS: dict[bool, np.ndarray] = {}
 
 
-def sector_pattern(n_max: int, odd: bool) -> SectorPattern:
-    """The parameter-free parts of the odd or the even sector's band, one row
-    per sector vector: the shared pattern, built up to at least ``n_max``,
-    whose leading sector_size rows are those of the truncation n_max.
+def sector_pattern(n_max: int, odd: bool) -> np.ndarray:
+    """The parameter-free part of the odd or the even sector's band, one row
+    per sector vector: the shared (size, 3) pattern in C order, built up to
+    at least ``n_max``, whose leading sector_size rows are those of the
+    truncation n_max.
 
-    Column 0 of ``band`` is the vector's photon number n, the band's
-    diagonal over omega_c; columns 1 and 2 are its band rows 1 and 2 over g,
-    sqrt(n + 1) on the coupling from S_n or D_n to level n + 1 and 0
-    elsewhere (band row 1 is omega_a on S_n, which the pattern leaves 0).
-    ``start`` is the start of inverse iteration (``exact``): in the odd
-    sector +1 on S_n and -1 elsewhere, the signs of the ground vector, and 0
-    in the even one.
+    Column 0 is the vector's photon number n, the band's diagonal over
+    omega_c; columns 1 and 2 are its band rows 1 and 2 over g, sqrt(n + 1)
+    on the coupling from S_n or D_n to level n + 1 and 0 elsewhere (band
+    row 1 is omega_a on S_n, which the pattern leaves 0).  It holds the band
+    alone: inverse iteration's start is ``exact._solve_chunk``'s own.
     """
     size = sector_size(n_max, odd)
     pattern = _PATTERNS.get(odd)
-    if pattern is None or len(pattern.start) < size:
+    if pattern is None or len(pattern) < size:
         s, z, d = sector_slices(odd)
         n = np.arange(n_max + 1)
         paired, single = slice(1 - odd, None, 2), slice(odd, None, 2)  # levels with S or with D
-        band = np.zeros((size, 3))
-        band[s, 0] = band[z, 0] = n[paired]
-        band[d, 0] = n[single]
+        pattern = np.zeros((size, 3))
+        pattern[s, 0] = pattern[z, 0] = n[paired]
+        pattern[d, 0] = n[single]
         root = np.sqrt(n + 1.0)
-        band[d, 1] = root[single]
-        band[s, 2] = root[paired]
-        start = np.zeros(size)
-        if odd:
-            start[:] = -1.0
-            start[s] = 1.0
-        pattern = _PATTERNS[odd] = SectorPattern(band, start)
+        pattern[d, 1] = root[single]
+        pattern[s, 2] = root[paired]
+        _PATTERNS[odd] = pattern
     return pattern
 
 
-def runs(n_max, starts=None) -> list[tuple[int, int]]:
-    """(first, stop) of each run of consecutive rows with one n_max, and, given
-    ``starts``, whose odd-sector vectors lie end to end in a stack (row i's
-    at ``starts[i]``): the vectors of rows first to stop - 1 are then one
-    (stop - first, sector_size) array."""
+def runs(n_max) -> list[tuple[int, int]]:
+    """(first, stop) of each run of consecutive rows with one n_max.  A caller
+    holding the rows' odd-sector vectors in a stack gathers a run's as one
+    (rows, size) array at their starts (``entangle.negativity_stacked``,
+    ``variational.trial_fidelities``); only ``exact._solve_chunk``, whose
+    runs lie end to end, reshapes a slice."""
     count = len(n_max)
-    edges = [
-        i for i in range(1, count) if n_max[i] != n_max[i - 1] or starts is not None
-        and starts[i] - starts[i - 1] != sector_size(n_max[i - 1], True)
-    ]  # fmt: skip
+    edges = [i for i in range(1, count) if n_max[i] != n_max[i - 1]]
     return list(zip([0, *edges], [*edges, count])) if count else []
 
 
@@ -273,7 +259,6 @@ class SectorBands(NamedTuple):
     band: np.ndarray   # (3, total), Fortran order
     bounds: list[int]  # block b holds the columns bounds[b]:bounds[b + 1]
     sizes: np.ndarray  # the sector_size of each block
-    start: np.ndarray  # each block's start of inverse iteration (sector_pattern), one after another
     runs: list[tuple[int, int]]  # the runs of rows with one n_max (``runs``)
 
 
@@ -299,7 +284,6 @@ def sector_bands(
     bounds = [0, *itertools.accumulate(sizes)]
     band = np.empty((3, bounds[-1]), order="F")
     columns = band.T  # C order: (columns, 3), and a run's blocks are (rows, size, 3)
-    start = np.zeros(bounds[-1])
     scale = np.empty((count, 1, 3))  # (omega_c, g, g) per row, over the pattern's columns
     scale[:, 0, 0] = omega_c
     scale[:, 0, 1] = g
@@ -313,7 +297,7 @@ def sector_bands(
             size = sector_size(n, odd)
             at = slice(bounds[p * count + first], bounds[p * count + stop])
             blocks = columns[at].reshape(stop - first, size, 3)
-            np.multiply(pattern.band[:size], scale[first:stop], out=blocks)
+            np.multiply(pattern[:size], scale[first:stop], out=blocks)
             # A pattern built past n_max couples each top level on: that corner is
             # the last D_n's coupling one slot on, or else the last S_n's two slots on.
             if n % 2 == odd:
@@ -321,9 +305,7 @@ def sector_bands(
             else:
                 blocks[:, -2, 2] = 0.0
             blocks[:, 1 - odd :: 3, 1] = omega_a  # on every S_n (sector_slices)
-            if odd:  # the even start is 0
-                start[at].reshape(stop - first, size)[:] = pattern.start[:size]
-    return SectorBands(band, bounds, np.array(sizes), start, row_runs)
+    return SectorBands(band, bounds, np.array(sizes), row_runs)
 
 
 def sector_hamiltonian(params: ModelParams, trunc: FockTruncation, odd: bool) -> np.ndarray:

@@ -90,8 +90,7 @@ def test_parity_splitting_field(exact_ground):
 def test_even_sector_below_odd_raises(monkeypatch):
     # swapping the sectors makes the "odd" solve land above the other one
     def swapped(omega_a, omega_c, g, n_max, parities):
-        stack = model.sector_bands(omega_a, omega_c, g, n_max, tuple(not odd for odd in parities))
-        return stack._replace(start=np.where(stack.start == 0.0, 1.0, stack.start))  # 0 nowhere
+        return model.sector_bands(omega_a, omega_c, g, n_max, tuple(not odd for odd in parities))
 
     monkeypatch.setattr(exact, "sector_bands", swapped)
     with pytest.raises(RuntimeError, match="even-sector ground energy"):
@@ -109,6 +108,20 @@ def test_variational_energy_upper_bounds_exact(exact_ground):
 def test_sign_convention(exact_ground):
     coeff = exact_ground(0.5).state.coefficients
     assert coeff[np.argmax(np.abs(coeff))] > 0
+
+
+@pytest.mark.parametrize(
+    "omega_c,g", [(1.0, 0.0), (1.0, 0.4), (1.0, 1.2), (0.2, 0.6), (0.1, 2.0), (2.0, 3.0), (0.5, 1.0)]
+)
+def test_ground_vector_carries_the_perron_frobenius_signs(omega_c, g):
+    # the theorem inverse iteration's start rests on (ground_state_at): +1 on
+    # each S_n, -1 on each |0>_n and D_n, on the vector as solved, not flipped
+    vec = ground_state(ModelParams(1.0, omega_c, g)).state.amplitudes
+    signs = np.full(vec.size, -1.0)
+    signs[model.sector_slices(odd=True)[0]] = 1.0
+    shown = np.abs(vec) > 1e-12
+    assert vec[shown] @ vec[shown] > 1.0 - 1e-12  # the signs hold on all the weight
+    assert np.array_equal(np.sign(vec[shown]), signs[shown])
 
 
 def test_deep_coupling_returns_lowest_pair_with_gap_diagnostic(exact_ground):
@@ -651,6 +664,21 @@ class TestChunks:
         rows = self._rows(1.0, g, tol=1e-300)
         assert rows == [self._alone(1.0, g_k, tol=1e-300) for g_k in g]
         assert rows[1].startswith("ground state error estimate stalls at n_max=32")
+
+    def test_a_row_whose_eigensolve_fails_leaves_its_neighbours_alone(self, monkeypatch):
+        # dsbevx fails on the odd block of g = 0.4 alone, the block whose
+        # coupling out of S_0 is g, in a chunk as in a grid of one
+        def failing(band, count, _fn=exact._lowest_eigenvalues):
+            if count == 2 and band[2, 0] == 0.4:
+                raise np.linalg.LinAlgError("dsbevx failed (info=3)")
+            return _fn(band, count)
+
+        monkeypatch.setattr(exact, "_lowest_eigenvalues", failing)
+        g = [0.2, 0.4, 0.6]
+        rows = self._rows(1.0, g)
+        assert rows == [self._alone(1.0, g_k) for g_k in g]
+        assert rows[1] == "dsbevx failed (info=3)"
+        assert all(isinstance(row, tuple) for row in (rows[0], rows[2]))
 
     def test_mixed_chunk_of_resolved_and_unresolved_gaps(self):
         # omega_c = 1e-10: at g = 0 the decoupled state is resolved, at g > 0

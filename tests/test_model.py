@@ -235,17 +235,11 @@ class TestSectorBands:
                 assert stack.band[:, columns].tobytes() == alone.band.tobytes() == band.tobytes()
                 assert alone.bounds == [0, stack.sizes[block]]
                 assert stack.sizes[block] == sector_size(n, odd)
-                assert stack.start[columns].tobytes() == alone.start.tobytes()
-                signs = np.where(np.arange(alone.sizes[0]) % 3 == 0, 1.0, -1.0)
-                assert np.array_equal(alone.start, signs if odd else np.zeros_like(signs))
 
-    def test_runs_break_at_a_new_n_max_and_at_a_gap(self):
-        n_max = [2, 2, 2, 5, 5]
-        size = [sector_size(n, odd=True) for n in n_max]
-        starts = [0, size[0], 2 * size[0] + 7, 3 * size[0] + 7, 3 * size[0] + 7 + size[3]]
-        assert runs(n_max) == [(0, 3), (3, 5)]
-        assert runs(n_max, starts) == [(0, 2), (2, 3), (3, 5)]
-        assert runs([]) == runs([], []) == []
+    def test_runs_break_at_a_new_n_max(self):
+        assert runs([2, 2, 2, 5, 5]) == [(0, 3), (3, 5)]
+        assert runs([2, 5, 2]) == [(0, 1), (1, 2), (2, 3)]
+        assert runs([]) == []
 
 
 class TestSectorLayout:

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 
 from rabi2q import FockTruncation, FockTruncationWarning, ModelParams, build_hamiltonian
 from rabi2q import variational
+from rabi2q.model import sector_size
 from rabi2q.transform import dressed_levels
 from rabi2q.variational import (
     energy_expectation,
@@ -222,6 +223,22 @@ class TestSolveGrid:
         assert "no well of finite energy" in str(errors[1])
         for i in (0, 2):
             assert _bits(grid, i) == _bits(solve(ModelParams(1.0, 1.0, float(g[i]))))
+
+    def test_a_residual_above_its_tolerance_fails_its_row_alone(self, monkeypatch):
+        # a tolerance just below the largest residual of the coupled rows fails
+        # that row alone; the residual of g = 0 is not checked
+        p = ModelParams(1.0, 1.0, np.linspace(0.0, 1.0, 6))
+        before, errors = solve_grid(p)
+        assert not errors
+        worst = 1 + int(np.argmax(before.residual[1:]))
+        monkeypatch.setattr(variational, "RESIDUAL_TOL", np.sort(before.residual[1:])[-2])
+        grid, errors = solve_grid(p)
+        assert list(errors) == [worst]
+        assert str(errors[worst]).startswith(
+            f"stationarity residual {before.residual[worst]:.2e} exceeds "
+        )
+        for i in range(6):
+            assert _bits(grid, i) == _bits(before, i)
 
     def test_two_wells_per_row(self):
         # every coupling of this window has two wells, resolved in one bracketed_newton call
@@ -609,6 +626,24 @@ class TestTrialState:
             warnings.simplefilter("always")
             trial_state(2.0, -0.5, FockTruncation(3))
         assert [w.category for w in caught] == [FockTruncationWarning]
+
+    def test_truncation_warning_of_one_row_of_trial_fidelities(self):
+        # alpha = 2 loses norm at n_max = 3; alpha = 0.5 keeps it at n_max = 30
+        rng = np.random.default_rng(7)
+        parts = [rng.standard_normal(sector_size(n, odd=True)) for n in (3, 30)]
+        vectors = np.concatenate([v / np.linalg.norm(v) for v in parts])
+        rows = ([2.0, 0.5], [-0.5, -1.2], vectors, [0, parts[0].size], [3, 30])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values, errors = variational.trial_fidelities(*rows)
+        assert [w.category for w in caught] == [FockTruncationWarning] and errors == {}
+        assert "amplitude=2.0" in str(caught[0].message) and np.isfinite(values).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raised, errors = variational.trial_fidelities(*rows)
+        assert list(errors) == [0] and isinstance(errors[0], FockTruncationWarning)
+        assert str(errors[0]) == str(caught[0].message) and math.isnan(raised[0])
+        assert np.float64(raised[1]).tobytes() == np.float64(values[1]).tobytes()
 
     def test_formula_matches_matrix_element_on_random_inputs(self):
         # validates the closed form of <H> over the whole trial family
